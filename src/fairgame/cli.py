@@ -220,6 +220,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        print(f"error: --episodes must be at least 1, got {args.episodes}", file=sys.stderr)
+        return EXIT_VALIDATION
     spec = json.loads(Path(args.env).read_text())
     factory = build_env_factory(spec)
     seed = _seed_override()

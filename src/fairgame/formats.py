@@ -107,36 +107,75 @@ def save_markov_game(path, game: TabularMarkovGame) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def _markov_key(path, kind: str, key: str, bounds: dict) -> list[int]:
+    """The indices of a comma-joined Markov-file key, each checked against
+    its named bound; any malformed or out-of-range key is a SchemaError."""
+    try:
+        parts = [int(x) for x in key.split(",")]
+    except ValueError:
+        raise SchemaError(f"{path}: {kind} key {key!r} is not comma-joined integers") from None
+    if len(parts) != len(bounds):
+        raise SchemaError(f"{path}: {kind} key {key!r} needs {','.join(bounds)}")
+    for value, (name, bound) in zip(parts, bounds.items()):
+        if not 0 <= value < bound:
+            raise SchemaError(
+                f"{path}: {kind} key {key!r}: {name} {value} outside [0, {bound - 1}]"
+            )
+    return parts
+
+
 def load_markov_game(path) -> TabularMarkovGame:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
     required = {"agents", "states", "actions", "gamma", "rho0", "transitions", "rewards"}
     missing = required - set(doc)
     if missing:
         raise SchemaError(f"{path}: missing keys: {', '.join(sorted(missing))}")
-    num_agents = int(doc["agents"])
-    num_states = int(doc["states"])
-    counts = tuple(int(c) for c in doc["actions"])
+    try:
+        num_agents, num_states = int(doc["agents"]), int(doc["states"])
+        counts = tuple(int(c) for c in doc["actions"])
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: agents, states and actions must be integers") from None
+    if num_agents < 1 or num_states < 1:
+        raise SchemaError(f"{path}: agents and states must be at least 1")
+    if len(counts) != num_agents or min(counts) < 1:
+        raise SchemaError(f"{path}: actions must list one positive count per agent")
+    for name in ("transitions", "rewards"):
+        if not isinstance(doc[name], dict):
+            raise SchemaError(f"{path}: {name} must be an object keyed by indices")
     joint_count = math.prod(counts)
+    agent_bounds = {f"a{k + 1}": c for k, c in enumerate(counts)}
     transitions = np.zeros((num_states, joint_count, num_states))
     rewards = np.zeros((num_agents, num_states, joint_count))
     seen_t = np.zeros((num_states, joint_count), dtype=bool)
     seen_r = np.zeros((num_agents, num_states, joint_count), dtype=bool)
     for key, row in doc["transitions"].items():
-        parts = [int(x) for x in key.split(",")]
-        if len(parts) != 1 + num_agents:
-            raise SchemaError(f"{path}: transition key {key!r} needs state,{num_agents} actions")
+        parts = _markov_key(path, "transition", key, {"state": num_states, **agent_bounds})
         s, actions = parts[0], tuple(parts[1:])
+        try:
+            row = np.asarray(row, dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: transition {key!r} is not a list of numbers") from None
+        if row.shape != (num_states,):
+            raise SchemaError(
+                f"{path}: transition {key!r} has shape {row.shape}, expected ({num_states},)"
+            )
         joint = int(np.ravel_multi_index(actions, counts))
         transitions[s, joint] = row
         seen_t[s, joint] = True
     for key, value in doc["rewards"].items():
-        parts = [int(x) for x in key.split(",")]
-        if len(parts) != 2 + num_agents:
-            raise SchemaError(f"{path}: reward key {key!r} needs agent,state,{num_agents} actions")
+        parts = _markov_key(
+            path, "reward", key, {"agent": num_agents, "state": num_states, **agent_bounds}
+        )
         agent, s, actions = parts[0], parts[1], tuple(parts[2:])
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: reward {key!r} is not a number") from None
         joint = int(np.ravel_multi_index(actions, counts))
         rewards[agent, s, joint] = value
         seen_r[agent, s, joint] = True
@@ -144,14 +183,21 @@ def load_markov_game(path) -> TabularMarkovGame:
         raise SchemaError(f"{path}: transitions missing for some (state, joint action)")
     if not seen_r.all():
         raise SchemaError(f"{path}: rewards missing for some (agent, state, joint action)")
+    try:
+        initial = np.asarray(doc["rho0"], dtype=float).reshape(num_states)
+        gamma = float(doc["gamma"])
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"{path}: rho0 must be {num_states} numbers and gamma a number"
+        ) from None
     return TabularMarkovGame(
         num_agents=num_agents,
         num_states=num_states,
         action_counts=counts,
         transitions=transitions,
         rewards=rewards,
-        initial_dist=np.asarray(doc["rho0"], dtype=float),
-        discount=float(doc["gamma"]),
+        initial_dist=initial,
+        discount=gamma,
     )
 
 

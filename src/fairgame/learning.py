@@ -507,7 +507,11 @@ def ppo_update(
     for i in range(num_agents):
         rows = _batch_rows(policies.logits[i], obs[:, i])
         p_taken = rows[taken, actions[:, i]]
-        assert np.all(p_taken > 0.0), "old policy assigned zero probability"
+        if not np.all(p_taken > 0.0):
+            raise DomainError(
+                f"agent {i}: the current policy assigns zero probability to "
+                f"{int(np.sum(p_taken <= 0.0))} taken action(s) in the buffer"
+            )
         old_log.append(np.log(p_taken))
 
     diag = {"actor_loss": [], "critic_loss": [], "entropy": [], "floor_hits": floor_hits}

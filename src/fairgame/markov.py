@@ -1,6 +1,6 @@
 """Tabular Markov games and the exact oracle layer: policy evaluation by
 linear solve, the log-value fair objective, and exact/Monte-Carlo fair policy
-gradients via the gradient fixed-point construction.
+gradients, the exact one from the discounted occupancy measure.
 """
 
 import math
@@ -184,14 +184,20 @@ def joint_policy_prob(
     return prob
 
 
+def _averaged_dynamics(
+    game: TabularMarkovGame, joint: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_pi (S, S) and r_bar (N, S) from joint action probabilities (S, A)."""
+    p_pi = np.einsum("sa,sat->st", joint, game.transitions)
+    r_bar = np.einsum("sa,nsa->ns", joint, game.rewards)
+    return p_pi, r_bar
+
+
 def policy_averaged_dynamics(
     game: TabularMarkovGame, policies: SoftmaxPolicyProfile
 ) -> tuple[np.ndarray, np.ndarray]:
     """Policy-averaged transition matrix (S, S) and mean rewards (N, S)."""
-    joint = policies.joint_probs()  # (S, A)
-    p_pi = np.einsum("sa,sat->st", joint, game.transitions)
-    r_bar = np.einsum("sa,nsa->ns", joint, game.rewards)
-    return p_pi, r_bar
+    return _averaged_dynamics(game, policies.joint_probs())
 
 
 def bellman_apply(
@@ -206,15 +212,31 @@ def bellman_apply(
     return r_bar + game.discount * values @ p_pi.T
 
 
+def _evaluate(
+    game: TabularMarkovGame, joint: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation system I - gamma P_pi (S, S) and V (N, S) solving it
+    against r_bar, from joint action probabilities (S, A)."""
+    p_pi, r_bar = _averaged_dynamics(game, joint)
+    system = np.eye(game.num_states) - game.discount * p_pi
+    return system, np.linalg.solve(system, r_bar.T).T
+
+
+def _action_values(game: TabularMarkovGame, state_values: np.ndarray) -> np.ndarray:
+    """Q_i(s,a) = r_i(s,a) + gamma * P(.|s,a) . V_i, shape (N, S, A), as one
+    matrix product against the (S*A, S) transition table."""
+    s_count, joint_count = game.num_states, game.num_joint_actions
+    flat = game.transitions.reshape(s_count * joint_count, s_count)
+    continuation = (state_values @ flat.T).reshape(game.num_agents, s_count, joint_count)
+    return game.rewards + game.discount * continuation
+
+
 def solve_values(game: TabularMarkovGame, policies: SoftmaxPolicyProfile) -> ValueBundle:
     """Exact policy evaluation: V_i solves (I - gamma P_pi) V_i = r_bar_i,
     then Q_i(s,a) = r_i(s,a) + gamma * P(.|s,a) . V_i and A_i = Q_i - V_i.
     """
-    p_pi, r_bar = policy_averaged_dynamics(game, policies)
-    system = np.eye(game.num_states) - game.discount * p_pi
-    state_values = np.linalg.solve(system, r_bar.T).T  # (N, S)
-    continuation = np.einsum("sat,nt->nsa", game.transitions, state_values)
-    action_values = game.rewards + game.discount * continuation
+    _, state_values = _evaluate(game, policies.joint_probs())
+    action_values = _action_values(game, state_values)
     advantages = action_values - state_values[:, :, None]
     return ValueBundle(state_values, action_values, advantages)
 
@@ -223,7 +245,8 @@ def proportional_fair_state_value(
     game: TabularMarkovGame, policies: SoftmaxPolicyProfile
 ) -> np.ndarray:
     """Per-state sum over agents of log V_j(s) under exact values."""
-    return np.log(solve_values(game, policies).state_values).sum(axis=0)
+    _, values = _evaluate(game, policies.joint_probs())
+    return np.log(values).sum(axis=0)
 
 
 def fair_objective(
@@ -232,7 +255,7 @@ def fair_objective(
     weights: AltruismWeights,
 ) -> np.ndarray:
     """Per-agent objective J_i = E_{s0~rho0}[ sum_j c_i(j) log V_j(s0) ]."""
-    values = solve_values(game, policies).state_values
+    _, values = _evaluate(game, policies.joint_probs())
     if np.any(values <= 0.0):
         raise AssertionError("positive rewards must yield positive values")
     log_v0 = np.log(values) @ game.initial_dist  # (N,)
@@ -244,23 +267,6 @@ def fair_objective(
     )
 
 
-def _score_marginals(
-    game: TabularMarkovGame,
-    policies: SoftmaxPolicyProfile,
-    q_table: np.ndarray,
-    agent: int,
-) -> np.ndarray:
-    """E over joint actions of Q_j(s, a) restricted to agent's action = a_i,
-    shape (S, A_i): the sufficient statistic for the softmax score expectation.
-    """
-    joint = policies.joint_probs()  # (S, A)
-    weighted = (joint * q_table).reshape(
-        (game.num_states,) + game.action_counts
-    )
-    axes = tuple(k + 1 for k in range(game.num_agents) if k != agent)
-    return weighted.sum(axis=axes)
-
-
 def exact_fair_gradient(
     game: TabularMarkovGame,
     policies: SoftmaxPolicyProfile,
@@ -269,39 +275,36 @@ def exact_fair_gradient(
 ) -> FairGradient:
     """Exact gradient of the fair objective for every agent's parameters.
 
-    The per-state score expectation G_{i,j}(s) = E[grad log pi_i(a_i|s) Q_j(s,a)]
-    is computed analytically (tabular softmax score: one-hot(a) - pi_i(.|s) on
-    the row of s); the discounted accumulation over trajectories is the unique
-    fixed point of g = G + gamma P_pi g, obtained by linear solve; the result
-    is assembled as grad_i J = sum_j c_i(j) E_{s0}[ g_{i,j}(s0) / V_j(s0) ].
+    The per-state score expectation G_{i,j}(s, a_i) = marginal_{i,j}(s, a_i)
+    - pi_i(a_i|s) V_j(s), with marginal_{i,j} the expectation of Q_j(s, a)
+    over the other agents' actions, is analytic for tabular softmax policies.
+    Its discounted accumulation over trajectories is the fixed point of
+    g = G + gamma P_pi g. Because G acts on one state at a time, that fixed
+    point weighted by rho0 / V_j is d_j(s) G_{i,j}(s, .), where the
+    discounted occupancy d_j solves the adjoint system
+    (I - gamma P_pi)^T d_j = rho0 / V_j (the occupancy form of the policy
+    gradient theorem). One policy evaluation and one adjoint solve with N
+    right-hand sides serve every agent, in O(S*A) memory:
+    grad_i J = sum_j c_i(j) d_j(s) G_{i,j}(s, a_i).
 
     With objective_agent=k the gradient of J_k with respect to every agent's
     parameters is returned instead of each agent's own objective.
     """
-    bundle = solve_values(game, policies)
-    p_pi, _ = policy_averaged_dynamics(game, policies)
-    system = np.eye(game.num_states) - game.discount * p_pi
     n, s_count = game.num_agents, game.num_states
+    joint = policies.joint_probs()
+    system, state_values = _evaluate(game, joint)
+    occupancy = np.linalg.solve(system.T, (game.initial_dist / state_values).T).T  # (N, S)
+    weighted = (joint * _action_values(game, state_values)).reshape(
+        (n, s_count) + game.action_counts
+    )
     grads: list[np.ndarray] = []
-    diag = np.arange(s_count)
     for i in range(n):
-        probs_i = policies.probs(i)
-        a_i = game.action_counts[i]
-        grad = np.zeros((s_count, a_i))
-        for j in range(n):
-            index = i if objective_agent is None else objective_agent
-            coeff = float(weights.coefficients(index, n)[j])
-            if coeff == 0.0:
-                continue
-            marginal = _score_marginals(game, policies, bundle.action_values[j], i)
-            immediate = np.zeros((s_count, s_count, a_i))
-            immediate[diag, diag, :] = (
-                marginal - probs_i * bundle.state_values[j][:, None]
-            )
-            fixed_point = np.linalg.solve(system, immediate.reshape(s_count, -1))
-            start_weights = game.initial_dist / bundle.state_values[j]
-            grad += coeff * (start_weights @ fixed_point).reshape(s_count, a_i)
-        grads.append(grad)
+        index = i if objective_agent is None else objective_agent
+        coeffs = weights.coefficients(index, n)
+        axes = tuple(k + 2 for k in range(n) if k != i)
+        marginals = weighted.sum(axis=axes)  # (N, S, A_i)
+        score = marginals - policies.probs(i) * state_values[:, :, None]
+        grads.append(np.einsum("j,js,jsa->sa", coeffs, occupancy, score))
     return FairGradient(grads)
 
 

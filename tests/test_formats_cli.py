@@ -77,6 +77,48 @@ class TestMarkovGameFiles:
         with pytest.raises(SchemaError):
             load_markov_game(path)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("transitions", "x,0,0", [0.5, 0.5]),
+            ("transitions", "0,0", [0.5, 0.5]),
+            ("transitions", "-1,0,0", [0.5, 0.5]),
+            ("transitions", "0,-1,0", [0.5, 0.5]),
+            ("transitions", "2,0,0", [0.5, 0.5]),
+            ("transitions", "0,0,2", [0.5, 0.5]),
+            ("transitions", "0,0,0", [0.5]),
+            ("transitions", "0,0,0", [[0.5, 0.5]]),
+            ("transitions", "0,0,0", ["a", "b"]),
+            ("rewards", "0,x,0,0", 1.0),
+            ("rewards", "2,0,0,0", 1.0),
+            ("rewards", "0,0,-1,0", 1.0),
+            ("rewards", "0,0,0,0", "high"),
+        ],
+    )
+    def test_malformed_entry_names_key(self, tmp_path, section, key, value):
+        game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
+        path = tmp_path / "markov.json"
+        save_markov_game(path, game)
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=repr(key)):
+            load_markov_game(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("agents", "two"), ("actions", [2]), ("states", 0), ("rho0", [1.0]), ("gamma", "x")],
+    )
+    def test_malformed_header_rejected(self, tmp_path, field, value):
+        game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
+        path = tmp_path / "markov.json"
+        save_markov_game(path, game)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
+            load_markov_game(path)
+
 
 class TestExperimentConfig:
     def base_doc(self, tmp_path):
@@ -315,6 +357,33 @@ class TestCliTrainEvalPlot:
             )
         )
         assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
+
+    def test_eval_zero_episodes_exits_2(self, tmp_path, capsys):
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text(
+            json.dumps(
+                {"type": "repeated_matrix", "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2}}
+            )
+        )
+        code = main(["eval", str(snapshot), "--env", str(env_spec), "--episodes", "0"])
+        assert code == 2
+        assert "--episodes" in capsys.readouterr().err
+
+    def test_eval_malformed_markov_file_exits_2(self, tmp_path, capsys):
+        game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
+        game_path = tmp_path / "markov.json"
+        save_markov_game(game_path, game)
+        doc = json.loads(game_path.read_text())
+        doc["transitions"]["0,-1,0"] = [0.5, 0.5]
+        game_path.write_text(json.dumps(doc))
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(2, (2, 2)))
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text(json.dumps({"type": "markov_file", "path": str(game_path)}))
+        assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
+        assert "'0,-1,0'" in capsys.readouterr().err
 
     def test_plot_command(self, tmp_path, capsys):
         config = self.write_config(tmp_path, alpha=[1.0])

@@ -296,6 +296,17 @@ class TestPPOUpdate:
         with pytest.raises(StaleBufferError):
             ppo_update(policies, critics, buffer, make_config(algorithm=Algorithm.FAIR_MAPPO))
 
+    def test_zero_probability_taken_action_rejected(self):
+        # exp(-1e4) underflows: the buffer's action 0 has probability exactly 0
+        buffer, critics = single_transition_buffer(1.0, 10.0, 10.0)
+        policies = SoftmaxPolicyProfile([np.array([[-1e4, 0.0], [0.0, 0.0]])])
+        assert policies.probs(0)[0, 0] == 0.0
+        before = policies.logits[0].copy()
+        with pytest.raises(DomainError, match="zero probability"):
+            ppo_update(policies, critics, buffer, make_config(algorithm=Algorithm.FAIR_MAPPO))
+        assert np.array_equal(policies.logits[0], before)
+        assert policies.version == 0
+
 
 class TestTrain:
     def factory(self, seed):
