@@ -18,10 +18,12 @@ import numpy as np
 from .envs import RepeatedMatrixGameEnv
 from .errors import DomainError, FairgameError, SchemaError
 from .formats import (
+    TRAIN_FIELDS,
     ExperimentConfig,
     build_env_factory,
     load_experiment_config,
     load_game_file,
+    read_json,
     write_manifest,
 )
 from .games import (
@@ -130,27 +132,7 @@ def _run_sweep_item(
             "objective": config.objective.value,
             "alpha": alpha,
             "seed": derived_seed,
-            "train": {
-                k: getattr(train_config, k)
-                for k in (
-                    "learning_rate",
-                    "critic_lr",
-                    "lr_floor",
-                    "gamma",
-                    "gae_lambda",
-                    "entropy_coef",
-                    "ppo_clip",
-                    "ppo_epochs",
-                    "num_envs",
-                    "episode_length",
-                    "total_steps",
-                    "v_floor",
-                    "critic_init",
-                    "policy_init_scale",
-                    "normalize_advantages",
-                    "ppo_value_clip",
-                )
-            },
+            "train": {k: getattr(train_config, k) for k in TRAIN_FIELDS},
         }
         (run_dir / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True))
         factory = build_env_factory(config.env)
@@ -223,7 +205,7 @@ def cmd_eval(args) -> int:
     if args.episodes < 1:
         print(f"error: --episodes must be at least 1, got {args.episodes}", file=sys.stderr)
         return EXIT_VALIDATION
-    spec = json.loads(Path(args.env).read_text())
+    spec = read_json(args.env)
     factory = build_env_factory(spec)
     seed = _seed_override()
     if seed is None:

@@ -5,7 +5,7 @@ experiment configs, and run manifests with content hashes.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -23,24 +23,23 @@ from .games import DilemmaPayoffs, NormalFormGame
 from .learning import Algorithm, ObjectiveMode, TrainConfig
 from .markov import TabularMarkovGame
 
-_TRAIN_OVERRIDE_FIELDS = (
-    "learning_rate",
-    "critic_lr",
-    "lr_floor",
-    "gamma",
-    "gae_lambda",
-    "entropy_coef",
-    "ppo_clip",
-    "ppo_epochs",
-    "num_envs",
-    "episode_length",
-    "total_steps",
-    "v_floor",
-    "critic_init",
-    "policy_init_scale",
-    "normalize_advantages",
-    "ppo_value_clip",
+# TrainConfig settings an experiment config may set; the other four are
+# fixed per sweep item.
+TRAIN_FIELDS = tuple(
+    f.name for f in fields(TrainConfig) if f.name not in {"algorithm", "objective", "alpha", "seed"}
 )
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a SchemaError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,7 @@ def load_game_file(path) -> LoadedGame:
     """Read a normal-form game: either {"players","strategies","payoffs"}
     with a flat row-major payoff list (player index innermost), or the 2x2
     dilemma shorthand {"T","R","S","P"}."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     if {"T", "R", "S", "P"} <= set(doc):
@@ -125,10 +121,7 @@ def _markov_key(path, kind: str, key: str, bounds: dict) -> list[int]:
 
 
 def load_markov_game(path) -> TabularMarkovGame:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     required = {"agents", "states", "actions", "gamma", "rho0", "transitions", "rewards"}
@@ -207,6 +200,19 @@ def validate_env_spec(spec) -> list[str]:
     if not isinstance(spec, dict):
         return ["env: expected an object"]
     kind = spec.get("type")
+
+    def integer(key, minimum=1, required=False):
+        """The spec's integer ``key`` if present and at least ``minimum``."""
+        if key not in spec:
+            if required:
+                problems.append(f"env.{key}: required for {kind}")
+        elif not _is_int(spec[key]) or spec[key] < minimum:
+            sign = "positive" if minimum == 1 else "nonnegative"
+            problems.append(f"env.{key}: must be a {sign} integer, got {spec[key]!r}")
+        else:
+            return spec[key]
+        return None
+
     if kind == "repeated_matrix":
         payoffs = spec.get("payoffs")
         if not isinstance(payoffs, dict) or not {"T", "R", "S", "P"} <= set(payoffs):
@@ -216,8 +222,7 @@ def validate_env_spec(spec) -> list[str]:
                 DilemmaPayoffs(*(float(payoffs[k]) for k in ("T", "R", "S", "P")))
             except Exception as exc:
                 problems.append(f"env.payoffs: {exc}")
-        if int(spec.get("episode_length", 100)) < 1:
-            problems.append("env.episode_length: must be positive")
+        integer("episode_length")
     elif kind == "mini_cleanup":
         known = set(MiniCleanupConfig.__dataclass_fields__)
         unknown = set(spec) - known - {"type"}
@@ -229,14 +234,30 @@ def validate_env_spec(spec) -> list[str]:
             except Exception as exc:
                 problems.append(f"env: {exc}")
     elif kind == "random_markov":
-        for key in ("agents", "states", "actions", "gamma"):
-            if key not in spec:
-                problems.append(f"env.{key}: required for random_markov")
+        agents = integer("agents", required=True)
+        integer("states", required=True)
+        integer("game_seed", minimum=0)
+        integer("episode_length")
+        actions = spec.get("actions")
+        if "actions" not in spec:
+            problems.append("env.actions: required for random_markov")
+        elif (
+            not isinstance(actions, list)
+            or not all(_is_int(c) and c >= 1 for c in actions)
+            or (agents is not None and len(actions) != agents)
+        ):
+            problems.append(f"env.actions: must list one positive integer per agent, got {actions!r}")
+        gamma = spec.get("gamma")
+        if "gamma" not in spec:
+            problems.append("env.gamma: required for random_markov")
+        elif not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or not 0 <= gamma < 1:
+            problems.append(f"env.gamma: must be a number in [0, 1), got {gamma!r}")
     elif kind == "markov_file":
         if "path" not in spec:
             problems.append("env.path: required for markov_file")
         elif not Path(spec["path"]).exists():
             problems.append(f"env.path: {spec['path']} does not exist")
+        integer("episode_length")
     else:
         problems.append(f"env.type: unknown environment type {kind!r}")
     return problems
@@ -248,11 +269,11 @@ def build_env_factory(spec: dict) -> Callable[[int], object]:
     if problems:
         raise SchemaError("; ".join(problems))
     kind = spec["type"]
+    length = spec.get("episode_length", 100)  # unused by mini_cleanup
     if kind == "repeated_matrix":
         payoffs = DilemmaPayoffs(
             *(float(spec["payoffs"][k]) for k in ("T", "R", "S", "P"))
         )
-        length = int(spec.get("episode_length", 100))
 
         def factory(seed: int):
             return RepeatedMatrixGameEnv(payoffs, length)
@@ -263,22 +284,17 @@ def build_env_factory(spec: dict) -> Callable[[int], object]:
         def factory(seed: int):
             return MiniCleanupEnv(config, seed)
 
-    elif kind == "random_markov":
-        game = random_markov_game(
-            int(spec["agents"]),
-            int(spec["states"]),
-            [int(a) for a in spec["actions"]],
-            float(spec["gamma"]),
-            int(spec.get("game_seed", 0)),
-        )
-        length = int(spec.get("episode_length", 100))
-
-        def factory(seed: int):
-            return MarkovGameEnv(game, length, seed)
-
-    else:  # markov_file
-        game = load_markov_game(spec["path"])
-        length = int(spec.get("episode_length", 100))
+    else:
+        if kind == "random_markov":
+            game = random_markov_game(
+                spec["agents"],
+                spec["states"],
+                spec["actions"],
+                float(spec["gamma"]),
+                spec.get("game_seed", 0),
+            )
+        else:  # markov_file
+            game = load_markov_game(spec["path"])
 
         def factory(seed: int):
             return MarkovGameEnv(game, length, seed)
@@ -333,16 +349,16 @@ def validate_experiment_config(doc) -> list[str]:
                 problems.append(f"alpha: sweep value {value!r} outside [0, 1]")
     if "out" not in doc:
         problems.append("out: output directory required")
-    if not isinstance(doc.get("seed", 0), int):
+    if not _is_int(doc.get("seed", 0)):
         problems.append("seed: must be an integer")
     unknown = (
         set(doc)
         - {"env", "algorithm", "objective", "alpha", "seed", "out"}
-        - set(_TRAIN_OVERRIDE_FIELDS)
+        - set(TRAIN_FIELDS)
     )
     if unknown:
         problems.append(f"config: unknown fields: {', '.join(sorted(unknown))}")
-    overrides = {k: doc[k] for k in _TRAIN_OVERRIDE_FIELDS if k in doc}
+    overrides = {k: doc[k] for k in TRAIN_FIELDS if k in doc}
     if not problems:
         try:
             TrainConfig(
@@ -358,10 +374,7 @@ def validate_experiment_config(doc) -> list[str]:
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path)
     problems = validate_experiment_config(doc)
     if problems:
         raise SchemaError("; ".join(problems))
@@ -372,7 +385,7 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
         alphas=[float(a) for a in doc.get("alpha", [1.0])],
         seed=seed_override if seed_override is not None else int(doc.get("seed", 0)),
         out=str(doc["out"]),
-        overrides={k: doc[k] for k in _TRAIN_OVERRIDE_FIELDS if k in doc},
+        overrides={k: doc[k] for k in TRAIN_FIELDS if k in doc},
     )
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, StaleBufferError
-from .markov import SoftmaxPolicyProfile
+from .markov import SoftmaxPolicyProfile, _softmax
 from .metrics import LOG_COLUMNS, gini
 
 
@@ -52,7 +52,6 @@ class TrainConfig:
     policy_init_scale: float = 0.0  # stdev of seeded random initial logits
     objective: ObjectiveMode = ObjectiveMode.PROPORTIONAL_FAIR
     normalize_advantages: bool = False
-    ppo_value_clip: bool = False
 
     def validate(self) -> list[str]:
         problems = []
@@ -188,12 +187,6 @@ class EpisodeStats:
         return gini(self.apples if self.has_apples else self.returns)
 
 
-def _softmax_row(row: np.ndarray) -> np.ndarray:
-    z = row - row.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def _sample_index(probs: np.ndarray, u: float) -> int:
     acc = 0.0
     for index, p in enumerate(probs):
@@ -213,7 +206,7 @@ class _RowCache:
     def probs(self, agent: int, obs: int) -> np.ndarray:
         row = self._cache[agent].get(obs)
         if row is None:
-            row = _softmax_row(self._logits[agent][obs])
+            row = _softmax(self._logits[agent][obs])
             self._cache[agent][obs] = row
         return row
 
@@ -378,14 +371,6 @@ def _combined_advantages(
     return combined, floor_hits
 
 
-def _batch_rows(logits: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Softmax rows for a batch of observation indices, shape (T, A)."""
-    z = logits[obs]
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _critic_regression_step(
     table: np.ndarray, obs: np.ndarray, targets: np.ndarray, lr: float
 ) -> float:
@@ -406,89 +391,29 @@ def _critic_regression_step(
     return mse
 
 
-def _critic_clipped_step(
-    table: np.ndarray,
-    obs: np.ndarray,
-    targets: np.ndarray,
-    old_values: np.ndarray,
-    eps: float,
-    lr: float,
-) -> float:
-    """Clipped-value variant: per-sample loss max((V-R)^2, (V_clip-R)^2) with
-    V_clip = V_old + clip(V - V_old, -eps, eps). A sample's gradient vanishes
-    only when the clipped branch dominates while the clip is saturated.
-    """
-    values = table[obs]
-    clipped = old_values + np.clip(values - old_values, -eps, eps)
-    plain_sq = (values - targets) ** 2
-    clip_sq = (clipped - targets) ** 2
-    loss = float(np.mean(np.maximum(plain_sq, clip_sq)))
-    live = (plain_sq >= clip_sq) | (np.abs(values - old_values) < eps)
-    grads = np.where(live, 2.0 * (values - targets), 0.0)
-    sums = np.zeros_like(table)
-    counts = np.zeros_like(table)
-    np.add.at(sums, obs, grads)
-    np.add.at(counts, obs, 1.0)
-    visited = counts > 0
-    table[visited] -= lr * sums[visited] / counts[visited]
-    return loss
-
-
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
     logs = np.log(np.clip(rows, 1e-300, None))
     return -(rows * logs).sum(axis=1)
 
 
-def a2c_update(
+def _policy_gradient_update(
     policies: SoftmaxPolicyProfile,
     critics: CriticTable,
     buffer: RolloutBuffer,
     config: TrainConfig,
-    progress: float = 0.0,
+    progress: float,
+    epochs: int,
+    clip: float | None,
 ) -> dict:
-    """One fair A2C step: ascend E_t[A^F_{i,t} log pi_i(a_{i,t}|o_{i,t})] per
-    actor (advantages detached), descend the squared TD-return error per
-    critic. Requires an on-policy buffer."""
-    if buffer.policy_version != policies.version:
-        raise StaleBufferError(
-            f"buffer from policy version {buffer.policy_version}, "
-            f"policies at {policies.version}"
-        )
-    lr = config.learning_rate_at(progress)
-    critic_lr = config.critic_lr_at(progress)
-    obs, actions = buffer.flat()
-    advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
-    fair, floor_hits = _combined_advantages(advantages, critics, buffer, config)
-    num_agents = obs.shape[1]
-    batch = obs.shape[0]
-    diag = {"actor_loss": [], "critic_loss": [], "entropy": [], "floor_hits": floor_hits}
-    for i in range(num_agents):
-        rows = _batch_rows(policies.logits[i], obs[:, i])
-        w = fair[:, i]
-        grad = np.zeros_like(policies.logits[i])
-        np.add.at(grad, (obs[:, i], actions[:, i]), w / batch)
-        np.add.at(grad, obs[:, i], -(w[:, None] * rows) / batch)
-        log_taken = np.log(np.clip(rows[np.arange(batch), actions[:, i]], 1e-300, None))
-        diag["actor_loss"].append(float(-(w * log_taken).mean()))
-        diag["entropy"].append(float(_entropy_rows(rows).mean()))
-        policies.logits[i] += lr * grad
-        mse = _critic_regression_step(critics.values[i], obs[:, i], returns[:, i], critic_lr)
-        diag["critic_loss"].append(mse)
-    policies.version += 1
-    return diag
+    """The fair policy-gradient core shared by A2C and PPO.
 
-
-def ppo_update(
-    policies: SoftmaxPolicyProfile,
-    critics: CriticTable,
-    buffer: RolloutBuffer,
-    config: TrainConfig,
-    progress: float = 0.0,
-) -> dict:
-    """Fair PPO: ppo_epochs passes of the clipped surrogate
-    min(rho A^F, clip(rho, 1-eps, 1+eps) A^F) plus entropy regularization,
-    with per-agent probability ratios against the snapshotted old policy;
-    the critic regresses on the fixed TD(lambda) returns each epoch."""
+    Each of ``epochs`` passes ascends, per actor, the score-function step on
+    the fixed fair advantages A^F (plus entropy regularization), then takes
+    one regression step per critic on the fixed TD(lambda) returns. With
+    ``clip`` set, each sample's weight is rho * A^F, with rho the ratio of the
+    current to the buffer's policy, and it is zeroed where the clipped
+    surrogate min(rho A^F, clip(rho, 1-clip, 1+clip) A^F) is flat.
+    """
     if buffer.policy_version != policies.version:
         raise StaleBufferError(
             f"buffer from policy version {buffer.policy_version}, "
@@ -503,53 +428,82 @@ def ppo_update(
     batch = obs.shape[0]
     taken = np.arange(batch)
     old_log = []
-    old_values = [critics.values[i][obs[:, i]].copy() for i in range(num_agents)]
-    for i in range(num_agents):
-        rows = _batch_rows(policies.logits[i], obs[:, i])
-        p_taken = rows[taken, actions[:, i]]
-        if not np.all(p_taken > 0.0):
-            raise DomainError(
-                f"agent {i}: the current policy assigns zero probability to "
-                f"{int(np.sum(p_taken <= 0.0))} taken action(s) in the buffer"
-            )
-        old_log.append(np.log(p_taken))
+    if clip is not None:
+        for i in range(num_agents):
+            p_taken = _softmax(policies.logits[i][obs[:, i]])[taken, actions[:, i]]
+            if not np.all(p_taken > 0.0):
+                raise DomainError(
+                    f"agent {i}: the current policy assigns zero probability to "
+                    f"{int(np.sum(p_taken <= 0.0))} taken action(s) in the buffer"
+                )
+            old_log.append(np.log(p_taken))
 
-    diag = {"actor_loss": [], "critic_loss": [], "entropy": [], "floor_hits": floor_hits}
-    eps = config.ppo_clip
-    for _ in range(config.ppo_epochs):
+    diag = {"floor_hits": floor_hits}
+    for _ in range(epochs):
         diag["actor_loss"], diag["critic_loss"], diag["entropy"] = [], [], []
         for i in range(num_agents):
-            rows = _batch_rows(policies.logits[i], obs[:, i])
-            log_new = np.log(np.clip(rows[taken, actions[:, i]], 1e-300, None))
-            ratio = np.exp(log_new - old_log[i])
+            rows = _softmax(policies.logits[i][obs[:, i]])
+            log_taken = np.log(np.clip(rows[taken, actions[:, i]], 1e-300, None))
             w = fair[:, i]
-            clipped_out = ((w > 0) & (ratio > 1.0 + eps)) | ((w < 0) & (ratio < 1.0 - eps))
-            coeff = np.where(clipped_out, 0.0, ratio * w)
+            if clip is None:
+                coeff = w
+                actor_loss = -(w * log_taken).mean()
+            else:
+                ratio = np.exp(log_taken - old_log[i])
+                clipped_out = ((w > 0) & (ratio > 1.0 + clip)) | ((w < 0) & (ratio < 1.0 - clip))
+                coeff = np.where(clipped_out, 0.0, ratio * w)
+                surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
+                actor_loss = -surrogate.mean()
             grad = np.zeros_like(policies.logits[i])
             np.add.at(grad, (obs[:, i], actions[:, i]), coeff / batch)
             np.add.at(grad, obs[:, i], -(coeff[:, None] * rows) / batch)
+            entropy = _entropy_rows(rows)
             if config.entropy_coef > 0.0:
-                entropy = _entropy_rows(rows)
                 log_rows = np.log(np.clip(rows, 1e-300, None))
                 ent_grad = -rows * (log_rows + entropy[:, None])
                 np.add.at(grad, obs[:, i], config.entropy_coef * ent_grad / batch)
-            surrogate = np.minimum(
-                ratio * w, np.clip(ratio, 1.0 - eps, 1.0 + eps) * w
-            )
-            diag["actor_loss"].append(float(-surrogate.mean()))
-            diag["entropy"].append(float(_entropy_rows(rows).mean()))
+            diag["actor_loss"].append(float(actor_loss))
+            diag["entropy"].append(float(entropy.mean()))
             policies.logits[i] += lr * grad
-            if config.ppo_value_clip:
-                loss = _critic_clipped_step(
-                    critics.values[i], obs[:, i], returns[:, i], old_values[i], eps, critic_lr
-                )
-            else:
-                loss = _critic_regression_step(
-                    critics.values[i], obs[:, i], returns[:, i], critic_lr
-                )
-            diag["critic_loss"].append(loss)
+            diag["critic_loss"].append(
+                _critic_regression_step(critics.values[i], obs[:, i], returns[:, i], critic_lr)
+            )
         policies.version += 1
     return diag
+
+
+def a2c_update(
+    policies: SoftmaxPolicyProfile,
+    critics: CriticTable,
+    buffer: RolloutBuffer,
+    config: TrainConfig,
+    progress: float = 0.0,
+) -> dict:
+    """One fair A2C step: the shared policy-gradient core for one unclipped
+    epoch, ascending E_t[A^F_{i,t} log pi_i(a_{i,t}|o_{i,t})] plus
+    ``entropy_coef`` times the policy entropy per actor (advantages detached)
+    and descending the squared TD-return error per critic. Requires an
+    on-policy buffer."""
+    return _policy_gradient_update(
+        policies, critics, buffer, config, progress, epochs=1, clip=None
+    )
+
+
+def ppo_update(
+    policies: SoftmaxPolicyProfile,
+    critics: CriticTable,
+    buffer: RolloutBuffer,
+    config: TrainConfig,
+    progress: float = 0.0,
+) -> dict:
+    """Fair PPO: the shared policy-gradient core for ppo_epochs passes of the
+    clipped surrogate min(rho A^F, clip(rho, 1-eps, 1+eps) A^F) plus entropy
+    regularization, with per-agent probability ratios against the buffer's
+    policy. Raises DomainError, before any update, if that policy gives a
+    taken action zero probability."""
+    return _policy_gradient_update(
+        policies, critics, buffer, config, progress, config.ppo_epochs, config.ppo_clip
+    )
 
 
 @dataclass

@@ -79,6 +79,12 @@ class TabularMarkovGame:
         return tuple(int(a) for a in np.unravel_index(index, self.action_counts))
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the maximum for stability."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 @dataclass
 class SoftmaxPolicyProfile:
     """Per-agent logit tables; agent i's policy is the row-wise softmax of
@@ -108,10 +114,7 @@ class SoftmaxPolicyProfile:
 
     def probs(self, agent: int) -> np.ndarray:
         """Action probabilities for one agent, shape (num_states, num_actions)."""
-        z = self.logits[agent]
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(self.logits[agent])
 
     def all_probs(self) -> list[np.ndarray]:
         return [self.probs(i) for i in range(self.num_agents)]
@@ -123,16 +126,6 @@ class SoftmaxPolicyProfile:
             result = result[:, :, None] * self.probs(agent)[:, None, :]
             result = result.reshape(result.shape[0], -1)
         return result
-
-    def log_prob(self, agent: int, state: int, action: int) -> float:
-        z = self.logits[agent][state]
-        z = z - z.max()
-        return float(z[action] - np.log(np.exp(z).sum()))
-
-    def sample_actions(self, state: int, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(
-            int(rng.choice(len(p), p=p)) for p in (self.probs(i)[state] for i in range(self.num_agents))
-        )
 
     def copy(self) -> "SoftmaxPolicyProfile":
         return SoftmaxPolicyProfile([l.copy() for l in self.logits], self.version)

@@ -14,6 +14,7 @@ from fairgame.formats import (
     load_game_file,
     load_markov_game,
     save_markov_game,
+    validate_env_spec,
     validate_experiment_config,
     verify_manifest,
     write_manifest,
@@ -160,6 +161,22 @@ class TestExperimentConfig:
         assert "bogus_field" in text
         assert len(problems) >= 4
 
+    def test_boolean_seed_rejected(self, tmp_path):
+        doc = self.base_doc(tmp_path)
+        doc["seed"] = True
+        problems = validate_experiment_config(doc)
+        assert any(p.startswith("seed:") for p in problems)
+
+    def test_ppo_value_clip_is_unknown(self, tmp_path, capsys):
+        doc = self.base_doc(tmp_path)
+        doc["ppo_value_clip"] = True
+        problems = validate_experiment_config(doc)
+        assert problems == ["config: unknown fields: ppo_value_clip"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        assert "ppo_value_clip" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         doc = self.base_doc(tmp_path)
         path = tmp_path / "config.json"
@@ -187,6 +204,66 @@ class TestExperimentConfig:
             }
         )(2)
         assert markov.num_states == 3
+
+
+RANDOM_MARKOV = {"type": "random_markov", "agents": 2, "states": 3, "actions": [2, 2], "gamma": 0.9}
+PD_SPEC = {"type": "repeated_matrix", "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2}}
+
+MALFORMED_ENV_SPECS = [
+    (PD_SPEC, "episode_length", "abc"),
+    (PD_SPEC, "episode_length", 0),
+    (PD_SPEC, "episode_length", 2.5),
+    (PD_SPEC, "episode_length", True),
+    (RANDOM_MARKOV, "episode_length", -1),
+    (RANDOM_MARKOV, "agents", "two"),
+    (RANDOM_MARKOV, "agents", 0),
+    (RANDOM_MARKOV, "states", 1.5),
+    (RANDOM_MARKOV, "game_seed", "x"),
+    (RANDOM_MARKOV, "game_seed", -1),
+    (RANDOM_MARKOV, "actions", "2,2"),
+    (RANDOM_MARKOV, "actions", [2]),
+    (RANDOM_MARKOV, "actions", [2, 0]),
+    (RANDOM_MARKOV, "actions", [2, "2"]),
+    (RANDOM_MARKOV, "gamma", "0.9"),
+    (RANDOM_MARKOV, "gamma", 1.0),
+    (RANDOM_MARKOV, "gamma", -0.1),
+    (RANDOM_MARKOV, "gamma", True),
+    ({"type": "markov_file"}, "episode_length", "abc"),
+]
+MALFORMED_IDS = [f"{base['type']}-{key}-{value!r}" for base, key, value in MALFORMED_ENV_SPECS]
+
+
+class TestEnvSpecValidation:
+    def spec(self, tmp_path, base, key, value):
+        spec = dict(base, **{key: value})
+        if spec["type"] == "markov_file":
+            spec["path"] = str(tmp_path / "markov.json")
+            save_markov_game(spec["path"], random_markov_game(2, 2, (2, 2), 0.9, seed=5))
+        return spec
+
+    @pytest.mark.parametrize("base, key, value", MALFORMED_ENV_SPECS, ids=MALFORMED_IDS)
+    def test_rejected_by_field(self, tmp_path, base, key, value):
+        problems = validate_env_spec(self.spec(tmp_path, base, key, value))
+        assert len(problems) == 1
+        assert problems[0].startswith(f"env.{key}:")
+
+    @pytest.mark.parametrize("base, key, value", MALFORMED_ENV_SPECS, ids=MALFORMED_IDS)
+    def test_eval_and_train_exit_2(self, tmp_path, capsys, base, key, value):
+        spec = self.spec(tmp_path, base, key, value)
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps(spec))
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
+        assert main(["eval", str(snapshot), "--env", str(env_path)]) == 2
+        assert f"env.{key}:" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"env": spec, "out": str(tmp_path / "runs")}))
+        assert main(["train", str(config)]) == 2
+        assert f"env.{key}:" in capsys.readouterr().err
+
+    def test_random_markov_defaults_accepted(self):
+        assert validate_env_spec(RANDOM_MARKOV) == []
+        assert validate_env_spec(dict(RANDOM_MARKOV, gamma=0, game_seed=0)) == []
 
 
 class TestManifest:
@@ -384,6 +461,16 @@ class TestCliTrainEvalPlot:
         env_spec.write_text(json.dumps({"type": "markov_file", "path": str(game_path)}))
         assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
         assert "'0,-1,0'" in capsys.readouterr().err
+
+    def test_eval_malformed_env_json_exits_2(self, tmp_path, capsys):
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text("{not json")
+        assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
+        err = capsys.readouterr().err
+        assert str(env_spec) in err
+        assert "invalid JSON at line 1" in err
 
     def test_plot_command(self, tmp_path, capsys):
         config = self.write_config(tmp_path, alpha=[1.0])

@@ -231,15 +231,17 @@ class TestA2CUpdate:
 
 
 class TestPPOUpdate:
-    def test_first_epoch_matches_a2c_direction(self):
-        policies_a = SoftmaxPolicyProfile.uniform(1, (2, 2))
+    @pytest.mark.parametrize("entropy_coef", [0.0, 0.05])
+    def test_first_epoch_matches_a2c_direction(self, entropy_coef):
+        # a non-uniform start, where the entropy gradient is nonzero
+        policies_a = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
         buffer, _ = collect_pd_buffer(policies_a, seed=5)
         critics_a = CriticTable.constant(2, 1, 30.0)
         critics_b = critics_a.copy()
         policies_b = policies_a.copy()
-        config_a2c = make_config(entropy_coef=0.0)
+        config_a2c = make_config(entropy_coef=entropy_coef)
         config_ppo = make_config(
-            algorithm=Algorithm.FAIR_MAPPO, entropy_coef=0.0, ppo_epochs=1
+            algorithm=Algorithm.FAIR_MAPPO, entropy_coef=entropy_coef, ppo_epochs=1
         )
         a2c_update(policies_a, critics_a, buffer, config_a2c)
         buffer_b = RolloutBuffer(buffer.episodes, policies_b.version)

@@ -239,7 +239,10 @@ class TestSolveValues:
             state = start
             gamma_t = 1.0
             for _ in range(horizon):
-                actions = policies.sample_actions(state, rng)
+                actions = tuple(
+                    int(rng.choice(len(p), p=p))
+                    for p in (policies.probs(i)[state] for i in range(game.num_agents))
+                )
                 joint = game.joint_action_index(actions)
                 totals[:, k] += gamma_t * game.rewards[:, state, joint]
                 state = int(rng.choice(game.num_states, p=game.transitions[state, joint]))
