@@ -65,11 +65,11 @@ from .learning import (
     combine_fair_advantages,
     combine_utilitarian_advantages,
     compute_gae,
-    load_policy_snapshot,
     ppo_update,
     save_policy_snapshot,
     train,
 )
+from .formats import load_policy_snapshot
 from .metrics import EpisodeMetrics, emit_plot_data, gini, rolling_aggregate
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .formats import (
     build_env_factory,
     load_experiment_config,
     load_game_file,
+    load_policy_snapshot,
     read_json,
     write_manifest,
 )
@@ -36,11 +37,7 @@ from .games import (
     find_pure_nash,
     social_optima,
 )
-from .learning import (
-    load_policy_snapshot,
-    play_episode,
-    train,
-)
+from .learning import collect_rollouts, train
 from .metrics import emit_plot_data
 from .verify import run_suite
 
@@ -228,16 +225,15 @@ def cmd_eval(args) -> int:
             return EXIT_VALIDATION
     rng = np.random.default_rng(seed)
     track_joint = isinstance(env, RepeatedMatrixGameEnv)
+    joint = np.zeros(env.action_counts, dtype=np.int64) if track_joint else None
     returns, apples, ginis = [], [], []
-    joint_totals: dict = {}
     for _ in range(args.episodes):
-        _, stats = play_episode(env, policies, rng, track_joint_actions=track_joint)
+        buffer, (stats,) = collect_rollouts([env], policies, rng)
         returns.append(stats.returns)
         apples.append(stats.apples)
         ginis.append(stats.gini)
-        if stats.joint_counts:
-            for key, count in stats.joint_counts.items():
-                joint_totals[key] = joint_totals.get(key, 0) + count
+        if track_joint:
+            np.add.at(joint, tuple(buffer.actions[0].T), 1)
     returns = np.stack(returns)
     apples = np.stack(apples)
     ginis = np.array(ginis)
@@ -259,19 +255,15 @@ def cmd_eval(args) -> int:
             "max": float(ginis.max()),
         },
     }
-    if joint_totals:
-        total = sum(joint_totals.values())
-        frequencies = {
-            ",".join(str(a) for a in key): count / total
-            for key, count in sorted(joint_totals.items())
+    if track_joint:
+        total = int(joint.sum())
+        report["joint_action_frequencies"] = {
+            ",".join(str(a) for a in key): int(joint[tuple(key)]) / total
+            for key in np.argwhere(joint)
         }
-        report["joint_action_frequencies"] = frequencies
-        cooperation = np.zeros(env.num_agents)
-        for key, count in joint_totals.items():
-            for agent, action in enumerate(key):
-                if action == 0:
-                    cooperation[agent] += count
-        report["cooperation_rate"] = (cooperation / total).tolist()
+        report["cooperation_rate"] = [
+            int(joint.take(0, axis=agent).sum()) / total for agent in range(env.num_agents)
+        ]
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

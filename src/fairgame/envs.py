@@ -3,9 +3,11 @@ repeated 2x2 matrix games, a mini-CleanUp gridworld with a shared polluting
 river, and a random Markov game generator for property tests.
 
 An environment exposes ``num_agents``, ``num_states`` (the per-agent
-observation encoding space), ``action_counts``, ``reset(seed=None)`` returning
-per-agent observation indices, and ``step(actions)`` returning an EnvStep.
-Episodes truncate at a fixed length; rewards are strictly positive.
+observation encoding space), ``action_counts``, ``episode_length``,
+``reset(seed=None)`` returning per-agent observation indices, and
+``step(actions)`` returning an EnvStep. Episodes truncate after exactly
+``episode_length`` steps and never terminate early; rewards are strictly
+positive.
 """
 
 import math
@@ -68,10 +70,6 @@ class RepeatedMatrixGameEnv:
             rewards=np.array(table[(a1, a2)]),
             done=self._t >= self.episode_length,
         )
-
-    def to_markov_game(self, gamma: float) -> TabularMarkovGame:
-        """Single-state Markov game with the matrix payoffs as rewards."""
-        return matrix_markov_game(self.payoffs, gamma)
 
 
 def repeated_matrix_env(payoffs: DilemmaPayoffs, episode_length: int) -> RepeatedMatrixGameEnv:
@@ -161,20 +159,21 @@ class MiniCleanupConfig:
     base_reward: float = 0.01
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise DomainError("grid dimensions must be positive")
+        """Range checks; each message starts with the offending field."""
+        for name in ("width", "height", "num_agents", "episode_length"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name}: must be at least 1")
         if not 0.0 <= self.regen_rate <= 1.0:
-            raise DomainError("regen_rate must lie in [0, 1]")
+            raise DomainError("regen_rate: must lie in [0, 1]")
         if not 0.0 < self.pollution_threshold <= 1.0:
-            raise DomainError("pollution_threshold must lie in (0, 1]")
-        if self.episode_length < 1:
-            raise DomainError("episode_length must be positive")
+            raise DomainError("pollution_threshold: must lie in (0, 1]")
         if not 0 <= self.river_rows <= self.height:
-            raise DomainError("river_rows must fit within the grid")
+            raise DomainError("river_rows: must fit within the grid")
         if self.num_agents > self.width * self.height:
-            raise DomainError("more agents than grid cells")
-        if self.base_reward <= 0.0 or self.apple_reward <= 0.0:
-            raise DomainError("rewards must be strictly positive")
+            raise DomainError("num_agents: more agents than grid cells")
+        for name in ("base_reward", "apple_reward"):
+            if getattr(self, name) <= 0.0:
+                raise DomainError(f"{name}: must be strictly positive")
 
 
 class MiniCleanupEnv:
@@ -194,6 +193,7 @@ class MiniCleanupEnv:
 
     def __init__(self, config: MiniCleanupConfig, seed: int = 0):
         self.config = config
+        self.episode_length = config.episode_length
         self.num_agents = config.num_agents
         self.num_states = config.width * config.height * _POLLUTION_BUCKETS * (1 << _WINDOW_BITS)
         self.action_counts = (6,) * config.num_agents

@@ -18,10 +18,10 @@ from .envs import (
     RepeatedMatrixGameEnv,
     random_markov_game,
 )
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .games import DilemmaPayoffs, NormalFormGame
 from .learning import Algorithm, ObjectiveMode, TrainConfig
-from .markov import TabularMarkovGame
+from .markov import SoftmaxPolicyProfile, TabularMarkovGame
 
 # TrainConfig settings an experiment config may set; the other four are
 # fixed per sweep item.
@@ -40,6 +40,33 @@ def read_json(path):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def load_policy_snapshot(path) -> SoftmaxPolicyProfile:
+    """Read a policy snapshot: a JSON array of per-agent logit tables, each a
+    nonempty 2-D array of finite numbers (states x actions). Anything else is
+    a SchemaError naming the file."""
+    doc = read_json(path)
+    if not isinstance(doc, list):
+        raise SchemaError(f"{path}: expected a JSON array of per-agent logit tables")
+    tables = []
+    for agent, table in enumerate(doc):
+        try:
+            array = np.asarray(table)
+            valid = array.ndim == 2 and array.size > 0 and array.dtype.kind in "iuf"
+        except ValueError:  # ragged nesting
+            valid = False
+        if not valid:
+            raise SchemaError(f"{path}: agent {agent} table is not a 2-D array of numbers")
+        array = array.astype(float)
+        if not np.isfinite(array).all():
+            raise SchemaError(f"{path}: agent {agent} table has a non-finite entry")
+        tables.append(array)
+    return SoftmaxPolicyProfile(tables)
 
 
 @dataclass(frozen=True)
@@ -128,15 +155,17 @@ def load_markov_game(path) -> TabularMarkovGame:
     missing = required - set(doc)
     if missing:
         raise SchemaError(f"{path}: missing keys: {', '.join(sorted(missing))}")
-    try:
-        num_agents, num_states = int(doc["agents"]), int(doc["states"])
-        counts = tuple(int(c) for c in doc["actions"])
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: agents, states and actions must be integers") from None
-    if num_agents < 1 or num_states < 1:
-        raise SchemaError(f"{path}: agents and states must be at least 1")
-    if len(counts) != num_agents or min(counts) < 1:
-        raise SchemaError(f"{path}: actions must list one positive count per agent")
+    for name in ("agents", "states"):
+        if not _is_int(doc[name]) or doc[name] < 1:
+            raise SchemaError(f"{path}: {name} must be a positive integer, got {doc[name]!r}")
+    num_agents, num_states, counts = doc["agents"], doc["states"], doc["actions"]
+    if (
+        not isinstance(counts, list)
+        or len(counts) != num_agents
+        or not all(_is_int(c) and c >= 1 for c in counts)
+    ):
+        raise SchemaError(f"{path}: actions must list one positive integer per agent")
+    counts = tuple(counts)
     for name in ("transitions", "rewards"):
         if not isinstance(doc[name], dict):
             raise SchemaError(f"{path}: {name} must be an object keyed by indices")
@@ -151,7 +180,7 @@ def load_markov_game(path) -> TabularMarkovGame:
         s, actions = parts[0], tuple(parts[1:])
         try:
             row = np.asarray(row, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(f"{path}: transition {key!r} is not a list of numbers") from None
         if row.shape != (num_states,):
             raise SchemaError(
@@ -167,7 +196,7 @@ def load_markov_game(path) -> TabularMarkovGame:
         agent, s, actions = parts[0], parts[1], tuple(parts[2:])
         try:
             value = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(f"{path}: reward {key!r} is not a number") from None
         joint = int(np.ravel_multi_index(actions, counts))
         rewards[agent, s, joint] = value
@@ -179,19 +208,22 @@ def load_markov_game(path) -> TabularMarkovGame:
     try:
         initial = np.asarray(doc["rho0"], dtype=float).reshape(num_states)
         gamma = float(doc["gamma"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(
             f"{path}: rho0 must be {num_states} numbers and gamma a number"
         ) from None
-    return TabularMarkovGame(
-        num_agents=num_agents,
-        num_states=num_states,
-        action_counts=counts,
-        transitions=transitions,
-        rewards=rewards,
-        initial_dist=initial,
-        discount=gamma,
-    )
+    try:
+        return TabularMarkovGame(
+            num_agents=num_agents,
+            num_states=num_states,
+            action_counts=counts,
+            transitions=transitions,
+            rewards=rewards,
+            initial_dist=initial,
+            discount=gamma,
+        )
+    except DomainError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def validate_env_spec(spec) -> list[str]:
@@ -224,15 +256,20 @@ def validate_env_spec(spec) -> list[str]:
                 problems.append(f"env.payoffs: {exc}")
         integer("episode_length")
     elif kind == "mini_cleanup":
-        known = set(MiniCleanupConfig.__dataclass_fields__)
-        unknown = set(spec) - known - {"type"}
+        known = {f.name: f.type for f in fields(MiniCleanupConfig)}
+        unknown = set(spec) - set(known) - {"type"}
         if unknown:
             problems.append(f"env: unknown mini_cleanup fields: {', '.join(sorted(unknown))}")
-        else:
+        for key, field_type in known.items():
+            if field_type is int:
+                integer(key, minimum=0 if key == "river_rows" else 1)
+            elif key in spec and not _is_finite_number(spec[key]):
+                problems.append(f"env.{key}: must be a finite number, got {spec[key]!r}")
+        if not problems:
             try:
                 MiniCleanupConfig(**{k: v for k, v in spec.items() if k != "type"})
-            except Exception as exc:
-                problems.append(f"env: {exc}")
+            except DomainError as exc:
+                problems.append(f"env.{exc}")
     elif kind == "random_markov":
         agents = integer("agents", required=True)
         integer("states", required=True)
@@ -255,8 +292,8 @@ def validate_env_spec(spec) -> list[str]:
     elif kind == "markov_file":
         if "path" not in spec:
             problems.append("env.path: required for markov_file")
-        elif not Path(spec["path"]).exists():
-            problems.append(f"env.path: {spec['path']} does not exist")
+        elif not isinstance(spec["path"], str) or not Path(spec["path"]).is_file():
+            problems.append(f"env.path: {spec['path']!r} is not a file")
         integer("episode_length")
     else:
         problems.append(f"env.type: unknown environment type {kind!r}")
@@ -316,15 +353,12 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def train_config(self, alpha: float, seed: int) -> TrainConfig:
-        params = dict(self.overrides)
-        if "episode_length" not in params and "episode_length" in self.env:
-            params["episode_length"] = int(self.env["episode_length"])
         return TrainConfig(
             algorithm=self.algorithm,
             objective=self.objective,
             alpha=alpha,
             seed=seed,
-            **params,
+            **self.overrides,
         )
 
 

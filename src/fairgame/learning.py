@@ -5,6 +5,7 @@ with GAE and the initial-state-normalized fair advantage combination.
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -44,7 +45,6 @@ class TrainConfig:
     ppo_clip: float = 0.2
     ppo_epochs: int = 4
     num_envs: int = 10
-    episode_length: int = 100
     total_steps: int = 100_000
     seed: int = 0
     v_floor: float = 1e-3
@@ -86,8 +86,6 @@ class TrainConfig:
             problems.append("ppo_epochs: must be at least 1")
         if self.num_envs < 1:
             problems.append("num_envs: must be at least 1")
-        if self.episode_length < 1:
-            problems.append("episode_length: must be at least 1")
         if self.total_steps < 0:
             problems.append("total_steps: must be nonnegative")
         if not self.v_floor > 0.0:
@@ -131,46 +129,33 @@ class CriticTable:
 
 
 @dataclass
-class Episode:
-    """One truncated episode; arrays are (length, num_agents) except the
-    per-step terminal flags (true termination only, never truncation)."""
+class RolloutBuffer:
+    """One truncated episode per collector under one policy version, as
+    (E, T, N) arrays: E episodes of T steps for N agents. Episodes truncate
+    after T steps and never terminate, so ``observations[:, t + 1]`` equals
+    ``next_observations[:, t]``."""
 
     observations: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_observations: np.ndarray
-    terminal: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.observations.shape[0]
-
-    @property
-    def initial_observations(self) -> np.ndarray:
-        return self.observations[0]
-
-
-@dataclass
-class RolloutBuffer:
-    """Episodes collected under one policy version."""
-
-    episodes: list[Episode]
     policy_version: int
 
     def __post_init__(self):
-        for episode in self.episodes:
-            if not np.all(episode.rewards > 0.0):
-                raise DomainError("rollout rewards must be strictly positive")
+        if not np.all(self.rewards > 0.0):
+            raise DomainError("rollout rewards must be strictly positive")
 
     @property
     def num_steps(self) -> int:
-        return sum(ep.length for ep in self.episodes)
+        return self.rewards.shape[0] * self.rewards.shape[1]
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (observations, actions), each (total_steps, num_agents)."""
-        obs = np.concatenate([ep.observations for ep in self.episodes])
-        act = np.concatenate([ep.actions for ep in self.episodes])
-        return obs, act
+        """(observations, actions), each (E*T, N) in episode-major order."""
+        num_agents = self.observations.shape[2]
+        return (
+            self.observations.reshape(-1, num_agents),
+            self.actions.reshape(-1, num_agents),
+        )
 
 
 @dataclass
@@ -180,137 +165,84 @@ class EpisodeStats:
     returns: np.ndarray  # undiscounted per-agent sums
     apples: np.ndarray
     has_apples: bool
-    joint_counts: dict | None = None
 
     @property
     def gini(self) -> float:
         return gini(self.apples if self.has_apples else self.returns)
 
 
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    acc = 0.0
-    for index, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return index
-    return len(probs) - 1
-
-
-class _RowCache:
-    """Per-agent memo of softmax rows; valid for one policy version."""
-
-    def __init__(self, policies: SoftmaxPolicyProfile):
-        self._logits = policies.logits
-        self._cache: list[dict[int, np.ndarray]] = [{} for _ in policies.logits]
-
-    def probs(self, agent: int, obs: int) -> np.ndarray:
-        row = self._cache[agent].get(obs)
-        if row is None:
-            row = _softmax(self._logits[agent][obs])
-            self._cache[agent][obs] = row
-        return row
-
-
-def play_episode(
-    env,
-    policies: SoftmaxPolicyProfile,
-    rng: np.random.Generator,
-    track_joint_actions: bool = False,
-    row_cache: "_RowCache | None" = None,
-) -> tuple[Episode, EpisodeStats]:
-    """Roll one truncated episode with actions sampled from the policies."""
-    cache = row_cache if row_cache is not None else _RowCache(policies)
-    num_agents = env.num_agents
-    obs = np.asarray(env.reset(), dtype=np.int64)
-    observations, actions, rewards, next_observations = [], [], [], []
-    apples = np.zeros(num_agents)
-    has_apples = False
-    joint_counts: dict | None = {} if track_joint_actions else None
-    done = False
-    while not done:
-        us = rng.random(num_agents)
-        action = np.array(
-            [
-                _sample_index(cache.probs(i, int(obs[i])), us[i])
-                for i in range(num_agents)
-            ],
-            dtype=np.int64,
-        )
-        step = env.step(action)
-        observations.append(obs)
-        actions.append(action)
-        rewards.append(step.rewards)
-        next_obs = np.asarray(step.observations, dtype=np.int64)
-        next_observations.append(next_obs)
-        if "apples" in step.info:
-            has_apples = True
-            apples += step.info["apples"]
-        if joint_counts is not None:
-            key = tuple(int(a) for a in action)
-            joint_counts[key] = joint_counts.get(key, 0) + 1
-        obs = next_obs
-        done = step.done
-    episode = Episode(
-        observations=np.stack(observations),
-        actions=np.stack(actions),
-        rewards=np.stack(rewards).astype(float),
-        next_observations=np.stack(next_observations),
-        terminal=np.zeros(len(observations), dtype=bool),
-    )
-    stats = EpisodeStats(
-        returns=episode.rewards.sum(axis=0),
-        apples=apples,
-        has_apples=has_apples,
-        joint_counts=joint_counts,
-    )
-    return episode, stats
-
-
 def collect_rollouts(
     envs: Sequence, policies: SoftmaxPolicyProfile, rng: np.random.Generator
 ) -> tuple[RolloutBuffer, list[EpisodeStats]]:
-    """One episode from every collector, in fixed order for determinism."""
-    cache = _RowCache(policies)
-    episodes, stats = [], []
-    for env in envs:
-        episode, stat = play_episode(env, policies, rng, row_cache=cache)
-        episodes.append(episode)
-        stats.append(stat)
-    return RolloutBuffer(episodes, policies.version), stats
+    """One episode of ``episode_length`` steps from every collector, in fixed
+    order for determinism, into (E, T, N) arrays.
+
+    The shared rng draws only the (E, T, N) block of action uniforms; agent
+    i samples the first action whose cumulative probability exceeds its
+    uniform. Each env draws its own randomness.
+    """
+    num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
+    shape = (num_envs, length, num_agents)
+    uniforms = rng.random(shape).tolist()
+    observations = np.empty(shape, dtype=np.int64)
+    actions = np.empty(shape, dtype=np.int64)
+    rewards = np.empty(shape)
+    next_observations = np.empty(shape, dtype=np.int64)
+    cumulative: list[dict[int, list[float]]] = [{} for _ in range(num_agents)]
+    stats = []
+    for e, env in enumerate(envs):
+        obs = env.reset()
+        visited, taken, paid = [obs], [], []
+        apples = np.zeros(num_agents)
+        has_apples = False
+        for us in uniforms[e]:
+            action = []
+            for i in range(num_agents):
+                cum = cumulative[i].get(obs[i])
+                if cum is None:
+                    cum = np.cumsum(_softmax(policies.logits[i][obs[i]])).tolist()
+                    cumulative[i][obs[i]] = cum
+                action.append(min(bisect_right(cum, us[i]), len(cum) - 1))
+            step = env.step(action)
+            obs = step.observations
+            visited.append(obs)
+            taken.append(action)
+            paid.append(step.rewards)
+            if "apples" in step.info:
+                has_apples = True
+                apples += step.info["apples"]
+        path = np.array(visited, dtype=np.int64)
+        observations[e], next_observations[e] = path[:-1], path[1:]
+        actions[e], rewards[e] = taken, paid
+        stats.append(EpisodeStats(rewards[e].sum(axis=0), apples, has_apples))
+    buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
+    return buffer, stats
 
 
 def compute_gae(
     buffer: RolloutBuffer, critic: CriticTable, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """GAE(lambda) advantages and TD(lambda) returns per agent.
+    """GAE(lambda) advantages and TD(lambda) returns, each (E, T, N).
 
-    delta_t = r_t + gamma * V(s_{t+1}) * (1 - terminal) - V(s_t), accumulated
-    backward within each episode; truncation bootstraps with V of the final
-    next state. Returns are advantages + V(s_t).
+    delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), accumulated backward over
+    T on (E, N) vectors. Episodes only truncate, so the final step
+    bootstraps with V of its next observation. Returns are advantages + V(s_t).
     """
-    if not buffer.episodes:
+    num_envs, length, num_agents = buffer.observations.shape
+    if num_envs == 0 or length == 0:
         raise DomainError("buffer is empty")
-    num_agents = buffer.episodes[0].observations.shape[1]
-    adv_chunks, ret_chunks = [], []
-    for episode in buffer.episodes:
-        v = np.stack(
-            [critic.values[j][episode.observations[:, j]] for j in range(num_agents)],
-            axis=1,
-        )
-        v_next = np.stack(
-            [critic.values[j][episode.next_observations[:, j]] for j in range(num_agents)],
-            axis=1,
-        )
-        live = (~episode.terminal).astype(float)[:, None]
-        delta = episode.rewards + gamma * v_next * live - v
-        advantages = np.zeros_like(delta)
-        acc = np.zeros(num_agents)
-        for t in range(episode.length - 1, -1, -1):
-            acc = delta[t] + gamma * lam * live[t] * acc
-            advantages[t] = acc
-        adv_chunks.append(advantages)
-        ret_chunks.append(advantages + v)
-    return np.concatenate(adv_chunks), np.concatenate(ret_chunks)
+
+    def values(obs: np.ndarray) -> np.ndarray:
+        return np.stack([critic.values[j][obs[..., j]] for j in range(num_agents)], axis=-1)
+
+    v = values(buffer.observations)
+    delta = buffer.rewards + gamma * values(buffer.next_observations) - v
+    advantages = np.empty_like(delta)
+    acc = np.zeros((num_envs, num_agents))
+    for t in range(length - 1, -1, -1):
+        acc = delta[:, t] + gamma * lam * acc
+        advantages[:, t] = acc
+    return advantages, advantages + v
 
 
 def combine_fair_advantages(
@@ -320,37 +252,27 @@ def combine_fair_advantages(
     alpha: float,
     v_floor: float,
 ) -> tuple[np.ndarray, int]:
-    """Fair advantage A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0), v_floor),
-    with V_j(s0) the critic at agent j's initial observation of the episode.
+    """Fair advantage A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0), v_floor)
+    over (E, T, N) advantages, with V_j(s0) the critic at agent j's initial
+    observation of each episode.
 
-    Returns the combined array and the number of floored (episode, agent)
-    denominators.
+    Returns the combined (E, T, N) array and the number of floored
+    (episode, agent) denominators.
     """
-    num_agents = advantages.shape[1]
+    num_agents = advantages.shape[-1]
     coeffs = np.full((num_agents, num_agents), alpha)
     np.fill_diagonal(coeffs, 1.0)
-    combined = np.empty_like(advantages)
-    floor_hits = 0
-    offset = 0
-    for episode in buffer.episodes:
-        v0 = np.array(
-            [
-                critic.values[j][episode.initial_observations[j]]
-                for j in range(num_agents)
-            ]
-        )
-        floor_hits += int((v0 < v_floor).sum())
-        v0 = np.maximum(v0, v_floor)
-        block = advantages[offset : offset + episode.length]
-        combined[offset : offset + episode.length] = (block / v0) @ coeffs.T
-        offset += episode.length
-    return combined, floor_hits
+    initial = buffer.observations[:, 0]
+    v0 = np.stack([critic.values[j][initial[:, j]] for j in range(num_agents)], axis=-1)
+    floor_hits = int((v0 < v_floor).sum())
+    v0 = np.maximum(v0, v_floor)
+    return (advantages / v0[:, None, :]) @ coeffs.T, floor_hits
 
 
 def combine_utilitarian_advantages(advantages: np.ndarray) -> np.ndarray:
     """Unnormalized utilitarian combination: every agent ascends sum_j A_{j,t}."""
-    total = advantages.sum(axis=1, keepdims=True)
-    return np.repeat(total, advantages.shape[1], axis=1)
+    total = advantages.sum(axis=-1, keepdims=True)
+    return np.repeat(total, advantages.shape[-1], axis=-1)
 
 
 def _combined_advantages(
@@ -359,12 +281,15 @@ def _combined_advantages(
     buffer: RolloutBuffer,
     config: TrainConfig,
 ) -> tuple[np.ndarray, int]:
+    """The configured combination of (E, T, N) advantages, flattened to
+    (E*T, N) in the order of ``buffer.flat()``."""
     if config.objective is ObjectiveMode.UTILITARIAN_WELFARE:
         combined, floor_hits = combine_utilitarian_advantages(advantages), 0
     else:
         combined, floor_hits = combine_fair_advantages(
             advantages, critic, buffer, config.alpha, config.v_floor
         )
+    combined = combined.reshape(-1, combined.shape[-1])
     if config.normalize_advantages:
         centered = combined - combined.mean(axis=0, keepdims=True)
         combined = centered / (centered.std(axis=0, keepdims=True) + 1e-8)
@@ -425,6 +350,7 @@ def _policy_gradient_update(
     advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
     fair, floor_hits = _combined_advantages(advantages, critics, buffer, config)
     num_agents = obs.shape[1]
+    returns = returns.reshape(-1, num_agents)
     batch = obs.shape[0]
     taken = np.arange(batch)
     old_log = []
@@ -516,6 +442,28 @@ class TrainResult:
     floor_hits: int
 
 
+def _check_finite(
+    update: int,
+    policies: SoftmaxPolicyProfile,
+    critics: CriticTable,
+    buffer: RolloutBuffer,
+    diag: dict,
+) -> None:
+    """Raise DomainError, naming the update and agent, on the first
+    non-finite logit row or critic entry the update touched, or non-finite
+    diagnostic."""
+    obs, _ = buffer.flat()
+    for agent in range(obs.shape[1]):
+        checked = {
+            "logits": policies.logits[agent][obs[:, agent]],
+            "critic": critics.values[agent][obs[:, agent]],
+            **{name: diag[name][agent] for name in ("actor_loss", "critic_loss", "entropy")},
+        }
+        for name, value in checked.items():
+            if not np.isfinite(value).all():
+                raise DomainError(f"update {update}, agent {agent}: non-finite {name}")
+
+
 def train(
     env_factory: Callable[[int], object],
     config: TrainConfig,
@@ -525,6 +473,7 @@ def train(
     """Alternate collection over num_envs seeded collectors with on-policy
     updates until total_steps environment steps are consumed. Logs one row
     per (episode, agent); fully deterministic for a fixed config and seed.
+    Raises DomainError at the first update that leaves a non-finite value.
     """
     problems = config.validate()
     if problems:
@@ -552,12 +501,15 @@ def train(
     steps_done = 0
     episode_index = 0
     total_floor_hits = 0
+    updates = 0
     while steps_done < config.total_steps:
         buffer, stats = collect_rollouts(envs, policies, rng)
         steps_done += buffer.num_steps
         diag = update(
             policies, critics, buffer, config, progress=steps_done / config.total_steps
         )
+        _check_finite(updates, policies, critics, buffer, diag)
+        updates += 1
         total_floor_hits += diag["floor_hits"]
         for stat in stats:
             for agent in range(num_agents):
@@ -617,7 +569,3 @@ def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
     data = [logits.tolist() for logits in policies.logits]
     Path(path).write_text(json.dumps(data))
 
-
-def load_policy_snapshot(path) -> SoftmaxPolicyProfile:
-    data = json.loads(Path(path).read_text())
-    return SoftmaxPolicyProfile([np.asarray(table, dtype=float) for table in data])

@@ -46,12 +46,13 @@ class TabularMarkovGame:
             self.num_agents, self.num_states, joint
         )
         initial = np.asarray(self.initial_dist, dtype=float).reshape(self.num_states)
-        if np.any(transitions < 0.0):
+        # comparisons written so that NaN fails them
+        if not np.all(transitions >= 0.0):
             raise DomainError("transition probabilities must be nonnegative")
         row_sums = transitions.sum(axis=-1)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-12:
+        if not np.all(np.abs(row_sums - 1.0) <= 1e-12):
             raise DomainError("every transition row must sum to 1 within 1e-12")
-        if abs(initial.sum() - 1.0) > 1e-12 or np.any(initial < 0.0):
+        if not abs(initial.sum() - 1.0) <= 1e-12 or not np.all(initial >= 0.0):
             raise DomainError("initial distribution must sum to 1 within 1e-12")
         if not np.all(rewards > 0.0) or not np.all(np.isfinite(rewards)):
             raise DomainError("rewards must be strictly positive and finite")

@@ -163,7 +163,6 @@ def _pd_cooperation_run(algorithm: Algorithm, alpha: float, seed: int) -> tuple[
         gae_lambda=0.95,
         entropy_coef=0.0,
         num_envs=2,
-        episode_length=100,
         total_steps=20_000,
         seed=seed,
         critic_init=50.0,
@@ -243,7 +242,6 @@ def _cleanup_gini(objective: ObjectiveMode, seed: int) -> float:
         gae_lambda=0.95,
         entropy_coef=0.01,
         num_envs=10,
-        episode_length=100,
         total_steps=200_000,
         seed=seed,
         critic_init=1.0,
@@ -305,7 +303,6 @@ def test_criterion_12_train_determinism(tmp_path):
         gamma=0.95,
         gae_lambda=0.95,
         num_envs=3,
-        episode_length=50,
         total_steps=3_000,
         seed=12345,
         critic_init=30.0,

@@ -13,6 +13,7 @@ from fairgame.formats import (
     load_experiment_config,
     load_game_file,
     load_markov_game,
+    load_policy_snapshot,
     save_markov_game,
     validate_env_spec,
     validate_experiment_config,
@@ -136,7 +137,6 @@ class TestExperimentConfig:
             "out": str(tmp_path / "runs"),
             "total_steps": 40,
             "num_envs": 2,
-            "episode_length": 10,
         }
 
     def test_valid_config_loads(self, tmp_path):
@@ -167,15 +167,16 @@ class TestExperimentConfig:
         problems = validate_experiment_config(doc)
         assert any(p.startswith("seed:") for p in problems)
 
-    def test_ppo_value_clip_is_unknown(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field, value", [("ppo_value_clip", True), ("episode_length", 7)])
+    def test_removed_train_field_is_unknown(self, tmp_path, capsys, field, value):
         doc = self.base_doc(tmp_path)
-        doc["ppo_value_clip"] = True
+        doc[field] = value
         problems = validate_experiment_config(doc)
-        assert problems == ["config: unknown fields: ppo_value_clip"]
+        assert problems == [f"config: unknown fields: {field}"]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main(["train", str(path)]) == 2
-        assert "ppo_value_clip" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         doc = self.base_doc(tmp_path)
@@ -208,6 +209,7 @@ class TestExperimentConfig:
 
 RANDOM_MARKOV = {"type": "random_markov", "agents": 2, "states": 3, "actions": [2, 2], "gamma": 0.9}
 PD_SPEC = {"type": "repeated_matrix", "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2}}
+MINI_CLEANUP = {"type": "mini_cleanup", "width": 4, "height": 4, "num_agents": 2}
 
 MALFORMED_ENV_SPECS = [
     (PD_SPEC, "episode_length", "abc"),
@@ -229,6 +231,18 @@ MALFORMED_ENV_SPECS = [
     (RANDOM_MARKOV, "gamma", -0.1),
     (RANDOM_MARKOV, "gamma", True),
     ({"type": "markov_file"}, "episode_length", "abc"),
+    (MINI_CLEANUP, "width", "8"),
+    (MINI_CLEANUP, "episode_length", "abc"),
+    (MINI_CLEANUP, "episode_length", 2.5),
+    (MINI_CLEANUP, "num_agents", 0),
+    (MINI_CLEANUP, "num_agents", True),
+    (MINI_CLEANUP, "num_agents", 17),
+    (MINI_CLEANUP, "river_rows", -1),
+    (MINI_CLEANUP, "river_rows", 5),
+    (MINI_CLEANUP, "regen_rate", "0.1"),
+    (MINI_CLEANUP, "regen_rate", 1.5),
+    (MINI_CLEANUP, "base_reward", 0),
+    (MINI_CLEANUP, "pollution_increment", float("nan")),
 ]
 MALFORMED_IDS = [f"{base['type']}-{key}-{value!r}" for base, key, value in MALFORMED_ENV_SPECS]
 
@@ -264,6 +278,39 @@ class TestEnvSpecValidation:
     def test_random_markov_defaults_accepted(self):
         assert validate_env_spec(RANDOM_MARKOV) == []
         assert validate_env_spec(dict(RANDOM_MARKOV, gamma=0, game_seed=0)) == []
+
+
+MALFORMED_SNAPSHOTS = [
+    "{not json",
+    '{"a": 1}',
+    "[[[1.0, \"x\"]], [[0, 0]]]",
+    "[[1.0, 2.0]]",
+    "[[[1.0], [1.0, 2.0]]]",
+    "[[[true, false]]]",
+    "[[]]",
+    "[[[NaN, 0.0]]]",
+    "[[[1.0, Infinity]]]",
+]
+
+
+class TestPolicySnapshotFiles:
+    @pytest.mark.parametrize("text", MALFORMED_SNAPSHOTS)
+    def test_malformed_snapshot_rejected(self, tmp_path, capsys, text):
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text(text)
+        with pytest.raises(SchemaError, match=str(snapshot)):
+            load_policy_snapshot(snapshot)
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text(json.dumps(PD_SPEC))
+        assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
+        assert str(snapshot) in capsys.readouterr().err
+
+    def test_integer_tables_load_as_floats(self, tmp_path):
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text("[[[1, 2]], [[0.5, -3]]]")
+        policies = load_policy_snapshot(snapshot)
+        assert [t.dtype for t in policies.logits] == [np.float64, np.float64]
+        assert policies.logits[1].tolist() == [[0.5, -3.0]]
 
 
 class TestManifest:
@@ -399,6 +446,17 @@ class TestCliTrainEvalPlot:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, alpha=[3.0])
         assert main(["train", str(config)]) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_training_fails_every_item(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, learning_rate=1e308, critic_init=0.0)
+        assert main(["train", str(config)]) == 1
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert [r["status"] for r in runs] == ["failed", "failed"]
+        for record in runs:
+            assert record["error"] == "DomainError: update 0, agent 0: non-finite logits"
+            manifest = json.loads((tmp_path / "runs" / record["run_id"] / "manifest.json").read_text())
+            assert manifest["notes"]["error"] == record["error"]
 
     def test_eval_uniform_snapshot_cooperation_quarter(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.json"

@@ -3,11 +3,11 @@ import pytest
 
 from fairgame.envs import MarkovGameEnv, random_markov_game, repeated_matrix_env
 from fairgame.errors import DomainError, StaleBufferError
+from fairgame.formats import load_policy_snapshot
 from fairgame.games import DilemmaPayoffs
 from fairgame.learning import (
     Algorithm,
     CriticTable,
-    Episode,
     ObjectiveMode,
     RolloutBuffer,
     TrainConfig,
@@ -16,8 +16,6 @@ from fairgame.learning import (
     combine_fair_advantages,
     combine_utilitarian_advantages,
     compute_gae,
-    load_policy_snapshot,
-    play_episode,
     ppo_update,
     save_policy_snapshot,
     train,
@@ -35,15 +33,22 @@ PD = DilemmaPayoffs(5, 3, 1, 2)
 def single_transition_buffer(
     reward: float, v_s: float, v_next: float, num_agents: int = 1
 ) -> tuple[RolloutBuffer, CriticTable]:
-    episode = Episode(
-        observations=np.zeros((1, num_agents), dtype=np.int64),
-        actions=np.zeros((1, num_agents), dtype=np.int64),
-        rewards=np.full((1, num_agents), reward),
-        next_observations=np.ones((1, num_agents), dtype=np.int64),
-        terminal=np.zeros(1, dtype=bool),
+    buffer = RolloutBuffer(
+        observations=np.zeros((1, 1, num_agents), dtype=np.int64),
+        actions=np.zeros((1, 1, num_agents), dtype=np.int64),
+        rewards=np.full((1, 1, num_agents), reward),
+        next_observations=np.ones((1, 1, num_agents), dtype=np.int64),
+        policy_version=0,
     )
     critic = CriticTable([np.array([v_s, v_next]) for _ in range(num_agents)])
-    return RolloutBuffer([episode], policy_version=0), critic
+    return buffer, critic
+
+
+def with_version(buffer: RolloutBuffer, version: int) -> RolloutBuffer:
+    """The same transitions, relabelled as collected under ``version``."""
+    return RolloutBuffer(
+        buffer.observations, buffer.actions, buffer.rewards, buffer.next_observations, version
+    )
 
 
 def collect_pd_buffer(policies, episode_length=20, num_envs=3, seed=0):
@@ -56,16 +61,16 @@ class TestComputeGae:
     def test_single_transition_delta(self):
         buffer, critic = single_transition_buffer(reward=1.0, v_s=2.0, v_next=3.0)
         advantages, returns = compute_gae(buffer, critic, gamma=0.9, lam=0.5)
-        assert advantages[0, 0] == pytest.approx(1.0 + 0.9 * 3.0 - 2.0)
-        assert returns[0, 0] == pytest.approx(advantages[0, 0] + 2.0)
+        assert advantages.shape == returns.shape == (1, 1, 1)
+        assert advantages[0, 0, 0] == pytest.approx(1.0 + 0.9 * 3.0 - 2.0)
+        assert returns[0, 0, 0] == pytest.approx(advantages[0, 0, 0] + 2.0)
 
     def test_lambda_zero_is_td_residual(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _ = collect_pd_buffer(policies)
         critic = CriticTable([np.array([5.0]), np.array([7.0])])
         advantages, _ = compute_gae(buffer, critic, gamma=0.9, lam=0.0)
-        flat_rewards = np.concatenate([ep.rewards for ep in buffer.episodes])
-        expected = flat_rewards + 0.9 * np.array([5.0, 7.0]) - np.array([5.0, 7.0])
+        expected = buffer.rewards + 0.9 * np.array([5.0, 7.0]) - np.array([5.0, 7.0])
         assert np.allclose(advantages, expected)
 
     def test_lambda_one_zero_critic_is_reward_to_go(self):
@@ -73,42 +78,45 @@ class TestComputeGae:
         buffer, _ = collect_pd_buffer(policies, episode_length=5, num_envs=1)
         critic = CriticTable([np.zeros(1), np.zeros(1)])
         advantages, _ = compute_gae(buffer, critic, gamma=0.9, lam=1.0)
-        rewards = buffer.episodes[0].rewards
+        rewards = buffer.rewards[0]
         expected = np.zeros_like(rewards)
         acc = np.zeros(2)
         for t in range(4, -1, -1):
             acc = rewards[t] + 0.9 * acc
             expected[t] = acc
-        assert np.allclose(advantages, expected)
+        assert np.allclose(advantages[0], expected)
 
-    def test_empty_buffer_rejected(self):
+    @pytest.mark.parametrize("num_envs, length", [(0, 5), (2, 0)])
+    def test_empty_buffer_rejected(self, num_envs, length):
+        empty = np.zeros((num_envs, length, 1), dtype=np.int64)
+        buffer = RolloutBuffer(empty, empty, empty.astype(float), empty, 0)
         with pytest.raises(DomainError):
-            compute_gae(RolloutBuffer([], 0), CriticTable([np.zeros(1)]), 0.9, 0.95)
+            compute_gae(buffer, CriticTable([np.zeros(1)]), 0.9, 0.95)
 
 
 class TestCombineAdvantages:
     def test_hand_computed(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = CriticTable([np.array([10.0, 0.0]), np.array([8.0, 0.0])])
-        advantages = np.array([[2.0, -4.0]])
+        advantages = np.array([[[2.0, -4.0]]])
         combined, floor_hits = combine_fair_advantages(
             advantages, critic, buffer, alpha=0.5, v_floor=1e-3
         )
-        assert combined[0, 0] == pytest.approx(2.0 / 10.0 + 0.5 * (-4.0 / 8.0))
-        assert combined[0, 1] == pytest.approx(-4.0 / 8.0 + 0.5 * (2.0 / 10.0))
+        assert combined[0, 0, 0] == pytest.approx(2.0 / 10.0 + 0.5 * (-4.0 / 8.0))
+        assert combined[0, 0, 1] == pytest.approx(-4.0 / 8.0 + 0.5 * (2.0 / 10.0))
         assert floor_hits == 0
 
     def test_alpha_zero_self_normalization(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = CriticTable([np.array([4.0, 0.0]), np.array([5.0, 0.0])])
-        advantages = np.array([[2.0, -4.0]])
+        advantages = np.array([[[2.0, -4.0]]])
         combined, _ = combine_fair_advantages(advantages, critic, buffer, 0.0, 1e-3)
-        assert combined[0] == pytest.approx([2.0 / 4.0, -4.0 / 5.0])
+        assert combined[0, 0] == pytest.approx([2.0 / 4.0, -4.0 / 5.0])
 
     def test_zero_advantages(self):
         buffer, critic = single_transition_buffer(1.0, 3.0, 3.0, num_agents=2)
         combined, _ = combine_fair_advantages(
-            np.zeros((1, 2)), critic, buffer, 0.7, 1e-3
+            np.zeros((1, 1, 2)), critic, buffer, 0.7, 1e-3
         )
         assert not combined.any()
 
@@ -116,17 +124,17 @@ class TestCombineAdvantages:
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = CriticTable([np.array([0.0, 0.0]), np.array([5.0, 0.0])])
         _, floor_hits = combine_fair_advantages(
-            np.ones((1, 2)), critic, buffer, 1.0, v_floor=1e-3
+            np.ones((1, 1, 2)), critic, buffer, 1.0, v_floor=1e-3
         )
         assert floor_hits == 1
 
     def test_alpha_one_shared_signal(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=3)
         critic = CriticTable([np.array([2.0, 0.0]) for _ in range(3)])
-        advantages = np.array([[1.0, -2.0, 0.5]])
+        advantages = np.array([[[1.0, -2.0, 0.5]]])
         combined, _ = combine_fair_advantages(advantages, critic, buffer, 1.0, 1e-3)
-        assert np.allclose(combined[:, 0], combined[:, 1])
-        assert np.allclose(combined[:, 0], combined[:, 2])
+        assert np.allclose(combined[..., 0], combined[..., 1])
+        assert np.allclose(combined[..., 0], combined[..., 2])
 
     def test_utilitarian_sum(self):
         advantages = np.array([[1.0, -2.0], [0.5, 0.5]])
@@ -143,7 +151,6 @@ def make_config(**overrides):
         gamma=0.9,
         gae_lambda=0.95,
         num_envs=2,
-        episode_length=20,
         total_steps=400,
         seed=0,
         critic_init=30.0,
@@ -196,7 +203,7 @@ class TestA2CUpdate:
         errors = []
         for _ in range(4):
             errors.append(critics.values[0][0] - target)
-            buffer = RolloutBuffer(buffer.episodes, policies.version)
+            buffer = with_version(buffer, policies.version)
             a2c_update(policies, critics, buffer, config, progress=0.0)
         for before, after in zip(errors, errors[1:]):
             assert after == pytest.approx(before * (1 - 2 * lr), rel=1e-9)
@@ -244,7 +251,7 @@ class TestPPOUpdate:
             algorithm=Algorithm.FAIR_MAPPO, entropy_coef=entropy_coef, ppo_epochs=1
         )
         a2c_update(policies_a, critics_a, buffer, config_a2c)
-        buffer_b = RolloutBuffer(buffer.episodes, policies_b.version)
+        buffer_b = with_version(buffer, policies_b.version)
         ppo_update(policies_b, critics_b, buffer_b, config_ppo)
         for a, b in zip(policies_a.logits, policies_b.logits):
             assert np.allclose(a, b, atol=1e-12)
@@ -347,6 +354,15 @@ class TestTrain:
         for a, b in zip(result.policies.logits, loaded.logits):
             assert np.allclose(a, b, atol=1e-15)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_update_raises(self, tmp_path):
+        # a huge step overflows the logits on the first update
+        config = make_config(learning_rate=1e308, critic_lr=0.2, critic_init=0.0)
+        log = tmp_path / "log.csv"
+        with pytest.raises(DomainError, match="update 0, agent 0: non-finite logits"):
+            train(self.factory, config, log_path=log)
+        assert not log.exists()
+
     def test_invalid_config_rejected(self):
         with pytest.raises(DomainError):
             make_config(gamma=1.5)
@@ -382,12 +398,9 @@ class TestEstimatorAlignment:
             policies = SoftmaxPolicyProfile.random(3, (2, 2), rng, scale=0.5)
             bundle = solve_values(game, policies)
             critics = CriticTable([bundle.state_values[j].copy() for j in range(2)])
-            envs = [MarkovGameEnv(game, episode_length=50, seed=300 + trial)]
-            episodes = []
-            for _ in range(200):
-                episode, _ = play_episode(envs[0], policies, rng)
-                episodes.append(episode)
-            buffer = RolloutBuffer(episodes, policies.version)
+            # 200 consecutive episodes of one env: one collector per episode
+            env = MarkovGameEnv(game, episode_length=50, seed=300 + trial)
+            buffer, _ = collect_rollouts([env] * 200, policies, rng)
             weights = AltruismWeights(0.6)
             exact = exact_fair_gradient(game, policies, weights)
             lr = 1e-3
@@ -400,7 +413,6 @@ class TestEstimatorAlignment:
                 gamma=0.9,
                 gae_lambda=1.0,
                 num_envs=1,
-                episode_length=50,
                 total_steps=10_000,
                 seed=0,
                 entropy_coef=0.0,
@@ -430,7 +442,6 @@ class TestFairDynamicsConsistency:
             gae_lambda=0.95,
             entropy_coef=0.0,
             num_envs=2,
-            episode_length=100,
             total_steps=steps,
             seed=seed,
             critic_init=50.0,

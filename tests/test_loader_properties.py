@@ -1,0 +1,162 @@
+"""Property tests: the file and spec loaders are total. Every generated input
+either loads into a valid object, or is rejected with a SchemaError (files)
+or a list of problems that each name a field (env specs); no other exception
+escapes."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fairgame.envs import random_markov_game
+from fairgame.errors import SchemaError
+from fairgame.formats import (
+    build_env_factory,
+    load_markov_game,
+    load_policy_snapshot,
+    save_markov_game,
+    validate_env_spec,
+)
+from fairgame.markov import TabularMarkovGame
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+# JSON values of every kind, kept small so a valid-looking size stays cheap
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def workdir():
+    with tempfile.TemporaryDirectory() as name:
+        yield Path(name)
+
+
+ENV_FIELDS = {
+    "repeated_matrix": ["payoffs", "episode_length"],
+    "mini_cleanup": [
+        "width", "height", "num_agents", "river_rows", "regen_rate",
+        "pollution_increment", "clean_amount", "pollution_threshold",
+        "episode_length", "apple_reward", "base_reward",
+    ],
+    "random_markov": ["agents", "states", "actions", "gamma", "game_seed", "episode_length"],
+    "markov_file": ["path", "episode_length"],
+    "no_such_env": [],
+}
+PLAUSIBLE = st.integers(0, 5) | st.floats(0.0, 1.0) | st.lists(st.integers(1, 3), max_size=3)
+
+
+@st.composite
+def env_specs(draw):
+    kind = draw(st.sampled_from(sorted(ENV_FIELDS)))
+    spec = {"type": kind}
+    for key in ENV_FIELDS[kind] + ["bogus"]:
+        choice = draw(st.sampled_from(["omit", "plausible", "any"]))
+        if choice == "plausible":
+            spec[key] = draw(PLAUSIBLE)
+        elif choice == "any":
+            spec[key] = draw(JSON_VALUES)
+    if kind == "repeated_matrix" and draw(st.booleans()):
+        spec["payoffs"] = {k: draw(st.integers(1, 6) | LEAVES) for k in "TRSP"}
+    if kind == "markov_file" and draw(st.booleans()):
+        spec["path"] = draw(st.sampled_from(["", ".", "missing.json"]))
+    return spec
+
+
+@PROPERTY
+@given(env_specs())
+def test_env_spec_is_valid_or_names_its_fields(spec):
+    problems = validate_env_spec(spec)
+    assert all(p.startswith(("env.", "env:")) for p in problems), problems
+    if not problems:
+        env = build_env_factory(spec)(0)
+        assert len(env.reset()) == env.num_agents
+        assert env.episode_length >= 1
+
+
+@pytest.fixture(scope="module")
+def markov_text(workdir):
+    path = workdir / "game.json"
+    save_markov_game(path, random_markov_game(2, 2, (2, 2), 0.9, seed=5))
+    return path.read_text()
+
+
+MARKOV_TARGETS = (
+    [(key,) for key in ("agents", "states", "actions", "gamma", "rho0", "transitions", "rewards")]
+    + [("transitions", key) for key in ("0,0,0", "1,1,1", "x,0", "0,-1,0", "2,0,0")]
+    + [("rewards", key) for key in ("0,0,0,0", "1,1,1,1", "0,0", "3,0,0,0")]
+)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(MARKOV_TARGETS), JSON_VALUES | st.just(DELETE)),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([(("agents",), float("inf"))])
+@example([(("transitions", "0,0,0"), [float("nan"), float("nan")])])
+@example([(("rho0",), [float("nan"), 1.0])])
+def test_markov_file_loads_or_raises_schema_error(workdir, markov_text, edits):
+    doc = json.loads(markov_text)
+    for target, value in edits:
+        owner = doc
+        for key in target[:-1]:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict):
+            continue
+        if value is DELETE:
+            owner.pop(target[-1], None)
+        else:
+            owner[target[-1]] = value
+    path = workdir / "markov.json"
+    path.write_text(json.dumps(doc))
+    try:
+        game = load_markov_game(path)
+    except SchemaError as exc:
+        assert str(path) in str(exc)
+        return
+    assert isinstance(game, TabularMarkovGame)
+    for table in (game.transitions, game.rewards, game.initial_dist):
+        assert np.isfinite(table).all()
+
+
+TABLES = st.lists(
+    st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True) | LEAVES, max_size=3),
+             max_size=3),
+    max_size=3,
+)
+
+
+@PROPERTY
+@given(TABLES | JSON_VALUES)
+def test_policy_snapshot_loads_or_raises_schema_error(workdir, doc):
+    path = workdir / "snapshot.json"
+    path.write_text(json.dumps(doc))
+    try:
+        policies = load_policy_snapshot(path)
+    except SchemaError as exc:
+        assert str(path) in str(exc)
+        return
+    assert len(policies.logits) == len(doc)
+    for table in policies.logits:
+        assert table.ndim == 2 and table.size > 0 and table.dtype == np.float64
+        assert np.isfinite(table).all()
