@@ -43,7 +43,13 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    """A JSON number, not a boolean, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def load_policy_snapshot(path) -> SoftmaxPolicyProfile:
@@ -81,26 +87,41 @@ class LoadedGame:
 def load_game_file(path) -> LoadedGame:
     """Read a normal-form game: either {"players","strategies","payoffs"}
     with a flat row-major payoff list (player index innermost), or the 2x2
-    dilemma shorthand {"T","R","S","P"}."""
+    dilemma shorthand {"T","R","S","P"}. Anything else is a SchemaError
+    naming the file and the key."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     if {"T", "R", "S", "P"} <= set(doc):
-        payoffs = DilemmaPayoffs(
-            float(doc["T"]), float(doc["R"]), float(doc["S"]), float(doc["P"])
-        )
+        for key in ("T", "R", "S", "P"):
+            if not _is_finite_number(doc[key]):
+                raise SchemaError(f"{path}: {key} must be a finite number, got {doc[key]!r}")
+        try:
+            payoffs = DilemmaPayoffs(*(float(doc[k]) for k in ("T", "R", "S", "P")))
+        except DomainError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
         return LoadedGame(game=payoffs.to_game(), dilemma=payoffs)
     missing = {"players", "strategies", "payoffs"} - set(doc)
     if missing:
         raise SchemaError(f"{path}: missing keys: {', '.join(sorted(missing))}")
-    players = int(doc["players"])
-    strategies = tuple(int(c) for c in doc["strategies"])
-    flat = np.asarray(doc["payoffs"], dtype=float)
+    players, strategies, payoffs = doc["players"], doc["strategies"], doc["payoffs"]
+    if not _is_int(players) or players < 1:
+        raise SchemaError(f"{path}: players must be a positive integer, got {players!r}")
+    if (
+        not isinstance(strategies, list)
+        or len(strategies) != players
+        or not all(_is_int(c) and c >= 1 for c in strategies)
+    ):
+        raise SchemaError(f"{path}: strategies must list one positive integer per player")
+    if not isinstance(payoffs, list) or not all(_is_finite_number(x) for x in payoffs):
+        raise SchemaError(f"{path}: payoffs must be a flat list of finite numbers")
+    strategies = tuple(strategies)
     expected = math.prod(strategies) * players
-    if flat.size != expected:
+    if len(payoffs) != expected:
         raise SchemaError(
-            f"{path}: payoffs has {flat.size} entries, expected {expected}"
+            f"{path}: payoffs has {len(payoffs)} entries, expected {expected}"
         )
+    flat = np.asarray(payoffs, dtype=float)
     return LoadedGame(
         game=NormalFormGame(players, strategies, flat.reshape(strategies + (players,)))
     )
@@ -362,27 +383,39 @@ class ExperimentConfig:
         )
 
 
+# JSON check and description per TrainConfig field type
+_TRAIN_FIELD_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    float | None: (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
 def validate_experiment_config(doc) -> list[str]:
     """Total validation: one named error per invalid field."""
     problems = []
     if not isinstance(doc, dict):
         return ["config: expected a JSON object"]
     problems.extend(validate_env_spec(doc.get("env")))
+    # membership in lists, not sets: JSON arrays and objects are unhashable
     algorithm = doc.get("algorithm", Algorithm.FAIR_MAA2C.value)
-    if algorithm not in {a.value for a in Algorithm}:
+    if algorithm not in [a.value for a in Algorithm]:
         problems.append(f"algorithm: unknown value {algorithm!r}")
     objective = doc.get("objective", ObjectiveMode.PROPORTIONAL_FAIR.value)
-    if objective not in {o.value for o in ObjectiveMode}:
+    if objective not in [o.value for o in ObjectiveMode]:
         problems.append(f"objective: unknown value {objective!r}")
     alphas = doc.get("alpha", [1.0])
     if not isinstance(alphas, list) or not alphas:
         problems.append("alpha: must be a nonempty array")
     else:
         for value in alphas:
-            if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-                problems.append(f"alpha: sweep value {value!r} outside [0, 1]")
+            if not _is_finite_number(value) or not 0.0 <= value <= 1.0:
+                problems.append(f"alpha: sweep value {value!r} is not a number in [0, 1]")
     if "out" not in doc:
         problems.append("out: output directory required")
+    elif not isinstance(doc["out"], str):
+        problems.append(f"out: must be a path string, got {doc['out']!r}")
     if not _is_int(doc.get("seed", 0)):
         problems.append("seed: must be an integer")
     unknown = (
@@ -393,6 +426,11 @@ def validate_experiment_config(doc) -> list[str]:
     if unknown:
         problems.append(f"config: unknown fields: {', '.join(sorted(unknown))}")
     overrides = {k: doc[k] for k in TRAIN_FIELDS if k in doc}
+    for f in fields(TrainConfig):
+        if f.name in overrides:
+            accepts, kind = _TRAIN_FIELD_TYPES[f.type]
+            if not accepts(overrides[f.name]):
+                problems.append(f"{f.name}: must be {kind}, got {overrides[f.name]!r}")
     if not problems:
         try:
             TrainConfig(
@@ -402,8 +440,9 @@ def validate_experiment_config(doc) -> list[str]:
                 seed=int(doc.get("seed", 0)),
                 **overrides,
             )
-        except Exception as exc:
-            problems.append(str(exc))
+        except DomainError as exc:
+            # TrainConfig reports "invalid train config: <field>: ...; ..."
+            problems.extend(str(exc).removeprefix("invalid train config: ").split("; "))
     return problems
 
 

@@ -310,13 +310,14 @@ def default_horizon(gamma: float, max_reward: float, tol: float = 1e-6) -> int:
     return max(1, math.ceil(math.log(bound) / math.log(gamma)))
 
 
-def _sample_rows(row_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample one index per row of a matrix of row distributions."""
-    cdf = np.cumsum(row_probs, axis=1)
-    u = rng.random(row_probs.shape[0])
-    return np.minimum(
-        (u[:, None] > cdf).sum(axis=1), row_probs.shape[1] - 1
-    ).astype(np.int64)
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample one index per row of cumulative row distributions (m, K): one
+    uniform draw per row, counted against the row's first K-1 entries."""
+    u = rng.random(cdf.shape[0])
+    index = np.zeros(cdf.shape[0], dtype=np.int64)
+    for k in range(cdf.shape[1] - 1):
+        index += u > cdf[:, k]
+    return index
 
 
 def mc_fair_gradient(
@@ -334,49 +335,59 @@ def mc_fair_gradient(
     sum_t gamma^t grad log pi_i(a_{i,t}|s_t) * sum_j c_i(j) Q_j(s_t, a_t) / V_j(s0)
     with Q and V taken from solve_values. Returns the per-coordinate mean and
     standard error over rollouts.
+
+    With kappa_{i,t} = gamma^t sum_j c_i(j) Q_j(s_t, a_t) / V_j(s0), one
+    rollout's gradient is g_i = K_i - (sum_a K_i(., a)) pi_i, where
+    K_i(s, a) sums kappa_{i,t} over the steps at state s with action a. So each
+    step adds kappa into one accumulator entry per rollout and agent, and the
+    baseline term is applied once per chunk. Rows are drawn from the
+    cumulative policy, transition and initial tables, built once per call.
     """
     if num_rollouts < 1:
         raise DomainError("num_rollouts must be at least 1")
     if horizon is None:
         horizon = default_horizon(game.discount, game.max_reward, truncation_tol)
     bundle = solve_values(game, policies)
+    n, s_count, counts = game.num_agents, game.num_states, game.action_counts
     probs = policies.all_probs()
-    coeffs = np.stack(
-        [weights.coefficients(i, game.num_agents) for i in range(game.num_agents)]
-    )  # (N, N)
+    coeffs = np.stack([weights.coefficients(i, n) for i in range(n)])  # (N, N)
+    policy_cdfs = [np.cumsum(p, axis=1) for p in probs]
+    transition_cdf = np.cumsum(game.transitions, axis=2).reshape(-1, s_count)
+    initial_cdf = np.cumsum(game.initial_dist)
+    q_values = bundle.action_values.reshape(n, -1)  # (N, S*A)
     rng = np.random.default_rng(seed)
-    shapes = [(game.num_states, c) for c in game.action_counts]
-    total = [np.zeros(shape) for shape in shapes]
-    total_sq = [np.zeros(shape) for shape in shapes]
+    total = [np.zeros((s_count, c)) for c in counts]
+    total_sq = [np.zeros((s_count, c)) for c in counts]
 
     remaining = num_rollouts
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
         remaining -= m
-        rollout_grads = [np.zeros((m,) + shape) for shape in shapes]
-        rows = np.arange(m)
-        states = _sample_rows(np.tile(game.initial_dist, (m, 1)), rng)
+        taken = [np.zeros(m * s_count * c) for c in counts]  # K_i, flat (m, S, A_i)
+        row_offsets = np.arange(m) * s_count
+        states = _draw(np.broadcast_to(initial_cdf, (m, s_count)), rng)
         # 1 / V_j(s0) per rollout, fixed for the whole trajectory
         inv_v0 = 1.0 / bundle.state_values[:, states]  # (N, m)
         gamma_t = 1.0
         for _ in range(horizon):
-            actions = [
-                _sample_rows(probs[i][states], rng) for i in range(game.num_agents)
-            ]
-            joint = np.ravel_multi_index(tuple(actions), game.action_counts)
-            q_ratio = bundle.action_values[:, states, joint] * inv_v0  # (N, m)
-            kappa = gamma_t * (coeffs @ q_ratio)  # (N, m)
-            for i in range(game.num_agents):
-                rollout_grads[i][rows, states, actions[i]] += kappa[i]
-                rollout_grads[i][rows, states, :] -= kappa[i][:, None] * probs[i][states]
-            states = _sample_rows(game.transitions[states, joint], rng)
+            actions = [_draw(policy_cdfs[i].take(states, axis=0), rng) for i in range(n)]
+            rows = row_offsets + states
+            state_action = states  # becomes s * prod(A) + joint action, row-major
+            for i, count in enumerate(counts):
+                state_action = state_action * count + actions[i]
+            kappa = gamma_t * (coeffs @ (q_values.take(state_action, axis=1) * inv_v0))
+            for i, count in enumerate(counts):
+                taken[i][rows * count + actions[i]] += kappa[i]
+            states = _draw(transition_cdf.take(state_action, axis=0), rng)
             gamma_t *= game.discount
-        for i in range(game.num_agents):
-            total[i] += rollout_grads[i].sum(axis=0)
-            total_sq[i] += (rollout_grads[i] ** 2).sum(axis=0)
+        for i, count in enumerate(counts):
+            k_table = taken[i].reshape(m, s_count, count)
+            rollout_grads = k_table - k_table.sum(axis=2, keepdims=True) * probs[i]
+            total[i] += rollout_grads.sum(axis=0)
+            total_sq[i] += (rollout_grads**2).sum(axis=0)
 
     means, errors = [], []
-    for i in range(game.num_agents):
+    for i in range(n):
         mean = total[i] / num_rollouts
         if num_rollouts > 1:
             variance = (total_sq[i] - num_rollouts * mean**2) / (num_rollouts - 1)
@@ -455,10 +466,10 @@ def baseline_zero_check(
         residual = float(
             np.abs(f[:, None] * (probs - probs * probs.sum(axis=1, keepdims=True))).max()
         )
-        actions = _sample_rows(
-            np.repeat(probs, num_samples, axis=0), rng
+        actions = _draw(
+            np.repeat(np.cumsum(probs, axis=1), num_samples, axis=0), rng
         ).reshape(game.num_states, num_samples)
-        one_hot = np.eye(a_i)[actions]  # (S, n, A_i)
+        one_hot = np.eye(a_i).take(actions, axis=0)  # (S, n, A_i)
         scores = one_hot - probs[:, None, :]
         samples = f[:, None, None] * scores
         mean = samples.mean(axis=1)

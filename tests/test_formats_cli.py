@@ -167,6 +167,45 @@ class TestExperimentConfig:
         problems = validate_experiment_config(doc)
         assert any(p.startswith("seed:") for p in problems)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_envs", 2.5),
+            ("ppo_epochs", 1.5),
+            ("total_steps", True),
+            ("learning_rate", "0.1"),
+            ("gamma", None),
+            ("entropy_coef", [0.01]),
+            ("v_floor", float("inf")),
+            ("critic_lr", "0.1"),
+            ("critic_lr", float("nan")),
+            ("normalize_advantages", 1),
+            ("alpha", [True]),
+            ("alpha", [0.5, "1"]),
+            ("out", 5),
+        ],
+    )
+    def test_mistyped_field_named_and_train_exits_2(self, tmp_path, capsys, field, value):
+        doc = self.base_doc(tmp_path)
+        doc[field] = value
+        problems = validate_experiment_config(doc)
+        assert problems and all(p.startswith(f"{field}:") for p in problems), problems
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
+    def test_range_problems_name_their_field(self, tmp_path):
+        doc = self.base_doc(tmp_path)
+        doc.update(learning_rate=-1.0, ppo_clip=1.5)
+        problems = validate_experiment_config(doc)
+        assert sorted(p.split(":")[0] for p in problems) == ["learning_rate", "ppo_clip"]
+
+    def test_typed_fields_accept_json_forms(self, tmp_path):
+        doc = self.base_doc(tmp_path)
+        doc.update(critic_init=3, critic_lr=None, normalize_advantages=True, alpha=[0, 1])
+        assert validate_experiment_config(doc) == []
+
     @pytest.mark.parametrize("field, value", [("ppo_value_clip", True), ("episode_length", 7)])
     def test_removed_train_field_is_unknown(self, tmp_path, capsys, field, value):
         doc = self.base_doc(tmp_path)
@@ -384,6 +423,36 @@ class TestCliAnalyze:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "no_such_file.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"T": "x", "R": 3, "S": 1, "P": 2}, "T"),
+            ({"T": 5, "R": True, "S": 1, "P": 2}, "R"),
+            ({"T": 5, "R": 3, "S": None, "P": 2}, "S"),
+            ({"T": 5, "R": 3, "S": 1, "P": [2]}, "P"),
+            ({"T": 5, "R": 3, "S": 1, "P": float("inf")}, "P"),
+            ({"T": 5, "R": 3, "S": -1, "P": 2}, "S"),
+            ({"players": "2", "strategies": [2, 2], "payoffs": [1] * 8}, "players"),
+            ({"players": True, "strategies": [2], "payoffs": [1] * 2}, "players"),
+            ({"players": 0, "strategies": [], "payoffs": []}, "players"),
+            ({"players": 2, "strategies": [2, 1.5], "payoffs": [1] * 6}, "strategies"),
+            ({"players": 2, "strategies": [2], "payoffs": [1] * 4}, "strategies"),
+            ({"players": 2, "strategies": 2, "payoffs": [1] * 8}, "strategies"),
+            ({"players": 2, "strategies": [2, 0], "payoffs": []}, "strategies"),
+            ({"players": 2, "strategies": [2, 2], "payoffs": [[1] * 4] * 2}, "payoffs"),
+            ({"players": 2, "strategies": [2, 2], "payoffs": [1] * 7 + ["x"]}, "payoffs"),
+            ({"players": 2, "strategies": [2, 2], "payoffs": [1] * 7 + [float("nan")]}, "payoffs"),
+            ({"players": 2, "strategies": [2, 2], "payoffs": "12345678"}, "payoffs"),
+        ],
+    )
+    def test_malformed_game_exits_2_naming_file_and_key(self, tmp_path, capsys, doc, key):
+        game_file = tmp_path / "game.json"
+        game_file.write_text(json.dumps(doc))
+        assert main(["analyze", str(game_file)]) == 2
+        err = capsys.readouterr().err
+        assert str(game_file) in err
+        assert key in err.split(str(game_file), 1)[1]
 
 
 class TestCliTrainEvalPlot:

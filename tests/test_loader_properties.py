@@ -1,10 +1,12 @@
 """Property tests: the file and spec loaders are total. Every generated input
 either loads into a valid object, or is rejected with a SchemaError (files)
-or a list of problems that each name a field (env specs); no other exception
-escapes."""
+or a list of problems that each name a field (env specs, experiment
+configs); no other exception escapes."""
 
 import json
+import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +17,18 @@ from hypothesis import strategies as st
 from fairgame.envs import random_markov_game
 from fairgame.errors import SchemaError
 from fairgame.formats import (
+    TRAIN_FIELDS,
     build_env_factory,
+    load_experiment_config,
+    load_game_file,
     load_markov_game,
     load_policy_snapshot,
     save_markov_game,
     validate_env_spec,
+    validate_experiment_config,
 )
+from fairgame.games import NormalFormGame
+from fairgame.learning import TrainConfig
 from fairgame.markov import TabularMarkovGame
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -160,3 +168,107 @@ def test_policy_snapshot_loads_or_raises_schema_error(workdir, doc):
     for table in policies.logits:
         assert table.ndim == 2 and table.size > 0 and table.dtype == np.float64
         assert np.isfinite(table).all()
+
+
+GAME_DOCS = [
+    {"T": 5, "R": 3, "S": 1, "P": 2},
+    {"players": 2, "strategies": [2, 2], "payoffs": [3, 3, 1, 5, 5, 1, 2, 2]},
+    {"players": 1, "strategies": [3], "payoffs": [1.5, 2, 0.5]},
+]
+GAME_KEYS = ["T", "R", "S", "P", "players", "strategies", "payoffs", "bogus"]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(GAME_DOCS),
+    st.lists(
+        st.tuples(st.sampled_from(GAME_KEYS), PLAUSIBLE | JSON_VALUES | st.just(DELETE)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(GAME_DOCS[0], [("T", "x")])
+@example(GAME_DOCS[1], [("players", 2.0)])
+@example(GAME_DOCS[1], [("payoffs", [1, 2, 3, 4, 5, 6, 7, float("inf")])])
+def test_game_file_loads_or_raises_schema_error(workdir, base, edits):
+    doc = dict(base)
+    for key, value in edits:
+        if value is DELETE:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    path = workdir / "normal_form.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = load_game_file(path)
+    except SchemaError as exc:
+        assert str(path) in str(exc)
+        return
+    game = loaded.game
+    assert isinstance(game, NormalFormGame)
+    assert game.payoffs.shape == game.strategy_counts + (game.num_players,)
+    assert np.isfinite(game.payoffs).all()
+
+
+def _config_doc(workdir) -> dict:
+    return {
+        "env": {
+            "type": "repeated_matrix",
+            "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2},
+            "episode_length": 10,
+        },
+        "algorithm": "FairMAPPO",
+        "objective": "ProportionalFair",
+        "alpha": [0.0, 1.0],
+        "seed": 3,
+        "out": str(workdir / "runs"),
+        "num_envs": 2,
+        "learning_rate": 0.1,
+        "normalize_advantages": False,
+    }
+
+
+CONFIG_KEYS = ["env", "algorithm", "objective", "alpha", "seed", "out", "bogus", *TRAIN_FIELDS]
+CONFIG_FIELDS = tuple(k for k in CONFIG_KEYS if k != "bogus") + ("config",)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(CONFIG_KEYS),
+            PLAUSIBLE | JSON_VALUES | st.lists(PLAUSIBLE, max_size=2) | st.just(DELETE),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@example([("num_envs", 2.5)])
+@example([("alpha", [True])])
+@example([("learning_rate", "0.1")])
+@example([("critic_lr", None)])
+def test_experiment_config_is_valid_or_names_its_fields(workdir, edits):
+    doc = _config_doc(workdir)
+    for key, value in edits:
+        if value is DELETE:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    problems = validate_experiment_config(doc)
+    for problem in problems:
+        assert problem.split(":")[0].split(".")[0] in CONFIG_FIELDS, problem
+    path = workdir / "config.json"
+    path.write_text(json.dumps(doc))
+    if problems:
+        with pytest.raises(SchemaError):
+            load_experiment_config(path)
+        return
+    config = load_experiment_config(path)
+    for alpha in config.alphas:
+        train = config.train_config(alpha, config.seed)
+        for f in fields(TrainConfig):
+            value = getattr(train, f.name)
+            if f.type in (int, bool):
+                assert type(value) is f.type, f.name
+            elif f.type in (float, float | None) and value is not None:
+                assert type(value) in (int, float) and math.isfinite(value), f.name

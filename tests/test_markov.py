@@ -7,10 +7,13 @@ from fairgame.envs import matrix_markov_game, random_markov_game
 from fairgame.errors import DomainError
 from fairgame.games import DilemmaPayoffs
 from fairgame.markov import (
+    _MC_CHUNK,
     AltruismWeights,
+    BaselineCheckResult,
     FairGradient,
     SoftmaxPolicyProfile,
     TabularMarkovGame,
+    _draw,
     baseline_zero_check,
     bellman_apply,
     default_horizon,
@@ -84,6 +87,118 @@ def fixed_point_fair_gradient(
             grad += coeff * (start_weights @ fixed_point).reshape(s_count, a_i)
         grads.append(grad)
     return FairGradient(grads)
+
+
+def _sample_rows(row_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample one index per row of a matrix of row distributions."""
+    cdf = np.cumsum(row_probs, axis=1)
+    u = rng.random(row_probs.shape[0])
+    return np.minimum(
+        (u[:, None] > cdf).sum(axis=1), row_probs.shape[1] - 1
+    ).astype(np.int64)
+
+
+def reference_mc_fair_gradient(
+    game: TabularMarkovGame,
+    policies: SoftmaxPolicyProfile,
+    weights: AltruismWeights,
+    num_rollouts: int,
+    horizon: int | None = None,
+    seed: int = 0,
+    truncation_tol: float = 1e-6,
+) -> FairGradient:
+    """Reference estimator: per-step cumulative sums of gathered rows and a
+    dense (rollouts, S, A_i) scatter of both score terms at every step."""
+    if num_rollouts < 1:
+        raise DomainError("num_rollouts must be at least 1")
+    if horizon is None:
+        horizon = default_horizon(game.discount, game.max_reward, truncation_tol)
+    bundle = solve_values(game, policies)
+    probs = policies.all_probs()
+    coeffs = np.stack(
+        [weights.coefficients(i, game.num_agents) for i in range(game.num_agents)]
+    )  # (N, N)
+    rng = np.random.default_rng(seed)
+    shapes = [(game.num_states, c) for c in game.action_counts]
+    total = [np.zeros(shape) for shape in shapes]
+    total_sq = [np.zeros(shape) for shape in shapes]
+
+    remaining = num_rollouts
+    while remaining > 0:
+        m = min(_MC_CHUNK, remaining)
+        remaining -= m
+        rollout_grads = [np.zeros((m,) + shape) for shape in shapes]
+        rows = np.arange(m)
+        states = _sample_rows(np.tile(game.initial_dist, (m, 1)), rng)
+        # 1 / V_j(s0) per rollout, fixed for the whole trajectory
+        inv_v0 = 1.0 / bundle.state_values[:, states]  # (N, m)
+        gamma_t = 1.0
+        for _ in range(horizon):
+            actions = [
+                _sample_rows(probs[i][states], rng) for i in range(game.num_agents)
+            ]
+            joint = np.ravel_multi_index(tuple(actions), game.action_counts)
+            q_ratio = bundle.action_values[:, states, joint] * inv_v0  # (N, m)
+            kappa = gamma_t * (coeffs @ q_ratio)  # (N, m)
+            for i in range(game.num_agents):
+                rollout_grads[i][rows, states, actions[i]] += kappa[i]
+                rollout_grads[i][rows, states, :] -= kappa[i][:, None] * probs[i][states]
+            states = _sample_rows(game.transitions[states, joint], rng)
+            gamma_t *= game.discount
+        for i in range(game.num_agents):
+            total[i] += rollout_grads[i].sum(axis=0)
+            total_sq[i] += (rollout_grads[i] ** 2).sum(axis=0)
+
+    means, errors = [], []
+    for i in range(game.num_agents):
+        mean = total[i] / num_rollouts
+        if num_rollouts > 1:
+            variance = (total_sq[i] - num_rollouts * mean**2) / (num_rollouts - 1)
+            variance = np.maximum(variance, 0.0)
+            se = np.sqrt(variance / num_rollouts)
+        else:
+            se = np.full_like(mean, np.inf)
+        means.append(mean)
+        errors.append(se)
+    return FairGradient(means, errors)
+
+
+def reference_baseline_zero_check(
+    game: TabularMarkovGame,
+    policies: SoftmaxPolicyProfile,
+    baseline_fn,
+    num_samples: int,
+    seed: int = 0,
+) -> list[BaselineCheckResult]:
+    """Reference baseline check, sampling through _sample_rows."""
+    if num_samples < 2:
+        raise DomainError("num_samples must be at least 2")
+    rng = np.random.default_rng(seed)
+    f = np.array([float(baseline_fn(s)) for s in range(game.num_states)])
+    results = []
+    for i in range(game.num_agents):
+        probs = policies.probs(i)  # (S, A_i)
+        a_i = probs.shape[1]
+        residual = float(
+            np.abs(f[:, None] * (probs - probs * probs.sum(axis=1, keepdims=True))).max()
+        )
+        actions = _sample_rows(
+            np.repeat(probs, num_samples, axis=0), rng
+        ).reshape(game.num_states, num_samples)
+        one_hot = np.eye(a_i)[actions]  # (S, n, A_i)
+        scores = one_hot - probs[:, None, :]
+        samples = f[:, None, None] * scores
+        mean = samples.mean(axis=1)
+        se = samples.std(axis=1, ddof=1) / math.sqrt(num_samples)
+        results.append(
+            BaselineCheckResult(
+                analytic=np.zeros((game.num_states, a_i)),
+                quadrature_residual=residual,
+                mc_mean=mean,
+                mc_se=se,
+            )
+        )
+    return results
 
 
 def single_state_game(reward: float = 1.0, gamma: float = 0.9) -> TabularMarkovGame:
@@ -404,6 +519,102 @@ class TestMonteCarloGradient:
         for gamma in (0.0, 0.5, 0.9, 0.99):
             horizon = default_horizon(gamma, 1.0, 1e-6)
             assert gamma**horizon * 1.0 / (1.0 - gamma if gamma else 1.0) <= 1e-6 or gamma == 0.0
+
+
+def _max_normalised_gap(new: list[np.ndarray], old: list[np.ndarray]) -> float:
+    """Largest per-agent max|new - old| / max|old| (inf entries must match)."""
+    gaps = []
+    for a, b in zip(new, old):
+        assert a.shape == b.shape
+        finite = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), finite)
+        scale = np.max(np.abs(b[finite])) if finite.any() else 1.0
+        gaps.append(np.max(np.abs(a[finite] - b[finite]), initial=0.0) / scale)
+    return max(gaps)
+
+
+def _criterion_six_game(index: int) -> tuple[TabularMarkovGame, SoftmaxPolicyProfile]:
+    rng = np.random.default_rng(300 + index)
+    return random_game_and_policies(
+        rng, max_agents=2, max_states=3, max_actions=2, gamma_range=(0.8, 0.9)
+    )
+
+
+def _three_agent_game() -> tuple[TabularMarkovGame, SoftmaxPolicyProfile]:
+    game = random_markov_game(3, 4, (3, 3, 3), 0.85, seed=41)
+    return game, SoftmaxPolicyProfile.random(4, (3, 3, 3), np.random.default_rng(42))
+
+
+def _gamma_zero_game() -> tuple[TabularMarkovGame, SoftmaxPolicyProfile]:
+    game = matrix_markov_game(DilemmaPayoffs(5, 3, 1, 2), 0.0)
+    return game, SoftmaxPolicyProfile.random(1, (2, 2), np.random.default_rng(43))
+
+
+class TestMonteCarloMatchesReference:
+    """The accumulator estimator against the per-step scatter it replaces:
+    the same sampled trajectories, means and SEs within 1e-12 max-normalised."""
+
+    @pytest.mark.parametrize(
+        "make_game, num_rollouts, alpha",
+        [
+            (lambda: _criterion_six_game(0), 20_000, 0.0),
+            (lambda: _criterion_six_game(1), 20_000, 0.5),
+            (lambda: _criterion_six_game(2), 20_000, 1.0),
+            (_three_agent_game, 3_000, 0.5),
+            (_gamma_zero_game, 20_000, 0.3),
+            (lambda: _criterion_six_game(3), 12_345, 0.5),
+            (lambda: _criterion_six_game(4), 1, 0.5),
+            (_three_agent_game, 1, 1.0),
+        ],
+        ids=["crit6-a", "crit6-b", "crit6-c", "three-agents", "gamma-zero",
+             "partial-chunk", "one-rollout", "one-rollout-three-agents"],
+    )
+    def test_agrees_with_reference(self, make_game, num_rollouts, alpha):
+        game, policies = make_game()
+        weights = AltruismWeights(alpha)
+        new = mc_fair_gradient(game, policies, weights, num_rollouts, seed=9, truncation_tol=1e-5)
+        old = reference_mc_fair_gradient(
+            game, policies, weights, num_rollouts, seed=9, truncation_tol=1e-5
+        )
+        assert _max_normalised_gap(new.per_agent, old.per_agent) <= 1e-12
+        assert _max_normalised_gap(new.std_errors, old.std_errors) <= 1e-12
+        if num_rollouts == 1:
+            assert all(np.all(np.isinf(se)) for se in new.std_errors)
+
+    def test_partial_chunk_is_exercised(self):
+        assert 12_345 % _MC_CHUNK != 0
+
+    @pytest.mark.parametrize("num_actions", [1, 2, 5])
+    def test_draw_matches_reference_sampler(self, num_actions):
+        rng = np.random.default_rng(num_actions)
+        row_probs = rng.random((3000, num_actions))
+        # zero-probability entries, including leading and trailing ones
+        row_probs[rng.random(row_probs.shape) < 0.3] = 0.0
+        row_probs[::7, 0] = 0.0
+        row_probs[::11, -1] = 0.0
+        row_probs[row_probs.sum(axis=1) == 0.0, num_actions // 2] = 1.0
+        row_probs /= row_probs.sum(axis=1, keepdims=True)
+        for seed in range(3):
+            drawn = _draw(np.cumsum(row_probs, axis=1), np.random.default_rng(seed))
+            expected = _sample_rows(row_probs, np.random.default_rng(seed))
+            assert drawn.dtype == expected.dtype
+            assert np.array_equal(drawn, expected)
+            assert np.all(row_probs[np.arange(len(drawn)), drawn] > 0.0)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_baseline_check_bit_identical(self, index):
+        rng = np.random.default_rng(500 + index)
+        game, policies = random_game_and_policies(rng, max_states=3)
+        levels = rng.uniform(0.5, 5.0, size=game.num_states)
+        args = (game, policies, lambda s: float(levels[s]), 5_000)
+        new = baseline_zero_check(*args, seed=index)
+        old = reference_baseline_zero_check(*args, seed=index)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.quadrature_residual == b.quadrature_residual
+            assert np.array_equal(a.analytic, b.analytic)
+            assert np.array_equal(a.mc_mean, b.mc_mean)
+            assert np.array_equal(a.mc_se, b.mc_se)
 
 
 class TestFairAdvantage:
