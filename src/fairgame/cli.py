@@ -50,10 +50,9 @@ def _seed_override() -> int | None:
     raw = os.environ.get("FAIRGAME_SEED")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"FAIRGAME_SEED={raw!r} is not an integer") from exc
+    if not raw.strip().isdecimal():
+        raise SchemaError(f"FAIRGAME_SEED={raw!r} is not a nonnegative integer")
+    return int(raw)
 
 
 def cmd_analyze(args) -> int:
@@ -96,9 +95,6 @@ def cmd_analyze(args) -> int:
     if args.alpha:
         transformed = {}
         for alpha in args.alpha:
-            if not 0.0 <= alpha <= 1.0:
-                print(f"error: --alpha value {alpha} outside [0, 1]", file=sys.stderr)
-                return EXIT_VALIDATION
             nash = find_pure_nash(altruistic_extension(game, alpha))
             transformed[f"{alpha:g}"] = {
                 "pure_nash": sorted(list(p) for p in nash),
@@ -202,6 +198,9 @@ def cmd_eval(args) -> int:
     if args.episodes < 1:
         print(f"error: --episodes must be at least 1, got {args.episodes}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.seed < 0:
+        print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return EXIT_VALIDATION
     spec = read_json(args.env)
     factory = build_env_factory(spec)
     seed = _seed_override()
@@ -294,7 +293,14 @@ def cmd_plot(args) -> int:
 
 
 def _parse_alpha_list(raw: str) -> list[float]:
-    return [float(x) for x in raw.split(",") if x.strip()]
+    """``--alpha``: comma-separated numbers in [0, 1]."""
+    try:
+        alphas = [float(x) for x in raw.split(",")]
+        if all(0.0 <= a <= 1.0 for a in alphas):
+            return alphas
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated numbers in [0, 1], got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,12 +23,6 @@ from .games import DilemmaPayoffs, NormalFormGame
 from .learning import Algorithm, ObjectiveMode, TrainConfig
 from .markov import SoftmaxPolicyProfile, TabularMarkovGame
 
-# TrainConfig settings an experiment config may set; the other four are
-# fixed per sweep item.
-TRAIN_FIELDS = tuple(
-    f.name for f in fields(TrainConfig) if f.name not in {"algorithm", "objective", "alpha", "seed"}
-)
-
 
 def read_json(path):
     """Parse a JSON file; malformed JSON is a SchemaError naming the file."""
@@ -36,6 +30,8 @@ def read_json(path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def _is_int(value) -> bool:
@@ -50,6 +46,40 @@ def _is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond float range
         return False
+
+
+def _is_counts(value, length) -> bool:
+    """A list of ``length`` positive integers (of any length when None)."""
+    valid = isinstance(value, list) and all(_is_int(c) and c >= 1 for c in value)
+    return valid and (length is None or len(value) == length)
+
+
+# JSON check and description per TrainConfig field type
+_JSON_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    float | None: (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+}
+# TrainConfig settings an experiment config may set, with their checks; the
+# other four are fixed per sweep item.
+_TRAIN_CHECKS = {
+    f.name: _JSON_TYPES[f.type]
+    for f in fields(TrainConfig)
+    if f.name not in {"algorithm", "objective", "alpha", "seed"}
+}
+TRAIN_FIELDS = tuple(_TRAIN_CHECKS)
+
+
+def _dilemma_payoffs(doc: dict) -> DilemmaPayoffs:
+    """The 2x2 payoffs of a {"T","R","S","P"} object, each a finite, strictly
+    positive number; a DomainError names the first bad key."""
+    for key in ("T", "R", "S", "P"):
+        if key not in doc:
+            raise DomainError(f"{key} is missing")
+        if not _is_finite_number(doc[key]):
+            raise DomainError(f"{key} must be a finite number, got {doc[key]!r}")
+    return DilemmaPayoffs(*(float(doc[k]) for k in ("T", "R", "S", "P")))
 
 
 def load_policy_snapshot(path) -> SoftmaxPolicyProfile:
@@ -93,11 +123,8 @@ def load_game_file(path) -> LoadedGame:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     if {"T", "R", "S", "P"} <= set(doc):
-        for key in ("T", "R", "S", "P"):
-            if not _is_finite_number(doc[key]):
-                raise SchemaError(f"{path}: {key} must be a finite number, got {doc[key]!r}")
         try:
-            payoffs = DilemmaPayoffs(*(float(doc[k]) for k in ("T", "R", "S", "P")))
+            payoffs = _dilemma_payoffs(doc)
         except DomainError as exc:
             raise SchemaError(f"{path}: {exc}") from None
         return LoadedGame(game=payoffs.to_game(), dilemma=payoffs)
@@ -107,11 +134,7 @@ def load_game_file(path) -> LoadedGame:
     players, strategies, payoffs = doc["players"], doc["strategies"], doc["payoffs"]
     if not _is_int(players) or players < 1:
         raise SchemaError(f"{path}: players must be a positive integer, got {players!r}")
-    if (
-        not isinstance(strategies, list)
-        or len(strategies) != players
-        or not all(_is_int(c) and c >= 1 for c in strategies)
-    ):
+    if not _is_counts(strategies, players):
         raise SchemaError(f"{path}: strategies must list one positive integer per player")
     if not isinstance(payoffs, list) or not all(_is_finite_number(x) for x in payoffs):
         raise SchemaError(f"{path}: payoffs must be a flat list of finite numbers")
@@ -180,11 +203,7 @@ def load_markov_game(path) -> TabularMarkovGame:
         if not _is_int(doc[name]) or doc[name] < 1:
             raise SchemaError(f"{path}: {name} must be a positive integer, got {doc[name]!r}")
     num_agents, num_states, counts = doc["agents"], doc["states"], doc["actions"]
-    if (
-        not isinstance(counts, list)
-        or len(counts) != num_agents
-        or not all(_is_int(c) and c >= 1 for c in counts)
-    ):
+    if not _is_counts(counts, num_agents):
         raise SchemaError(f"{path}: actions must list one positive integer per agent")
     counts = tuple(counts)
     for name in ("transitions", "rewards"):
@@ -247,116 +266,97 @@ def load_markov_game(path) -> TabularMarkovGame:
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def validate_env_spec(spec) -> list[str]:
-    """Every problem with an environment spec, by field."""
-    problems = []
+def _parse_env_spec(spec) -> tuple[list[str], Callable[[int], object] | None]:
+    """Read an environment spec once, each field with its default: the
+    problems by field, or none and the env constructor taking a seed."""
     if not isinstance(spec, dict):
-        return ["env: expected an object"]
+        return ["env: expected an object"], None
     kind = spec.get("type")
+    # membership in a tuple, not a set: JSON arrays and objects are unhashable
+    if kind not in ("repeated_matrix", "mini_cleanup", "random_markov", "markov_file"):
+        return [f"env.type: unknown environment type {kind!r}"], None
+    problems = []
+    known = {"type"}
 
-    def integer(key, minimum=1, required=False):
-        """The spec's integer ``key`` if present and at least ``minimum``."""
+    def read(key, accepts, expected, default=None):
+        """The spec's ``key``, ``default`` when absent, or None after
+        recording a problem (absent without a default, or not accepted)."""
+        known.add(key)
         if key not in spec:
-            if required:
+            if default is None:
                 problems.append(f"env.{key}: required for {kind}")
-        elif not _is_int(spec[key]) or spec[key] < minimum:
-            sign = "positive" if minimum == 1 else "nonnegative"
-            problems.append(f"env.{key}: must be a {sign} integer, got {spec[key]!r}")
-        else:
-            return spec[key]
-        return None
+                return None
+            return default
+        if not accepts(spec[key]):
+            problems.append(f"env.{key}: must be {expected}, got {spec[key]!r}")
+            return None
+        return spec[key]
 
+    def integer(key, default=None, minimum=1):
+        sign = "positive" if minimum == 1 else "nonnegative"
+        return read(key, lambda v: _is_int(v) and v >= minimum, f"a {sign} integer", default)
+
+    length = integer("episode_length", 100)
     if kind == "repeated_matrix":
-        payoffs = spec.get("payoffs")
-        if not isinstance(payoffs, dict) or not {"T", "R", "S", "P"} <= set(payoffs):
-            problems.append('env.payoffs: needs {"T","R","S","P"}')
-        else:
+        raw = read("payoffs", lambda v: isinstance(v, dict), 'a {"T","R","S","P"} object')
+        if raw is not None:
             try:
-                DilemmaPayoffs(*(float(payoffs[k]) for k in ("T", "R", "S", "P")))
-            except Exception as exc:
+                payoffs = _dilemma_payoffs(raw)
+            except DomainError as exc:
                 problems.append(f"env.payoffs: {exc}")
-        integer("episode_length")
+        factory = lambda seed: RepeatedMatrixGameEnv(payoffs, length)  # noqa: E731
     elif kind == "mini_cleanup":
-        known = {f.name: f.type for f in fields(MiniCleanupConfig)}
-        unknown = set(spec) - set(known) - {"type"}
-        if unknown:
-            problems.append(f"env: unknown mini_cleanup fields: {', '.join(sorted(unknown))}")
-        for key, field_type in known.items():
-            if field_type is int:
-                integer(key, minimum=0 if key == "river_rows" else 1)
-            elif key in spec and not _is_finite_number(spec[key]):
-                problems.append(f"env.{key}: must be a finite number, got {spec[key]!r}")
+        values = {"episode_length": length}
+        for f in fields(MiniCleanupConfig):
+            if f.name in values:
+                continue
+            if f.type is int:
+                values[f.name] = integer(f.name, f.default, 0 if f.name == "river_rows" else 1)
+            else:
+                values[f.name] = read(f.name, _is_finite_number, "a finite number", f.default)
         if not problems:
             try:
-                MiniCleanupConfig(**{k: v for k, v in spec.items() if k != "type"})
+                config = MiniCleanupConfig(**values)
             except DomainError as exc:
                 problems.append(f"env.{exc}")
-    elif kind == "random_markov":
-        agents = integer("agents", required=True)
-        integer("states", required=True)
-        integer("game_seed", minimum=0)
-        integer("episode_length")
-        actions = spec.get("actions")
-        if "actions" not in spec:
-            problems.append("env.actions: required for random_markov")
-        elif (
-            not isinstance(actions, list)
-            or not all(_is_int(c) and c >= 1 for c in actions)
-            or (agents is not None and len(actions) != agents)
-        ):
-            problems.append(f"env.actions: must list one positive integer per agent, got {actions!r}")
-        gamma = spec.get("gamma")
-        if "gamma" not in spec:
-            problems.append("env.gamma: required for random_markov")
-        elif not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or not 0 <= gamma < 1:
-            problems.append(f"env.gamma: must be a number in [0, 1), got {gamma!r}")
-    elif kind == "markov_file":
-        if "path" not in spec:
-            problems.append("env.path: required for markov_file")
-        elif not isinstance(spec["path"], str) or not Path(spec["path"]).is_file():
-            problems.append(f"env.path: {spec['path']!r} is not a file")
-        integer("episode_length")
+        factory = lambda seed: MiniCleanupEnv(config, seed)  # noqa: E731
     else:
-        problems.append(f"env.type: unknown environment type {kind!r}")
-    return problems
+        if kind == "random_markov":
+            agents = integer("agents")
+            states = integer("states")
+            actions = read(
+                "actions", lambda v: _is_counts(v, agents), "one positive integer per agent"
+            )
+            gamma = read(
+                "gamma", lambda v: _is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"
+            )
+            game_seed = integer("game_seed", 0, minimum=0)
+            if not problems:
+                game = random_markov_game(agents, states, actions, float(gamma), game_seed)
+        else:  # markov_file
+            path = read("path", lambda v: isinstance(v, str) and Path(v).is_file(), "a file")
+            if path is not None:
+                try:
+                    game = load_markov_game(path)
+                except (SchemaError, OSError) as exc:
+                    problems.append(f"env.path: {exc}")
+        factory = lambda seed: MarkovGameEnv(game, length, seed)  # noqa: E731
+    unknown = set(spec) - known
+    if unknown:
+        problems.append(f"env: unknown {kind} fields: {', '.join(sorted(map(str, unknown)))}")
+    return problems, None if problems else factory
+
+
+def validate_env_spec(spec) -> list[str]:
+    """Every problem with an environment spec, by field."""
+    return _parse_env_spec(spec)[0]
 
 
 def build_env_factory(spec: dict) -> Callable[[int], object]:
     """An env constructor taking a seed, for the training collectors."""
-    problems = validate_env_spec(spec)
+    problems, factory = _parse_env_spec(spec)
     if problems:
         raise SchemaError("; ".join(problems))
-    kind = spec["type"]
-    length = spec.get("episode_length", 100)  # unused by mini_cleanup
-    if kind == "repeated_matrix":
-        payoffs = DilemmaPayoffs(
-            *(float(spec["payoffs"][k]) for k in ("T", "R", "S", "P"))
-        )
-
-        def factory(seed: int):
-            return RepeatedMatrixGameEnv(payoffs, length)
-
-    elif kind == "mini_cleanup":
-        config = MiniCleanupConfig(**{k: v for k, v in spec.items() if k != "type"})
-
-        def factory(seed: int):
-            return MiniCleanupEnv(config, seed)
-
-    else:
-        if kind == "random_markov":
-            game = random_markov_game(
-                spec["agents"],
-                spec["states"],
-                spec["actions"],
-                float(spec["gamma"]),
-                spec.get("game_seed", 0),
-            )
-        else:  # markov_file
-            game = load_markov_game(spec["path"])
-
-        def factory(seed: int):
-            return MarkovGameEnv(game, length, seed)
-
     return factory
 
 
@@ -383,28 +383,21 @@ class ExperimentConfig:
         )
 
 
-# JSON check and description per TrainConfig field type
-_TRAIN_FIELD_TYPES = {
-    int: (_is_int, "an integer"),
-    float: (_is_finite_number, "a finite number"),
-    float | None: (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-}
-
-
-def validate_experiment_config(doc) -> list[str]:
-    """Total validation: one named error per invalid field."""
-    problems = []
+def _parse_experiment_config(doc, seed_override=None) -> tuple[list[str], ExperimentConfig | None]:
+    """Read an experiment config once: every problem by field, or none and
+    the config. ``seed_override`` replaces the config's seed."""
     if not isinstance(doc, dict):
-        return ["config: expected a JSON object"]
-    problems.extend(validate_env_spec(doc.get("env")))
-    # membership in lists, not sets: JSON arrays and objects are unhashable
-    algorithm = doc.get("algorithm", Algorithm.FAIR_MAA2C.value)
-    if algorithm not in [a.value for a in Algorithm]:
-        problems.append(f"algorithm: unknown value {algorithm!r}")
-    objective = doc.get("objective", ObjectiveMode.PROPORTIONAL_FAIR.value)
-    if objective not in [o.value for o in ObjectiveMode]:
-        problems.append(f"objective: unknown value {objective!r}")
+        return ["config: expected a JSON object"], None
+    problems = validate_env_spec(doc.get("env"))
+
+    def choice(key, enum, default):
+        try:
+            return enum(doc.get(key, default))
+        except ValueError:
+            problems.append(f"{key}: unknown value {doc[key]!r}")
+
+    algorithm = choice("algorithm", Algorithm, Algorithm.FAIR_MAA2C)
+    objective = choice("objective", ObjectiveMode, ObjectiveMode.PROPORTIONAL_FAIR)
     alphas = doc.get("alpha", [1.0])
     if not isinstance(alphas, list) or not alphas:
         problems.append("alpha: must be a nonempty array")
@@ -416,50 +409,46 @@ def validate_experiment_config(doc) -> list[str]:
         problems.append("out: output directory required")
     elif not isinstance(doc["out"], str):
         problems.append(f"out: must be a path string, got {doc['out']!r}")
-    if not _is_int(doc.get("seed", 0)):
-        problems.append("seed: must be an integer")
-    unknown = (
-        set(doc)
-        - {"env", "algorithm", "objective", "alpha", "seed", "out"}
-        - set(TRAIN_FIELDS)
-    )
+    seed = doc.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
+    unknown = set(doc) - {"env", "algorithm", "objective", "alpha", "seed", "out", *TRAIN_FIELDS}
     if unknown:
         problems.append(f"config: unknown fields: {', '.join(sorted(unknown))}")
     overrides = {k: doc[k] for k in TRAIN_FIELDS if k in doc}
-    for f in fields(TrainConfig):
-        if f.name in overrides:
-            accepts, kind = _TRAIN_FIELD_TYPES[f.type]
-            if not accepts(overrides[f.name]):
-                problems.append(f"{f.name}: must be {kind}, got {overrides[f.name]!r}")
-    if not problems:
-        try:
-            TrainConfig(
-                algorithm=Algorithm(algorithm),
-                objective=ObjectiveMode(objective),
-                alpha=float(alphas[0]),
-                seed=int(doc.get("seed", 0)),
-                **overrides,
-            )
-        except DomainError as exc:
-            # TrainConfig reports "invalid train config: <field>: ...; ..."
-            problems.extend(str(exc).removeprefix("invalid train config: ").split("; "))
-    return problems
+    for key, value in overrides.items():
+        accepts, kind = _TRAIN_CHECKS[key]
+        if not accepts(value):
+            problems.append(f"{key}: must be {kind}, got {value!r}")
+    if problems:
+        return problems, None
+    config = ExperimentConfig(
+        env=doc["env"],
+        algorithm=algorithm,
+        objective=objective,
+        alphas=[float(a) for a in alphas],
+        seed=seed if seed_override is None else seed_override,
+        out=doc["out"],
+        overrides=overrides,
+    )
+    try:
+        config.train_config(config.alphas[0], config.seed)
+    except DomainError as exc:
+        # TrainConfig reports "invalid train config: <field>: ...; ..."
+        return str(exc).removeprefix("invalid train config: ").split("; "), None
+    return [], config
+
+
+def validate_experiment_config(doc) -> list[str]:
+    """Total validation: one named error per invalid field."""
+    return _parse_experiment_config(doc)[0]
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    doc = read_json(path)
-    problems = validate_experiment_config(doc)
+    problems, config = _parse_experiment_config(read_json(path), seed_override)
     if problems:
         raise SchemaError("; ".join(problems))
-    return ExperimentConfig(
-        env=doc["env"],
-        algorithm=Algorithm(doc.get("algorithm", Algorithm.FAIR_MAA2C.value)),
-        objective=ObjectiveMode(doc.get("objective", ObjectiveMode.PROPORTIONAL_FAIR.value)),
-        alphas=[float(a) for a in doc.get("alpha", [1.0])],
-        seed=seed_override if seed_override is not None else int(doc.get("seed", 0)),
-        out=str(doc["out"]),
-        overrides={k: doc[k] for k in TRAIN_FIELDS if k in doc},
-    )
+    return config
 
 
 def file_sha256(path) -> str:

@@ -88,6 +88,8 @@ class TrainConfig:
             problems.append("num_envs: must be at least 1")
         if self.total_steps < 0:
             problems.append("total_steps: must be nonnegative")
+        if self.seed < 0:
+            problems.append("seed: must be nonnegative")
         if not self.v_floor > 0.0:
             problems.append("v_floor: must be positive")
         if self.policy_init_scale < 0.0:

@@ -282,6 +282,12 @@ MALFORMED_ENV_SPECS = [
     (MINI_CLEANUP, "regen_rate", 1.5),
     (MINI_CLEANUP, "base_reward", 0),
     (MINI_CLEANUP, "pollution_increment", float("nan")),
+    (PD_SPEC, "payoffs", {"T": "5", "R": 3, "S": 1, "P": 2}),
+    (PD_SPEC, "payoffs", {"T": True, "R": 3, "S": 1, "P": 2}),
+    (PD_SPEC, "payoffs", {"T": [5], "R": 3, "S": 1, "P": 2}),
+    (PD_SPEC, "payoffs", {"T": 5, "R": float("nan"), "S": 1, "P": 2}),
+    (PD_SPEC, "payoffs", {"T": 5, "R": 3, "S": 0, "P": 2}),
+    (PD_SPEC, "payoffs", {"T": 5, "R": 3, "S": 1}),
 ]
 MALFORMED_IDS = [f"{base['type']}-{key}-{value!r}" for base, key, value in MALFORMED_ENV_SPECS]
 
@@ -313,6 +319,56 @@ class TestEnvSpecValidation:
         config.write_text(json.dumps({"env": spec, "out": str(tmp_path / "runs")}))
         assert main(["train", str(config)]) == 2
         assert f"env.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"T": "5", "R": 3, "S": 1, "P": 2}, "T"),
+            ({"T": 5, "R": True, "S": 1, "P": 2}, "R"),
+            ({"T": 5, "R": 3, "S": [1], "P": 2}, "S"),
+            ({"T": 5, "R": 3, "S": 1, "P": float("nan")}, "P"),
+            ({"T": 5, "R": 3, "S": 0, "P": 2}, "S"),
+            ({"T": 5, "R": 3, "S": 1}, "P"),
+        ],
+    )
+    def test_payoff_problem_names_its_key(self, doc, key):
+        (problem,) = validate_env_spec(dict(PD_SPEC, payoffs=doc))
+        assert problem.startswith(f"env.payoffs: {key}") or f" {key}=" in problem
+
+    @pytest.mark.parametrize("base", [PD_SPEC, MINI_CLEANUP, RANDOM_MARKOV, {"type": "markov_file"}])
+    def test_unknown_key_rejected_for_every_kind(self, tmp_path, capsys, base):
+        spec = self.spec(tmp_path, base, "episode_lenght", 50)
+        assert validate_env_spec(spec) == [f"env: unknown {base['type']} fields: episode_lenght"]
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps(spec))
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
+        assert main(["eval", str(snapshot), "--env", str(env_path)]) == 2
+        assert "episode_lenght" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"env": spec, "out": str(tmp_path / "runs")}))
+        assert main(["train", str(config)]) == 2
+        assert "episode_lenght" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("kind", [[], {}, ["repeated_matrix"], None, 3])
+    def test_unhashable_or_unknown_type_named(self, kind):
+        spec = dict(PD_SPEC, type=kind)
+        assert validate_env_spec(spec) == [f"env.type: unknown environment type {kind!r}"]
+        with pytest.raises(SchemaError, match="env.type"):
+            build_env_factory(spec)
+
+    def test_markov_file_parsed_before_any_run_directory(self, tmp_path, capsys):
+        game_path = tmp_path / "markov.json"
+        game_path.write_text(json.dumps({"agents": 2, "states": 2}))
+        spec = {"type": "markov_file", "path": str(game_path)}
+        (problem,) = validate_env_spec(spec)
+        assert problem.startswith(f"env.path: {game_path}: missing keys")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"env": spec, "out": str(tmp_path / "runs")}))
+        assert main(["train", str(config)]) == 2
+        assert str(game_path) in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_random_markov_defaults_accepted(self):
         assert validate_env_spec(RANDOM_MARKOV) == []
@@ -424,6 +480,29 @@ class TestCliAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "no_such_file.json"]) == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        game_file = tmp_path / "game.json"
+        game_file.write_bytes(b"\xff\xfe{}")
+        assert main(["analyze", str(game_file)]) == 2
+        assert f"{game_file}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [",", "0.5,,", ",0.5", "", "x", "0.2,half", "1.5", "-0.1", "nan"])
+    def test_malformed_alpha_list_exits_2(self, tmp_path, capsys, raw):
+        game_file = tmp_path / "pd.json"
+        game_file.write_text(json.dumps({"T": 5, "R": 3, "S": 1, "P": 2}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(game_file), "--alpha", raw])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err
+        assert "expected comma-separated numbers in [0, 1]" in err
+
+    def test_alpha_list_accepts_bounds_and_spaces(self, tmp_path, capsys):
+        game_file = tmp_path / "pd.json"
+        game_file.write_text(json.dumps({"T": 5, "R": 3, "S": 1, "P": 2}))
+        assert main(["analyze", str(game_file), "--alpha", "0, 1 ,0.5"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["transformed"]) == ["0", "1", "0.5"]
+
     @pytest.mark.parametrize(
         "doc, key",
         [
@@ -511,6 +590,31 @@ class TestCliTrainEvalPlot:
         assert main(["train", str(config)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["runs"][0]["run_id"].endswith("seed99")
+
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, seed=-1)
+        assert validate_experiment_config(json.loads(config.read_text())) == [
+            "seed: must be a nonnegative integer, got -1"
+        ]
+        assert main(["train", str(config)]) == 2
+        assert "seed:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("raw", ["-3", "x", "", "1.5"])
+    def test_malformed_fairgame_seed_exits_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("FAIRGAME_SEED", raw)
+        config = self.write_config(tmp_path)
+        assert main(["train", str(config)]) == 2
+        assert "FAIRGAME_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_eval_negative_seed_exits_2(self, tmp_path, capsys):
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text(json.dumps(PD_SPEC))
+        assert main(["eval", str(snapshot), "--env", str(env_spec), "--seed", "-2"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, alpha=[3.0])

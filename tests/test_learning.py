@@ -370,6 +370,8 @@ class TestTrain:
             make_config(ppo_clip=0.0)
         with pytest.raises(DomainError):
             make_config(gae_lambda=1.5)
+        with pytest.raises(DomainError, match="seed: must be nonnegative"):
+            make_config(seed=-1)
 
 
 class TestScoreFunctionSanity:

@@ -98,6 +98,21 @@ def test_env_spec_is_valid_or_names_its_fields(spec):
         assert env.episode_length >= 1
 
 
+@PROPERTY
+@given(env_specs() | JSON_VALUES)
+@example({"type": []})
+@example({"type": {}})
+@example({"type": "repeated_matrix", "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2}, "x": 1})
+def test_env_spec_validates_exactly_when_it_builds(spec):
+    problems = validate_env_spec(spec)
+    try:
+        build_env_factory(spec)
+    except SchemaError as exc:
+        assert problems and str(exc) == "; ".join(problems)
+    else:
+        assert problems == []
+
+
 @pytest.fixture(scope="module")
 def markov_text(workdir):
     path = workdir / "game.json"
@@ -272,3 +287,33 @@ def test_experiment_config_is_valid_or_names_its_fields(workdir, edits):
                 assert type(value) is f.type, f.name
             elif f.type in (float, float | None) and value is not None:
                 assert type(value) in (int, float) and math.isfinite(value), f.name
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(CONFIG_KEYS),
+            PLAUSIBLE | JSON_VALUES | st.lists(PLAUSIBLE, max_size=2) | st.just(DELETE),
+        ),
+        max_size=4,
+    )
+)
+@example([("seed", -1)])
+@example([("env", {"type": "repeated_matrix", "payoffs": {"T": "5", "R": 3, "S": 1, "P": 2}})])
+def test_experiment_config_validates_exactly_when_it_loads(workdir, edits):
+    doc = _config_doc(workdir)
+    for key, value in edits:
+        if value is DELETE:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    problems = validate_experiment_config(doc)
+    path = workdir / "config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_experiment_config(path)
+    except SchemaError as exc:
+        assert problems and str(exc) == "; ".join(problems)
+    else:
+        assert problems == []
