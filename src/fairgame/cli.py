@@ -174,8 +174,10 @@ def cmd_train(args) -> int:
     out_root = Path(config.out)
     out_root.mkdir(parents=True, exist_ok=True)
     items = list(enumerate(config.alphas))
-    if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a forking pool starts every worker at once: no more than there are items
+    workers = min(args.jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_sweep_item, config, alpha, index, str(out_root))
                 for index, alpha in items
@@ -292,6 +294,13 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    """``--jobs``: an integer of at least 1."""
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
+    return int(raw)
+
+
 def _parse_alpha_list(raw: str) -> list[float]:
     """``--alpha``: comma-separated numbers in [0, 1]."""
     try:
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train_p = sub.add_parser("train", help="run the training sweep from a config file")
     train_p.add_argument("config", help="experiment config JSON")
-    train_p.add_argument("--jobs", type=int, default=1, help="parallel sweep items")
+    train_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel sweep items")
     train_p.set_defaults(fn=cmd_train)
 
     eval_p = sub.add_parser("eval", help="run frozen policies and report metrics")

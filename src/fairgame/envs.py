@@ -49,6 +49,12 @@ class RepeatedMatrixGameEnv:
         self.num_agents = 2
         self.num_states = 1
         self.action_counts = (2, 2)
+        self._rewards = {
+            (0, 0): (payoffs.R, payoffs.R),
+            (0, 1): (payoffs.S, payoffs.T),
+            (1, 0): (payoffs.T, payoffs.S),
+            (1, 1): (payoffs.P, payoffs.P),
+        }
         self._t = 0
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
@@ -57,17 +63,10 @@ class RepeatedMatrixGameEnv:
 
     def step(self, actions: Sequence[int]) -> EnvStep:
         a1, a2 = int(actions[0]), int(actions[1])
-        p = self.payoffs
-        table = {
-            (0, 0): (p.R, p.R),
-            (0, 1): (p.S, p.T),
-            (1, 0): (p.T, p.S),
-            (1, 1): (p.P, p.P),
-        }
         self._t += 1
         return EnvStep(
             observations=(0, 0),
-            rewards=np.array(table[(a1, a2)]),
+            rewards=np.array(self._rewards[(a1, a2)]),
             done=self._t >= self.episode_length,
         )
 

@@ -48,6 +48,11 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _is_numbers(value, length: int) -> bool:
+    """A list of ``length`` finite numbers."""
+    return isinstance(value, list) and len(value) == length and all(map(_is_finite_number, value))
+
+
 def _is_counts(value, length) -> bool:
     """A list of ``length`` positive integers (of any length when None)."""
     valid = isinstance(value, list) and all(_is_int(c) and c >= 1 for c in value)
@@ -218,14 +223,8 @@ def load_markov_game(path) -> TabularMarkovGame:
     for key, row in doc["transitions"].items():
         parts = _markov_key(path, "transition", key, {"state": num_states, **agent_bounds})
         s, actions = parts[0], tuple(parts[1:])
-        try:
-            row = np.asarray(row, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"{path}: transition {key!r} is not a list of numbers") from None
-        if row.shape != (num_states,):
-            raise SchemaError(
-                f"{path}: transition {key!r} has shape {row.shape}, expected ({num_states},)"
-            )
+        if not _is_numbers(row, num_states):
+            raise SchemaError(f"{path}: transition {key!r} must be {num_states} finite numbers")
         joint = int(np.ravel_multi_index(actions, counts))
         transitions[s, joint] = row
         seen_t[s, joint] = True
@@ -234,10 +233,8 @@ def load_markov_game(path) -> TabularMarkovGame:
             path, "reward", key, {"agent": num_agents, "state": num_states, **agent_bounds}
         )
         agent, s, actions = parts[0], parts[1], tuple(parts[2:])
-        try:
-            value = float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"{path}: reward {key!r} is not a number") from None
+        if not _is_finite_number(value):
+            raise SchemaError(f"{path}: reward {key!r} must be a finite number, got {value!r}")
         joint = int(np.ravel_multi_index(actions, counts))
         rewards[agent, s, joint] = value
         seen_r[agent, s, joint] = True
@@ -245,13 +242,10 @@ def load_markov_game(path) -> TabularMarkovGame:
         raise SchemaError(f"{path}: transitions missing for some (state, joint action)")
     if not seen_r.all():
         raise SchemaError(f"{path}: rewards missing for some (agent, state, joint action)")
-    try:
-        initial = np.asarray(doc["rho0"], dtype=float).reshape(num_states)
-        gamma = float(doc["gamma"])
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(
-            f"{path}: rho0 must be {num_states} numbers and gamma a number"
-        ) from None
+    if not _is_numbers(doc["rho0"], num_states):
+        raise SchemaError(f"{path}: rho0 must be {num_states} finite numbers")
+    if not _is_finite_number(doc["gamma"]):
+        raise SchemaError(f"{path}: gamma must be a finite number, got {doc['gamma']!r}")
     try:
         return TabularMarkovGame(
             num_agents=num_agents,
@@ -259,8 +253,8 @@ def load_markov_game(path) -> TabularMarkovGame:
             action_counts=counts,
             transitions=transitions,
             rewards=rewards,
-            initial_dist=initial,
-            discount=gamma,
+            initial_dist=np.array(doc["rho0"], dtype=float),
+            discount=float(doc["gamma"]),
         )
     except DomainError as exc:
         raise SchemaError(f"{path}: {exc}") from None
@@ -451,8 +445,16 @@ def load_experiment_config(path, seed_override: int | None = None) -> Experiment
     return config
 
 
+HASH_BLOCK_BYTES = 1 << 20
+
+
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex sha256 of a file, read in blocks of ``HASH_BLOCK_BYTES``."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(HASH_BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(

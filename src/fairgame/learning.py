@@ -8,7 +8,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -299,22 +298,23 @@ def _combined_advantages(
 
 
 def _critic_regression_step(
-    table: np.ndarray, obs: np.ndarray, targets: np.ndarray, lr: float
+    table: np.ndarray, targets: np.ndarray, lr: float, visited: np.ndarray, inverse: np.ndarray
 ) -> float:
     """One descent step on the per-state mean squared return error.
 
     Each visited state's value moves by -lr * d/dV mean_(t: s_t=s)(V - R_t)^2,
     so a constant-return state contracts its error by (1 - 2 lr) per step.
+    ``visited, inverse = np.unique(obs, return_inverse=True)`` for the batch's
+    observations: sums and counts are kept for the visited rows only.
     Returns the pre-update batch MSE.
     """
-    mse = float(np.mean((table[obs] - targets) ** 2))
-    sums = np.zeros_like(table)
-    counts = np.zeros_like(table)
-    np.add.at(sums, obs, targets)
-    np.add.at(counts, obs, 1.0)
-    visited = counts > 0
-    residual = table[visited] - sums[visited] / counts[visited]
-    table[visited] -= lr * 2.0 * residual
+    values = table[visited]
+    mse = float(np.mean((values[inverse] - targets) ** 2))
+    sums = np.zeros(len(visited))
+    counts = np.zeros(len(visited))
+    np.add.at(sums, inverse, targets)
+    np.add.at(counts, inverse, 1.0)
+    table[visited] = values - lr * 2.0 * (values - sums / counts)
     return mse
 
 
@@ -336,7 +336,8 @@ def _policy_gradient_update(
 
     Each of ``epochs`` passes ascends, per actor, the score-function step on
     the fixed fair advantages A^F (plus entropy regularization), then takes
-    one regression step per critic on the fixed TD(lambda) returns. With
+    one regression step per critic on the fixed TD(lambda) returns. Both
+    scatter into the rows the batch visited, not the whole table. With
     ``clip`` set, each sample's weight is rho * A^F, with rho the ratio of the
     current to the buffer's policy, and it is zeroed where the clipped
     surrogate min(rho A^F, clip(rho, 1-clip, 1+clip) A^F) is flat.
@@ -366,10 +367,14 @@ def _policy_gradient_update(
                 )
             old_log.append(np.log(p_taken))
 
+    # the batch is fixed across epochs: each agent's visited rows, and each
+    # sample's position among them, serve the actor and the critic alike
+    rows_of = [np.unique(obs[:, i], return_inverse=True) for i in range(num_agents)]
     diag = {"floor_hits": floor_hits}
     for _ in range(epochs):
         diag["actor_loss"], diag["critic_loss"], diag["entropy"] = [], [], []
         for i in range(num_agents):
+            visited, inverse = rows_of[i]
             rows = _softmax(policies.logits[i][obs[:, i]])
             log_taken = np.log(np.clip(rows[taken, actions[:, i]], 1e-300, None))
             w = fair[:, i]
@@ -382,20 +387,21 @@ def _policy_gradient_update(
                 coeff = np.where(clipped_out, 0.0, ratio * w)
                 surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
                 actor_loss = -surrogate.mean()
-            grad = np.zeros_like(policies.logits[i])
-            np.add.at(grad, (obs[:, i], actions[:, i]), coeff / batch)
-            np.add.at(grad, obs[:, i], -(coeff[:, None] * rows) / batch)
+            grad = np.zeros((len(visited), rows.shape[1]))
+            np.add.at(grad, (inverse, actions[:, i]), coeff / batch)
+            np.add.at(grad, inverse, -(coeff[:, None] * rows) / batch)
             entropy = _entropy_rows(rows)
             if config.entropy_coef > 0.0:
                 log_rows = np.log(np.clip(rows, 1e-300, None))
                 ent_grad = -rows * (log_rows + entropy[:, None])
-                np.add.at(grad, obs[:, i], config.entropy_coef * ent_grad / batch)
+                np.add.at(grad, inverse, config.entropy_coef * ent_grad / batch)
             diag["actor_loss"].append(float(actor_loss))
             diag["entropy"].append(float(entropy.mean()))
-            policies.logits[i] += lr * grad
-            diag["critic_loss"].append(
-                _critic_regression_step(critics.values[i], obs[:, i], returns[:, i], critic_lr)
+            policies.logits[i][visited] += lr * grad
+            critic_loss = _critic_regression_step(
+                critics.values[i], returns[:, i], critic_lr, visited, inverse
             )
+            diag["critic_loss"].append(critic_loss)
         policies.version += 1
     return diag
 
@@ -566,8 +572,22 @@ def write_log_csv(path, rows: list[dict]) -> None:
             )
 
 
-def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
-    """Policy snapshot: a JSON array of per-agent logit matrices."""
-    data = [logits.tolist() for logits in policies.logits]
-    Path(path).write_text(json.dumps(data))
+SNAPSHOT_BLOCK_ROWS = 4096
 
+
+def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
+    """Policy snapshot: a JSON array of per-agent logit matrices.
+
+    The file is streamed in blocks of ``SNAPSHOT_BLOCK_ROWS`` rows, so memory
+    scales with a block rather than the table; its bytes equal
+    ``json.dumps([logits.tolist() for logits in policies.logits])``.
+    """
+    with open(path, "w") as handle:
+        handle.write("[")
+        for agent, logits in enumerate(policies.logits):
+            handle.write(", [" if agent else "[")
+            for start in range(0, len(logits), SNAPSHOT_BLOCK_ROWS):
+                block = logits[start : start + SNAPSHOT_BLOCK_ROWS].tolist()
+                handle.write((", " if start else "") + json.dumps(block)[1:-1])
+            handle.write("]")
+        handle.write("]")

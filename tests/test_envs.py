@@ -36,6 +36,13 @@ class TestRepeatedMatrixEnv:
         assert env.step((0, 1)).rewards == pytest.approx([1.0, 5.0])
         assert env.step((1, 1)).rewards == pytest.approx([2.0, 2.0])
 
+    def test_each_step_returns_its_own_reward_array(self):
+        env = repeated_matrix_env(PD, 10)
+        env.reset()
+        first = env.step((0, 0)).rewards
+        first[:] = -1.0
+        assert env.step((0, 0)).rewards.tolist() == [3.0, 3.0]
+
     def test_truncation(self):
         env = repeated_matrix_env(PD, 3)
         env.reset()

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from fairgame.cli import main
 from fairgame.envs import random_markov_game
 from fairgame.errors import SchemaError
 from fairgame.formats import (
+    HASH_BLOCK_BYTES,
     build_env_factory,
     file_sha256,
     load_experiment_config,
@@ -91,10 +94,14 @@ class TestMarkovGameFiles:
             ("transitions", "0,0,0", [0.5]),
             ("transitions", "0,0,0", [[0.5, 0.5]]),
             ("transitions", "0,0,0", ["a", "b"]),
+            ("transitions", "0,0,0", ["0.5", "0.5"]),
+            ("transitions", "0,0,0", [True, False]),
             ("rewards", "0,x,0,0", 1.0),
             ("rewards", "2,0,0,0", 1.0),
             ("rewards", "0,0,-1,0", 1.0),
             ("rewards", "0,0,0,0", "high"),
+            ("rewards", "0,0,0,0", "1.5"),
+            ("rewards", "0,0,0,0", True),
         ],
     )
     def test_malformed_entry_names_key(self, tmp_path, section, key, value):
@@ -109,7 +116,17 @@ class TestMarkovGameFiles:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("agents", "two"), ("actions", [2]), ("states", 0), ("rho0", [1.0]), ("gamma", "x")],
+        [
+            ("agents", "two"),
+            ("actions", [2]),
+            ("states", 0),
+            ("rho0", [1.0]),
+            ("rho0", ["0.5", "0.5"]),
+            ("rho0", [True, False]),
+            ("gamma", "x"),
+            ("gamma", "0.5"),
+            ("gamma", True),
+        ],
     )
     def test_malformed_header_rejected(self, tmp_path, field, value):
         game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
@@ -370,6 +387,30 @@ class TestEnvSpecValidation:
         assert str(game_path) in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "gamma", "0.5"),
+            (None, "rho0", [True, False]),
+            ("rewards", "0,0,0,0", "1.5"),
+            ("transitions", "1,1,1", ["0.5", "0.5"]),
+        ],
+    )
+    def test_markov_file_string_or_boolean_number_exits_2(
+        self, tmp_path, capsys, section, key, value
+    ):
+        game_path = tmp_path / "markov.json"
+        save_markov_game(game_path, random_markov_game(2, 2, (2, 2), 0.9, seed=5))
+        doc = json.loads(game_path.read_text())
+        (doc if section is None else doc[section])[key] = value
+        game_path.write_text(json.dumps(doc))
+        spec = {"type": "markov_file", "path": str(game_path)}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"env": spec, "out": str(tmp_path / "runs")}))
+        assert main(["train", str(config)]) == 2
+        assert key in capsys.readouterr().err.split(str(game_path), 1)[1]
+        assert not (tmp_path / "runs").exists()
+
     def test_random_markov_defaults_accepted(self):
         assert validate_env_spec(RANDOM_MARKOV) == []
         assert validate_env_spec(dict(RANDOM_MARKOV, gamma=0, game_seed=0)) == []
@@ -419,12 +460,12 @@ class TestManifest:
         problems = verify_manifest(run_dir)
         assert problems and "log.csv" in problems[0]
 
-    def test_hash_matches_contents(self, tmp_path):
+    @pytest.mark.parametrize("size", [0, 3, 3 * HASH_BLOCK_BYTES + 12345])
+    def test_hash_matches_contents(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
         target = tmp_path / "x.bin"
-        target.write_bytes(b"abc")
-        import hashlib
-
-        assert file_sha256(target) == hashlib.sha256(b"abc").hexdigest()
+        target.write_bytes(data)
+        assert file_sha256(target) == hashlib.sha256(data).hexdigest()
 
 
 class TestCliAnalyze:
@@ -714,22 +755,7 @@ class TestCliTrainEvalPlot:
 
 class TestParallelSweep:
     def test_jobs_flag_produces_same_runs(self, tmp_path, capsys):
-        doc = {
-            "env": {
-                "type": "repeated_matrix",
-                "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2},
-                "episode_length": 10,
-            },
-            "algorithm": "FairMAA2C",
-            "alpha": [0.0, 1.0],
-            "seed": 5,
-            "out": str(tmp_path / "runs_par"),
-            "total_steps": 40,
-            "num_envs": 2,
-            "learning_rate": 0.5,
-            "critic_lr": 0.2,
-            "critic_init": 30.0,
-        }
+        doc = self.config_doc(tmp_path / "runs_par")
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         assert main(["train", str(config), "--jobs", "2"]) == 0
@@ -745,6 +771,62 @@ class TestParallelSweep:
             par = (tmp_path / "runs_par" / run_id / "log.csv").read_bytes()
             seq = (tmp_path / "runs_seq" / run_id / "log.csv").read_bytes()
             assert par == seq
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.config_doc(tmp_path / "runs")))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", str(config), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_pool_has_no_more_workers_than_items(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs each submitted item at once and records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("fairgame.cli.ProcessPoolExecutor", RecordingPool)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.config_doc(tmp_path / "runs")))
+        assert main(["train", str(config), "--jobs", "64"]) == 0
+        capsys.readouterr()
+        assert sizes == [2]
+
+    @staticmethod
+    def config_doc(out):
+        return {
+            "env": {
+                "type": "repeated_matrix",
+                "payoffs": {"T": 5, "R": 3, "S": 1, "P": 2},
+                "episode_length": 10,
+            },
+            "algorithm": "FairMAA2C",
+            "alpha": [0.0, 1.0],
+            "seed": 5,
+            "out": str(out),
+            "total_steps": 40,
+            "num_envs": 2,
+            "learning_rate": 0.5,
+            "critic_lr": 0.2,
+            "critic_init": 30.0,
+        }
 
 
 class TestConsoleScript:

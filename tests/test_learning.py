@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fairgame.errors import DomainError, StaleBufferError
 from fairgame.formats import load_policy_snapshot
 from fairgame.games import DilemmaPayoffs
 from fairgame.learning import (
+    SNAPSHOT_BLOCK_ROWS,
     Algorithm,
     CriticTable,
     ObjectiveMode,
@@ -470,8 +473,28 @@ class TestSnapshotFiles:
         policies = SoftmaxPolicyProfile.uniform(2, (2, 3))
         path = tmp_path / "snap.json"
         save_policy_snapshot(path, policies)
-        import json
-
         data = json.loads(path.read_text())
         assert isinstance(data, list) and len(data) == 2
         assert np.asarray(data[1]).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "num_rows",
+        [
+            1,
+            SNAPSHOT_BLOCK_ROWS - 1,
+            SNAPSHOT_BLOCK_ROWS,
+            SNAPSHOT_BLOCK_ROWS + 1,
+            2 * SNAPSHOT_BLOCK_ROWS + 1,
+        ],
+    )
+    def test_streamed_bytes_equal_one_dump_and_load_exactly(self, tmp_path, num_rows):
+        rng = np.random.default_rng(num_rows)
+        logits = [rng.normal(size=(num_rows, 1)), rng.normal(size=(num_rows, 3)) * 1e3]
+        logits[1][0] = [-0.0, 1e-300, 1e16]
+        logits[0][-1] = -0.0
+        path = tmp_path / "snap.json"
+        save_policy_snapshot(path, SoftmaxPolicyProfile(logits))
+        expected = json.dumps([table.tolist() for table in logits])
+        assert path.read_bytes() == expected.encode()
+        loaded = load_policy_snapshot(path).logits
+        assert [t.tobytes() for t in loaded] == [t.tobytes() for t in logits]

@@ -125,31 +125,56 @@ MARKOV_TARGETS = (
     + [("transitions", key) for key in ("0,0,0", "1,1,1", "x,0", "0,-1,0", "2,0,0")]
     + [("rewards", key) for key in ("0,0,0,0", "1,1,1,1", "0,0", "3,0,0,0")]
 )
+# numbers of a Markov file, each retyped by an edit to its JSON string or boolean
+MARKOV_NUMBERS = [
+    ("gamma",),
+    ("rho0", 0),
+    ("rho0", 1),
+    ("transitions", "0,0,0", 1),
+    ("transitions", "1,1,1", 0),
+    ("rewards", "0,0,0,0"),
+    ("rewards", "1,1,1,1"),
+]
+MARKOV_EDITS = st.tuples(st.sampled_from(MARKOV_TARGETS), JSON_VALUES | st.just(DELETE)) | (
+    st.tuples(st.sampled_from(MARKOV_NUMBERS), st.sampled_from([repr, bool]))
+)
+
+
+def _json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @PROPERTY
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(MARKOV_TARGETS), JSON_VALUES | st.just(DELETE)),
-        min_size=1,
-        max_size=3,
-    )
-)
+@given(st.lists(MARKOV_EDITS, min_size=1, max_size=3))
 @example([(("agents",), float("inf"))])
 @example([(("transitions", "0,0,0"), [float("nan"), float("nan")])])
 @example([(("rho0",), [float("nan"), 1.0])])
+@example([(("gamma",), repr)])
+@example([(("gamma",), bool)])
+@example([(("rho0", 0), repr)])
+@example([(("rho0", 1), bool)])
+@example([(("transitions", "0,0,0", 1), repr)])
+@example([(("transitions", "1,1,1", 0), bool)])
+@example([(("rewards", "0,0,0,0"), repr)])
+@example([(("rewards", "1,1,1,1"), bool)])
 def test_markov_file_loads_or_raises_schema_error(workdir, markov_text, edits):
     doc = json.loads(markov_text)
     for target, value in edits:
         owner = doc
         for key in target[:-1]:
             owner = owner.get(key) if isinstance(owner, dict) else None
-        if not isinstance(owner, dict):
+        last = target[-1]
+        if callable(value):
+            try:
+                owner[last] = value(owner[last])
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit removed or replaced the number's container
+        elif not isinstance(owner, dict):
             continue
-        if value is DELETE:
-            owner.pop(target[-1], None)
+        elif value is DELETE:
+            owner.pop(last, None)
         else:
-            owner[target[-1]] = value
+            owner[last] = value
     path = workdir / "markov.json"
     path.write_text(json.dumps(doc))
     try:
@@ -160,6 +185,10 @@ def test_markov_file_loads_or_raises_schema_error(workdir, markov_text, edits):
     assert isinstance(game, TabularMarkovGame)
     for table in (game.transitions, game.rewards, game.initial_dist):
         assert np.isfinite(table).all()
+    # a string or a boolean in any of the four numeric places is rejected
+    numbers = [doc["gamma"], *doc["rho0"], *doc["rewards"].values()]
+    numbers += [x for row in doc["transitions"].values() for x in row]
+    assert all(map(_json_number, numbers))
 
 
 TABLES = st.lists(
