@@ -7,7 +7,10 @@ observation encoding space), ``action_counts``, ``episode_length``,
 ``reset(seed=None)`` returning per-agent observation indices, and
 ``step(actions)`` returning an EnvStep. Episodes truncate after exactly
 ``episode_length`` steps and never terminate early; rewards are strictly
-positive.
+positive. An env with ``num_states == 1`` also exposes ``joint_rewards``, a
+read-only float64 array of shape (A_1, ..., A_N, N) holding every agent's
+reward for each joint action, so that its episodes can be collected without
+stepping it.
 """
 
 import math
@@ -49,12 +52,11 @@ class RepeatedMatrixGameEnv:
         self.num_agents = 2
         self.num_states = 1
         self.action_counts = (2, 2)
-        self._rewards = {
-            (0, 0): (payoffs.R, payoffs.R),
-            (0, 1): (payoffs.S, payoffs.T),
-            (1, 0): (payoffs.T, payoffs.S),
-            (1, 1): (payoffs.P, payoffs.P),
-        }
+        p = payoffs
+        self.joint_rewards = np.array(
+            [[(p.R, p.R), (p.S, p.T)], [(p.T, p.S), (p.P, p.P)]], dtype=np.float64
+        )
+        self.joint_rewards.flags.writeable = False
         self._t = 0
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
@@ -66,7 +68,7 @@ class RepeatedMatrixGameEnv:
         self._t += 1
         return EnvStep(
             observations=(0, 0),
-            rewards=np.array(self._rewards[(a1, a2)]),
+            rewards=self.joint_rewards[a1, a2].copy(),
             done=self._t >= self.episode_length,
         )
 
@@ -109,6 +111,10 @@ class MarkovGameEnv:
         self.num_agents = game.num_agents
         self.num_states = game.num_states
         self.action_counts = game.action_counts
+        self.joint_rewards = None
+        if game.num_states == 1:
+            self.joint_rewards = game.rewards[:, 0, :].T.reshape(*game.action_counts, -1)
+            self.joint_rewards.flags.writeable = False
         self._rng = np.random.default_rng(seed)
         self._state = 0
         self._t = 0

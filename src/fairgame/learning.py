@@ -180,11 +180,18 @@ def collect_rollouts(
 
     The shared rng draws only the (E, T, N) block of action uniforms; agent
     i samples the first action whose cumulative probability exceeds its
-    uniform. Each env draws its own randomness.
+    uniform. Envs with more than one state are reset and stepped, and each
+    draws its own randomness. When every env has a single state, nothing an
+    action does can change an observation, so the whole block is sampled at
+    once and its rewards are read from each env's ``joint_rewards`` table;
+    those envs are neither reset nor stepped.
     """
     num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
     shape = (num_envs, length, num_agents)
-    uniforms = rng.random(shape).tolist()
+    uniforms = rng.random(shape)
+    if all(env.num_states == 1 for env in envs):
+        return _collect_single_state(envs, policies, uniforms)
+    uniforms = uniforms.tolist()
     observations = np.empty(shape, dtype=np.int64)
     actions = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape)
@@ -217,6 +224,32 @@ def collect_rollouts(
         actions[e], rewards[e] = taken, paid
         stats.append(EpisodeStats(rewards[e].sum(axis=0), apples, has_apples))
     buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
+    return buffer, stats
+
+
+def _collect_single_state(
+    envs: Sequence, policies: SoftmaxPolicyProfile, uniforms: np.ndarray
+) -> tuple[RolloutBuffer, list[EpisodeStats]]:
+    """``collect_rollouts`` for envs whose only observation is 0: each agent
+    samples its (E, T) actions with one search of its cumulative softmax row
+    (``side="right"`` is the per-step bisection), and the (E, T, N) rewards
+    are one gather from the stacked joint reward tables."""
+    num_envs, _, num_agents = uniforms.shape
+    actions = np.empty(uniforms.shape, dtype=np.int64)
+    for i in range(num_agents):
+        cum = np.cumsum(_softmax(policies.logits[i][0]))
+        actions[..., i] = np.minimum(
+            np.searchsorted(cum, uniforms[..., i], side="right"), len(cum) - 1
+        )
+    tables = np.stack([env.joint_rewards for env in envs])
+    episode = np.arange(num_envs)[:, None]
+    rewards = tables[(episode, *np.moveaxis(actions, -1, 0))]
+    stats = [
+        EpisodeStats(rewards[e].sum(axis=0), np.zeros(num_agents), False)
+        for e in range(num_envs)
+    ]
+    zeros = np.zeros(uniforms.shape, dtype=np.int64)
+    buffer = RolloutBuffer(zeros, actions, rewards, zeros.copy(), policies.version)
     return buffer, stats
 
 

@@ -95,24 +95,57 @@ def rolling_aggregate(
     return means, mins, maxs
 
 
-def _read_log(log_csv_path) -> list[dict]:
-    with open(log_csv_path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise SchemaError("log CSV is empty (missing header)")
-        missing = [c for c in LOG_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"log CSV missing columns: {', '.join(missing)}")
-        return list(reader)
+def _read_log(log_csv_path) -> list[tuple[int, dict]]:
+    """The log's nonempty rows as column -> cell dicts, each with the line it
+    ends on."""
+    try:
+        with open(log_csv_path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise SchemaError(f"{log_csv_path}: log CSV is empty (missing header)")
+                missing = [c for c in LOG_COLUMNS if c not in header]
+                if missing:
+                    raise SchemaError(
+                        f"{log_csv_path}: log CSV missing columns: {', '.join(missing)}"
+                    )
+                return [(reader.line_num, dict(zip(header, cells))) for cells in reader if cells]
+            except csv.Error as exc:
+                raise SchemaError(f"{log_csv_path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{log_csv_path}: log CSV is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    except IsADirectoryError:
+        raise SchemaError(f"{log_csv_path}: a directory, not a log CSV") from None
 
 
-def _episode_series(rows: list[dict]) -> tuple[list[int], list[int], dict[int, dict[int, dict]]]:
-    """Group rows by (episode, agent); return sorted episodes, agents, table."""
+def _episode_series(
+    log_csv_path, rows: list[tuple[int, dict]]
+) -> tuple[list[int], list[int], dict[int, dict[int, dict]]]:
+    """Group rows by (episode, agent), with the step, apples and gini cells
+    parsed; return sorted episodes, agents, table. A cell that does not parse
+    raises SchemaError naming the file, line and column."""
+
+    def cell(line: int, row: dict, column: str, parse):
+        try:
+            return parse(row.get(column))
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"{log_csv_path}: line {line}, column {column}: expected "
+                f"{'an integer' if parse is int else 'a number'}, got {row.get(column)!r}"
+            ) from None
+
     table: dict[int, dict[int, dict]] = {}
-    for row in rows:
-        episode = int(row["episode"])
-        agent = int(row["agent"])
-        table.setdefault(episode, {})[agent] = row
+    for line, row in rows:
+        episode = cell(line, row, "episode", int)
+        agent = cell(line, row, "agent", int)
+        table.setdefault(episode, {})[agent] = {
+            "step": cell(line, row, "step", int),
+            "apples": cell(line, row, "apples", float),
+            "gini": cell(line, row, "gini", float),
+        }
     episodes = sorted(table)
     agents = sorted({a for per_ep in table.values() for a in per_ep})
     return episodes, agents, table
@@ -195,16 +228,16 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
     total apples, per-agent apples, and the Gini coefficient versus steps,
     each smoothed by a trailing window with min/max bands.
     """
-    rows = _read_log(log_csv_path)
+    episodes, agents, table = _episode_series(log_csv_path, _read_log(log_csv_path))
     out = Path(out_path)
-    out.mkdir(parents=True, exist_ok=True)
-    episodes, agents, table = _episode_series(rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise SchemaError(f"{out}: not a directory (panels are written into one)") from None
 
-    steps = [int(next(iter(table[e].values()))["step"]) for e in episodes]
-    totals = np.array(
-        [sum(float(table[e][a]["apples"]) for a in table[e]) for e in episodes]
-    )
-    ginis = np.array([float(next(iter(table[e].values()))["gini"]) for e in episodes])
+    steps = [next(iter(table[e].values()))["step"] for e in episodes]
+    totals = np.array([sum(table[e][a]["apples"] for a in table[e]) for e in episodes])
+    ginis = np.array([next(iter(table[e].values()))["gini"] for e in episodes])
 
     written: list[Path] = []
 
@@ -230,7 +263,7 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
         per_agent_series = []
         for agent in agents:
             series = np.array(
-                [float(table[e].get(agent, {"apples": "nan"})["apples"]) for e in episodes]
+                [table[e].get(agent, {"apples": np.nan})["apples"] for e in episodes]
             )
             mean, low, high = rolling_aggregate(series, window)
             per_agent_rows.extend(

@@ -43,6 +43,18 @@ class TestRepeatedMatrixEnv:
         first[:] = -1.0
         assert env.step((0, 0)).rewards.tolist() == [3.0, 3.0]
 
+    def test_joint_rewards_are_float64_read_only_and_match_step(self):
+        env = repeated_matrix_env(PD, 10)
+        table = env.joint_rewards
+        assert table.shape == (2, 2, 2) and table.dtype == np.float64
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+        env.reset()
+        for joint in np.ndindex(2, 2):
+            step = env.step(joint).rewards
+            assert step.dtype == np.float64
+            assert step.tolist() == table[joint].tolist()
+
     def test_truncation(self):
         env = repeated_matrix_env(PD, 3)
         env.reset()
@@ -220,6 +232,21 @@ class TestMarkovGameEnv:
         step = env.step((1, 0))
         joint = game.joint_action_index((1, 0))
         assert step.rewards == pytest.approx(game.rewards[:, state, joint])
+
+
+    def test_single_state_joint_rewards_match_step(self):
+        game = random_markov_game(3, 1, (2, 3, 4), 0.9, seed=13)
+        env = MarkovGameEnv(game, episode_length=30, seed=2)
+        table = env.joint_rewards
+        assert table.shape == (2, 3, 4, 3) and table.dtype == np.float64
+        assert not table.flags.writeable
+        env.reset()
+        for joint in np.ndindex(2, 3, 4):
+            assert env.step(joint).rewards.tolist() == table[joint].tolist()
+
+    def test_many_states_have_no_joint_rewards(self):
+        env = MarkovGameEnv(random_markov_game(2, 3, (2, 2), 0.9, seed=14), 5)
+        assert env.joint_rewards is None
 
 
 class TestRandomMarkovGame:

@@ -753,6 +753,124 @@ class TestCliTrainEvalPlot:
         assert (tmp_path / "panels" / "panel_total.svg").exists()
 
 
+# sha256 of the printed report, recorded before single-state envs were
+# collected as one block: eval's per-episode collect_rollouts([env]) must
+# reproduce it byte for byte
+PINNED_EVAL_REPORTS = {
+    "repeated_matrix": (
+        {**PD_SPEC, "episode_length": 37},
+        (2, 2),
+        "96fe477e5f0b90fc3ed985166126a44430943ea0a7ed965d2b27cdfd5a80a4da",
+    ),
+    "random_markov_one_state": (
+        {**RANDOM_MARKOV, "agents": 3, "states": 1, "actions": [2, 3, 4], "game_seed": 7,
+         "episode_length": 23},
+        (2, 3, 4),
+        "e39bf04aee7a822270c1d06430159514840631f2f1a85ece2fe1785a43dbe192",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EVAL_REPORTS))
+def test_eval_report_is_pinned(tmp_path, capsys, name):
+    spec, counts, digest = PINNED_EVAL_REPORTS[name]
+    rng = np.random.default_rng(9)
+    snapshot = tmp_path / "snap.json"
+    save_policy_snapshot(snapshot, SoftmaxPolicyProfile([rng.normal(size=(1, k)) for k in counts]))
+    env_spec = tmp_path / "env.json"
+    env_spec.write_text(json.dumps(spec))
+    argv = ["eval", str(snapshot), "--env", str(env_spec), "--episodes", "50", "--seed", "4"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+LOG_HEADER = "step,episode,agent,return,apples,gini,actor_loss,critic_loss,entropy,floor_hits\n"
+LOG_ROWS = [
+    "100,0,0,10.0,1.0,0.1,0.1,0.2,0.6,0\n",
+    "100,0,1,11.0,2.0,0.1,0.1,0.2,0.6,0\n",
+    "200,1,0,12.0,3.0,0.2,0.1,0.2,0.6,0\n",
+]
+
+
+class TestCliPlotMalformedLog:
+    def plot(self, tmp_path, content: bytes, out=None):
+        log = tmp_path / "log.csv"
+        log.write_bytes(content)
+        out = out or tmp_path / "panels"
+        return log, out, main(["plot", str(log), "--out", str(out)])
+
+    def test_well_formed_log_plots(self, tmp_path, capsys):
+        _, out, code = self.plot(tmp_path, (LOG_HEADER + "".join(LOG_ROWS)).encode())
+        assert code == 0
+        assert (out / "panel_gini.svg").exists()
+
+    @pytest.mark.parametrize(
+        "row, line, column, cell",
+        [
+            (1, 3, "step", "abc"),
+            (2, 4, "apples", "x"),
+            (0, 2, "episode", "1.5"),
+            (1, 3, "agent", ""),
+            (2, 4, "gini", "none"),
+        ],
+    )
+    def test_bad_cell_names_file_line_and_column(
+        self, tmp_path, capsys, row, line, column, cell
+    ):
+        cells = LOG_ROWS[row].rstrip("\n").split(",")
+        cells[LOG_HEADER.rstrip("\n").split(",").index(column)] = cell
+        rows = list(LOG_ROWS)
+        rows[row] = ",".join(cells) + "\n"
+        log, out, code = self.plot(tmp_path, (LOG_HEADER + "".join(rows)).encode())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{log}: line {line}, column {column}:" in err
+        assert repr(cell) in err
+        assert not out.exists()
+
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        log, _, code = self.plot(tmp_path, (LOG_HEADER + LOG_ROWS[0] + "300,2\n").encode())
+        assert code == 2
+        assert f"{log}: line 3, column agent: expected an integer, got None" in (
+            capsys.readouterr().err
+        )
+
+    def test_non_utf8_log_exits_2(self, tmp_path, capsys):
+        log, out, code = self.plot(tmp_path, LOG_HEADER.encode() + b"100,0,0,\xff\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{log}: log CSV is not UTF-8 text" in err
+        assert not out.exists()
+
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        big = "100,0,0,1.0,1.0," + "9" * 200_000 + ",0,0,0,0\n"
+        log, _, code = self.plot(tmp_path, (LOG_HEADER + LOG_ROWS[0] + big).encode())
+        assert code == 2
+        assert f"{log}: line 3: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"", b"step,episode\n1,0\n"])
+    def test_missing_header_or_columns_name_the_file(self, tmp_path, capsys, content):
+        log, _, code = self.plot(tmp_path, content)
+        assert code == 2
+        assert f"error: {log}: log CSV" in capsys.readouterr().err
+
+    def test_log_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "logdir"
+        log.mkdir()
+        assert main(["plot", str(log), "--out", str(tmp_path / "panels")]) == 2
+        assert f"{log}: a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, inside):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "panels" if inside else taken
+        _, _, code = self.plot(tmp_path, (LOG_HEADER + "".join(LOG_ROWS)).encode(), out=out)
+        assert code == 2
+        assert f"error: {out}: not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
+
 class TestParallelSweep:
     def test_jobs_flag_produces_same_runs(self, tmp_path, capsys):
         doc = self.config_doc(tmp_path / "runs_par")

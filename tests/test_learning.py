@@ -26,6 +26,7 @@ from fairgame.learning import (
 from fairgame.markov import (
     AltruismWeights,
     SoftmaxPolicyProfile,
+    TabularMarkovGame,
     exact_fair_gradient,
     solve_values,
 )
@@ -143,6 +144,118 @@ class TestCombineAdvantages:
         advantages = np.array([[1.0, -2.0], [0.5, 0.5]])
         combined = combine_utilitarian_advantages(advantages)
         assert combined == pytest.approx(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+
+
+class CountingEnv:
+    """Test stand-in that delegates to a single-state ``env``, reports
+    ``num_states`` and counts steps. Reporting 2 states forces
+    collect_rollouts' per-step loop, the reference for its block path."""
+
+    def __init__(self, env, num_states):
+        self.env, self.num_states, self.steps = env, num_states, 0
+        self.num_agents, self.action_counts = env.num_agents, env.action_counts
+        self.episode_length, self.joint_rewards = env.episode_length, env.joint_rewards
+
+    def reset(self, seed=None):
+        return self.env.reset(seed)
+
+    def step(self, actions):
+        self.steps += 1
+        return self.env.step(actions)
+
+
+class StubRng:
+    """Hands out one fixed block of uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.uniforms.shape
+        return self.uniforms.copy()
+
+
+def asymmetric_pd_game() -> TabularMarkovGame:
+    """A one-state PD whose agents have different payoffs: agent 0 has
+    (T, R, S, P) = (5, 3, 1, 2), agent 1 (4.5, 2.75, 0.5, 1.25)."""
+    return TabularMarkovGame(
+        num_agents=2,
+        num_states=1,
+        action_counts=(2, 2),
+        transitions=np.ones((1, 4, 1)),
+        rewards=np.array([[[3.0, 1.0, 5.0, 2.0]], [[2.75, 4.5, 0.5, 1.25]]]),
+        initial_dist=np.array([1.0]),
+        discount=0.9,
+    )
+
+
+SINGLE_STATE_ENVS = {
+    "pd_int_payoffs": lambda: repeated_matrix_env(PD, 23),
+    "pd_asymmetric": lambda: MarkovGameEnv(asymmetric_pd_game(), 23, seed=4),
+    "random_3_agents": lambda: MarkovGameEnv(
+        random_markov_game(3, 1, (2, 3, 4), 0.9, seed=8), 23, seed=5
+    ),
+}
+
+
+def collect_block_and_loop(make_env, policies, make_rng, num_envs=3):
+    """collect_rollouts on single-state envs and on the same envs reported
+    as two-state; returns both results and both env lists."""
+    block_envs = [CountingEnv(make_env(), 1) for _ in range(num_envs)]
+    loop_envs = [CountingEnv(make_env(), 2) for _ in range(num_envs)]
+    block = collect_rollouts(block_envs, policies, make_rng())
+    loop = collect_rollouts(loop_envs, policies, make_rng())
+    return block, loop, block_envs, loop_envs
+
+
+def assert_same_collection(block, loop):
+    (a, stats_a), (b, stats_b) = block, loop
+    for name in ("observations", "actions", "rewards", "next_observations"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.policy_version == b.policy_version
+    assert len(stats_a) == len(stats_b)
+    for p, q in zip(stats_a, stats_b):
+        assert p.returns.tobytes() == q.returns.tobytes()
+        assert p.apples.tobytes() == q.apples.tobytes()
+        assert (p.has_apples, p.gini) == (q.has_apples, q.gini)
+
+
+class TestSingleStateCollection:
+    @pytest.mark.parametrize("name", sorted(SINGLE_STATE_ENVS))
+    def test_block_equals_per_step_loop(self, name):
+        make_env = SINGLE_STATE_ENVS[name]
+        counts = make_env().action_counts
+        policies = SoftmaxPolicyProfile.random(1, counts, np.random.default_rng(1), scale=1.0)
+        policies.version = 3
+        block, loop, block_envs, loop_envs = collect_block_and_loop(
+            make_env, policies, lambda: np.random.default_rng(7)
+        )
+        assert_same_collection(block, loop)
+        assert [env.steps for env in block_envs] == [0, 0, 0]
+        assert [env.steps for env in loop_envs] == [23, 23, 23]
+
+    def test_ties_skip_zero_probability_and_top_is_clipped(self):
+        # agent 0: probabilities (0.5, 0, 0.5), so a uniform of exactly 0.5
+        # passes the zero-probability action; agent 1: ten actions of 0.1,
+        # whose cumulative sum ends at 1 - 2**-53, so the largest uniform
+        # passes every entry and is clipped to the last action
+        policies = SoftmaxPolicyProfile([np.array([[0.0, -800.0, 0.0]]), np.zeros((1, 10))])
+        top = 1.0 - 2.0**-53
+        cum = np.cumsum(policies.probs(1)[0])
+        assert policies.probs(0)[0, 1] == 0.0 and cum[-1] == top
+        uniforms = [[[0.0, cum[3]], [0.5, cum[0]], [0.25, top], [top, 0.0], [0.5, cum[8]]]]
+        game = random_markov_game(2, 1, (3, 10), 0.9, seed=9)
+        block, loop, block_envs, _ = collect_block_and_loop(
+            lambda: MarkovGameEnv(game, 5, seed=0),
+            policies,
+            lambda: StubRng(uniforms),
+            num_envs=1,
+        )
+        assert_same_collection(block, loop)
+        assert block[0].actions[0].tolist() == [[0, 4], [2, 1], [0, 9], [2, 0], [2, 9]]
+        assert block_envs[0].steps == 0
 
 
 def make_config(**overrides):
