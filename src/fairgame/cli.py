@@ -56,6 +56,10 @@ def _seed_override() -> int | None:
 
 
 def cmd_analyze(args) -> int:
+    if args.out and Path(args.out).is_dir():
+        raise SchemaError(
+            f"--out {args.out}: a directory, not a file (the report JSON is written to it)"
+        )
     loaded = load_game_file(args.game)
     game = loaded.game
     if not game.all_positive:

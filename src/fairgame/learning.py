@@ -259,8 +259,12 @@ def compute_gae(
     """GAE(lambda) advantages and TD(lambda) returns, each (E, T, N).
 
     delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), accumulated backward over
-    T on (E, N) vectors. Episodes only truncate, so the final step
-    bootstraps with V of its next observation. Returns are advantages + V(s_t).
+    T as acc = delta_t + (gamma * lam) * acc, one (env, agent) lane at a time
+    over Python floats. The lanes are independent and short, so a numpy call
+    per step would cost more than its arithmetic; float64 arithmetic rounds
+    the same either way, so the result is exact. Episodes only truncate, so
+    the final step bootstraps with V of its next observation. Returns are
+    advantages + V(s_t).
     """
     num_envs, length, num_agents = buffer.observations.shape
     if num_envs == 0 or length == 0:
@@ -271,11 +275,18 @@ def compute_gae(
 
     v = values(buffer.observations)
     delta = buffer.rewards + gamma * values(buffer.next_observations) - v
-    advantages = np.empty_like(delta)
-    acc = np.zeros((num_envs, num_agents))
-    for t in range(length - 1, -1, -1):
-        acc = delta[:, t] + gamma * lam * acc
-        advantages[:, t] = acc
+    decay = gamma * lam
+    lanes = []
+    for lane in delta.transpose(0, 2, 1).reshape(-1, length).tolist():
+        acc = 0.0
+        backward = []
+        for d in reversed(lane):
+            acc = d + decay * acc
+            backward.append(acc)
+        lanes.append(backward)
+    # lanes[e * N + j] holds lane (e, j) from the last step back to the first
+    advantages = np.array(lanes).reshape(num_envs, num_agents, length)[..., ::-1]
+    advantages = np.ascontiguousarray(advantages.transpose(0, 2, 1))
     return advantages, advantages + v
 
 
@@ -351,11 +362,6 @@ def _critic_regression_step(
     return mse
 
 
-def _entropy_rows(rows: np.ndarray) -> np.ndarray:
-    logs = np.log(np.clip(rows, 1e-300, None))
-    return -(rows * logs).sum(axis=1)
-
-
 def _policy_gradient_update(
     policies: SoftmaxPolicyProfile,
     critics: CriticTable,
@@ -388,11 +394,16 @@ def _policy_gradient_update(
     num_agents = obs.shape[1]
     returns = returns.reshape(-1, num_agents)
     batch = obs.shape[0]
-    taken = np.arange(batch)
+    # the batch is fixed across epochs: each agent's visited rows, and each
+    # sample's position among them, serve the actor and the critic alike.
+    # Row-wise quantities (softmax, logs, entropy and its gradient) are
+    # computed once per visited row and gathered per sample with [inverse].
+    rows_of = [np.unique(obs[:, i], return_inverse=True) for i in range(num_agents)]
     old_log = []
     if clip is not None:
         for i in range(num_agents):
-            p_taken = _softmax(policies.logits[i][obs[:, i]])[taken, actions[:, i]]
+            visited, inverse = rows_of[i]
+            p_taken = _softmax(policies.logits[i][visited])[inverse, actions[:, i]]
             if not np.all(p_taken > 0.0):
                 raise DomainError(
                     f"agent {i}: the current policy assigns zero probability to "
@@ -400,16 +411,15 @@ def _policy_gradient_update(
                 )
             old_log.append(np.log(p_taken))
 
-    # the batch is fixed across epochs: each agent's visited rows, and each
-    # sample's position among them, serve the actor and the critic alike
-    rows_of = [np.unique(obs[:, i], return_inverse=True) for i in range(num_agents)]
     diag = {"floor_hits": floor_hits}
     for _ in range(epochs):
         diag["actor_loss"], diag["critic_loss"], diag["entropy"] = [], [], []
         for i in range(num_agents):
             visited, inverse = rows_of[i]
-            rows = _softmax(policies.logits[i][obs[:, i]])
-            log_taken = np.log(np.clip(rows[taken, actions[:, i]], 1e-300, None))
+            probs = _softmax(policies.logits[i][visited])
+            log_probs = np.log(np.clip(probs, 1e-300, None))
+            rows = probs[inverse]
+            log_taken = log_probs[inverse, actions[:, i]]
             w = fair[:, i]
             if clip is None:
                 coeff = w
@@ -420,16 +430,15 @@ def _policy_gradient_update(
                 coeff = np.where(clipped_out, 0.0, ratio * w)
                 surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
                 actor_loss = -surrogate.mean()
-            grad = np.zeros((len(visited), rows.shape[1]))
+            grad = np.zeros(probs.shape)
             np.add.at(grad, (inverse, actions[:, i]), coeff / batch)
             np.add.at(grad, inverse, -(coeff[:, None] * rows) / batch)
-            entropy = _entropy_rows(rows)
+            entropy = -(probs * log_probs).sum(axis=1)
             if config.entropy_coef > 0.0:
-                log_rows = np.log(np.clip(rows, 1e-300, None))
-                ent_grad = -rows * (log_rows + entropy[:, None])
-                np.add.at(grad, inverse, config.entropy_coef * ent_grad / batch)
+                ent_grad = -probs * (log_probs + entropy[:, None])
+                np.add.at(grad, inverse, (config.entropy_coef * ent_grad / batch)[inverse])
             diag["actor_loss"].append(float(actor_loss))
-            diag["entropy"].append(float(entropy.mean()))
+            diag["entropy"].append(float(entropy[inverse].mean()))
             policies.logits[i][visited] += lr * grad
             critic_loss = _critic_regression_step(
                 critics.values[i], returns[:, i], critic_lr, visited, inverse

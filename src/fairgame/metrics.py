@@ -126,7 +126,9 @@ def _episode_series(
 ) -> tuple[list[int], list[int], dict[int, dict[int, dict]]]:
     """Group rows by (episode, agent), with the step, apples and gini cells
     parsed; return sorted episodes, agents, table. A cell that does not parse
-    raises SchemaError naming the file, line and column."""
+    raises SchemaError naming the file, line and column; an episode without
+    a row for every agent of the log raises SchemaError naming the file, the
+    episode and the missing agents."""
 
     def cell(line: int, row: dict, column: str, parse):
         try:
@@ -148,6 +150,13 @@ def _episode_series(
         }
     episodes = sorted(table)
     agents = sorted({a for per_ep in table.values() for a in per_ep})
+    for episode in episodes:
+        missing = [a for a in agents if a not in table[episode]]
+        if missing:
+            raise SchemaError(
+                f"{log_csv_path}: episode {episode} has no row for agent(s) "
+                f"{', '.join(map(str, missing))}"
+            )
     return episodes, agents, table
 
 
@@ -262,9 +271,7 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
         per_agent_rows = []
         per_agent_series = []
         for agent in agents:
-            series = np.array(
-                [table[e].get(agent, {"apples": np.nan})["apples"] for e in episodes]
-            )
+            series = np.array([table[e][agent]["apples"] for e in episodes])
             mean, low, high = rolling_aggregate(series, window)
             per_agent_rows.extend(
                 [s, _fmt(m), _fmt(lo), _fmt(hi), agent]

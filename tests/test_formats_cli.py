@@ -521,6 +521,17 @@ class TestCliAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "no_such_file.json"]) == 2
 
+    def test_out_naming_a_directory_exits_2_before_the_report(self, tmp_path, capsys):
+        game_file = tmp_path / "pd.json"
+        game_file.write_text(json.dumps({"T": 5, "R": 3, "S": 1, "P": 2}))
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        assert main(["analyze", str(game_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --out {out_dir}: a directory" in captured.err
+        assert list(out_dir.iterdir()) == []
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         game_file = tmp_path / "game.json"
         game_file.write_bytes(b"\xff\xfe{}")
@@ -789,6 +800,7 @@ LOG_ROWS = [
     "100,0,0,10.0,1.0,0.1,0.1,0.2,0.6,0\n",
     "100,0,1,11.0,2.0,0.1,0.1,0.2,0.6,0\n",
     "200,1,0,12.0,3.0,0.2,0.1,0.2,0.6,0\n",
+    "200,1,1,13.0,4.0,0.2,0.1,0.2,0.6,0\n",
 ]
 
 
@@ -826,6 +838,12 @@ class TestCliPlotMalformedLog:
         err = capsys.readouterr().err
         assert f"{log}: line {line}, column {column}:" in err
         assert repr(cell) in err
+        assert not out.exists()
+
+    def test_missing_episode_agent_row_names_file_and_episode(self, tmp_path, capsys):
+        log, out, code = self.plot(tmp_path, (LOG_HEADER + "".join(LOG_ROWS[:3])).encode())
+        assert code == 2
+        assert f"error: {log}: episode 1 has no row for agent(s) 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_short_row_names_its_line(self, tmp_path, capsys):

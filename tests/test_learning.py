@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from fairgame.envs import MarkovGameEnv, random_markov_game, repeated_matrix_env
+from fairgame.envs import (
+    MarkovGameEnv,
+    MiniCleanupConfig,
+    MiniCleanupEnv,
+    random_markov_game,
+    repeated_matrix_env,
+)
 from fairgame.errors import DomainError, StaleBufferError
 from fairgame.formats import load_policy_snapshot
 from fairgame.games import DilemmaPayoffs
@@ -14,6 +20,8 @@ from fairgame.learning import (
     ObjectiveMode,
     RolloutBuffer,
     TrainConfig,
+    _combined_advantages,
+    _critic_regression_step,
     a2c_update,
     collect_rollouts,
     combine_fair_advantages,
@@ -27,6 +35,7 @@ from fairgame.markov import (
     AltruismWeights,
     SoftmaxPolicyProfile,
     TabularMarkovGame,
+    _softmax,
     exact_fair_gradient,
     solve_values,
 )
@@ -96,6 +105,71 @@ class TestComputeGae:
         buffer = RolloutBuffer(empty, empty, empty.astype(float), empty, 0)
         with pytest.raises(DomainError):
             compute_gae(buffer, CriticTable([np.zeros(1)]), 0.9, 0.95)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 100, 2), (10, 100, 3), (3, 7, 5)])
+    @pytest.mark.parametrize("gamma, lam", [(0.9, 0.0), (0.95, 0.95), (1.0, 1.0)])
+    def test_bit_identical_to_numpy_step_loop(self, shape, gamma, lam):
+        buffer, critic = exact_delta_buffer(special_deltas(shape, seed=sum(shape)))
+        advantages, returns = compute_gae(buffer, critic, gamma, lam)
+        expected_advantages, expected_returns = numpy_step_loop_gae(buffer, critic, gamma, lam)
+        assert advantages.shape == returns.shape == shape
+        assert advantages.flags.c_contiguous
+        assert advantages.tobytes() == expected_advantages.tobytes()
+        assert returns.tobytes() == expected_returns.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, 0.95, 1.0])
+    def test_exact_delta_buffer_reproduces_signed_zeros(self, gamma):
+        deltas = special_deltas((3, 7, 5), seed=0)
+        zeros = np.signbit(deltas[deltas == 0.0])
+        assert zeros.any() and not zeros.all()
+        buffer, critic = exact_delta_buffer(deltas)
+        table = critic.values[0]
+        v, v_next = table[buffer.observations], table[buffer.next_observations]
+        delta = buffer.rewards + gamma * v_next - v
+        assert delta.tobytes() == deltas.tobytes()
+
+
+def numpy_step_loop_gae(buffer, critic, gamma, lam):
+    """GAE as one numpy call per time step on (E, N) vectors: the reference
+    the per-lane recursion of ``compute_gae`` must match bit for bit."""
+    num_envs, length, num_agents = buffer.observations.shape
+
+    def values(obs):
+        return np.stack([critic.values[j][obs[..., j]] for j in range(num_agents)], axis=-1)
+
+    v = values(buffer.observations)
+    delta = buffer.rewards + gamma * values(buffer.next_observations) - v
+    advantages = np.empty_like(delta)
+    acc = np.zeros((num_envs, num_agents))
+    for t in range(length - 1, -1, -1):
+        acc = delta[:, t] + gamma * lam * acc
+        advantages[:, t] = acc
+    return advantages, advantages + v
+
+
+def special_deltas(shape, seed):
+    """Normal deltas with about a quarter replaced by +-0.0 and +-1e300."""
+    rng = np.random.default_rng(seed)
+    deltas = rng.normal(scale=10.0, size=shape)
+    specials = np.array([0.0, -0.0, 1e300, -1e300])
+    mask = rng.random(shape) < 0.25
+    deltas[mask] = rng.choice(specials, size=int(mask.sum()))
+    deltas.flat[0] = -0.0
+    deltas.flat[-1] = 0.0
+    return deltas
+
+
+def exact_delta_buffer(deltas):
+    """A buffer and critic whose TD residuals equal ``deltas`` exactly, signed
+    zeros included: every step moves from a state valued +0.0 to one valued
+    -0.0, so delta = (r + gamma * -0.0) - 0.0 = r for any gamma in [0, 1].
+    The rewards are set after construction, because the buffer only admits
+    positive rewards and compute_gae accepts any."""
+    ones = np.ones(deltas.shape, dtype=np.int64)
+    buffer = RolloutBuffer(ones - 1, ones - 1, ones.astype(float), ones, 0)
+    buffer.rewards = deltas.copy()
+    critic = CriticTable([np.array([0.0, -0.0]) for _ in range(deltas.shape[2])])
+    return buffer, critic
 
 
 class TestCombineAdvantages:
@@ -391,8 +465,6 @@ class TestPPOUpdate:
         buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
         critics = CriticTable.constant(2, 1, 27.5)
         old_probs = [policies.probs(i).copy() for i in range(2)]
-        from fairgame.learning import _combined_advantages
-
         advantages, _ = compute_gae(buffer, critics, 0.9, 0.95)
         config = make_config(
             algorithm=Algorithm.FAIR_MAPPO,
@@ -431,6 +503,112 @@ class TestPPOUpdate:
             ppo_update(policies, critics, buffer, make_config(algorithm=Algorithm.FAIR_MAPPO))
         assert np.array_equal(policies.logits[0], before)
         assert policies.version == 0
+
+
+def per_sample_update_core(policies, critics, buffer, config, progress, epochs, clip):
+    """The policy-gradient core with the softmax, logs, entropy and entropy
+    gradient taken per sample rather than per visited row: the reference
+    ``a2c_update`` and ``ppo_update`` must match bit for bit."""
+    lr = config.learning_rate_at(progress)
+    critic_lr = config.critic_lr_at(progress)
+    obs, actions = buffer.flat()
+    advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
+    fair, floor_hits = _combined_advantages(advantages, critics, buffer, config)
+    num_agents = obs.shape[1]
+    returns = returns.reshape(-1, num_agents)
+    batch = obs.shape[0]
+    taken = np.arange(batch)
+    old_log = [
+        np.log(_softmax(policies.logits[i][obs[:, i]])[taken, actions[:, i]])
+        for i in range(num_agents)
+    ]
+    rows_of = [np.unique(obs[:, i], return_inverse=True) for i in range(num_agents)]
+    diag = {"floor_hits": floor_hits}
+    for _ in range(epochs):
+        diag["actor_loss"], diag["critic_loss"], diag["entropy"] = [], [], []
+        for i in range(num_agents):
+            visited, inverse = rows_of[i]
+            rows = _softmax(policies.logits[i][obs[:, i]])
+            log_taken = np.log(np.clip(rows[taken, actions[:, i]], 1e-300, None))
+            w = fair[:, i]
+            if clip is None:
+                coeff = w
+                actor_loss = -(w * log_taken).mean()
+            else:
+                ratio = np.exp(log_taken - old_log[i])
+                clipped_out = ((w > 0) & (ratio > 1.0 + clip)) | ((w < 0) & (ratio < 1.0 - clip))
+                coeff = np.where(clipped_out, 0.0, ratio * w)
+                surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
+                actor_loss = -surrogate.mean()
+            grad = np.zeros((len(visited), rows.shape[1]))
+            np.add.at(grad, (inverse, actions[:, i]), coeff / batch)
+            np.add.at(grad, inverse, -(coeff[:, None] * rows) / batch)
+            log_rows = np.log(np.clip(rows, 1e-300, None))
+            entropy = -(rows * log_rows).sum(axis=1)
+            if config.entropy_coef > 0.0:
+                ent_grad = -rows * (log_rows + entropy[:, None])
+                np.add.at(grad, inverse, config.entropy_coef * ent_grad / batch)
+            diag["actor_loss"].append(float(actor_loss))
+            diag["entropy"].append(float(entropy.mean()))
+            policies.logits[i][visited] += lr * grad
+            critic_loss = _critic_regression_step(
+                critics.values[i], returns[:, i], critic_lr, visited, inverse
+            )
+            diag["critic_loss"].append(critic_loss)
+        policies.version += 1
+    return diag
+
+
+def assert_same_update(update, epochs, clip, policies, critics, buffer, config, progress):
+    """``update`` and the per-sample reference, each from copies of the same
+    policies and critics, leave identical logits, critics and diagnostics."""
+    ref_policies, ref_critics = policies.copy(), critics.copy()
+    expected = per_sample_update_core(
+        ref_policies, ref_critics, buffer, config, progress, epochs, clip
+    )
+    diag = update(policies, critics, buffer, config, progress=progress)
+    assert diag == expected
+    got = policies.logits + critics.values
+    want = ref_policies.logits + ref_critics.values
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert policies.version == ref_policies.version
+
+
+class TestUpdateCoreBitIdentical:
+    def test_a2c_on_pd_batches(self):
+        config = TrainConfig(
+            algorithm=Algorithm.FAIR_MAA2C, alpha=0.8, learning_rate=8.0, critic_lr=0.2,
+            entropy_coef=0.02, num_envs=2, total_steps=2000, critic_init=50.0,
+        )
+        policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
+        critics = CriticTable.constant(2, 1, 50.0)
+        for seed in range(10):
+            buffer, _ = collect_pd_buffer(policies, episode_length=100, num_envs=2, seed=seed)
+            assert_same_update(
+                a2c_update, 1, None, policies, critics, buffer, config, progress=seed / 10
+            )
+
+    def test_ppo_with_entropy_on_mini_cleanup_batches(self):
+        env_config = MiniCleanupConfig(episode_length=60)
+        envs = [MiniCleanupEnv(env_config, seed) for seed in range(3)]
+        config = TrainConfig(
+            algorithm=Algorithm.FAIR_MAPPO, alpha=0.5, learning_rate=2.0, critic_lr=0.2,
+            entropy_coef=0.01, ppo_epochs=4, num_envs=3, total_steps=1000,
+            critic_init=1.0, normalize_advantages=True,
+        )
+        rng = np.random.default_rng(11)
+        policies = SoftmaxPolicyProfile.random(
+            envs[0].num_states, envs[0].action_counts, rng, scale=1.0
+        )
+        critics = CriticTable.constant(envs[0].num_agents, envs[0].num_states, 1.0)
+        for update_index in range(3):
+            buffer, _ = collect_rollouts(envs, policies, rng)
+            obs, _ = buffer.flat()
+            for i in range(obs.shape[1]):
+                assert len(np.unique(obs[:, i])) < obs.shape[0]  # rows repeat
+            assert_same_update(
+                ppo_update, 4, 0.2, policies, critics, buffer, config, progress=update_index / 3
+            )
 
 
 class TestTrain:

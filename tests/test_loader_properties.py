@@ -176,6 +176,9 @@ def test_markov_file_loads_or_raises_schema_error(workdir, markov_text, edits):
         else:
             owner[last] = value
     path = workdir / "markov.json"
+    # a fresh file per example: rewriting a non-empty file in place can
+    # force a flush to disk (ext4's auto_da_alloc), which dominates the test
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     try:
         game = load_markov_game(path)
@@ -202,6 +205,7 @@ TABLES = st.lists(
 @given(TABLES | JSON_VALUES)
 def test_policy_snapshot_loads_or_raises_schema_error(workdir, doc):
     path = workdir / "snapshot.json"
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     try:
         policies = load_policy_snapshot(path)
@@ -242,6 +246,7 @@ def test_game_file_loads_or_raises_schema_error(workdir, base, edits):
         else:
             doc[key] = value
     path = workdir / "normal_form.json"
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     try:
         loaded = load_game_file(path)
@@ -302,6 +307,7 @@ def test_experiment_config_is_valid_or_names_its_fields(workdir, edits):
     for problem in problems:
         assert problem.split(":")[0].split(".")[0] in CONFIG_FIELDS, problem
     path = workdir / "config.json"
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     if problems:
         with pytest.raises(SchemaError):
@@ -339,6 +345,7 @@ def test_experiment_config_validates_exactly_when_it_loads(workdir, edits):
             doc[key] = value
     problems = validate_experiment_config(doc)
     path = workdir / "config.json"
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     try:
         load_experiment_config(path)
