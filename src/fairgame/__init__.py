@@ -24,7 +24,6 @@ from .games import (
     classify_social_dilemma,
     find_pure_nash,
     pf_optimum,
-    shift_payoffs,
     social_optima,
 )
 from .markov import (
@@ -38,9 +37,7 @@ from .markov import (
     exact_fair_gradient,
     fair_advantage,
     fair_objective,
-    joint_policy_prob,
     mc_fair_gradient,
-    proportional_fair_state_value,
     solve_values,
 )
 from .envs import (
@@ -70,6 +67,6 @@ from .learning import (
     train,
 )
 from .formats import load_policy_snapshot
-from .metrics import EpisodeMetrics, emit_plot_data, gini, rolling_aggregate
+from .metrics import emit_plot_data, gini, rolling_aggregate
 
 __version__ = "0.1.0"

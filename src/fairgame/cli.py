@@ -24,6 +24,7 @@ from .formats import (
     load_experiment_config,
     load_game_file,
     load_policy_snapshot,
+    open_fresh,
     read_json,
     write_manifest,
 )
@@ -131,7 +132,8 @@ def _run_sweep_item(
             "seed": derived_seed,
             "train": {k: getattr(train_config, k) for k in TRAIN_FIELDS},
         }
-        (run_dir / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True))
+        with open_fresh(run_dir / "config.json") as handle:
+            handle.write(json.dumps(snapshot, indent=2, sort_keys=True))
         factory = build_env_factory(config.env)
         result = train(
             factory,
@@ -192,7 +194,8 @@ def cmd_train(args) -> int:
             _run_sweep_item(config, alpha, index, str(out_root)) for index, alpha in items
         ]
     summary = {"runs": records}
-    (out_root / "sweep.json").write_text(json.dumps(summary, indent=2))
+    with open_fresh(out_root / "sweep.json") as handle:
+        handle.write(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
     failed = [r for r in records if r["status"] != "ok"]
     if len(failed) == len(records):

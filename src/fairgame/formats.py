@@ -24,6 +24,18 @@ from .learning import Algorithm, ObjectiveMode, TrainConfig
 from .markov import SoftmaxPolicyProfile, TabularMarkovGame
 
 
+def open_fresh(path, newline: str | None = None):
+    """Open ``path`` for writing text as a new file: an existing file is
+    unlinked first rather than truncated, because replacing a file's contents
+    through truncation can cost a filesystem flush per file. A directory is
+    left in place, so opening it fails with IsADirectoryError as ``open``
+    would."""
+    path = Path(path)
+    if not path.is_dir():
+        path.unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
+
+
 def read_json(path):
     """Parse a JSON file; malformed JSON is a SchemaError naming the file."""
     try:
@@ -484,7 +496,8 @@ def write_manifest(
         "notes": notes or {},
     }
     path = run_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with open_fresh(path) as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 

@@ -60,10 +60,6 @@ class NormalFormGame:
         return float(self.payoffs[profile + (player,)])
 
     @property
-    def min_payoff(self) -> float:
-        return float(self.payoffs.min())
-
-    @property
     def all_positive(self) -> bool:
         return bool(np.all(self.payoffs > 0.0))
 
@@ -159,18 +155,6 @@ def altruistic_extension(game: NormalFormGame, alpha: float) -> NormalFormGame:
     social = logs.sum(axis=-1, keepdims=True)
     transformed = (1.0 - alpha) * logs + alpha * social
     return NormalFormGame(game.num_players, game.strategy_counts, transformed)
-
-
-def shift_payoffs(game: NormalFormGame, epsilon: float) -> NormalFormGame:
-    """Subtract the minimum payoff and add epsilon > 0.
-
-    Preprocessing for games with non-positive payoffs; the shifted game
-    satisfies the positivity requirement of the log transform.
-    """
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be strictly positive")
-    shifted = game.payoffs - game.min_payoff + epsilon
-    return NormalFormGame(game.num_players, game.strategy_counts, shifted)
 
 
 def find_pure_nash(game: NormalFormGame) -> set[tuple[int, ...]]:

@@ -5,6 +5,7 @@ with GAE and the initial-state-normalized fair advantage combination.
 
 import csv
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -501,16 +502,15 @@ def _check_finite(
 ) -> None:
     """Raise DomainError, naming the update and agent, on the first
     non-finite logit row or critic entry the update touched, or non-finite
-    diagnostic."""
+    diagnostic. Each gathered table block is one array check; the
+    diagnostics are Python floats."""
     obs, _ = buffer.flat()
     for agent in range(obs.shape[1]):
-        checked = {
-            "logits": policies.logits[agent][obs[:, agent]],
-            "critic": critics.values[agent][obs[:, agent]],
-            **{name: diag[name][agent] for name in ("actor_loss", "critic_loss", "entropy")},
-        }
-        for name, value in checked.items():
-            if not np.isfinite(value).all():
+        for name, table in (("logits", policies.logits), ("critic", critics.values)):
+            if not np.isfinite(table[agent][obs[:, agent]]).all():
+                raise DomainError(f"update {update}, agent {agent}: non-finite {name}")
+        for name in ("actor_loss", "critic_loss", "entropy"):
+            if not math.isfinite(diag[name][agent]):
                 raise DomainError(f"update {update}, agent {agent}: non-finite {name}")
 
 
@@ -562,6 +562,7 @@ def train(
         updates += 1
         total_floor_hits += diag["floor_hits"]
         for stat in stats:
+            episode_gini = stat.gini
             for agent in range(num_agents):
                 log_rows.append(
                     {
@@ -570,7 +571,7 @@ def train(
                         "agent": agent,
                         "return": float(stat.returns[agent]),
                         "apples": float(stat.apples[agent]),
-                        "gini": stat.gini,
+                        "gini": episode_gini,
                         "actor_loss": diag["actor_loss"][agent],
                         "critic_loss": diag["critic_loss"][agent],
                         "entropy": diag["entropy"][agent],
@@ -594,7 +595,9 @@ def train(
 
 def write_log_csv(path, rows: list[dict]) -> None:
     """Training-log CSV with deterministic float formatting (repr)."""
-    with open(path, "w", newline="") as handle:
+    from .formats import open_fresh  # formats imports this module
+
+    with open_fresh(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(LOG_COLUMNS)
         for row in rows:
@@ -624,7 +627,9 @@ def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
     scales with a block rather than the table; its bytes equal
     ``json.dumps([logits.tolist() for logits in policies.logits])``.
     """
-    with open(path, "w") as handle:
+    from .formats import open_fresh  # formats imports this module
+
+    with open_fresh(path) as handle:
         handle.write("[")
         for agent, logits in enumerate(policies.logits):
             handle.write(", [" if agent else "[")

@@ -168,16 +168,6 @@ class FairGradient:
     std_errors: list[np.ndarray] | None = None
 
 
-def joint_policy_prob(
-    policies: SoftmaxPolicyProfile, state: int, joint_action: Sequence[int]
-) -> float:
-    """Product over agents of pi_i(a_i | s)."""
-    prob = 1.0
-    for agent, action in enumerate(joint_action):
-        prob *= float(policies.probs(agent)[state, action])
-    return prob
-
-
 def _averaged_dynamics(
     game: TabularMarkovGame, joint: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +223,6 @@ def solve_values(game: TabularMarkovGame, policies: SoftmaxPolicyProfile) -> Val
     action_values = _action_values(game, state_values)
     advantages = action_values - state_values[:, :, None]
     return ValueBundle(state_values, action_values, advantages)
-
-
-def proportional_fair_state_value(
-    game: TabularMarkovGame, policies: SoftmaxPolicyProfile
-) -> np.ndarray:
-    """Per-state sum over agents of log V_j(s) under exact values."""
-    _, values = _evaluate(game, policies.joint_probs())
-    return np.log(values).sum(axis=0)
 
 
 def fair_objective(

@@ -3,7 +3,6 @@ plot-ready CSV/SVG emission from training logs.
 """
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,30 +30,6 @@ _SVG_MARGIN = 40
 _LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2")
 
 
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    """Per-episode consumption breakdown with its inequality summary."""
-
-    consumptions: tuple[float, ...]
-    gini: float
-    total: float
-    episode: int
-    step: int
-
-    @classmethod
-    def from_consumptions(
-        cls, consumptions: Sequence[float], episode: int, step: int
-    ) -> "EpisodeMetrics":
-        values = tuple(float(c) for c in consumptions)
-        return cls(
-            consumptions=values,
-            gini=gini(values),
-            total=float(sum(values)),
-            episode=episode,
-            step=step,
-        )
-
-
 def gini(consumptions: Sequence[float]) -> float:
     """Normalized mean absolute pairwise difference:
 
@@ -78,20 +53,26 @@ def gini(consumptions: Sequence[float]) -> float:
 def rolling_aggregate(
     series: Sequence[float], window: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trailing mean/min/max over a window, with shorter prefix windows."""
+    """Trailing mean/min/max over a window, with shorter prefix windows.
+
+    Every full window is one row of a sliding-window view, reduced once per
+    statistic; the prefix minima and maxima are running accumulations. The
+    prefix means stay one ``mean()`` each: numpy sums a slice pairwise, so a
+    running sum would round differently.
+    """
     if window < 1:
         raise DomainError("window must be at least 1")
     values = np.asarray(series, dtype=float)
     if values.size == 0:
         raise DomainError("series is empty")
-    means = np.empty_like(values)
-    mins = np.empty_like(values)
-    maxs = np.empty_like(values)
-    for i in range(values.size):
-        chunk = values[max(0, i - window + 1) : i + 1]
-        means[i] = chunk.mean()
-        mins[i] = chunk.min()
-        maxs[i] = chunk.max()
+    width = min(window, values.size)
+    full = np.lib.stride_tricks.sliding_window_view(values, width)
+    head = values[: width - 1]
+    means = np.concatenate(
+        [[values[: k + 1].mean() for k in range(width - 1)], full.mean(axis=1)]
+    )
+    mins = np.concatenate([np.minimum.accumulate(head), full.min(axis=1)])
+    maxs = np.concatenate([np.maximum.accumulate(head), full.max(axis=1)])
     return means, mins, maxs
 
 
@@ -160,15 +141,8 @@ def _episode_series(
     return episodes, agents, table
 
 
-def _write_panel(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
+    return format(x, ".6g")
 
 
 def _svg_polyline(points: list[tuple[float, float]], color: str, width: float = 1.5) -> str:
@@ -188,11 +162,10 @@ def _svg_band(
 
 
 def _render_panel_svg(
-    path: Path,
     title: str,
     steps: list[float],
-    series: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]],
-) -> None:
+    series: list[tuple[str, list[float], list[float], list[float]]],
+) -> str:
     """Minimal hand-rolled line chart: one mean polyline and min/max band per
     series, fixed canvas, deterministic float formatting."""
     body = [
@@ -205,7 +178,7 @@ def _render_panel_svg(
     if steps:
         x_lo, x_hi = min(steps), max(steps)
         x_span = (x_hi - x_lo) or 1.0
-        all_values = np.concatenate([np.concatenate([lo, hi]) for _, _, lo, hi in series])
+        all_values = np.concatenate([lo + hi for _, _, lo, hi in series])
         y_lo, y_hi = float(all_values.min()), float(all_values.max())
         y_span = (y_hi - y_lo) or 1.0
 
@@ -229,7 +202,7 @@ def _render_panel_svg(
             f'y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black" stroke-width="1"/>'
         )
     body.append("</svg>")
-    path.write_text("\n".join(body) + "\n")
+    return "\n".join(body) + "\n"
 
 
 def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list[Path]:
@@ -237,6 +210,8 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
     total apples, per-agent apples, and the Gini coefficient versus steps,
     each smoothed by a trailing window with min/max bands.
     """
+    from .formats import open_fresh  # formats imports learning, which imports this module
+
     episodes, agents, table = _episode_series(log_csv_path, _read_log(log_csv_path))
     out = Path(out_path)
     try:
@@ -250,16 +225,24 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
 
     written: list[Path] = []
 
+    def smoothed(series: np.ndarray) -> list[list[float]]:
+        """Trailing mean, min and max, each as Python floats."""
+        return [stat.tolist() for stat in rolling_aggregate(series, window)]
+
     def emit(name: str, header: list[str], csv_rows: list[list],
              title: str, svg_series, svg_steps) -> None:
         csv_path = out / f"{name}.csv"
-        _write_panel(csv_path, header, csv_rows)
+        with open_fresh(csv_path, newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(csv_rows)
         svg_path = out / f"{name}.svg"
-        _render_panel_svg(svg_path, title, svg_steps, svg_series)
+        with open_fresh(svg_path) as handle:
+            handle.write(_render_panel_svg(title, svg_steps, svg_series))
         written.extend([csv_path, svg_path])
 
     if episodes:
-        mean, low, high = rolling_aggregate(totals, window)
+        mean, low, high = smoothed(totals)
         emit(
             "panel_total",
             ["step", "mean", "min", "max"],
@@ -271,8 +254,7 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
         per_agent_rows = []
         per_agent_series = []
         for agent in agents:
-            series = np.array([table[e][agent]["apples"] for e in episodes])
-            mean, low, high = rolling_aggregate(series, window)
+            mean, low, high = smoothed(np.array([table[e][agent]["apples"] for e in episodes]))
             per_agent_rows.extend(
                 [s, _fmt(m), _fmt(lo), _fmt(hi), agent]
                 for s, m, lo, hi in zip(steps, mean, low, high)
@@ -286,7 +268,7 @@ def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list
             per_agent_series,
             steps,
         )
-        mean, low, high = rolling_aggregate(ginis, window)
+        mean, low, high = smoothed(ginis)
         emit(
             "panel_gini",
             ["step", "mean", "min", "max"],

@@ -17,6 +17,7 @@ from fairgame.formats import (
     load_game_file,
     load_markov_game,
     load_policy_snapshot,
+    open_fresh,
     save_markov_game,
     validate_env_spec,
     validate_experiment_config,
@@ -586,6 +587,31 @@ class TestCliAnalyze:
         assert key in err.split(str(game_file), 1)[1]
 
 
+class TestOpenFresh:
+    def test_replaces_rather_than_truncates(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text("old\n")
+        os.link(target, tmp_path / "link")
+        with open_fresh(target) as handle:
+            handle.write("new\n")
+        assert target.read_text() == "new\n"
+        # the old file lives on under its other name: it was unlinked, not rewritten
+        assert (tmp_path / "link").read_text() == "old\n"
+
+    def test_missing_target_is_created(self, tmp_path):
+        with open_fresh(tmp_path / "fresh.csv", newline="") as handle:
+            handle.write("x\n")
+        assert (tmp_path / "fresh.csv").read_text() == "x\n"
+
+    def test_directory_target_is_left_in_place(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.mkdir()
+        (target / "inside").write_text("kept")
+        with pytest.raises(IsADirectoryError):
+            open_fresh(target)
+        assert (target / "inside").read_text() == "kept"
+
+
 class TestCliTrainEvalPlot:
     def write_config(self, tmp_path, **overrides):
         doc = {
@@ -635,6 +661,30 @@ class TestCliTrainEvalPlot:
             b = json.loads((tmp_path / "runs_b" / run_id / "manifest.json").read_text())
             assert a["files"] == b["files"]
             assert a["seed"] == b["seed"]
+
+    def test_rerun_into_same_out_gives_same_bytes(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        runs = tmp_path / "runs"
+
+        def contents():
+            # manifest.json and sweep.json carry timestamps
+            return {
+                str(path.relative_to(runs)): path.read_bytes()
+                for path in sorted(runs.rglob("*"))
+                if path.is_file() and path.name not in ("manifest.json", "sweep.json")
+            }
+
+        assert main(["train", str(config)]) == 0
+        first = contents()
+        assert main(["train", str(config)]) == 0
+        capsys.readouterr()
+        assert {name.rsplit("/", 1)[-1] for name in first} >= {
+            "config.json", "log.csv", "snapshot.json", "panel_gini.csv", "panel_gini.svg"
+        }
+        assert contents() == first
+        for run_dir in runs.iterdir():
+            if run_dir.is_dir():
+                assert verify_manifest(run_dir) == []
 
     def test_fairgame_seed_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FAIRGAME_SEED", "99")

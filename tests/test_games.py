@@ -18,7 +18,6 @@ from fairgame.games import (
     classify_social_dilemma,
     find_pure_nash,
     pf_optimum,
-    shift_payoffs,
     social_optima,
 )
 from fairgame.verify import sample_dilemmas
@@ -81,13 +80,6 @@ class TestAltruisticExtension:
         game = NormalFormGame(1, (2,), np.array([[0.0], [1.0]]))
         with pytest.raises(DomainError):
             altruistic_extension(game, 0.5)
-
-    def test_shift_payoffs(self):
-        game = NormalFormGame(1, (2,), np.array([[-3.0], [1.0]]))
-        shifted = shift_payoffs(game, 0.5)
-        assert np.allclose(np.sort(shifted.payoffs.ravel()), [0.5, 4.5])
-        assert shifted.all_positive
-
 
 class TestPureNash:
     def test_pd_defection_only(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fairgame import learning
 from fairgame.envs import (
     MarkovGameEnv,
     MiniCleanupConfig,
@@ -20,6 +21,7 @@ from fairgame.learning import (
     ObjectiveMode,
     RolloutBuffer,
     TrainConfig,
+    _check_finite,
     _combined_advantages,
     _critic_regression_step,
     a2c_update,
@@ -39,6 +41,7 @@ from fairgame.markov import (
     exact_fair_gradient,
     solve_values,
 )
+from fairgame.metrics import gini
 
 PD = DilemmaPayoffs(5, 3, 1, 2)
 
@@ -656,6 +659,32 @@ class TestTrain:
         with pytest.raises(DomainError, match="update 0, agent 0: non-finite logits"):
             train(self.factory, config, log_path=log)
         assert not log.exists()
+
+    @pytest.mark.parametrize("name", ["critic", "actor_loss", "critic_loss", "entropy"])
+    def test_non_finite_check_names_the_value(self, name):
+        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
+        buffer, _ = collect_pd_buffer(policies)
+        critics = CriticTable.constant(2, 1, 1.0)
+        diag = {key: [0.5, 0.5] for key in ("actor_loss", "critic_loss", "entropy")}
+        if name == "critic":
+            critics.values[1][0] = np.inf
+        else:
+            diag[name][1] = float("nan")
+        with pytest.raises(DomainError, match=f"update 3, agent 1: non-finite {name}$"):
+            _check_finite(3, policies, critics, buffer, diag)
+
+    def test_gini_once_per_episode(self, monkeypatch):
+        calls = []
+
+        def counting_gini(consumptions):
+            calls.append(1)
+            return gini(consumptions)
+
+        monkeypatch.setattr(learning, "gini", counting_gini)
+        result = train(self.factory, make_config(total_steps=400))
+        assert result.episodes > 0
+        assert len(calls) == result.episodes
+        assert len(result.log_rows) == 2 * result.episodes
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fairgame import markov
 from fairgame.envs import matrix_markov_game, random_markov_game
 from fairgame.errors import DomainError
 from fairgame.games import DilemmaPayoffs
@@ -20,16 +21,15 @@ from fairgame.markov import (
     exact_fair_gradient,
     fair_advantage,
     fair_objective,
-    joint_policy_prob,
     mc_fair_gradient,
     policy_averaged_dynamics,
-    proportional_fair_state_value,
     solve_values,
 )
 from fairgame.verify import (
     finite_difference_fair_gradient,
     gradient_tolerance_ok,
     random_game_and_policies,
+    verify_bellman,
 )
 
 
@@ -237,19 +237,6 @@ class TestGameValidation:
 
 
 class TestJointPolicy:
-    def test_uniform_two_agents(self):
-        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        for joint in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            assert joint_policy_prob(policies, 0, joint) == pytest.approx(0.25)
-
-    def test_single_agent_equals_own_probability(self):
-        policies = SoftmaxPolicyProfile([np.array([[0.3, -0.2, 1.1]])])
-        probs = policies.probs(0)[0]
-        for action in range(3):
-            assert joint_policy_prob(policies, 0, (action,)) == pytest.approx(
-                probs[action]
-            )
-
     def test_skewed_softmax_joint(self):
         # second agent logits (0, ln 3) -> (0.25, 0.75); first uniform
         policies = SoftmaxPolicyProfile(
@@ -305,6 +292,49 @@ class TestBellman:
         for k in range(1, 30):
             values = bellman_apply(game, policies, values)
             assert np.max(np.abs(values - exact)) <= game.discount**k * scale + 1e-9
+
+
+def _columns_reversed(original):
+    """``_averaged_dynamics`` with the columns of P_pi reversed."""
+
+    def mutant(game, joint):
+        p_pi, r_bar = original(game, joint)
+        return p_pi[:, ::-1], r_bar
+
+    return mutant
+
+
+def _agents_reversed(profile):
+    """``joint_probs`` taking the outer product over agents in reverse order."""
+    result = profile.probs(profile.num_agents - 1)
+    for agent in range(profile.num_agents - 2, -1, -1):
+        result = result[:, :, None] * profile.probs(agent)[:, None, :]
+        result = result.reshape(result.shape[0], -1)
+    return result
+
+
+class TestVerifyBellmanIsIndependent:
+    """The residual check must catch a defect in the evaluator it checks:
+    each mutant changes what ``solve_values`` solves, and a residual built
+    from the same helpers would cancel it out."""
+
+    def test_passes_on_the_evaluator(self):
+        report = verify_bellman(num_games=5, num_pairs=5)
+        assert report.passed
+
+    @pytest.mark.parametrize("mutant", ["p_pi_columns_reversed", "joint_agents_reversed"])
+    def test_residual_fails_under_mutant(self, monkeypatch, mutant):
+        if mutant == "p_pi_columns_reversed":
+            monkeypatch.setattr(
+                markov, "_averaged_dynamics", _columns_reversed(markov._averaged_dynamics)
+            )
+        else:
+            monkeypatch.setattr(SoftmaxPolicyProfile, "joint_probs", _agents_reversed)
+        checks = {c.name: c for c in verify_bellman(num_games=5, num_pairs=5).checks}
+        assert not checks["fixed_point_residual"].passed
+        # the other two are property checks, which any stochastic P_pi passes
+        assert checks["contraction_factor"].passed
+        assert checks["iteration_error_bound"].passed
 
 
 class TestSolveValues:
@@ -387,12 +417,6 @@ class TestFairObjective:
         game, policies = random_game_and_policies(np.random.default_rng(9))
         objectives = fair_objective(game, policies, AltruismWeights(1.0))
         assert all(j == objectives[0] for j in objectives)
-
-    def test_proportional_fair_state_value(self):
-        game, policies = random_game_and_policies(np.random.default_rng(10))
-        pf = proportional_fair_state_value(game, policies)
-        values = solve_values(game, policies).state_values
-        assert pf == pytest.approx(np.log(values).sum(axis=0))
 
     def test_alpha_validation(self):
         with pytest.raises(DomainError):

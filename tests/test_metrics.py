@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fairgame.errors import DomainError, SchemaError
 from fairgame.metrics import (
     LOG_COLUMNS,
-    EpisodeMetrics,
     emit_plot_data,
     gini,
     rolling_aggregate,
@@ -81,14 +80,6 @@ class TestGini:
         assert gini(transferred) <= gini(arr) + 1e-12
 
 
-class TestEpisodeMetrics:
-    def test_from_consumptions(self):
-        metrics = EpisodeMetrics.from_consumptions([2.0, 4.0], episode=3, step=700)
-        assert metrics.total == 6.0
-        assert metrics.gini == pytest.approx(gini([2.0, 4.0]))
-        assert metrics.episode == 3 and metrics.step == 700
-
-
 class TestRollingAggregate:
     def test_window_one_is_identity(self):
         series = [3.0, 1.0, 2.0]
@@ -114,6 +105,37 @@ class TestRollingAggregate:
     def test_bad_window_rejected(self):
         with pytest.raises(DomainError):
             rolling_aggregate([1.0], 0)
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 49, 50, 51, 127, 128, 129, 1000])
+    def test_bit_identical_to_per_element_reference(self, length):
+        rng = np.random.default_rng(length)
+        data = {
+            "mixed": rng.standard_normal(length) * 10.0 ** rng.integers(-8, 9, length),
+            "uniform": rng.uniform(0.0, 1.0, length),
+            "integer": rng.integers(0, 100, length).astype(float),
+        }
+        for kind, series in data.items():
+            for window in (1, 2, 3, 8, 9, 50, 128, 129, 300):
+                got = rolling_aggregate(series, window)
+                want = per_element_rolling_aggregate(series, window)
+                for stat, a, b in zip(("mean", "min", "max"), got, want):
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (
+                        kind, window, stat
+                    )
+
+
+def per_element_rolling_aggregate(series, window):
+    """Reference: the trailing statistics of a fresh slice per element."""
+    values = np.asarray(series, dtype=float)
+    means = np.empty_like(values)
+    mins = np.empty_like(values)
+    maxs = np.empty_like(values)
+    for i in range(values.size):
+        chunk = values[max(0, i - window + 1) : i + 1]
+        means[i] = chunk.mean()
+        mins[i] = chunk.min()
+        maxs[i] = chunk.max()
+    return means, mins, maxs
 
 
 def write_log(path: Path, rows: list[dict]) -> None:
