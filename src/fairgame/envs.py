@@ -5,8 +5,9 @@ river, and a random Markov game generator for property tests.
 An environment exposes ``num_agents``, ``num_states`` (the per-agent
 observation encoding space), ``action_counts``, ``episode_length``,
 ``reset(seed=None)`` returning per-agent observation indices, and
-``step(actions)`` returning an EnvStep. Episodes truncate after exactly
-``episode_length`` steps and never terminate early; rewards are strictly
+``step(actions)`` returning an EnvStep. Episodes never terminate early:
+the collector runs every one for exactly ``episode_length`` steps, so an env
+keeps no step counter and reports no done flag. Rewards are strictly
 positive. An env with ``num_states == 1`` also exposes ``joint_rewards``, a
 read-only float64 array of shape (A_1, ..., A_N, N) holding every agent's
 reward for each joint action, so that its episodes can be collected without
@@ -31,12 +32,11 @@ _WINDOW_BITS = 9  # 3x3 local apple bitmap
 
 @dataclass
 class EnvStep:
-    """One transition: next observations, strictly positive rewards, a
-    truncation flag, and bookkeeping info (e.g. apples harvested)."""
+    """One transition: next observations, strictly positive rewards, and
+    bookkeeping info (mini-CleanUp's per-agent apples harvested)."""
 
     observations: tuple[int, ...]
     rewards: np.ndarray
-    done: bool
     info: dict = field(default_factory=dict)
 
 
@@ -57,20 +57,13 @@ class RepeatedMatrixGameEnv:
             [[(p.R, p.R), (p.S, p.T)], [(p.T, p.S), (p.P, p.P)]], dtype=np.float64
         )
         self.joint_rewards.flags.writeable = False
-        self._t = 0
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
-        self._t = 0
         return (0, 0)
 
     def step(self, actions: Sequence[int]) -> EnvStep:
         a1, a2 = int(actions[0]), int(actions[1])
-        self._t += 1
-        return EnvStep(
-            observations=(0, 0),
-            rewards=self.joint_rewards[a1, a2].copy(),
-            done=self._t >= self.episode_length,
-        )
+        return EnvStep(observations=(0, 0), rewards=self.joint_rewards[a1, a2].copy())
 
 
 def repeated_matrix_env(payoffs: DilemmaPayoffs, episode_length: int) -> RepeatedMatrixGameEnv:
@@ -117,12 +110,10 @@ class MarkovGameEnv:
             self.joint_rewards.flags.writeable = False
         self._rng = np.random.default_rng(seed)
         self._state = 0
-        self._t = 0
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-        self._t = 0
         self._state = int(self._rng.choice(self.num_states, p=self.game.initial_dist))
         return (self._state,) * self.num_agents
 
@@ -132,12 +123,7 @@ class MarkovGameEnv:
         self._state = int(
             self._rng.choice(self.num_states, p=self.game.transitions[self._state, joint])
         )
-        self._t += 1
-        return EnvStep(
-            observations=(self._state,) * self.num_agents,
-            rewards=rewards,
-            done=self._t >= self.episode_length,
-        )
+        return EnvStep(observations=(self._state,) * self.num_agents, rewards=rewards)
 
 
 @dataclass(frozen=True)
@@ -206,7 +192,6 @@ class MiniCleanupEnv:
         self._positions = np.zeros((config.num_agents, 2), dtype=np.int64)
         self._apples = np.zeros((config.height, config.width), dtype=bool)
         self._pollution = 0.5
-        self._t = 0
         self._spawned = 0
         self._harvested = 0
 
@@ -242,7 +227,6 @@ class MiniCleanupEnv:
         self._positions = np.stack([cells // cfg.width, cells % cfg.width], axis=1)
         self._apples[:] = False
         self._pollution = 0.5
-        self._t = 0
         self._spawned = 0
         self._harvested = 0
         return self._observations()
@@ -289,12 +273,8 @@ class MiniCleanupEnv:
             self._spawned += int(new_apples.sum())
             self._apples |= new_apples
 
-        self._t += 1
         return EnvStep(
-            observations=self._observations(),
-            rewards=rewards,
-            done=self._t >= cfg.episode_length,
-            info={"apples": harvests, "pollution": self._pollution},
+            observations=self._observations(), rewards=rewards, info={"apples": harvests}
         )
 
     def _pollution_bucket(self) -> int:

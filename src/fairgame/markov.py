@@ -190,8 +190,18 @@ def bellman_apply(
     """One application of the policy-evaluation operator to per-agent values:
 
     (T_i V_i)(s) = sum_a pi(a|s) [ r_i(s,a) + gamma * sum_s' P(s'|s,a) V_i(s') ]
+
+    ``values`` is one (N, S) table, the same N*S entries flat, or a stack of
+    tables of shape (..., N, S); P_pi and r_bar are built once per call and
+    every table of a stack is mapped, each as a single-table call maps it.
     """
-    values = np.asarray(values, dtype=float).reshape(game.num_agents, game.num_states)
+    n, s_count = game.num_agents, game.num_states
+    values = np.asarray(values, dtype=float)
+    if values.ndim > 2 and values.shape[-2:] != (n, s_count):
+        raise DomainError(
+            f"values: a stack of tables needs shape (..., {n}, {s_count}), got {values.shape}"
+        )
+    values = values.reshape(values.shape[:-2] + (n, s_count))
     p_pi, r_bar = policy_averaged_dynamics(game, policies)
     return r_bar + game.discount * values @ p_pi.T
 
@@ -292,13 +302,19 @@ def default_horizon(gamma: float, max_reward: float, tol: float = 1e-6) -> int:
     return max(1, math.ceil(math.log(bound) / math.log(gamma)))
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample one index per row of cumulative row distributions (m, K): one
-    uniform draw per row, counted against the row's first K-1 entries."""
-    u = rng.random(cdf.shape[0])
-    index = np.zeros(cdf.shape[0], dtype=np.int64)
-    for k in range(cdf.shape[1] - 1):
-        index += u > cdf[:, k]
+def _draw(
+    cdf: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Sample one index per row of cumulative row distributions (..., K): one
+    uniform draw per row, counted against the row's first K-1 entries. With
+    ``shape``, one uniform block of that shape is drawn and compared with the
+    rows broadcast to it, so a row of shape (S, 1, K) serves n draws per row."""
+    u = rng.random(cdf.shape[:-1] if shape is None else shape)
+    if cdf.shape[-1] == 1:
+        return np.zeros(u.shape, dtype=np.int64)
+    index = (u > cdf[..., 0]).astype(np.int64)
+    for k in range(1, cdf.shape[-1] - 1):
+        index += u > cdf[..., k]
     return index
 
 
@@ -347,7 +363,7 @@ def mc_fair_gradient(
         remaining -= m
         taken = [np.zeros(m * s_count * c) for c in counts]  # K_i, flat (m, S, A_i)
         row_offsets = np.arange(m) * s_count
-        states = _draw(np.broadcast_to(initial_cdf, (m, s_count)), rng)
+        states = _draw(initial_cdf, rng, (m,))
         # 1 / V_j(s0) per rollout, fixed for the whole trajectory
         inv_v0 = 1.0 / bundle.state_values[:, states]  # (N, m)
         gamma_t = 1.0
@@ -439,8 +455,10 @@ def baseline_zero_check(
     """
     if num_samples < 2:
         raise DomainError("num_samples must be at least 2")
+    s_count = game.num_states
     rng = np.random.default_rng(seed)
-    f = np.array([float(baseline_fn(s)) for s in range(game.num_states)])
+    f = np.array([float(baseline_fn(s)) for s in range(s_count)])
+    states = np.arange(s_count)[:, None]
     results = []
     for i in range(game.num_agents):
         probs = policies.probs(i)  # (S, A_i)
@@ -448,12 +466,11 @@ def baseline_zero_check(
         residual = float(
             np.abs(f[:, None] * (probs - probs * probs.sum(axis=1, keepdims=True))).max()
         )
-        actions = _draw(
-            np.repeat(np.cumsum(probs, axis=1), num_samples, axis=0), rng
-        ).reshape(game.num_states, num_samples)
-        one_hot = np.eye(a_i).take(actions, axis=0)  # (S, n, A_i)
-        scores = one_hot - probs[:, None, :]
-        samples = f[:, None, None] * scores
+        cdf = np.cumsum(probs, axis=1)[:, None, :]  # (S, 1, A_i)
+        actions = _draw(cdf, rng, (s_count, num_samples))
+        # row s * A_i + a is f(s) (e_a - pi(.|s)), the sample of every draw of a at s
+        table = (f[:, None, None] * (np.eye(a_i) - probs[:, None, :])).reshape(-1, a_i)
+        samples = table.take(states * a_i + actions, axis=0)  # (S, n, A_i)
         mean = samples.mean(axis=1)
         se = samples.std(axis=1, ddof=1) / math.sqrt(num_samples)
         results.append(

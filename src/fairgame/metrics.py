@@ -3,6 +3,7 @@ plot-ready CSV/SVG emission from training logs.
 """
 
 import csv
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -41,12 +42,13 @@ def gini(consumptions: Sequence[float]) -> float:
     values = np.asarray(consumptions, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("gini needs a nonempty vector of consumptions")
-    if np.any(values < 0.0):
+    if (values < 0.0).any():
         raise DomainError("consumptions must be nonnegative")
-    total = values.sum()
+    total = np.add.reduce(values)
     if total == 0.0:
         return 0.0
-    pairwise = np.abs(values[:, None] - values[None, :]).sum()
+    diff = values[:, None] - values[None, :]
+    pairwise = np.add.reduce(np.abs(diff, out=diff), axis=None)
     return float(pairwise / (2.0 * values.size * total))
 
 
@@ -107,9 +109,11 @@ def _episode_series(
 ) -> tuple[list[int], list[int], dict[int, dict[int, dict]]]:
     """Group rows by (episode, agent), with the step, apples and gini cells
     parsed; return sorted episodes, agents, table. A cell that does not parse
-    raises SchemaError naming the file, line and column; an episode without
-    a row for every agent of the log raises SchemaError naming the file, the
-    episode and the missing agents."""
+    raises SchemaError naming the file, line and column; so does a second
+    row for one (episode, agent), and a row whose per-episode step or gini
+    differs from the episode's first row. An episode without a row for
+    every agent of the log raises SchemaError naming the file, the episode
+    and the missing agents."""
 
     def cell(line: int, row: dict, column: str, parse):
         try:
@@ -120,15 +124,34 @@ def _episode_series(
                 f"{'an integer' if parse is int else 'a number'}, got {row.get(column)!r}"
             ) from None
 
+    def contradiction(line: int, episode: int, column: str, message: str):
+        return SchemaError(
+            f"{log_csv_path}: line {line}, episode {episode}, column {column}: {message}"
+        )
+
     table: dict[int, dict[int, dict]] = {}
     for line, row in rows:
         episode = cell(line, row, "episode", int)
         agent = cell(line, row, "agent", int)
-        table.setdefault(episode, {})[agent] = {
+        parsed = {
             "step": cell(line, row, "step", int),
             "apples": cell(line, row, "apples", float),
             "gini": cell(line, row, "gini", float),
         }
+        per_episode = table.setdefault(episode, {})
+        if agent in per_episode:
+            raise contradiction(line, episode, "agent", f"a second row for agent {agent}")
+        if per_episode:
+            first = next(iter(per_episode.values()))
+            for column in ("step", "gini"):
+                value, earlier = parsed[column], first[column]
+                if value != earlier and not (math.isnan(value) and math.isnan(earlier)):
+                    raise contradiction(
+                        line, episode, column,
+                        f"{value!r} differs from the episode's earlier {earlier!r} "
+                        "(a per-episode value)",
+                    )
+        per_episode[agent] = parsed
     episodes = sorted(table)
     agents = sorted({a for per_ep in table.values() for a in per_ep})
     for episode in episodes:

@@ -55,12 +55,6 @@ class TestRepeatedMatrixEnv:
             assert step.dtype == np.float64
             assert step.tolist() == table[joint].tolist()
 
-    def test_truncation(self):
-        env = repeated_matrix_env(PD, 3)
-        env.reset()
-        flags = [env.step((0, 0)).done for _ in range(3)]
-        assert flags == [False, False, True]
-
     def test_export_and_solve_cooperation_value(self):
         game = matrix_markov_game(PD, 0.9)
         policies = SoftmaxPolicyProfile(

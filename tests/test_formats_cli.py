@@ -28,6 +28,15 @@ from fairgame.learning import save_policy_snapshot
 from fairgame.markov import SoftmaxPolicyProfile
 
 
+def saved_markov_doc(tmp_path, game) -> dict:
+    """The JSON document ``save_markov_game`` writes for ``game``, read back
+    from a file of its own, so that a test writes its edit to a fresh path
+    rather than rewriting that file in place."""
+    source = tmp_path / "saved_markov.json"
+    save_markov_game(source, game)
+    return json.loads(source.read_text())
+
+
 class TestGameFiles:
     def test_dilemma_shorthand(self, tmp_path):
         path = tmp_path / "pd.json"
@@ -76,8 +85,7 @@ class TestMarkovGameFiles:
     def test_missing_entries_rejected(self, tmp_path):
         game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
         path = tmp_path / "markov.json"
-        save_markov_game(path, game)
-        doc = json.loads(path.read_text())
+        doc = saved_markov_doc(tmp_path, game)
         doc["transitions"].popitem()
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
@@ -108,8 +116,7 @@ class TestMarkovGameFiles:
     def test_malformed_entry_names_key(self, tmp_path, section, key, value):
         game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
         path = tmp_path / "markov.json"
-        save_markov_game(path, game)
-        doc = json.loads(path.read_text())
+        doc = saved_markov_doc(tmp_path, game)
         doc[section][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=repr(key)):
@@ -132,8 +139,7 @@ class TestMarkovGameFiles:
     def test_malformed_header_rejected(self, tmp_path, field, value):
         game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
         path = tmp_path / "markov.json"
-        save_markov_game(path, game)
-        doc = json.loads(path.read_text())
+        doc = saved_markov_doc(tmp_path, game)
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=field):
@@ -401,8 +407,7 @@ class TestEnvSpecValidation:
         self, tmp_path, capsys, section, key, value
     ):
         game_path = tmp_path / "markov.json"
-        save_markov_game(game_path, random_markov_game(2, 2, (2, 2), 0.9, seed=5))
-        doc = json.loads(game_path.read_text())
+        doc = saved_markov_doc(tmp_path, random_markov_game(2, 2, (2, 2), 0.9, seed=5))
         (doc if section is None else doc[section])[key] = value
         game_path.write_text(json.dumps(doc))
         spec = {"type": "markov_file", "path": str(game_path)}
@@ -457,6 +462,7 @@ class TestManifest:
         (run_dir / "log.csv").write_text("step\n1\n")
         write_manifest(run_dir, {"alpha": 1.0}, seed=3, started_at="t0", finished_at="t1")
         assert verify_manifest(run_dir) == []
+        (run_dir / "log.csv").unlink()  # a fresh file, not the old one rewritten in place
         (run_dir / "log.csv").write_text("step\n2\n")
         problems = verify_manifest(run_dir)
         assert problems and "log.csv" in problems[0]
@@ -613,7 +619,7 @@ class TestOpenFresh:
 
 
 class TestCliTrainEvalPlot:
-    def write_config(self, tmp_path, **overrides):
+    def write_config(self, tmp_path, name="config.json", **overrides):
         doc = {
             "env": {
                 "type": "repeated_matrix",
@@ -631,7 +637,7 @@ class TestCliTrainEvalPlot:
             "critic_init": 30.0,
         }
         doc.update(overrides)
-        path = tmp_path / "config.json"
+        path = tmp_path / name
         path.write_text(json.dumps(doc))
         return path
 
@@ -649,9 +655,9 @@ class TestCliTrainEvalPlot:
             assert verify_manifest(run_dir) == []
 
     def test_determinism_modulo_timestamps(self, tmp_path, capsys):
-        config_a = self.write_config(tmp_path, out=str(tmp_path / "runs_a"))
+        config_a = self.write_config(tmp_path, "config_a.json", out=str(tmp_path / "runs_a"))
         assert main(["train", str(config_a)]) == 0
-        config_b = self.write_config(tmp_path, out=str(tmp_path / "runs_b"))
+        config_b = self.write_config(tmp_path, "config_b.json", out=str(tmp_path / "runs_b"))
         assert main(["train", str(config_b)]) == 0
         capsys.readouterr()
         for run_id in os.listdir(tmp_path / "runs_a"):
@@ -784,8 +790,7 @@ class TestCliTrainEvalPlot:
     def test_eval_malformed_markov_file_exits_2(self, tmp_path, capsys):
         game = random_markov_game(2, 2, (2, 2), 0.9, seed=5)
         game_path = tmp_path / "markov.json"
-        save_markov_game(game_path, game)
-        doc = json.loads(game_path.read_text())
+        doc = saved_markov_doc(tmp_path, game)
         doc["transitions"]["0,-1,0"] = [0.5, 0.5]
         game_path.write_text(json.dumps(doc))
         snapshot = tmp_path / "snap.json"
@@ -896,6 +901,49 @@ class TestCliPlotMalformedLog:
         assert f"error: {log}: episode 1 has no row for agent(s) 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_episode_agent_row_names_file_episode_and_column(self, tmp_path, capsys):
+        rows = LOG_ROWS + ["200,1,1,14.0,5.0,0.2,0.1,0.2,0.6,0\n"]
+        log, out, code = self.plot(tmp_path, (LOG_HEADER + "".join(rows)).encode())
+        assert code == 2
+        assert (
+            f"error: {log}: line 6, episode 1, column agent: a second row for agent 1"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("step", "300", "300 differs from the episode's earlier 200"),
+            ("gini", "0.25", "0.25 differs from the episode's earlier 0.2"),
+        ],
+    )
+    def test_per_episode_value_disagreement_names_file_episode_and_column(
+        self, tmp_path, capsys, column, cell, message
+    ):
+        cells = LOG_ROWS[3].rstrip("\n").split(",")
+        cells[LOG_HEADER.rstrip("\n").split(",").index(column)] = cell
+        rows = LOG_ROWS[:3] + [",".join(cells) + "\n"]
+        log, out, code = self.plot(tmp_path, (LOG_HEADER + "".join(rows)).encode())
+        assert code == 2
+        assert (
+            f"error: {log}: line 5, episode 1, column {column}: {message}"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_nan_gini_agreeing_within_an_episode_plots(self, tmp_path, capsys):
+        gini_index = LOG_HEADER.rstrip("\n").split(",").index("gini")
+        rows = []
+        for row in LOG_ROWS:
+            cells = row.rstrip("\n").split(",")
+            if cells[1] == "1":
+                cells[gini_index] = "nan"
+            rows.append(",".join(cells) + "\n")
+        _, out, code = self.plot(tmp_path, (LOG_HEADER + "".join(rows)).encode())
+        assert code == 0
+        assert (out / "panel_gini.csv").exists()
+
     def test_short_row_names_its_line(self, tmp_path, capsys):
         log, _, code = self.plot(tmp_path, (LOG_HEADER + LOG_ROWS[0] + "300,2\n").encode())
         assert code == 2
@@ -948,8 +996,9 @@ class TestParallelSweep:
         out = json.loads(capsys.readouterr().out)
         assert {r["status"] for r in out["runs"]} == {"ok"}
         doc["out"] = str(tmp_path / "runs_seq")
-        config.write_text(json.dumps(doc))
-        assert main(["train", str(config)]) == 0
+        config_seq = tmp_path / "config_seq.json"
+        config_seq.write_text(json.dumps(doc))
+        assert main(["train", str(config_seq)]) == 0
         capsys.readouterr()
         for run_id in os.listdir(tmp_path / "runs_par"):
             if not (tmp_path / "runs_par" / run_id).is_dir():

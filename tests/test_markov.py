@@ -284,6 +284,43 @@ class TestBellman:
             )
             assert mapped <= game.discount * gap + 1e-12
 
+    def test_suite_probe_stacks_match_single_tables_bit_for_bit(self):
+        """verify_bellman's 50 games at its seed: one (100, 2, N, S) probe
+        draw is the stream of 100 per-pair (v1, v2) draws, and mapping it as
+        one stack gives each table's single-call result to the bit."""
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            game, policies = random_game_and_policies(rng)
+            shape = (game.num_agents, game.num_states)
+            scale = game.max_reward / (1.0 - game.discount)
+            state = rng.bit_generator.state
+            pairs = [[rng.uniform(-scale, scale, size=shape) for _ in range(2)] for _ in range(100)]
+            rng.bit_generator.state = state
+            probes = rng.uniform(-scale, scale, size=(100, 2) + shape)
+            assert np.array_equal(probes, np.array(pairs))
+            single = np.array([[bellman_apply(game, policies, v) for v in pair] for pair in pairs])
+            stacked = bellman_apply(game, policies, probes)
+            assert stacked.shape == probes.shape
+            assert np.array_equal(stacked.view(np.uint64), single.view(np.uint64))
+
+    def test_flat_and_two_d_values_map_alike(self):
+        game, policies = random_game_and_policies(np.random.default_rng(6))
+        values = np.random.default_rng(7).normal(size=(game.num_agents, game.num_states))
+        two_d = bellman_apply(game, policies, values)
+        assert two_d.shape == values.shape
+        assert np.array_equal(bellman_apply(game, policies, values.ravel()), two_d)
+        assert np.array_equal(bellman_apply(game, policies, values.tolist()), two_d)
+        assert np.array_equal(bellman_apply(game, policies, values[None, None])[0, 0], two_d)
+
+    def test_misshaped_stack_raises(self):
+        game = random_markov_game(2, 3, (2, 2), 0.9, seed=0)
+        policies = SoftmaxPolicyProfile.uniform(3, (2, 2))
+        for shape in [(4, 3, 2), (4, 2, 4), (4, 1, 2, 3, 1)]:
+            with pytest.raises(DomainError, match=r"\(\.\.\., 2, 3\)"):
+                bellman_apply(game, policies, np.zeros(shape))
+        with pytest.raises(ValueError):  # one table of the wrong size, as before stacks
+            bellman_apply(game, policies, np.zeros((5, 2)))
+
     def test_iteration_error_bound(self):
         game, policies = random_game_and_policies(np.random.default_rng(4))
         exact = solve_values(game, policies).state_values
@@ -624,6 +661,17 @@ class TestMonteCarloMatchesReference:
             assert drawn.dtype == expected.dtype
             assert np.array_equal(drawn, expected)
             assert np.all(row_probs[np.arange(len(drawn)), drawn] > 0.0)
+
+    @pytest.mark.parametrize("num_actions", [1, 2, 5])
+    def test_broadcast_draw_matches_repeated_rows(self, num_actions):
+        """n draws per row from one (S, 1, K) cumulative table are the draws
+        from that table repeated to S*n rows."""
+        rows = np.random.default_rng(num_actions).random((4, num_actions))
+        cdf = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
+        drawn = _draw(cdf[:, None, :], np.random.default_rng(8), (4, 500))
+        repeated = _draw(np.repeat(cdf, 500, axis=0), np.random.default_rng(8))
+        assert drawn.dtype == repeated.dtype == np.int64
+        assert np.array_equal(drawn, repeated.reshape(4, 500))
 
     @pytest.mark.parametrize("index", range(3))
     def test_baseline_check_bit_identical(self, index):

@@ -21,7 +21,34 @@ nonneg_vectors = st.lists(
 )
 
 
+def reference_gini(consumptions) -> float:
+    """``gini`` as it was written before its reductions were spelled out:
+    the reference its bits are checked against."""
+    values = np.asarray(consumptions, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise DomainError("gini needs a nonempty vector of consumptions")
+    if np.any(values < 0.0):
+        raise DomainError("consumptions must be nonnegative")
+    total = values.sum()
+    if total == 0.0:
+        return 0.0
+    pairwise = np.abs(values[:, None] - values[None, :]).sum()
+    return float(pairwise / (2.0 * values.size * total))
+
+
 class TestGini:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bit_identical_to_reference(self, n):
+        rng = np.random.default_rng(n)
+        for exponent in (-300, -150, -20, 0, 20, 150, 300):
+            vectors = rng.uniform(0.0, 1.0, size=(300, n)) * 10.0**exponent
+            vectors[rng.random(vectors.shape) < 0.2] = 0.0  # zeros injected
+            vectors[-1] = 0.0
+            vectors[-2] = 10.0**exponent
+            got = np.array([gini(v) for v in vectors])
+            want = np.array([reference_gini(v) for v in vectors])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), exponent
+
     def test_even_distribution(self):
         assert gini([1, 1, 1, 1]) == 0.0
 
