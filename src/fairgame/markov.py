@@ -117,9 +117,6 @@ class SoftmaxPolicyProfile:
         """Action probabilities for one agent, shape (num_states, num_actions)."""
         return _softmax(self.logits[agent])
 
-    def all_probs(self) -> list[np.ndarray]:
-        return [self.probs(i) for i in range(self.num_agents)]
-
     def joint_probs(self) -> np.ndarray:
         """Joint action probabilities per state, shape (num_states, prod(actions))."""
         result = self.probs(0)
@@ -296,25 +293,35 @@ def exact_fair_gradient(
 
 def default_horizon(gamma: float, max_reward: float, tol: float = 1e-6) -> int:
     """Smallest horizon with gamma^T * R_max / (1 - gamma) below tol."""
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if not max_reward > 0.0:
+        raise DomainError(f"max_reward must be positive, got {max_reward}")
     if gamma == 0.0:
         return 1
     bound = tol * (1.0 - gamma) / max_reward
     return max(1, math.ceil(math.log(bound) / math.log(gamma)))
 
 
+def _compared_columns(cdf: np.ndarray) -> list[np.ndarray]:
+    """The first K-1 columns of cumulative row distributions (..., K), each
+    contiguous: the only entries ``_draw`` compares against."""
+    return [np.ascontiguousarray(cdf[..., k]) for k in range(cdf.shape[-1] - 1)]
+
+
 def _draw(
-    cdf: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...] | None = None
+    columns: Sequence[np.ndarray], rng: np.random.Generator, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Sample one index per row of cumulative row distributions (..., K): one
-    uniform draw per row, counted against the row's first K-1 entries. With
-    ``shape``, one uniform block of that shape is drawn and compared with the
-    rows broadcast to it, so a row of shape (S, 1, K) serves n draws per row."""
-    u = rng.random(cdf.shape[:-1] if shape is None else shape)
-    if cdf.shape[-1] == 1:
-        return np.zeros(u.shape, dtype=np.int64)
-    index = (u > cdf[..., 0]).astype(np.int64)
-    for k in range(1, cdf.shape[-1] - 1):
-        index += u > cdf[..., k]
+    """Sample one index per entry of ``shape`` from cumulative distributions
+    given by their compared columns (see ``_compared_columns``): one uniform
+    block of that shape is drawn and counted against each column, broadcast
+    to it, so a column of shape (S, 1) serves n draws per row."""
+    u = rng.random(shape)
+    if not columns:
+        return np.zeros(shape, dtype=np.int64)
+    index = (u > columns[0]).astype(np.int64)
+    for column in columns[1:]:
+        index += u > column
     return index
 
 
@@ -338,20 +345,25 @@ def mc_fair_gradient(
     rollout's gradient is g_i = K_i - (sum_a K_i(., a)) pi_i, where
     K_i(s, a) sums kappa_{i,t} over the steps at state s with action a. So each
     step adds kappa into one accumulator entry per rollout and agent, and the
-    baseline term is applied once per chunk. Rows are drawn from the
-    cumulative policy, transition and initial tables, built once per call.
+    baseline term is applied once per chunk. Each draw gathers, per visited
+    row, only the columns it compares: the first K-1 cumulative columns of
+    the policy, transition and initial tables, built once per call.
     """
     if num_rollouts < 1:
         raise DomainError("num_rollouts must be at least 1")
     if horizon is None:
         horizon = default_horizon(game.discount, game.max_reward, truncation_tol)
+    if horizon < 1:
+        raise DomainError(f"horizon must be at least 1, got {horizon}")
     bundle = solve_values(game, policies)
     n, s_count, counts = game.num_agents, game.num_states, game.action_counts
-    probs = policies.all_probs()
+    probs = [policies.probs(i) for i in range(n)]
     coeffs = np.stack([weights.coefficients(i, n) for i in range(n)])  # (N, N)
-    policy_cdfs = [np.cumsum(p, axis=1) for p in probs]
-    transition_cdf = np.cumsum(game.transitions, axis=2).reshape(-1, s_count)
-    initial_cdf = np.cumsum(game.initial_dist)
+    policy_columns = [_compared_columns(np.cumsum(p, axis=1)) for p in probs]  # (S,) each
+    transition_columns = _compared_columns(  # (S*A,) each
+        np.cumsum(game.transitions, axis=2).reshape(-1, s_count)
+    )
+    initial_columns = _compared_columns(np.cumsum(game.initial_dist))  # (1,) each
     q_values = bundle.action_values.reshape(n, -1)  # (N, S*A)
     rng = np.random.default_rng(seed)
     total = [np.zeros((s_count, c)) for c in counts]
@@ -363,20 +375,24 @@ def mc_fair_gradient(
         remaining -= m
         taken = [np.zeros(m * s_count * c) for c in counts]  # K_i, flat (m, S, A_i)
         row_offsets = np.arange(m) * s_count
-        states = _draw(initial_cdf, rng, (m,))
+        states = _draw(initial_columns, rng, (m,))
         # 1 / V_j(s0) per rollout, fixed for the whole trajectory
         inv_v0 = 1.0 / bundle.state_values[:, states]  # (N, m)
         gamma_t = 1.0
         for _ in range(horizon):
-            actions = [_draw(policy_cdfs[i].take(states, axis=0), rng) for i in range(n)]
+            actions = [
+                _draw([c.take(states) for c in policy_columns[i]], rng, (m,))
+                for i in range(n)
+            ]
             rows = row_offsets + states
             state_action = states  # becomes s * prod(A) + joint action, row-major
             for i, count in enumerate(counts):
                 state_action = state_action * count + actions[i]
             kappa = gamma_t * (coeffs @ (q_values.take(state_action, axis=1) * inv_v0))
             for i, count in enumerate(counts):
-                taken[i][rows * count + actions[i]] += kappa[i]
-            states = _draw(transition_cdf.take(state_action, axis=0), rng)
+                # one entry per rollout, so each is added once
+                np.add.at(taken[i], rows * count + actions[i], kappa[i])
+            states = _draw([c.take(state_action) for c in transition_columns], rng, (m,))
             gamma_t *= game.discount
         for i, count in enumerate(counts):
             k_table = taken[i].reshape(m, s_count, count)
@@ -466,13 +482,19 @@ def baseline_zero_check(
         residual = float(
             np.abs(f[:, None] * (probs - probs * probs.sum(axis=1, keepdims=True))).max()
         )
-        cdf = np.cumsum(probs, axis=1)[:, None, :]  # (S, 1, A_i)
-        actions = _draw(cdf, rng, (s_count, num_samples))
+        columns = _compared_columns(np.cumsum(probs, axis=1)[:, None, :])  # (S, 1) each
+        actions = _draw(columns, rng, (s_count, num_samples))
         # row s * A_i + a is f(s) (e_a - pi(.|s)), the sample of every draw of a at s
         table = (f[:, None, None] * (np.eye(a_i) - probs[:, None, :])).reshape(-1, a_i)
-        samples = table.take(states * a_i + actions, axis=0)  # (S, n, A_i)
-        mean = samples.mean(axis=1)
-        se = samples.std(axis=1, ddof=1) / math.sqrt(num_samples)
+        actions += states * a_i  # each draw's table row, in place
+        samples = table.take(actions, axis=0)  # (S, n, A_i)
+        # np.mean and np.std(ddof=1)'s own steps, with the mean taken once
+        mean = np.add.reduce(samples, axis=1) / num_samples
+        samples -= mean[:, None, :]
+        np.square(samples, out=samples)
+        variance = np.add.reduce(samples, axis=1) / (num_samples - 1)
+        se = np.sqrt(variance) / math.sqrt(num_samples)
+        del actions, samples  # so the next agent's blocks replace them, not join them
         results.append(
             BaselineCheckResult(
                 analytic=np.zeros((game.num_states, a_i)),

@@ -31,25 +31,35 @@ _SVG_MARGIN = 40
 _LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2")
 
 
-def gini(consumptions: Sequence[float]) -> float:
-    """Normalized mean absolute pairwise difference:
+def gini(consumptions: np.ndarray | Sequence[float]) -> float | np.ndarray:
+    """Normalized mean absolute pairwise difference over the last axis:
 
         sum_i sum_j |c_i - c_j| / (2 N sum_i c_i)
 
     0 for an even distribution, (N-1)/N for a one-hot vector. A zero total
     would leave the ratio undefined; by convention it maps to 0.
+
+    A vector gives a float. A stack of vectors, shape (..., N), gives one
+    Gini per vector, shape (...,), each bit for bit the float its vector
+    alone gives: a vector is the one-row stack. Entries must be finite and
+    nonnegative; NaN, infinities and negative entries raise DomainError, as
+    do a 0-d input and an empty last axis.
     """
     values = np.asarray(consumptions, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise DomainError("gini needs a nonempty vector of consumptions")
-    if (values < 0.0).any():
-        raise DomainError("consumptions must be nonnegative")
-    total = np.add.reduce(values)
-    if total == 0.0:
-        return 0.0
-    diff = values[:, None] - values[None, :]
-    pairwise = np.add.reduce(np.abs(diff, out=diff), axis=None)
-    return float(pairwise / (2.0 * values.size * total))
+    if values.ndim == 0 or values.shape[-1] == 0:
+        raise DomainError("gini needs a nonempty vector (or stack of vectors) of consumptions")
+    # a NaN anywhere makes both extremes NaN, which fails both comparisons
+    if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf):
+        raise DomainError("consumptions must be finite and nonnegative")
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    totals = np.add.reduce(rows, axis=1)
+    diff = rows[:, :, None] - rows[:, None, :]
+    pairwise = np.add.reduce(np.abs(diff, out=diff).reshape(len(rows), n * n), axis=1)
+    # every positive total is at least the smallest subnormal, 5e-324; a zero
+    # total has only zero entries, so its 0 pairwise sum divides to 0
+    result = pairwise / (2.0 * n * np.maximum(totals, 5e-324))
+    return float(result[0]) if values.ndim == 1 else result.reshape(values.shape[:-1])
 
 
 def rolling_aggregate(

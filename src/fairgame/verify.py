@@ -433,26 +433,41 @@ def verify_gini(num_vectors: int = 10_000, seed: int = 13) -> SuiteReport:
         abs(gini([1, 0, 0, 0, 0, 0, 0]) - 6.0 / 7.0) < 1e-15,
         "",
     )
-    scale_ok = perm_ok = bounds_ok = pigou_ok = True
-    for _ in range(num_vectors):
-        n = int(rng.integers(1, 11))
+    # each vector's entries and its scaled, permuted and transferred copies,
+    # one padded row each; no draw depends on a Gini value, so once every
+    # vector is drawn each statistic is one stacked gini call per length n
+    max_len = 10
+    lengths = np.zeros(num_vectors, dtype=np.int64)
+    moved = np.zeros(num_vectors, dtype=bool)
+    vectors, scaled, permuted, transferred = np.zeros((4, num_vectors, max_len))
+    for row in range(num_vectors):
+        n = int(rng.integers(1, max_len + 1))
         values = rng.uniform(0.0, 10.0, size=n)
         if rng.random() < 0.2:
             values[rng.integers(0, n)] = 0.0
-        g = gini(values)
+        lengths[row] = n
+        vectors[row, :n] = values
         k = float(rng.uniform(0.1, 100.0))
-        scale_ok &= abs(gini(k * values) - g) <= 1e-12
-        perm_ok &= abs(gini(rng.permutation(values)) - g) <= 1e-12
-        bounds_ok &= -1e-15 <= g <= (n - 1) / n + 1e-12
+        scaled[row, :n] = k * values
+        permuted[row, :n] = rng.permutation(values)
         if n >= 2 and values.sum() > 0.0:
             order = np.argsort(values)
             poor, rich = order[0], order[-1]
             if values[rich] > values[poor]:
                 delta = rng.uniform(0.0, (values[rich] - values[poor]) / 2.0)
-                transferred = values.copy()
-                transferred[rich] -= delta
-                transferred[poor] += delta
-                pigou_ok &= gini(transferred) <= g + 1e-12
+                transferred[row, :n] = values
+                transferred[row, rich] -= delta
+                transferred[row, poor] += delta
+                moved[row] = True
+    scale_ok = perm_ok = bounds_ok = pigou_ok = True
+    for n in range(1, max_len + 1):
+        group = lengths == n
+        g = gini(vectors[group, :n])
+        scale_ok &= bool(np.all(np.abs(gini(scaled[group, :n]) - g) <= 1e-12))
+        perm_ok &= bool(np.all(np.abs(gini(permuted[group, :n]) - g) <= 1e-12))
+        bounds_ok &= bool(np.all((-1e-15 <= g) & (g <= (n - 1) / n + 1e-12)))
+        moved_rows = gini(transferred[group & moved, :n])
+        pigou_ok &= bool(np.all(moved_rows <= g[moved[group]] + 1e-12))
     report.add("scale_invariance", scale_ok, "")
     report.add("permutation_invariance", perm_ok, "")
     report.add("bounds", bounds_ok, "0 <= gini <= (N-1)/N")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fairgame.markov import (
     FairGradient,
     SoftmaxPolicyProfile,
     TabularMarkovGame,
+    _compared_columns,
     _draw,
     baseline_zero_check,
     bellman_apply,
@@ -114,7 +116,7 @@ def reference_mc_fair_gradient(
     if horizon is None:
         horizon = default_horizon(game.discount, game.max_reward, truncation_tol)
     bundle = solve_values(game, policies)
-    probs = policies.all_probs()
+    probs = [policies.probs(i) for i in range(game.num_agents)]
     coeffs = np.stack(
         [weights.coefficients(i, game.num_agents) for i in range(game.num_agents)]
     )  # (N, N)
@@ -576,10 +578,29 @@ class TestMonteCarloGradient:
         with pytest.raises(DomainError):
             mc_fair_gradient(game, policies, AltruismWeights(0.5), 0)
 
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        game = single_state_game()
+        policies = SoftmaxPolicyProfile.uniform(1, (1,))
+        with pytest.raises(DomainError, match="horizon"):
+            mc_fair_gradient(game, policies, AltruismWeights(0.5), 10, horizon=horizon)
+
     def test_default_horizon_bound(self):
         for gamma in (0.0, 0.5, 0.9, 0.99):
             horizon = default_horizon(gamma, 1.0, 1e-6)
             assert gamma**horizon * 1.0 / (1.0 - gamma if gamma else 1.0) <= 1e-6 or gamma == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_default_horizon_rejects_nonpositive_tol(self, gamma, tol):
+        with pytest.raises(DomainError, match="tol"):
+            default_horizon(gamma, 1.0, tol)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    @pytest.mark.parametrize("max_reward", [0.0, -2.0])
+    def test_default_horizon_rejects_nonpositive_max_reward(self, gamma, max_reward):
+        with pytest.raises(DomainError, match="max_reward"):
+            default_horizon(gamma, max_reward, 1e-6)
 
 
 def _max_normalised_gap(new: list[np.ndarray], old: list[np.ndarray]) -> float:
@@ -645,6 +666,49 @@ class TestMonteCarloMatchesReference:
     def test_partial_chunk_is_exercised(self):
         assert 12_345 % _MC_CHUNK != 0
 
+    @pytest.mark.parametrize(
+        "case, per_agent_sha, std_errors_sha",
+        [
+            (
+                "verify-montecarlo-alpha-1",
+                "0f0b3c5b1bd1a81c2faa0e2dd12369539a45cd5ea008bb7c1b00ad8f4471a830",
+                "2f618a633e199bb9074d91c9f152f6b982d27b3670a15766ce07b22517796113",
+            ),
+            (
+                "three-agents-partial-chunk",
+                "80e81c5a5df65aff536acd5c6e25c8d454e94c58b30b86fd5800914e00c36137",
+                "bd7a72749f5f3a7dcdacf31ef2d6f9399748cc7baa6f79a1c37eceade9323109",
+            ),
+        ],
+        ids=["verify-montecarlo-alpha-1", "three-agents-partial-chunk"],
+    )
+    def test_estimates_are_pinned(self, case, per_agent_sha, std_errors_sha):
+        """Pinned bytes of two estimates: how the draws gather their rows and
+        how kappa is scattered may change, but not one sampled trajectory or
+        one rounding of the sums."""
+        if case == "verify-montecarlo-alpha-1":
+            # verify_montecarlo(num_games=1) draws its alpha=0 game first
+            rng = np.random.default_rng(3)
+            for _ in range(2):
+                game, policies = random_game_and_policies(
+                    rng, max_agents=2, max_states=3, max_actions=2, gamma_range=(0.8, 0.9)
+                )
+                seed = int(rng.integers(2**31))
+            args = (AltruismWeights(1.0), 100_000)
+        else:
+            game, policies = _three_agent_game()
+            seed, args = 9, (AltruismWeights(0.5), 12_345)
+        estimate = mc_fair_gradient(game, policies, *args, seed=seed, truncation_tol=1e-5)
+
+        def digest(arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        assert digest(estimate.per_agent) == per_agent_sha
+        assert digest(estimate.std_errors) == std_errors_sha
+
     @pytest.mark.parametrize("num_actions", [1, 2, 5])
     def test_draw_matches_reference_sampler(self, num_actions):
         rng = np.random.default_rng(num_actions)
@@ -655,8 +719,10 @@ class TestMonteCarloMatchesReference:
         row_probs[::11, -1] = 0.0
         row_probs[row_probs.sum(axis=1) == 0.0, num_actions // 2] = 1.0
         row_probs /= row_probs.sum(axis=1, keepdims=True)
+        columns = _compared_columns(np.cumsum(row_probs, axis=1))
+        assert len(columns) == num_actions - 1
         for seed in range(3):
-            drawn = _draw(np.cumsum(row_probs, axis=1), np.random.default_rng(seed))
+            drawn = _draw(columns, np.random.default_rng(seed), (len(row_probs),))
             expected = _sample_rows(row_probs, np.random.default_rng(seed))
             assert drawn.dtype == expected.dtype
             assert np.array_equal(drawn, expected)
@@ -668,8 +734,10 @@ class TestMonteCarloMatchesReference:
         from that table repeated to S*n rows."""
         rows = np.random.default_rng(num_actions).random((4, num_actions))
         cdf = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
-        drawn = _draw(cdf[:, None, :], np.random.default_rng(8), (4, 500))
-        repeated = _draw(np.repeat(cdf, 500, axis=0), np.random.default_rng(8))
+        drawn = _draw(_compared_columns(cdf[:, None, :]), np.random.default_rng(8), (4, 500))
+        repeated = _draw(
+            _compared_columns(np.repeat(cdf, 500, axis=0)), np.random.default_rng(8), (2000,)
+        )
         assert drawn.dtype == repeated.dtype == np.int64
         assert np.array_equal(drawn, repeated.reshape(4, 500))
 

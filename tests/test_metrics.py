@@ -1,9 +1,10 @@
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairgame.errors import DomainError, SchemaError
@@ -48,6 +49,21 @@ class TestGini:
             got = np.array([gini(v) for v in vectors])
             want = np.array([reference_gini(v) for v in vectors])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), exponent
+            stacked = gini(vectors)
+            assert stacked.shape == (300,)
+            assert np.array_equal(stacked.view(np.uint64), want.view(np.uint64)), exponent
+
+    def test_stack_keeps_leading_shape(self):
+        vectors = np.random.default_rng(0).uniform(0.0, 5.0, size=(2, 3, 4))
+        vectors[1, 2] = 0.0
+        got = gini(vectors)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == 0.0
+        assert all(got[i, j] == gini(vectors[i, j]) for i in range(2) for j in range(3))
+        assert gini(np.zeros((0, 4))).shape == (0,)
+
+    def test_vector_gives_a_float(self):
+        assert type(gini([1.0, 2.0])) is float
 
     def test_even_distribution(self):
         assert gini([1, 1, 1, 1]) == 0.0
@@ -69,9 +85,36 @@ class TestGini:
         with pytest.raises(DomainError):
             gini([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            gini([bad, 1.0])
+        stack = np.ones((3, 4))
+        stack[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            gini(stack)
+
+    def test_negative_anywhere_in_a_stack_rejected(self):
+        stack = np.ones((4, 3))
+        stack[3, 2] = -1e-300
+        with pytest.raises(DomainError, match="nonnegative"):
+            gini(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0)])
+    def test_empty_last_axis_rejected(self, shape):
+        with pytest.raises(DomainError):
+            gini(np.zeros(shape))
+
+    def test_zero_dimensional_rejected(self):
+        with pytest.raises(DomainError):
+            gini(np.float64(2.0))
+
     @settings(max_examples=300, deadline=None)
     @given(nonneg_vectors, st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, values, k):
+        # k * v rounded to zero or into the subnormals keeps too few bits for
+        # the scaled vector to be a multiple of the first (0.5 * 5e-324 == 0.0)
+        assume(all(k * v == 0.0 or k * v >= sys.float_info.min for v in values))
         assert gini([k * v for v in values]) == pytest.approx(gini(values), abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
