@@ -54,6 +54,7 @@ from .envs import (
 from .learning import (
     Algorithm,
     CriticTable,
+    EpisodeTable,
     ObjectiveMode,
     RolloutBuffer,
     TrainConfig,
@@ -67,6 +68,6 @@ from .learning import (
     train,
 )
 from .formats import load_policy_snapshot
-from .metrics import emit_plot_data, gini, rolling_aggregate
+from .metrics import emit_plot_data, gini, rolling_aggregate, write_panels
 
 __version__ = "0.1.0"

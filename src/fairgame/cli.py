@@ -39,7 +39,7 @@ from .games import (
     social_optima,
 )
 from .learning import collect_rollouts, train
-from .metrics import emit_plot_data
+from .metrics import emit_plot_data, write_panels
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -141,7 +141,7 @@ def _run_sweep_item(
             log_path=run_dir / "log.csv",
             snapshot_path=run_dir / "snapshot.json",
         )
-        emit_plot_data(run_dir / "log.csv", run_dir / "panels")
+        write_panels(run_dir / "panels", result.table.step, result.table.apples, result.table.gini)
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
         write_manifest(
             run_dir,
@@ -203,6 +203,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _spread(values: np.ndarray) -> dict:
+    """Mean, min and max over episodes (axis 0), per agent where per agent."""
+    return {
+        name: stat(values, axis=0).tolist()
+        for name, stat in (("mean", np.mean), ("min", np.min), ("max", np.max))
+    }
+
+
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         print(f"error: --episodes must be at least 1, got {args.episodes}", file=sys.stderr)
@@ -242,26 +250,11 @@ def cmd_eval(args) -> int:
         ginis.append(stats.gini)
         if track_joint:
             np.add.at(joint, tuple(buffer.actions[0].T), 1)
-    returns = np.stack(returns)
-    apples = np.stack(apples)
-    ginis = np.array(ginis)
     report = {
         "episodes": args.episodes,
-        "return": {
-            "mean": returns.mean(axis=0).tolist(),
-            "min": returns.min(axis=0).tolist(),
-            "max": returns.max(axis=0).tolist(),
-        },
-        "apples": {
-            "mean": apples.mean(axis=0).tolist(),
-            "min": apples.min(axis=0).tolist(),
-            "max": apples.max(axis=0).tolist(),
-        },
-        "gini": {
-            "mean": float(ginis.mean()),
-            "min": float(ginis.min()),
-            "max": float(ginis.max()),
-        },
+        "return": _spread(np.stack(returns)),
+        "apples": _spread(np.stack(apples)),
+        "gini": _spread(np.array(ginis)),
     }
     if track_joint:
         total = int(joint.sum())

@@ -37,13 +37,16 @@ def open_fresh(path, newline: str | None = None):
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON is a SchemaError naming the file."""
+    """Parse a JSON file; malformed JSON, or a directory in its place, is a
+    SchemaError naming the file."""
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except IsADirectoryError:
+        raise SchemaError(f"{path}: a directory, not a JSON file") from None
 
 
 def _is_int(value) -> bool:

@@ -484,10 +484,27 @@ def ppo_update(
 
 
 @dataclass
+class EpisodeTable:
+    """A run's per-episode outcomes over E episodes, N agents and U updates.
+    Update u consumed the contiguous block of episodes e with
+    ``update[e] == u``; its diagnostics are kept once, in row u."""
+
+    step: np.ndarray  # (E,) env steps consumed when the episode's update ran
+    returns: np.ndarray  # (E, N) undiscounted per-agent sums
+    apples: np.ndarray  # (E, N)
+    gini: np.ndarray  # (E,) of apples, or of returns where the env has none
+    update: np.ndarray  # (E,)
+    actor_loss: np.ndarray  # (U, N)
+    critic_loss: np.ndarray  # (U, N)
+    entropy: np.ndarray  # (U, N)
+    floor_hits: np.ndarray  # (U,)
+
+
+@dataclass
 class TrainResult:
     policies: SoftmaxPolicyProfile
     critics: CriticTable
-    log_rows: list[dict]
+    table: EpisodeTable
     steps: int
     episodes: int
     floor_hits: int
@@ -521,8 +538,9 @@ def train(
     snapshot_path=None,
 ) -> TrainResult:
     """Alternate collection over num_envs seeded collectors with on-policy
-    updates until total_steps environment steps are consumed. Logs one row
-    per (episode, agent); fully deterministic for a fixed config and seed.
+    updates until total_steps environment steps are consumed. Returns the
+    per-episode table, which ``log_path`` receives as one row per (episode,
+    agent); fully deterministic for a fixed config and seed.
     Raises DomainError at the first update that leaves a non-finite value.
     """
     problems = config.validate()
@@ -547,73 +565,69 @@ def train(
     critics = CriticTable.constant(num_agents, num_states, config.critic_init)
 
     update = a2c_update if config.algorithm is Algorithm.FAIR_MAA2C else ppo_update
-    log_rows: list[dict] = []
     steps_done = 0
-    episode_index = 0
-    total_floor_hits = 0
-    updates = 0
+    episode_steps, episode_updates, stats, ginis, diagnostics = [], [], [], [], []
     while steps_done < config.total_steps:
-        buffer, stats = collect_rollouts(envs, policies, rng)
+        buffer, collected = collect_rollouts(envs, policies, rng)
         steps_done += buffer.num_steps
         diag = update(
             policies, critics, buffer, config, progress=steps_done / config.total_steps
         )
-        _check_finite(updates, policies, critics, buffer, diag)
-        updates += 1
-        total_floor_hits += diag["floor_hits"]
-        for stat in stats:
-            episode_gini = stat.gini
-            for agent in range(num_agents):
-                log_rows.append(
-                    {
-                        "step": steps_done,
-                        "episode": episode_index,
-                        "agent": agent,
-                        "return": float(stat.returns[agent]),
-                        "apples": float(stat.apples[agent]),
-                        "gini": episode_gini,
-                        "actor_loss": diag["actor_loss"][agent],
-                        "critic_loss": diag["critic_loss"][agent],
-                        "entropy": diag["entropy"][agent],
-                        "floor_hits": diag["floor_hits"],
-                    }
-                )
-            episode_index += 1
+        _check_finite(len(diagnostics), policies, critics, buffer, diag)
+        episode_steps += [steps_done] * len(collected)
+        episode_updates += [len(diagnostics)] * len(collected)
+        stats += collected
+        ginis += [stat.gini for stat in collected]
+        diagnostics.append(diag)
+
+    def per_agent(rows: list) -> np.ndarray:
+        return np.array(rows, dtype=float).reshape(-1, num_agents)
+
+    table = EpisodeTable(
+        step=np.array(episode_steps, dtype=np.int64),
+        returns=per_agent([stat.returns for stat in stats]),
+        apples=per_agent([stat.apples for stat in stats]),
+        gini=np.array(ginis, dtype=float),
+        update=np.array(episode_updates, dtype=np.int64),
+        actor_loss=per_agent([diag["actor_loss"] for diag in diagnostics]),
+        critic_loss=per_agent([diag["critic_loss"] for diag in diagnostics]),
+        entropy=per_agent([diag["entropy"] for diag in diagnostics]),
+        floor_hits=np.array([diag["floor_hits"] for diag in diagnostics], dtype=np.int64),
+    )
     if log_path is not None:
-        write_log_csv(log_path, log_rows)
+        write_log_csv(log_path, table)
     if snapshot_path is not None:
         save_policy_snapshot(snapshot_path, policies)
     return TrainResult(
         policies=policies,
         critics=critics,
-        log_rows=log_rows,
+        table=table,
         steps=steps_done,
-        episodes=episode_index,
-        floor_hits=total_floor_hits,
+        episodes=len(stats),
+        floor_hits=int(table.floor_hits.sum()),
     )
 
 
-def write_log_csv(path, rows: list[dict]) -> None:
-    """Training-log CSV with deterministic float formatting (repr)."""
+def write_log_csv(path, table: EpisodeTable) -> None:
+    """Training-log CSV: one row per (episode, agent), repeating the
+    diagnostics of the update that consumed the episode. Floats are written
+    as their repr, so the log is deterministic."""
     from .formats import open_fresh  # formats imports this module
 
+    losses = np.stack([table.actor_loss, table.critic_loss, table.entropy], axis=-1).tolist()
+    floor_hits = table.floor_hits.tolist()
+    episodes = zip(
+        table.step.tolist(), table.update.tolist(), table.returns.tolist(),
+        table.apples.tolist(), table.gini.tolist(),
+    )
     with open_fresh(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(LOG_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["step"],
-                    row["episode"],
-                    row["agent"],
-                    repr(row["return"]),
-                    repr(row["apples"]),
-                    repr(row["gini"]),
-                    repr(row["actor_loss"]),
-                    repr(row["critic_loss"]),
-                    repr(row["entropy"]),
-                    row["floor_hits"],
-                ]
+        for episode, (step, update, returns, apples, episode_gini) in enumerate(episodes):
+            writer.writerows(
+                [step, episode, agent, returns[agent], apples[agent], episode_gini,
+                 *losses[update][agent], floor_hits[update]]
+                for agent in range(len(returns))
             )
 
 

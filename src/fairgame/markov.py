@@ -474,7 +474,6 @@ def baseline_zero_check(
     s_count = game.num_states
     rng = np.random.default_rng(seed)
     f = np.array([float(baseline_fn(s)) for s in range(s_count)])
-    states = np.arange(s_count)[:, None]
     results = []
     for i in range(game.num_agents):
         probs = policies.probs(i)  # (S, A_i)
@@ -482,19 +481,22 @@ def baseline_zero_check(
         residual = float(
             np.abs(f[:, None] * (probs - probs * probs.sum(axis=1, keepdims=True))).max()
         )
-        columns = _compared_columns(np.cumsum(probs, axis=1)[:, None, :])  # (S, 1) each
-        actions = _draw(columns, rng, (s_count, num_samples))
-        # row s * A_i + a is f(s) (e_a - pi(.|s)), the sample of every draw of a at s
-        table = (f[:, None, None] * (np.eye(a_i) - probs[:, None, :])).reshape(-1, a_i)
-        actions += states * a_i  # each draw's table row, in place
-        samples = table.take(actions, axis=0)  # (S, n, A_i)
-        # np.mean and np.std(ddof=1)'s own steps, with the mean taken once
-        mean = np.add.reduce(samples, axis=1) / num_samples
-        samples -= mean[:, None, :]
-        np.square(samples, out=samples)
-        variance = np.add.reduce(samples, axis=1) / (num_samples - 1)
-        se = np.sqrt(variance) / math.sqrt(num_samples)
-        del actions, samples  # so the next agent's blocks replace them, not join them
+        cdf = np.cumsum(probs, axis=1)
+        mean, se = np.empty((s_count, a_i)), np.empty((s_count, a_i))
+        # one state's n draws at a time, so memory stays at one (n, A_i)
+        # block; rng.random fills in order, so the stream is that of one
+        # (S, n) block per agent
+        for s in range(s_count):
+            actions = _draw(_compared_columns(cdf[s]), rng, (num_samples,))
+            # row a is f(s) (e_a - pi(.|s)), the sample of every draw of a at s
+            table = f[s] * (np.eye(a_i) - probs[s])
+            samples = table.take(actions, axis=0)  # (n, A_i)
+            # np.mean and np.std(ddof=1)'s own steps, with the mean taken once
+            mean[s] = np.add.reduce(samples, axis=0) / num_samples
+            samples -= mean[s]
+            np.square(samples, out=samples)
+            variance = np.add.reduce(samples, axis=0) / (num_samples - 1)
+            se[s] = np.sqrt(variance) / math.sqrt(num_samples)
         results.append(
             BaselineCheckResult(
                 analytic=np.zeros((game.num_states, a_i)),

@@ -116,14 +116,15 @@ def _read_log(log_csv_path) -> list[tuple[int, dict]]:
 
 def _episode_series(
     log_csv_path, rows: list[tuple[int, dict]]
-) -> tuple[list[int], list[int], dict[int, dict[int, dict]]]:
-    """Group rows by (episode, agent), with the step, apples and gini cells
-    parsed; return sorted episodes, agents, table. A cell that does not parse
-    raises SchemaError naming the file, line and column; so does a second
-    row for one (episode, agent), and a row whose per-episode step or gini
-    differs from the episode's first row. An episode without a row for
-    every agent of the log raises SchemaError naming the file, the episode
-    and the missing agents."""
+) -> tuple[list[int], list[int], np.ndarray, list[float], list[float]]:
+    """The ``write_panels`` inputs of a parsed log: per-episode steps, the
+    sorted agent ids, apples (episodes x agents), the totals, each summing an
+    episode's apples in log-row order, and the ginis. A cell that does not parse raises
+    SchemaError naming the file, line and column; so does a second row for
+    one (episode, agent), and a row whose per-episode step or gini differs
+    from the episode's first row. An episode without a row for every agent
+    of the log raises SchemaError naming the file, the episode and the
+    missing agents."""
 
     def cell(line: int, row: dict, column: str, parse):
         try:
@@ -171,27 +172,15 @@ def _episode_series(
                 f"{log_csv_path}: episode {episode} has no row for agent(s) "
                 f"{', '.join(map(str, missing))}"
             )
-    return episodes, agents, table
+    firsts = [next(iter(table[e].values())) for e in episodes]
+    apples = [[table[e][a]["apples"] for a in agents] for e in episodes]
+    totals = [sum(row["apples"] for row in table[e].values()) for e in episodes]
+    steps, ginis = [first["step"] for first in firsts], [first["gini"] for first in firsts]
+    return steps, agents, np.reshape(apples, (len(episodes), len(agents))), totals, ginis
 
 
 def _fmt(x: float) -> str:
     return format(x, ".6g")
-
-
-def _svg_polyline(points: list[tuple[float, float]], color: str, width: float = 1.5) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>'
-
-
-def _svg_band(
-    xs: list[float], lows: list[float], highs: list[float], color: str
-) -> str:
-    forward = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, highs)]
-    backward = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(reversed(xs), list(reversed(lows)))]
-    return (
-        f'<polygon fill="{color}" fill-opacity="0.2" stroke="none" '
-        f'points="{" ".join(forward + backward)}"/>'
-    )
 
 
 def _render_panel_svg(
@@ -221,15 +210,20 @@ def _render_panel_svg(
         def sy(y: float) -> float:
             return _SVG_HEIGHT - _SVG_MARGIN - (y - y_lo) / y_span * (_SVG_HEIGHT - 2 * _SVG_MARGIN)
 
+        def points(xs: list[float], ys: list[float]) -> str:
+            return " ".join(f"{_fmt(x)},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+
         xs = [sx(x) for x in steps]
         for index, (label, mean, low, high) in enumerate(series):
             color = _LINE_COLORS[index % len(_LINE_COLORS)]
-            body.append(_svg_band(xs, [sy(v) for v in low], [sy(v) for v in high], color))
-            body.append(_svg_polyline(list(zip(xs, [sy(v) for v in mean])), color))
-            body.append(
+            band = points(xs + xs[::-1], high + low[::-1])
+            body += [
+                f'<polygon fill="{color}" fill-opacity="0.2" stroke="none" points="{band}"/>',
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="{points(xs, mean)}"/>',
                 f'<text x="{_SVG_WIDTH - _SVG_MARGIN}" y="{20 + 14 * index}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-            )
+                f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>',
+            ]
         body.append(
             f'<line x1="{_SVG_MARGIN}" y1="{_SVG_HEIGHT - _SVG_MARGIN}" x2="{_SVG_WIDTH - _SVG_MARGIN}" '
             f'y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black" stroke-width="1"/>'
@@ -238,87 +232,61 @@ def _render_panel_svg(
     return "\n".join(body) + "\n"
 
 
-def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list[Path]:
-    """Aggregate a training log into one CSV + SVG per figure panel:
-    total apples, per-agent apples, and the Gini coefficient versus steps,
-    each smoothed by a trailing window with min/max bands.
-    """
+def write_panels(
+    out_path, steps, apples, ginis, window: int = DEFAULT_WINDOW, agents=None, totals=None
+) -> list[Path]:
+    """One CSV + SVG per figure panel: total apples, per-agent apples, and
+    the Gini coefficient versus steps, each smoothed by a trailing window
+    with min/max bands. ``apples`` is (episodes, agents), its columns
+    labelled ``agents`` (default 0, 1, ...); ``totals`` defaults to each
+    episode's ``sum`` over those columns in order."""
     from .formats import open_fresh  # formats imports learning, which imports this module
 
-    episodes, agents, table = _episode_series(log_csv_path, _read_log(log_csv_path))
     out = Path(out_path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise SchemaError(f"{out}: not a directory (panels are written into one)") from None
-
-    steps = [next(iter(table[e].values()))["step"] for e in episodes]
-    totals = np.array([sum(table[e][a]["apples"] for a in table[e]) for e in episodes])
-    ginis = np.array([next(iter(table[e].values()))["gini"] for e in episodes])
-
+    steps, apples = np.asarray(steps).tolist(), np.asarray(apples, dtype=float)
+    if totals is None:
+        totals = [sum(row) for row in apples.tolist()]
+    labels = range(apples.shape[1]) if agents is None else agents
+    # each agent's series contiguous, as a strided min can pick the other signed zero
+    per_agent = zip(labels, np.ascontiguousarray(apples.T))
+    # (name, title, [(legend, agent label or None, per-episode series)])
+    panels = [
+        ("panel_total", "Total apples per episode", [("total", None, totals)]),
+        ("panel_per_agent", "Apples per agent per episode",
+         [(f"agent {a}", a, series) for a, series in per_agent]),
+        ("panel_gini", "Gini coefficient per episode", [("gini", None, ginis)]),
+    ]
     written: list[Path] = []
-
-    def smoothed(series: np.ndarray) -> list[list[float]]:
-        """Trailing mean, min and max, each as Python floats."""
-        return [stat.tolist() for stat in rolling_aggregate(series, window)]
-
-    def emit(name: str, header: list[str], csv_rows: list[list],
-             title: str, svg_series, svg_steps) -> None:
-        csv_path = out / f"{name}.csv"
+    for name, title, series in panels:
+        header = ["step", "mean", "min", "max"] + (["agent"] if name == "panel_per_agent" else [])
+        csv_rows, svg_series = [], []
+        for legend, agent, values in series if steps else []:  # no episodes: no series
+            mean, low, high = [stat.tolist() for stat in rolling_aggregate(values, window)]
+            label = [] if agent is None else [agent]
+            csv_rows += (
+                [s, _fmt(m), _fmt(lo), _fmt(hi), *label]
+                for s, m, lo, hi in zip(steps, mean, low, high)
+            )
+            svg_series.append((legend, mean, low, high))
+        csv_path, svg_path = out / f"{name}.csv", out / f"{name}.svg"
         with open_fresh(csv_path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(csv_rows)
-        svg_path = out / f"{name}.svg"
         with open_fresh(svg_path) as handle:
-            handle.write(_render_panel_svg(title, svg_steps, svg_series))
-        written.extend([csv_path, svg_path])
-
-    if episodes:
-        mean, low, high = smoothed(totals)
-        emit(
-            "panel_total",
-            ["step", "mean", "min", "max"],
-            [[s, _fmt(m), _fmt(lo), _fmt(hi)] for s, m, lo, hi in zip(steps, mean, low, high)],
-            "Total apples per episode",
-            [("total", mean, low, high)],
-            steps,
-        )
-        per_agent_rows = []
-        per_agent_series = []
-        for agent in agents:
-            mean, low, high = smoothed(np.array([table[e][agent]["apples"] for e in episodes]))
-            per_agent_rows.extend(
-                [s, _fmt(m), _fmt(lo), _fmt(hi), agent]
-                for s, m, lo, hi in zip(steps, mean, low, high)
-            )
-            per_agent_series.append((f"agent {agent}", mean, low, high))
-        emit(
-            "panel_per_agent",
-            ["step", "mean", "min", "max", "agent"],
-            per_agent_rows,
-            "Apples per agent per episode",
-            per_agent_series,
-            steps,
-        )
-        mean, low, high = smoothed(ginis)
-        emit(
-            "panel_gini",
-            ["step", "mean", "min", "max"],
-            [[s, _fmt(m), _fmt(lo), _fmt(hi)] for s, m, lo, hi in zip(steps, mean, low, high)],
-            "Gini coefficient per episode",
-            [("gini", mean, low, high)],
-            steps,
-        )
-    else:
-        emit("panel_total", ["step", "mean", "min", "max"], [], "Total apples per episode", [], [])
-        emit(
-            "panel_per_agent",
-            ["step", "mean", "min", "max", "agent"],
-            [],
-            "Apples per agent per episode",
-            [],
-            [],
-        )
-        emit("panel_gini", ["step", "mean", "min", "max"], [], "Gini coefficient per episode", [], [])
+            handle.write(_render_panel_svg(title, steps, svg_series))
+        written += [csv_path, svg_path]
     return written
+
+
+def emit_plot_data(log_csv_path, out_path, window: int = DEFAULT_WINDOW) -> list[Path]:
+    """``write_panels`` from a training log CSV, which is checked first (see
+    ``_episode_series``)."""
+    steps, agents, apples, totals, ginis = _episode_series(
+        log_csv_path, _read_log(log_csv_path)
+    )
+    return write_panels(out_path, steps, apples, ginis, window, agents=agents, totals=totals)

@@ -251,10 +251,7 @@ def _cleanup_gini(objective: ObjectiveMode, seed: int) -> float:
     )
     env_config = MiniCleanupConfig()  # spec defaults: 8x8, 3 agents, 2 river rows
     result = train(lambda s: MiniCleanupEnv(env_config, s), config)
-    per_episode = {}
-    for row in result.log_rows:
-        per_episode[row["episode"]] = row["gini"]
-    return float(np.mean(list(per_episode.values())))
+    return float(np.mean(result.table.gini))
 
 
 def test_criterion_11_cleanup_pf_vs_uw_gini():

@@ -24,8 +24,10 @@ from fairgame.formats import (
     verify_manifest,
     write_manifest,
 )
+from fairgame import metrics
 from fairgame.learning import save_policy_snapshot
 from fairgame.markov import SoftmaxPolicyProfile
+from fairgame.metrics import emit_plot_data
 
 
 def saved_markov_doc(tmp_path, game) -> dict:
@@ -819,6 +821,62 @@ class TestCliTrainEvalPlot:
         assert (tmp_path / "panels" / "panel_total.svg").exists()
 
 
+SWEEP_CONFIGS = {
+    "pd": {
+        "env": {**PD_SPEC, "episode_length": 10},
+        "algorithm": "FairMAA2C",
+        "alpha": [0.0, 1.0],
+        "total_steps": 1400,
+        "num_envs": 2,
+        "learning_rate": 0.5,
+        "critic_lr": 0.2,
+        "critic_init": 30.0,
+    },
+    "mini_cleanup": {
+        "env": {**MINI_CLEANUP, "num_agents": 3, "episode_length": 12},
+        "algorithm": "FairMAPPO",
+        "alpha": [0.5],
+        "total_steps": 720,
+        "num_envs": 3,
+        "learning_rate": 1.0,
+        "critic_lr": 0.2,
+        "critic_init": 1.0,
+        "policy_init_scale": 1.0,
+    },
+}
+
+
+class TestSweepPanels:
+    """A sweep item draws its panels from the episode table ``train``
+    returns, not from the log it has written."""
+
+    def run_sweep(self, tmp_path, name) -> list:
+        doc = {**SWEEP_CONFIGS[name], "seed": 3, "out": str(tmp_path / "runs")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["train", str(config)]) == 0
+        return json.loads((tmp_path / "runs" / "sweep.json").read_text())["runs"]
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+    def test_panels_equal_those_plotted_from_the_log(self, tmp_path, capsys, name):
+        for record in self.run_sweep(tmp_path, name):
+            assert record["status"] == "ok"
+            run_dir = tmp_path / "runs" / record["run_id"]
+            replotted = emit_plot_data(run_dir / "log.csv", tmp_path / "replot" / record["run_id"])
+            assert len(replotted) == 6
+            for path in replotted:
+                assert (run_dir / "panels" / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+    def test_sweep_does_not_read_its_log(self, tmp_path, capsys, monkeypatch, name):
+        def unreadable(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(metrics, "_read_log", unreadable)
+        records = self.run_sweep(tmp_path, name)
+        assert [record["status"] for record in records] == ["ok"] * len(records)
+
+
 # sha256 of the printed report, recorded before single-state envs were
 # collected as one block: eval's per-episode collect_rollouts([env]) must
 # reproduce it byte for byte
@@ -985,6 +1043,25 @@ class TestCliPlotMalformedLog:
         assert code == 2
         assert f"error: {out}: not a directory" in capsys.readouterr().err
         assert taken.read_text() == "not a directory"
+
+
+class TestDirectoryGivenAsInputFile:
+    @pytest.mark.parametrize("entry", ["analyze", "train", "eval_snapshot", "eval_env"])
+    def test_exits_2_naming_the_directory(self, tmp_path, capsys, entry):
+        directory = tmp_path / "inputdir"
+        directory.mkdir()
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text(json.dumps(PD_SPEC))
+        argv = {
+            "analyze": ["analyze", str(directory)],
+            "train": ["train", str(directory)],
+            "eval_snapshot": ["eval", str(directory), "--env", str(env_spec)],
+            "eval_env": ["eval", str(snapshot), "--env", str(directory)],
+        }[entry]
+        assert main(argv) == 2
+        assert f"error: {directory}: a directory, not a JSON file" in capsys.readouterr().err
 
 
 class TestParallelSweep:

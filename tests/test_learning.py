@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -621,7 +622,8 @@ class TestTrain:
     def test_zero_steps_returns_initial_policies(self):
         config = make_config(total_steps=0)
         result = train(self.factory, config)
-        assert result.log_rows == []
+        assert result.table.step.shape == result.table.gini.shape == (0,)
+        assert result.table.returns.shape == result.table.apples.shape == (0, 2)
         assert result.episodes == 0
         for logits in result.policies.logits:
             assert not logits.any()
@@ -639,9 +641,8 @@ class TestTrain:
     def test_different_seeds_differ(self, tmp_path):
         a = train(self.factory, make_config(total_steps=400, seed=1))
         b = train(self.factory, make_config(total_steps=400, seed=2))
-        assert any(
-            ra["return"] != rb["return"] for ra, rb in zip(a.log_rows, b.log_rows)
-        )
+        assert a.table.returns.shape == b.table.returns.shape
+        assert not np.array_equal(a.table.returns, b.table.returns)
 
     def test_snapshot_round_trip(self, tmp_path):
         config = make_config(total_steps=200)
@@ -684,7 +685,49 @@ class TestTrain:
         result = train(self.factory, make_config(total_steps=400))
         assert result.episodes > 0
         assert len(calls) == result.episodes
-        assert len(result.log_rows) == 2 * result.episodes
+        assert result.table.gini.shape == (result.episodes,)
+        assert result.table.apples.shape == (result.episodes, 2)
+
+    def test_gini_error_stops_training_at_its_update(self, monkeypatch):
+        updates = []
+        a2c_update = learning.a2c_update
+
+        def counting_update(*args, **kwargs):
+            updates.append(1)
+            return a2c_update(*args, **kwargs)
+
+        def failing_gini(consumptions):
+            raise DomainError("gini: negative consumption")
+
+        monkeypatch.setattr(learning, "a2c_update", counting_update)
+        monkeypatch.setattr(learning, "gini", failing_gini)
+        with pytest.raises(DomainError, match="negative consumption"):
+            train(self.factory, make_config(total_steps=400))
+        assert len(updates) == 1
+
+    def test_episode_table_matches_the_log(self, tmp_path):
+        # 400 steps of 2 collectors x 20-step episodes: 10 updates of 2 episodes
+        log = tmp_path / "log.csv"
+        result = train(self.factory, make_config(total_steps=400), log_path=log)
+        table = result.table
+        assert np.array_equal(table.update, np.repeat(np.arange(10), 2))
+        assert np.array_equal(table.step, 40 * (table.update + 1))
+        assert table.actor_loss.shape == table.critic_loss.shape == table.entropy.shape == (10, 2)
+        assert int(table.floor_hits.sum()) == result.floor_hits
+        with open(log, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2 * result.episodes
+        for row in rows:
+            e, agent = int(row["episode"]), int(row["agent"])
+            u = table.update[e]
+            assert int(row["step"]) == table.step[e]
+            assert float(row["return"]) == table.returns[e, agent]
+            assert float(row["apples"]) == table.apples[e, agent]
+            assert float(row["gini"]) == table.gini[e]
+            assert float(row["actor_loss"]) == table.actor_loss[u, agent]
+            assert float(row["critic_loss"]) == table.critic_loss[u, agent]
+            assert float(row["entropy"]) == table.entropy[u, agent]
+            assert int(row["floor_hits"]) == table.floor_hits[u]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DomainError):

@@ -114,7 +114,7 @@ class TestGini:
     def test_scale_invariance(self, values, k):
         # k * v rounded to zero or into the subnormals keeps too few bits for
         # the scaled vector to be a multiple of the first (0.5 * 5e-324 == 0.0)
-        assume(all(k * v == 0.0 or k * v >= sys.float_info.min for v in values))
+        assume(all(v == 0.0 or k * v >= sys.float_info.min for v in values))
         assert gini([k * v for v in values]) == pytest.approx(gini(values), abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
