@@ -35,7 +35,6 @@ from .markov import (
     baseline_zero_check,
     bellman_apply,
     exact_fair_gradient,
-    fair_advantage,
     fair_objective,
     mc_fair_gradient,
     solve_values,
@@ -47,9 +46,7 @@ from .envs import (
     MiniCleanupEnv,
     RepeatedMatrixGameEnv,
     matrix_markov_game,
-    mini_cleanup_env,
     random_markov_game,
-    repeated_matrix_env,
 )
 from .learning import (
     Algorithm,

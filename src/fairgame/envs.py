@@ -47,16 +47,11 @@ class RepeatedMatrixGameEnv:
     def __init__(self, payoffs: DilemmaPayoffs, episode_length: int):
         if episode_length < 1:
             raise DomainError("episode_length must be at least 1")
-        self.payoffs = payoffs
         self.episode_length = episode_length
         self.num_agents = 2
         self.num_states = 1
         self.action_counts = (2, 2)
-        p = payoffs
-        self.joint_rewards = np.array(
-            [[(p.R, p.R), (p.S, p.T)], [(p.T, p.S), (p.P, p.P)]], dtype=np.float64
-        )
-        self.joint_rewards.flags.writeable = False
+        self.joint_rewards = payoffs.to_game().payoffs
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
         return (0, 0)
@@ -66,27 +61,17 @@ class RepeatedMatrixGameEnv:
         return EnvStep(observations=(0, 0), rewards=self.joint_rewards[a1, a2].copy())
 
 
-def repeated_matrix_env(payoffs: DilemmaPayoffs, episode_length: int) -> RepeatedMatrixGameEnv:
-    return RepeatedMatrixGameEnv(payoffs, episode_length)
-
-
 def matrix_markov_game(payoffs: DilemmaPayoffs, gamma: float) -> TabularMarkovGame:
     """The infinite-horizon view of a repeated 2x2 game: one state, joint
-    actions (C,C), (C,D), (D,C), (D,D) in row-major order."""
-    p = payoffs
-    rewards = np.array(
-        [
-            [[p.R, p.S, p.T, p.P]],
-            [[p.R, p.T, p.S, p.P]],
-        ]
-    )
-    transitions = np.ones((1, 4, 1))
+    actions (C,C), (C,D), (D,C), (D,D) in row-major order, each agent paid
+    as in ``payoffs.to_game()``."""
+    table = payoffs.to_game().payoffs  # (a_0, a_1, agent)
     return TabularMarkovGame(
         num_agents=2,
         num_states=1,
         action_counts=(2, 2),
-        transitions=transitions,
-        rewards=rewards,
+        transitions=np.ones((1, 4, 1)),
+        rewards=table.reshape(4, 2).T[:, None, :],
         initial_dist=np.array([1.0]),
         discount=gamma,
     )
@@ -306,10 +291,6 @@ class MiniCleanupEnv:
             cell = y * self.config.width + x
             obs.append((int(cell) * _POLLUTION_BUCKETS + bucket) * (1 << _WINDOW_BITS) + bitmap)
         return tuple(obs)
-
-
-def mini_cleanup_env(config: MiniCleanupConfig, seed: int = 0) -> MiniCleanupEnv:
-    return MiniCleanupEnv(config, seed)
 
 
 def scripted_trajectory(

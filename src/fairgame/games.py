@@ -16,9 +16,6 @@ from .errors import ConsistencyError, DomainError
 # A feasible allocation is just a vector of strictly positive utilities.
 Allocation = Sequence[float]
 
-COOPERATE = 0
-DEFECT = 1
-
 
 @dataclass(frozen=True)
 class NormalFormGame:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, StaleBufferError
-from .markov import SoftmaxPolicyProfile, _softmax
+from .markov import SoftmaxPolicyProfile, _compared_columns, _draw, _softmax
 from .metrics import LOG_COLUMNS, gini
 
 
@@ -232,16 +232,14 @@ def _collect_single_state(
     envs: Sequence, policies: SoftmaxPolicyProfile, uniforms: np.ndarray
 ) -> tuple[RolloutBuffer, list[EpisodeStats]]:
     """``collect_rollouts`` for envs whose only observation is 0: each agent
-    samples its (E, T) actions with one search of its cumulative softmax row
-    (``side="right"`` is the per-step bisection), and the (E, T, N) rewards
+    samples its (E, T) actions with one ``markov._draw`` on its cumulative
+    softmax row (the per-step bisection's rule), and the (E, T, N) rewards
     are one gather from the stacked joint reward tables."""
     num_envs, _, num_agents = uniforms.shape
     actions = np.empty(uniforms.shape, dtype=np.int64)
     for i in range(num_agents):
-        cum = np.cumsum(_softmax(policies.logits[i][0]))
-        actions[..., i] = np.minimum(
-            np.searchsorted(cum, uniforms[..., i], side="right"), len(cum) - 1
-        )
+        columns = _compared_columns(np.cumsum(_softmax(policies.logits[i][0])))
+        actions[..., i] = _draw(columns, uniforms[..., i])
     tables = np.stack([env.joint_rewards for env in envs])
     episode = np.arange(num_envs)[:, None]
     rewards = tables[(episode, *np.moveaxis(actions, -1, 0))]
@@ -507,7 +505,6 @@ class TrainResult:
     table: EpisodeTable
     steps: int
     episodes: int
-    floor_hits: int
 
 
 def _check_finite(
@@ -604,7 +601,6 @@ def train(
         table=table,
         steps=steps_done,
         episodes=len(stats),
-        floor_hits=int(table.floor_hits.sum()),
     )
 
 

@@ -4,7 +4,6 @@ gradients, the exact one from the discounted occupancy measure.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -12,7 +11,6 @@ import numpy as np
 
 from .errors import DomainError
 
-V_FLOOR_DEFAULT = 1e-3
 _MC_CHUNK = 10_000
 
 
@@ -131,11 +129,10 @@ class SoftmaxPolicyProfile:
 
 @dataclass(frozen=True)
 class ValueBundle:
-    """Exact V, Q, and advantage tables for one policy profile."""
+    """Exact V and Q tables for one policy profile."""
 
     state_values: np.ndarray  # (num_agents, num_states)
     action_values: np.ndarray  # (num_agents, num_states, num_joint_actions)
-    advantages: np.ndarray  # (num_agents, num_states, num_joint_actions)
 
 
 @dataclass(frozen=True)
@@ -224,12 +221,10 @@ def _action_values(game: TabularMarkovGame, state_values: np.ndarray) -> np.ndar
 
 def solve_values(game: TabularMarkovGame, policies: SoftmaxPolicyProfile) -> ValueBundle:
     """Exact policy evaluation: V_i solves (I - gamma P_pi) V_i = r_bar_i,
-    then Q_i(s,a) = r_i(s,a) + gamma * P(.|s,a) . V_i and A_i = Q_i - V_i.
+    then Q_i(s,a) = r_i(s,a) + gamma * P(.|s,a) . V_i.
     """
     _, state_values = _evaluate(game, policies.joint_probs())
-    action_values = _action_values(game, state_values)
-    advantages = action_values - state_values[:, :, None]
-    return ValueBundle(state_values, action_values, advantages)
+    return ValueBundle(state_values, _action_values(game, state_values))
 
 
 def fair_objective(
@@ -309,19 +304,18 @@ def _compared_columns(cdf: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(cdf[..., k]) for k in range(cdf.shape[-1] - 1)]
 
 
-def _draw(
-    columns: Sequence[np.ndarray], rng: np.random.Generator, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Sample one index per entry of ``shape`` from cumulative distributions
-    given by their compared columns (see ``_compared_columns``): one uniform
-    block of that shape is drawn and counted against each column, broadcast
-    to it, so a column of shape (S, 1) serves n draws per row."""
-    u = rng.random(shape)
+def _draw(columns: Sequence[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling: one index per uniform in ``u``, the number of
+    compared columns (see ``_compared_columns``) that are <= it, each column
+    broadcast to ``u``, so a column of shape (S, 1) serves n draws per row.
+    This is ``bisect_right`` on the cumulative row clipped to its last index:
+    a uniform equal to a cumulative value passes the action that value
+    closes."""
     if not columns:
-        return np.zeros(shape, dtype=np.int64)
-    index = (u > columns[0]).astype(np.int64)
+        return np.zeros(u.shape, dtype=np.int64)
+    index = (u >= columns[0]).astype(np.int64)
     for column in columns[1:]:
-        index += u > column
+        index += u >= column
     return index
 
 
@@ -375,13 +369,13 @@ def mc_fair_gradient(
         remaining -= m
         taken = [np.zeros(m * s_count * c) for c in counts]  # K_i, flat (m, S, A_i)
         row_offsets = np.arange(m) * s_count
-        states = _draw(initial_columns, rng, (m,))
+        states = _draw(initial_columns, rng.random(m))
         # 1 / V_j(s0) per rollout, fixed for the whole trajectory
         inv_v0 = 1.0 / bundle.state_values[:, states]  # (N, m)
         gamma_t = 1.0
         for _ in range(horizon):
             actions = [
-                _draw([c.take(states) for c in policy_columns[i]], rng, (m,))
+                _draw([c.take(states) for c in policy_columns[i]], rng.random(m))
                 for i in range(n)
             ]
             rows = row_offsets + states
@@ -392,7 +386,7 @@ def mc_fair_gradient(
             for i, count in enumerate(counts):
                 # one entry per rollout, so each is added once
                 np.add.at(taken[i], rows * count + actions[i], kappa[i])
-            states = _draw([c.take(state_action) for c in transition_columns], rng, (m,))
+            states = _draw([c.take(state_action) for c in transition_columns], rng.random(m))
             gamma_t *= game.discount
         for i, count in enumerate(counts):
             k_table = taken[i].reshape(m, s_count, count)
@@ -412,33 +406,6 @@ def mc_fair_gradient(
         means.append(mean)
         errors.append(se)
     return FairGradient(means, errors)
-
-
-def fair_advantage(
-    values: ValueBundle,
-    weights: AltruismWeights,
-    agent: int,
-    state: int,
-    joint_action: int,
-    initial_state: int,
-    v_floor: float = V_FLOOR_DEFAULT,
-) -> float:
-    """Weighted normalized advantage sum_j c_i(j) A_j(s, a) / V_j(s0).
-
-    Exact values are positive by construction; the floor only engages for
-    degenerate inputs (e.g. learned critics) and emits a warning when it does.
-    """
-    num_agents = values.state_values.shape[0]
-    coeffs = weights.coefficients(agent, num_agents)
-    v0 = values.state_values[:, initial_state].copy()
-    if np.any(v0 < v_floor):
-        warnings.warn(
-            "initial-state value below floor; clamping for the fair advantage",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        v0 = np.maximum(v0, v_floor)
-    return float(coeffs @ (values.advantages[:, state, joint_action] / v0))
 
 
 @dataclass(frozen=True)
@@ -487,7 +454,7 @@ def baseline_zero_check(
         # block; rng.random fills in order, so the stream is that of one
         # (S, n) block per agent
         for s in range(s_count):
-            actions = _draw(_compared_columns(cdf[s]), rng, (num_samples,))
+            actions = _draw(_compared_columns(cdf[s]), rng.random(num_samples))
             # row a is f(s) (e_a - pi(.|s)), the sample of every draw of a at s
             table = f[s] * (np.eye(a_i) - probs[s])
             samples = table.take(actions, axis=0)  # (n, A_i)

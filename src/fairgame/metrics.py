@@ -210,10 +210,10 @@ def _render_panel_svg(
         def sy(y: float) -> float:
             return _SVG_HEIGHT - _SVG_MARGIN - (y - y_lo) / y_span * (_SVG_HEIGHT - 2 * _SVG_MARGIN)
 
-        def points(xs: list[float], ys: list[float]) -> str:
-            return " ".join(f"{_fmt(x)},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        def points(xs: list[str], ys: list[float]) -> str:
+            return " ".join(f"{x},{_fmt(sy(y))}" for x, y in zip(xs, ys))
 
-        xs = [sx(x) for x in steps]
+        xs = [_fmt(sx(x)) for x in steps]  # formatted once, shared by every series
         for index, (label, mean, low, high) in enumerate(series):
             color = _LINE_COLORS[index % len(_LINE_COLORS)]
             band = points(xs + xs[::-1], high + low[::-1])

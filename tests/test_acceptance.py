@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fairgame.envs import MiniCleanupConfig, MiniCleanupEnv, repeated_matrix_env
+from fairgame.envs import MiniCleanupConfig, MiniCleanupEnv, RepeatedMatrixGameEnv
 from fairgame.games import DilemmaPayoffs
 from fairgame.learning import (
     Algorithm,
@@ -167,7 +167,7 @@ def _pd_cooperation_run(algorithm: Algorithm, alpha: float, seed: int) -> tuple[
         seed=seed,
         critic_init=50.0,
     )
-    result = train(lambda s: repeated_matrix_env(PD, 100), config)
+    result = train(lambda s: RepeatedMatrixGameEnv(PD, 100), config)
     return tuple(float(result.policies.probs(i)[0, 0]) for i in range(2))
 
 
@@ -306,7 +306,7 @@ def test_criterion_12_train_determinism(tmp_path):
     )
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for path in paths:
-        train(lambda s: repeated_matrix_env(PD, 50), config, log_path=path)
+        train(lambda s: RepeatedMatrixGameEnv(PD, 50), config, log_path=path)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     emit(12, "train log byte-identical across reruns", identical, "")
     assert identical

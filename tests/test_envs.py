@@ -13,10 +13,9 @@ from fairgame.envs import (
     MarkovGameEnv,
     MiniCleanupConfig,
     MiniCleanupEnv,
+    RepeatedMatrixGameEnv,
     matrix_markov_game,
-    mini_cleanup_env,
     random_markov_game,
-    repeated_matrix_env,
     scripted_trajectory,
 )
 from fairgame.errors import DomainError
@@ -29,7 +28,7 @@ PD = DilemmaPayoffs(5, 3, 1, 2)
 
 class TestRepeatedMatrixEnv:
     def test_payoff_table(self):
-        env = repeated_matrix_env(PD, 10)
+        env = RepeatedMatrixGameEnv(PD, 10)
         env.reset()
         assert env.step((0, 0)).rewards == pytest.approx([3.0, 3.0])
         assert env.step((1, 0)).rewards == pytest.approx([5.0, 1.0])
@@ -37,14 +36,14 @@ class TestRepeatedMatrixEnv:
         assert env.step((1, 1)).rewards == pytest.approx([2.0, 2.0])
 
     def test_each_step_returns_its_own_reward_array(self):
-        env = repeated_matrix_env(PD, 10)
+        env = RepeatedMatrixGameEnv(PD, 10)
         env.reset()
         first = env.step((0, 0)).rewards
         first[:] = -1.0
         assert env.step((0, 0)).rewards.tolist() == [3.0, 3.0]
 
     def test_joint_rewards_are_float64_read_only_and_match_step(self):
-        env = repeated_matrix_env(PD, 10)
+        env = RepeatedMatrixGameEnv(PD, 10)
         table = env.joint_rewards
         assert table.shape == (2, 2, 2) and table.dtype == np.float64
         with pytest.raises(ValueError):
@@ -54,6 +53,18 @@ class TestRepeatedMatrixEnv:
             step = env.step(joint).rewards
             assert step.dtype == np.float64
             assert step.tolist() == table[joint].tolist()
+
+    def test_markov_game_pays_as_the_env_on_random_payoffs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            p = DilemmaPayoffs(*rng.uniform(0.1, 10.0, size=4))
+            table = RepeatedMatrixGameEnv(p, 10).joint_rewards
+            game = matrix_markov_game(p, float(rng.uniform(0.0, 0.99)))
+            for j in range(game.num_joint_actions):
+                a1, a2 = game.joint_action_tuple(j)
+                assert game.rewards[:, 0, j].tolist() == table[a1, a2].tolist()
+            # (C, D): agent 0 is the sucker, agent 1 is tempted
+            assert table[0, 1].tolist() == [p.S, p.T]
 
     def test_export_and_solve_cooperation_value(self):
         game = matrix_markov_game(PD, 0.9)
@@ -66,7 +77,7 @@ class TestRepeatedMatrixEnv:
     def test_episode_return_matches_markov_value_within_truncation(self):
         length = 100
         gamma = 0.9
-        env = repeated_matrix_env(PD, length)
+        env = RepeatedMatrixGameEnv(PD, length)
         env.reset()
         discounted = sum(gamma**t * env.step((0, 0)).rewards[0] for t in range(length))
         game = matrix_markov_game(PD, gamma)
@@ -95,7 +106,7 @@ class TestMiniCleanup:
         return MiniCleanupConfig(**defaults)
 
     def test_zero_regen_means_base_reward_only(self):
-        env = mini_cleanup_env(self.small_config(regen_rate=0.0), seed=0)
+        env = MiniCleanupEnv(self.small_config(regen_rate=0.0), seed=0)
         env.reset()
         for _ in range(20):
             step = env.step((NOOP, NOOP))
@@ -106,7 +117,7 @@ class TestMiniCleanup:
         config = self.small_config(
             pollution_increment=0.5, clean_amount=0.0, pollution_threshold=0.6
         )
-        env = mini_cleanup_env(config, seed=1)
+        env = MiniCleanupEnv(config, seed=1)
         env.reset()
         for _ in range(30):
             env.step((NOOP, NOOP))
@@ -115,7 +126,7 @@ class TestMiniCleanup:
 
     def test_pollution_clamped_to_unit_interval(self):
         config = self.small_config(pollution_increment=0.9, clean_amount=5.0)
-        env = mini_cleanup_env(config, seed=2)
+        env = MiniCleanupEnv(config, seed=2)
         env.reset()
         values = []
         rng = np.random.default_rng(0)
@@ -127,7 +138,7 @@ class TestMiniCleanup:
 
     def test_cleaning_requires_river_position(self):
         config = self.small_config(regen_rate=0.0, pollution_increment=0.0, clean_amount=0.3)
-        env = mini_cleanup_env(config, seed=3)
+        env = MiniCleanupEnv(config, seed=3)
         env.reset()
         env._positions[0] = (3, 0)  # orchard row
         env._positions[1] = (0, 0)  # river row
@@ -138,7 +149,7 @@ class TestMiniCleanup:
         assert env.pollution == pytest.approx(max(before - 0.3, 0.0))
 
     def test_conservation(self):
-        env = mini_cleanup_env(self.small_config(), seed=4)
+        env = MiniCleanupEnv(self.small_config(), seed=4)
         rng = np.random.default_rng(1)
         for episode in range(3):
             env.reset()
@@ -148,7 +159,7 @@ class TestMiniCleanup:
             assert harvested == spawned - remaining
 
     def test_rewards_strictly_positive(self):
-        env = mini_cleanup_env(self.small_config(), seed=5)
+        env = MiniCleanupEnv(self.small_config(), seed=5)
         env.reset()
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -157,7 +168,7 @@ class TestMiniCleanup:
 
     def test_lower_index_wins_contested_apple(self):
         config = self.small_config(regen_rate=0.0)
-        env = mini_cleanup_env(config, seed=6)
+        env = MiniCleanupEnv(config, seed=6)
         env.reset()
         env._apples[2, 1] = True
         env._positions[0] = (2, 0)
@@ -168,8 +179,8 @@ class TestMiniCleanup:
     def test_determinism_same_seed_same_trajectory(self):
         config = self.small_config()
         script = np.random.default_rng(3).integers(0, 6, size=(50, 2))
-        first = scripted_trajectory(mini_cleanup_env(config, seed=9), script, seed=42)
-        second = scripted_trajectory(mini_cleanup_env(config, seed=77), script, seed=42)
+        first = scripted_trajectory(MiniCleanupEnv(config, seed=9), script, seed=42)
+        second = scripted_trajectory(MiniCleanupEnv(config, seed=77), script, seed=42)
         assert first == second
 
     def test_more_agents_than_cells_rejected(self):
@@ -178,7 +189,7 @@ class TestMiniCleanup:
 
     def test_observation_components(self):
         config = self.small_config(regen_rate=0.0, pollution_increment=0.0)
-        env = mini_cleanup_env(config, seed=8)
+        env = MiniCleanupEnv(config, seed=8)
         env.reset()
         env._positions[0] = (2, 2)
         env._positions[1] = (0, 0)

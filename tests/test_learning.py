@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ from fairgame.envs import (
     MarkovGameEnv,
     MiniCleanupConfig,
     MiniCleanupEnv,
+    RepeatedMatrixGameEnv,
     random_markov_game,
-    repeated_matrix_env,
 )
 from fairgame.errors import DomainError, StaleBufferError
 from fairgame.formats import load_policy_snapshot
@@ -69,7 +70,7 @@ def with_version(buffer: RolloutBuffer, version: int) -> RolloutBuffer:
 
 
 def collect_pd_buffer(policies, episode_length=20, num_envs=3, seed=0):
-    envs = [repeated_matrix_env(PD, episode_length) for _ in range(num_envs)]
+    envs = [RepeatedMatrixGameEnv(PD, episode_length) for _ in range(num_envs)]
     rng = np.random.default_rng(seed)
     return collect_rollouts(envs, policies, rng)
 
@@ -268,7 +269,7 @@ def asymmetric_pd_game() -> TabularMarkovGame:
 
 
 SINGLE_STATE_ENVS = {
-    "pd_int_payoffs": lambda: repeated_matrix_env(PD, 23),
+    "pd_int_payoffs": lambda: RepeatedMatrixGameEnv(PD, 23),
     "pd_asymmetric": lambda: MarkovGameEnv(asymmetric_pd_game(), 23, seed=4),
     "random_3_agents": lambda: MarkovGameEnv(
         random_markov_game(3, 1, (2, 3, 4), 0.9, seed=8), 23, seed=5
@@ -300,6 +301,19 @@ def assert_same_collection(block, loop):
         assert (p.has_apples, p.gini) == (q.has_apples, q.gini)
 
 
+def tied_uniforms(policies, shape, seed):
+    """Uniforms from ``seed`` with every third one per agent moved onto a
+    cumulative probability of that agent's row, 0.0 included, so that the
+    sampling rule decides each of those draws."""
+    uniforms = np.random.default_rng(seed).random(shape)
+    for i, logits in enumerate(policies.logits):
+        ties = np.concatenate([[0.0], np.cumsum(_softmax(logits[0]))[:-1]])
+        lane = uniforms[..., i].reshape(-1)
+        lane[::3] = np.resize(ties, len(lane[::3]))
+        uniforms[..., i] = lane.reshape(shape[:-1])
+    return uniforms
+
+
 class TestSingleStateCollection:
     @pytest.mark.parametrize("name", sorted(SINGLE_STATE_ENVS))
     def test_block_equals_per_step_loop(self, name):
@@ -307,12 +321,14 @@ class TestSingleStateCollection:
         counts = make_env().action_counts
         policies = SoftmaxPolicyProfile.random(1, counts, np.random.default_rng(1), scale=1.0)
         policies.version = 3
-        block, loop, block_envs, loop_envs = collect_block_and_loop(
-            make_env, policies, lambda: np.random.default_rng(7)
-        )
-        assert_same_collection(block, loop)
-        assert [env.steps for env in block_envs] == [0, 0, 0]
-        assert [env.steps for env in loop_envs] == [23, 23, 23]
+        tied = tied_uniforms(policies, (3, 23, len(counts)), seed=7)
+        for make_rng in (lambda: np.random.default_rng(7), lambda: StubRng(tied)):
+            block, loop, block_envs, loop_envs = collect_block_and_loop(
+                make_env, policies, make_rng
+            )
+            assert_same_collection(block, loop)
+            assert [env.steps for env in block_envs] == [0, 0, 0]
+            assert [env.steps for env in loop_envs] == [23, 23, 23]
 
     def test_ties_skip_zero_probability_and_top_is_clipped(self):
         # agent 0: probabilities (0.5, 0, 0.5), so a uniform of exactly 0.5
@@ -371,7 +387,7 @@ class TestA2CUpdate:
         # reward stream: impossible for mixed payoffs, so zero the advantage
         # path directly with alpha=0, v_floor absorbing, and identical
         # rewards by forcing a degenerate payoff matrix
-        flat = repeated_matrix_env(DilemmaPayoffs(2, 2, 2, 2), 20)
+        flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 20)
         rng = np.random.default_rng(0)
         buffer, _ = collect_rollouts([flat, flat], policies, rng)
         critics = CriticTable.constant(2, 1, 2.0 / (1 - 0.9))
@@ -385,7 +401,7 @@ class TestA2CUpdate:
         # return R_t constant across a long episode tail; per visited state
         # the critic error contracts by (1 - 2 lr)
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        flat = repeated_matrix_env(DilemmaPayoffs(2, 2, 2, 2), 30)
+        flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 30)
         rng = np.random.default_rng(1)
         buffer, _ = collect_rollouts([flat], policies, rng)
         lr = 0.1
@@ -452,7 +468,7 @@ class TestPPOUpdate:
 
     def test_zero_advantages_no_actor_change(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        flat = repeated_matrix_env(DilemmaPayoffs(2, 2, 2, 2), 20)
+        flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 20)
         rng = np.random.default_rng(2)
         buffer, _ = collect_rollouts([flat, flat], policies, rng)
         critics = CriticTable.constant(2, 1, 20.0)
@@ -469,7 +485,6 @@ class TestPPOUpdate:
         buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
         critics = CriticTable.constant(2, 1, 27.5)
         old_probs = [policies.probs(i).copy() for i in range(2)]
-        advantages, _ = compute_gae(buffer, critics, 0.9, 0.95)
         config = make_config(
             algorithm=Algorithm.FAIR_MAPPO,
             entropy_coef=0.0,
@@ -477,8 +492,14 @@ class TestPPOUpdate:
             learning_rate=2.0,
             critic_lr=0.01,
             ppo_clip=0.2,
+            normalize_advantages=True,
         )
-        fair, _ = _combined_advantages(advantages, critics, buffer, config)
+        fair = fair_advantages(critics, buffer, config)
+        clipped = [
+            clipped_fraction(logits, policies.logits, buffer, fair, config.ppo_clip)
+            for logits in epoch_start_logits(ppo_update, policies, critics, buffer, config)[:-1]
+        ]
+        assert sum(fraction > 0.0 for fraction in clipped) >= 5  # the clip binds
         ppo_update(policies, critics, buffer, config)
         obs, actions = buffer.flat()
         for i in range(2):
@@ -615,9 +636,159 @@ class TestUpdateCoreBitIdentical:
             )
 
 
+def fair_advantages(critics, buffer, config):
+    """The (E*T, N) fair advantages an update computes before its epochs."""
+    advantages, _ = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
+    return _combined_advantages(advantages, critics, buffer, config)[0]
+
+
+def epoch_start_logits(update, policies, critics, buffer, config):
+    """The logit tables at the start of each of ``config.ppo_epochs`` epochs
+    and after the last: epoch e's start is an e-epoch update on copies."""
+    starts = [[t.copy() for t in policies.logits]]
+    for epochs in range(1, config.ppo_epochs + 1):
+        moved = policies.copy()
+        update(moved, critics.copy(), buffer, dataclasses.replace(config, ppo_epochs=epochs))
+        starts.append(moved.logits)
+    return starts
+
+
+def log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def taken_log_probs(table, obs, actions):
+    return log_softmax(table[obs])[np.arange(len(obs)), actions]
+
+
+def surrogate_objective(table, obs, actions, old_log, fair, clip, entropy_coef):
+    """One agent's objective written from its definition:
+    L = mean_t min(rho_t A_t, clip(rho_t, 1 - clip, 1 + clip) A_t)
+        + entropy_coef * mean_t H(pi(.|o_t)),
+    with rho_t = pi(a_t|o_t) / pi_old(a_t|o_t); ``clip=None`` keeps rho_t A_t."""
+    ratio = np.exp(taken_log_probs(table, obs, actions) - old_log)
+    surrogate = ratio * fair
+    if clip is not None:
+        surrogate = np.minimum(surrogate, np.clip(ratio, 1.0 - clip, 1.0 + clip) * fair)
+    log_probs = log_softmax(table[obs])
+    entropy = -(np.exp(log_probs) * log_probs).sum(axis=1)
+    return surrogate.mean() + entropy_coef * entropy.mean()
+
+
+def central_differences(loss, table, rows, h=1e-5):
+    """d loss / d table on ``rows``, zero elsewhere."""
+    grad = np.zeros_like(table)
+    for r in rows:
+        for k in range(table.shape[1]):
+            plus, minus = table.copy(), table.copy()
+            plus[r, k] += h
+            minus[r, k] -= h
+            grad[r, k] = (loss(plus) - loss(minus)) / (2.0 * h)
+    return grad
+
+
+def clipped_fraction(logits, old_logits, buffer, fair, clip):
+    """The share of (sample, agent) pairs whose clipped surrogate is flat at
+    ``logits``: rho > 1 + clip where A > 0, or rho < 1 - clip where A < 0."""
+    obs, actions = buffer.flat()
+    flat = []
+    for i, table in enumerate(logits):
+        ratio = np.exp(
+            taken_log_probs(table, obs[:, i], actions[:, i])
+            - taken_log_probs(old_logits[i], obs[:, i], actions[:, i])
+        )
+        w = fair[:, i]
+        flat.append(((w > 0) & (ratio > 1.0 + clip)) | ((w < 0) & (ratio < 1.0 - clip)))
+    return float(np.mean(flat))
+
+
+def assert_steps_ascend_the_loss(update, clip, policies, critics, buffer, config):
+    """Each epoch's logit step is lr times the central differences of the
+    surrogate objective at that epoch's start, to 1e-6 relative, with no
+    ratio within 1e-3 of a kink. Returns the clipped fraction per epoch."""
+    obs, actions = buffer.flat()
+    fair = fair_advantages(critics, buffer, config)
+    lr = config.learning_rate_at(0.0)
+    old = policies.logits
+    starts = epoch_start_logits(update, policies, critics, buffer, config)
+    fractions = []
+    for before, after in zip(starts, starts[1:]):
+        for i in range(obs.shape[1]):
+            old_log = taken_log_probs(old[i], obs[:, i], actions[:, i])
+            ratio = np.exp(taken_log_probs(before[i], obs[:, i], actions[:, i]) - old_log)
+            if clip is not None:
+                assert np.abs(np.abs(ratio - 1.0) - clip).min() > 1e-3  # off the kinks
+
+            def loss(table):
+                return surrogate_objective(
+                    table, obs[:, i], actions[:, i], old_log, fair[:, i], clip,
+                    config.entropy_coef,
+                )
+
+            expected = lr * central_differences(loss, before[i], np.unique(obs[:, i]))
+            step = after[i] - before[i]
+            assert np.abs(step - expected).max() <= 1e-6 * np.abs(expected).max()
+        if clip is not None:
+            fractions.append(clipped_fraction(before, old, buffer, fair, clip))
+    return fractions
+
+
+def small_markov_batch(policies_seed):
+    """Two 12-step episodes of a 16-state, (2, 3)-action random game from
+    random logits, in which rows repeat and some rows go unvisited."""
+    game = random_markov_game(2, 16, (2, 3), 0.9, seed=3)
+    envs = [MarkovGameEnv(game, 12, seed=k) for k in range(2)]
+    rng = np.random.default_rng(policies_seed)
+    policies = SoftmaxPolicyProfile.random(16, game.action_counts, rng, scale=1.0)
+    buffer, _ = collect_rollouts(envs, policies, rng)
+    obs, _ = buffer.flat()
+    assert all(len(np.unique(obs[:, i])) < min(16, len(obs)) for i in range(2))
+    return policies, CriticTable.constant(2, 16, 5.0), buffer
+
+
+class TestUpdateCoreAscendsTheLoss:
+    """The update core against an oracle built from the loss alone: PPO's
+    clipped surrogate and A2C's (rho = 1) objective, differentiated by
+    central differences."""
+
+    def test_ppo_on_a_pd_batch_where_the_clip_binds(self):
+        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
+        buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
+        critics = CriticTable.constant(2, 1, 27.5)
+        config = make_config(
+            algorithm=Algorithm.FAIR_MAPPO, entropy_coef=0.05, ppo_epochs=4,
+            learning_rate=8.0, critic_lr=0.01, ppo_clip=0.2, normalize_advantages=True,
+        )
+        fractions = assert_steps_ascend_the_loss(
+            ppo_update, 0.2, policies, critics, buffer, config
+        )
+        assert fractions[0] == 0.0  # rho = 1 at the first epoch
+        assert all(0.1 <= f <= 0.5 for f in fractions[1:]), fractions
+
+    def test_ppo_on_a_multi_state_batch(self):
+        policies, critics, buffer = small_markov_batch(policies_seed=21)
+        config = make_config(
+            algorithm=Algorithm.FAIR_MAPPO, entropy_coef=0.05, ppo_epochs=3,
+            learning_rate=2.0, critic_lr=0.2, ppo_clip=0.2,
+        )
+        assert_steps_ascend_the_loss(ppo_update, 0.2, policies, critics, buffer, config)
+
+    @pytest.mark.parametrize("batch", ["pd", "multi_state"])
+    def test_a2c(self, batch):
+        if batch == "pd":
+            policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
+            buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
+            critics = CriticTable.constant(2, 1, 27.5)
+        else:
+            policies, critics, buffer = small_markov_batch(policies_seed=22)
+        config = make_config(entropy_coef=0.05, learning_rate=2.0, critic_lr=0.2, ppo_epochs=1)
+        assert_steps_ascend_the_loss(a2c_update, None, policies, critics, buffer, config)
+
+
 class TestTrain:
     def factory(self, seed):
-        return repeated_matrix_env(PD, 20)
+        return RepeatedMatrixGameEnv(PD, 20)
 
     def test_zero_steps_returns_initial_policies(self):
         config = make_config(total_steps=0)
@@ -713,7 +884,7 @@ class TestTrain:
         assert np.array_equal(table.update, np.repeat(np.arange(10), 2))
         assert np.array_equal(table.step, 40 * (table.update + 1))
         assert table.actor_loss.shape == table.critic_loss.shape == table.entropy.shape == (10, 2)
-        assert int(table.floor_hits.sum()) == result.floor_hits
+        assert table.floor_hits.shape == (10,)
         with open(log, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 2 * result.episodes
@@ -814,7 +985,7 @@ class TestFairDynamicsConsistency:
             seed=seed,
             critic_init=50.0,
         )
-        result = train(lambda s: repeated_matrix_env(PD, 100), config)
+        result = train(lambda s: RepeatedMatrixGameEnv(PD, 100), config)
         return [float(result.policies.probs(i)[0, 0]) for i in range(2)]
 
     def test_alpha_08_rest_point_matches_oracle(self):

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 
@@ -21,7 +22,6 @@ from fairgame.markov import (
     bellman_apply,
     default_horizon,
     exact_fair_gradient,
-    fair_advantage,
     fair_objective,
     mc_fair_gradient,
     policy_averaged_dynamics,
@@ -92,11 +92,12 @@ def fixed_point_fair_gradient(
 
 
 def _sample_rows(row_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample one index per row of a matrix of row distributions."""
+    """Sample one index per row of a matrix of row distributions: the number
+    of cumulative entries <= u, clipped to the last index (``bisect_right``)."""
     cdf = np.cumsum(row_probs, axis=1)
     u = rng.random(row_probs.shape[0])
     return np.minimum(
-        (u[:, None] > cdf).sum(axis=1), row_probs.shape[1] - 1
+        (cdf <= u[:, None]).sum(axis=1), row_probs.shape[1] - 1
     ).astype(np.int64)
 
 
@@ -722,7 +723,7 @@ class TestMonteCarloMatchesReference:
         columns = _compared_columns(np.cumsum(row_probs, axis=1))
         assert len(columns) == num_actions - 1
         for seed in range(3):
-            drawn = _draw(columns, np.random.default_rng(seed), (len(row_probs),))
+            drawn = _draw(columns, np.random.default_rng(seed).random(len(row_probs)))
             expected = _sample_rows(row_probs, np.random.default_rng(seed))
             assert drawn.dtype == expected.dtype
             assert np.array_equal(drawn, expected)
@@ -734,12 +735,24 @@ class TestMonteCarloMatchesReference:
         from that table repeated to S*n rows."""
         rows = np.random.default_rng(num_actions).random((4, num_actions))
         cdf = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
-        drawn = _draw(_compared_columns(cdf[:, None, :]), np.random.default_rng(8), (4, 500))
-        repeated = _draw(
-            _compared_columns(np.repeat(cdf, 500, axis=0)), np.random.default_rng(8), (2000,)
-        )
+        u = np.random.default_rng(8).random((4, 500))
+        drawn = _draw(_compared_columns(cdf[:, None, :]), u)
+        repeated = _draw(_compared_columns(np.repeat(cdf, 500, axis=0)), u.reshape(2000))
         assert drawn.dtype == repeated.dtype == np.int64
         assert np.array_equal(drawn, repeated.reshape(4, 500))
+
+    def test_draw_ties_follow_bisect_right(self):
+        """A uniform equal to a cumulative value counts that entry, so it
+        passes the action the entry closes: u = 0.0 skips a leading
+        zero-probability action, and the top clips to the last action."""
+        probs = np.array([0.0, 0.25, 0.0, 0.5, 0.25])
+        cdf = np.cumsum(probs)
+        u = np.array([0.0, *cdf, 0.1, 0.3, 0.9, np.nextafter(1.0, 0.0)])
+        drawn = _draw(_compared_columns(cdf), u)
+        expected = [min(bisect.bisect_right(cdf.tolist(), x), len(cdf) - 1) for x in u]
+        assert drawn.tolist() == expected
+        assert drawn.tolist()[:6] == [1, 1, 3, 3, 4, 4]
+        assert np.all(probs[drawn] > 0.0)
 
     @pytest.mark.parametrize("index", range(3))
     def test_baseline_check_bit_identical(self, index):
@@ -755,54 +768,6 @@ class TestMonteCarloMatchesReference:
             assert np.array_equal(a.analytic, b.analytic)
             assert np.array_equal(a.mc_mean, b.mc_mean)
             assert np.array_equal(a.mc_se, b.mc_se)
-
-
-class TestFairAdvantage:
-    def _bundle(self):
-        game, policies = random_game_and_policies(np.random.default_rng(14))
-        return game, solve_values(game, policies)
-
-    def test_zero_advantages(self):
-        game, bundle = self._bundle()
-        zeroed = type(bundle)(
-            state_values=bundle.state_values,
-            action_values=bundle.state_values[:, :, None]
-            * np.ones_like(bundle.action_values),
-            advantages=np.zeros_like(bundle.advantages),
-        )
-        value = fair_advantage(zeroed, AltruismWeights(0.9), 0, 0, 0, 0)
-        assert value == 0.0
-
-    def test_alpha_zero_normalizes_by_own_value(self):
-        game, bundle = self._bundle()
-        value = fair_advantage(bundle, AltruismWeights(0.0), 1, 0, 1, 0)
-        expected = bundle.advantages[1, 0, 1] / bundle.state_values[1, 0]
-        assert value == pytest.approx(expected)
-
-    def test_hand_computed_example(self):
-        state_values = np.array([[10.0], [4.0]])
-        action_values = state_values[:, :, None] + np.array([[[1.0]], [[-2.0]]])
-        bundle_type = type(self._bundle()[1])
-        bundle = bundle_type(
-            state_values=state_values,
-            action_values=action_values,
-            advantages=action_values - state_values[:, :, None],
-        )
-        value = fair_advantage(bundle, AltruismWeights(1.0), 0, 0, 0, 0)
-        assert value == pytest.approx(1.0 / 10.0 - 2.0 / 4.0)
-
-    def test_floor_warns(self):
-        state_values = np.array([[1e-6]])
-        action_values = np.array([[[1.0]]])
-        bundle_type = type(self._bundle()[1])
-        bundle = bundle_type(
-            state_values=state_values,
-            action_values=action_values,
-            advantages=action_values - state_values[:, :, None],
-        )
-        with pytest.warns(RuntimeWarning):
-            value = fair_advantage(bundle, AltruismWeights(0.0), 0, 0, 0, 0)
-        assert value == pytest.approx((1.0 - 1e-6) / 1e-3)
 
 
 class TestBaselineZero:
