@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DomainError
 
 _MC_CHUNK = 10_000
+_SLAB_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,12 @@ class SoftmaxPolicyProfile:
     """Per-agent logit tables; agent i's policy is the row-wise softmax of
     logits[i], shape (num_states, num_actions_i).
 
+    A table may carry leading stack axes, shape (..., num_states,
+    num_actions_i): ``joint_probs`` and ``fair_objective`` then broadcast
+    the agents' stack axes and treat each profile of the stack as a
+    single-profile call treats it, bit for bit. The other consumers take
+    unstacked tables.
+
     The version counter tracks in-place parameter updates so on-policy
     consumers can detect stale rollout data.
     """
@@ -112,15 +119,16 @@ class SoftmaxPolicyProfile:
         return len(self.logits)
 
     def probs(self, agent: int) -> np.ndarray:
-        """Action probabilities for one agent, shape (num_states, num_actions)."""
+        """Action probabilities for one agent, shape (..., num_states, num_actions)."""
         return _softmax(self.logits[agent])
 
     def joint_probs(self) -> np.ndarray:
-        """Joint action probabilities per state, shape (num_states, prod(actions))."""
+        """Joint action probabilities per state, shape (..., num_states,
+        prod(actions)), the stack axes of the agents' tables broadcast."""
         result = self.probs(0)
         for agent in range(1, self.num_agents):
-            result = result[:, :, None] * self.probs(agent)[:, None, :]
-            result = result.reshape(result.shape[0], -1)
+            result = result[..., :, None] * self.probs(agent)[..., None, :]
+            result = result.reshape(result.shape[:-2] + (-1,))
         return result
 
     def copy(self) -> "SoftmaxPolicyProfile":
@@ -165,9 +173,10 @@ class FairGradient:
 def _averaged_dynamics(
     game: TabularMarkovGame, joint: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """P_pi (S, S) and r_bar (N, S) from joint action probabilities (S, A)."""
-    p_pi = np.einsum("sa,sat->st", joint, game.transitions)
-    r_bar = np.einsum("sa,nsa->ns", joint, game.rewards)
+    """P_pi (..., S, S) and r_bar (..., N, S) from joint action
+    probabilities (..., S, A)."""
+    p_pi = np.einsum("...sa,sat->...st", joint, game.transitions)
+    r_bar = np.einsum("...sa,nsa->...ns", joint, game.rewards)
     return p_pi, r_bar
 
 
@@ -203,11 +212,13 @@ def bellman_apply(
 def _evaluate(
     game: TabularMarkovGame, joint: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The evaluation system I - gamma P_pi (S, S) and V (N, S) solving it
-    against r_bar, from joint action probabilities (S, A)."""
+    """The evaluation system I - gamma P_pi (..., S, S) and V (..., N, S)
+    solving it against r_bar, from joint action probabilities (..., S, A):
+    one batched solve for a stack."""
     p_pi, r_bar = _averaged_dynamics(game, joint)
     system = np.eye(game.num_states) - game.discount * p_pi
-    return system, np.linalg.solve(system, r_bar.T).T
+    values = np.linalg.solve(system, np.swapaxes(r_bar, -1, -2))
+    return system, np.swapaxes(values, -1, -2)
 
 
 def _action_values(game: TabularMarkovGame, state_values: np.ndarray) -> np.ndarray:
@@ -232,17 +243,19 @@ def fair_objective(
     policies: SoftmaxPolicyProfile,
     weights: AltruismWeights,
 ) -> np.ndarray:
-    """Per-agent objective J_i = E_{s0~rho0}[ sum_j c_i(j) log V_j(s0) ]."""
+    """Per-agent objective J_i = E_{s0~rho0}[ sum_j c_i(j) log V_j(s0) ],
+    shape (N,), or (..., N) for a profile whose tables carry stack axes:
+    one evaluation for the whole stack, each entry bit for bit that of the
+    profile's own single call."""
+    n = game.num_agents
     _, values = _evaluate(game, policies.joint_probs())
     if np.any(values <= 0.0):
         raise AssertionError("positive rewards must yield positive values")
-    log_v0 = np.log(values) @ game.initial_dist  # (N,)
-    return np.array(
-        [
-            float(weights.coefficients(i, game.num_agents) @ log_v0)
-            for i in range(game.num_agents)
-        ]
-    )
+    log_v0 = np.log(values) @ game.initial_dist  # (..., N)
+    coeffs = np.stack([weights.coefficients(i, n) for i in range(n)])  # (N, N)
+    # one (1, N) @ (N, 1) product per agent and profile: the 1-D dot
+    # c_i @ log_v0, where a stacked matrix product would round differently
+    return (coeffs[:, None, :] @ log_v0[..., None, :, None])[..., 0, 0]
 
 
 def exact_fair_gradient(
@@ -408,6 +421,29 @@ def mc_fair_gradient(
     return FairGradient(means, errors)
 
 
+def _sample_column_sums(
+    tables: np.ndarray, rows: np.ndarray, center: np.ndarray | None = None
+) -> np.ndarray:
+    """Column sums over samples k of the gathered rows tables[rows[k]],
+    flattened to one (n, S*A) matrix, or of their squared deviations from
+    ``center``. Rows are gathered ``_SLAB_ROWS`` samples at a time and each
+    slab is reduced over axis 0 with the running sum added into its first
+    row, so every column adds its samples one after another in sample
+    order: the sums of one axis-0 reduction per state of its (n, A) block,
+    in rows S*A wide."""
+    total = None
+    for start in range(0, len(rows), _SLAB_ROWS):
+        slab = tables.take(rows[start:start + _SLAB_ROWS], axis=0)
+        slab = slab.reshape(len(slab), -1)
+        if center is not None:
+            slab -= center
+            np.square(slab, out=slab)
+        if total is not None:
+            slab[0] += total
+        total = np.add.reduce(slab, axis=0)
+    return total
+
+
 @dataclass(frozen=True)
 class BaselineCheckResult:
     """Outcome of the baseline-term check for one agent.
@@ -448,22 +484,20 @@ def baseline_zero_check(
         residual = float(
             np.abs(f[:, None] * (probs - probs * probs.sum(axis=1, keepdims=True))).max()
         )
-        cdf = np.cumsum(probs, axis=1)
-        mean, se = np.empty((s_count, a_i)), np.empty((s_count, a_i))
-        # one state's n draws at a time, so memory stays at one (n, A_i)
-        # block; rng.random fills in order, so the stream is that of one
-        # (S, n) block per agent
-        for s in range(s_count):
-            actions = _draw(_compared_columns(cdf[s]), rng.random(num_samples))
-            # row a is f(s) (e_a - pi(.|s)), the sample of every draw of a at s
-            table = f[s] * (np.eye(a_i) - probs[s])
-            samples = table.take(actions, axis=0)  # (n, A_i)
-            # np.mean and np.std(ddof=1)'s own steps, with the mean taken once
-            mean[s] = np.add.reduce(samples, axis=0) / num_samples
-            samples -= mean[s]
-            np.square(samples, out=samples)
-            variance = np.add.reduce(samples, axis=0) / (num_samples - 1)
-            se[s] = np.sqrt(variance) / math.sqrt(num_samples)
+        # one (S, n) block of uniforms per agent: the stream of S calls of
+        # rng.random(n); actions[s, k] is the k-th draw at state s
+        columns = _compared_columns(np.cumsum(probs, axis=1)[:, None, :])
+        actions = _draw(columns, rng.random((s_count, num_samples)))
+        # row s * A_i + a is f(s) (e_a - pi(.|s)), the sample of a draw of a at s,
+        # so sample k gathers rows[k] = actions[:, k] + A_i * (0, ..., S-1)
+        tables = (f[:, None, None] * (np.eye(a_i) - probs[:, None, :])).reshape(-1, a_i)
+        actions += a_i * np.arange(s_count)[:, None]
+        rows = np.ascontiguousarray(actions.T)  # (n, S)
+        # np.mean and np.std(ddof=1)'s own steps, with the mean taken once
+        mean = _sample_column_sums(tables, rows) / num_samples
+        variance = _sample_column_sums(tables, rows, center=mean) / (num_samples - 1)
+        mean = mean.reshape(s_count, a_i)
+        se = (np.sqrt(variance) / math.sqrt(num_samples)).reshape(s_count, a_i)
         results.append(
             BaselineCheckResult(
                 analytic=np.zeros((game.num_states, a_i)),

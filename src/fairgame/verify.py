@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import random_markov_game
+from .errors import DomainError
 from .games import (
     DilemmaKind,
     DilemmaPayoffs,
@@ -77,7 +78,14 @@ def sample_dilemmas(
 
     Optionally restrict to T > R instances, and to instances whose closed-form
     altruism level falls in alpha_range (so threshold probes stay in (0, 1)).
+    The level lies in [0, 1] for every dilemma (2R >= T + S), so a range
+    outside [0, 1], or with lo > hi, raises DomainError.
     """
+    if alpha_range is not None and not 0.0 <= alpha_range[0] <= alpha_range[1] <= 1.0:
+        raise DomainError(
+            f"alpha_range: {alpha_range} must satisfy 0 <= lo <= hi <= 1, "
+            "the range of the altruism level"
+        )
     kept: list[DilemmaPayoffs] = []
     while len(kept) < count:
         batch = rng.uniform(0.1, 10.0, size=(4096, 4))
@@ -126,21 +134,23 @@ def finite_difference_fair_gradient(
     h: float = 1e-5,
 ) -> list[np.ndarray]:
     """Central-difference gradient of each agent's objective with respect to
-    its own logits: the independent oracle for the exact gradient path."""
+    its own logits: the independent oracle for the exact gradient path.
+
+    Agent i's 2 S A_i perturbed tables, +h at each coordinate and then -h,
+    are one stack evaluated by one ``fair_objective`` call, in memory
+    O(A_i S^3); the caller's logits are left as they are."""
     grads = []
-    for i in range(policies.num_agents):
-        table = policies.logits[i]
-        grad = np.zeros_like(table)
-        for s in range(table.shape[0]):
-            for a in range(table.shape[1]):
-                original = table[s, a]
-                table[s, a] = original + h
-                plus = fair_objective(game, policies, weights)[i]
-                table[s, a] = original - h
-                minus = fair_objective(game, policies, weights)[i]
-                table[s, a] = original
-                grad[s, a] = (plus - minus) / (2.0 * h)
-        grads.append(grad)
+    for i, table in enumerate(policies.logits):
+        size = table.size
+        coordinate = np.arange(size)
+        shifted = np.tile(table.ravel(), (2, size, 1))  # (2, S*A_i, S*A_i)
+        shifted[0, coordinate, coordinate] += h
+        shifted[1, coordinate, coordinate] -= h
+        logits = list(policies.logits)
+        logits[i] = shifted.reshape((2 * size,) + table.shape)
+        objective = fair_objective(game, SoftmaxPolicyProfile(logits), weights)[:, i]
+        plus, minus = objective[:size], objective[size:]
+        grads.append(((plus - minus) / (2.0 * h)).reshape(table.shape))
     return grads
 
 
@@ -434,31 +444,33 @@ def verify_gini(num_vectors: int = 10_000, seed: int = 13) -> SuiteReport:
         "",
     )
     # each vector's entries and its scaled, permuted and transferred copies,
-    # one padded row each; no draw depends on a Gini value, so once every
-    # vector is drawn each statistic is one stacked gini call per length n
+    # one padded row each, every per-vector quantity drawn as one array; no
+    # draw depends on a Gini value, so each statistic is one stacked gini
+    # call per length n
     max_len = 10
-    lengths = np.zeros(num_vectors, dtype=np.int64)
-    moved = np.zeros(num_vectors, dtype=bool)
-    vectors, scaled, permuted, transferred = np.zeros((4, num_vectors, max_len))
-    for row in range(num_vectors):
-        n = int(rng.integers(1, max_len + 1))
-        values = rng.uniform(0.0, 10.0, size=n)
-        if rng.random() < 0.2:
-            values[rng.integers(0, n)] = 0.0
-        lengths[row] = n
-        vectors[row, :n] = values
-        k = float(rng.uniform(0.1, 100.0))
-        scaled[row, :n] = k * values
-        permuted[row, :n] = rng.permutation(values)
-        if n >= 2 and values.sum() > 0.0:
-            order = np.argsort(values)
-            poor, rich = order[0], order[-1]
-            if values[rich] > values[poor]:
-                delta = rng.uniform(0.0, (values[rich] - values[poor]) / 2.0)
-                transferred[row, :n] = values
-                transferred[row, rich] -= delta
-                transferred[row, poor] += delta
-                moved[row] = True
+    rows = np.arange(num_vectors)
+    lengths = rng.integers(1, max_len + 1, size=num_vectors)
+    padding = np.arange(max_len) >= lengths[:, None]
+    vectors = rng.uniform(0.0, 10.0, size=(num_vectors, max_len))
+    vectors[padding] = 0.0
+    # in one vector in five on average, one entry set to zero
+    zeroed = rng.random(num_vectors) < 0.2
+    vectors[rows[zeroed], rng.integers(0, lengths)[zeroed]] = 0.0
+    scaled = rng.uniform(0.1, 100.0, size=num_vectors)[:, None] * vectors
+    # a uniform permutation of each vector's entries: the order of uniform
+    # keys, with the padding's keys above every entry's
+    keys = np.where(padding, 2.0, rng.random((num_vectors, max_len)))
+    permuted = np.take_along_axis(vectors, np.argsort(keys, axis=1), axis=1)
+    # a transfer of U(0, 1) times half the gap from the richest entry to the
+    # poorest, where the two differ (so n >= 2 and the total is positive)
+    poor = np.where(padding, np.inf, vectors).argmin(axis=1)
+    rich = np.where(padding, -np.inf, vectors).argmax(axis=1)
+    gap = vectors[rows, rich] - vectors[rows, poor]
+    moved = gap > 0.0
+    delta = rng.random(num_vectors) * gap / 2.0
+    transferred = np.where(moved[:, None], vectors, 0.0)
+    transferred[rows[moved], rich[moved]] -= delta[moved]
+    transferred[rows[moved], poor[moved]] += delta[moved]
     scale_ok = perm_ok = bounds_ok = pigou_ok = True
     for n in range(1, max_len + 1):
         group = lengths == n

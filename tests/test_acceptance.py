@@ -171,6 +171,7 @@ def _pd_cooperation_run(algorithm: Algorithm, alpha: float, seed: int) -> tuple[
     return tuple(float(result.policies.probs(i)[0, 0]) for i in range(2))
 
 
+@pytest.mark.slow
 def test_criterion_09_pd_learning_behavior():
     """Both algorithms: alpha=0.8 must exceed 0.9 cooperation and alpha=0 must
     exceed 0.9 defection, each on >= 4 of 5 seeds within 2e4 steps.
@@ -254,6 +255,7 @@ def _cleanup_gini(objective: ObjectiveMode, seed: int) -> float:
     return float(np.mean(result.table.gini))
 
 
+@pytest.mark.slow
 def test_criterion_11_cleanup_pf_vs_uw_gini():
     """PF at alpha=1 must beat UW by >= 0.15 mean episode Gini on >= 4 of 5
     seeds under identical seeds and hyperparameters, within 20 minutes.

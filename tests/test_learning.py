@@ -447,6 +447,36 @@ class TestA2CUpdate:
         assert policies.version == 1
 
 
+class TestUpdateSchedules:
+    @pytest.mark.parametrize("objective", list(ObjectiveMode))
+    def test_normalized_advantages_are_centred_with_unit_spread(self, objective):
+        policies = SoftmaxPolicyProfile.random(1, (2, 2), np.random.default_rng(2), scale=1.0)
+        buffer, _ = collect_pd_buffer(policies, episode_length=30, num_envs=4, seed=5)
+        critics = CriticTable.constant(2, 1, 30.0)
+        config = make_config(normalize_advantages=True, objective=objective)
+        advantages, _ = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
+        combined, _ = _combined_advantages(advantages, critics, buffer, config)
+        assert combined.shape == (buffer.num_steps, 2)
+        assert np.all(np.abs(combined.mean(axis=0)) <= 1e-12)
+        assert np.all(np.abs(combined.std(axis=0) - 1.0) <= 1e-6)
+
+    def test_logit_step_decays_to_the_floor_rate(self):
+        """From uniform (zero) logits the step is lr * grad exactly, so the
+        step at progress 1 is lr_floor / learning_rate times that at 0."""
+        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
+        buffer, _ = collect_pd_buffer(policies, seed=4)
+        config = make_config(learning_rate=0.5, lr_floor=0.02)
+        steps = []
+        for progress in (0.0, 1.0):
+            moved = policies.copy()
+            a2c_update(moved, CriticTable.constant(2, 1, 30.0), buffer, config, progress)
+            steps.append([m - b for m, b in zip(moved.logits, policies.logits)])
+        ratio = config.lr_floor / config.learning_rate
+        for early, late in zip(*steps):
+            assert np.any(early != 0.0)
+            np.testing.assert_allclose(late, ratio * early, rtol=1e-12, atol=0.0)
+
+
 class TestPPOUpdate:
     @pytest.mark.parametrize("entropy_coef", [0.0, 0.05])
     def test_first_epoch_matches_a2c_direction(self, entropy_coef):

@@ -463,6 +463,46 @@ class TestFairObjective:
             AltruismWeights(1.2)
 
 
+class TestStackedObjective:
+    """``fair_objective`` on a profile whose tables carry stack axes gives
+    each profile of the stack its own call's objective, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_states", [1, 3, 5, 50])
+    def test_stack_on_one_agent_matches_per_profile_calls(self, seed, num_states):
+        rng = np.random.default_rng(seed)
+        counts = tuple(int(c) for c in rng.integers(2, 4, size=2 + seed % 2))
+        game = random_markov_game(len(counts), num_states, counts, 0.9, seed=seed)
+        policies = SoftmaxPolicyProfile.random(num_states, counts, rng)
+        weights = AltruismWeights(float(rng.uniform(0.0, 1.0)))
+        agent = seed % game.num_agents
+        stack = policies.logits[agent] + rng.normal(size=(4,) + policies.logits[agent].shape)
+        logits = list(policies.logits)
+        logits[agent] = stack
+        stacked = fair_objective(game, SoftmaxPolicyProfile(logits), weights)
+        assert stacked.shape == (4, game.num_agents)
+        for k in range(4):
+            logits[agent] = stack[k]
+            single = fair_objective(game, SoftmaxPolicyProfile(logits), weights)
+            assert single.shape == (game.num_agents,)
+            assert stacked[k].tobytes() == single.tobytes()
+
+    def test_stack_axes_of_two_agents_broadcast(self):
+        rng = np.random.default_rng(21)
+        game, policies = random_game_and_policies(rng, max_agents=2)
+        weights = AltruismWeights(0.3)
+        first = rng.normal(size=(3, 1) + policies.logits[0].shape)
+        second = rng.normal(size=(2,) + policies.logits[1].shape)
+        stacked = fair_objective(game, SoftmaxPolicyProfile([first, second]), weights)
+        assert stacked.shape == (3, 2, 2)
+        for a in range(3):
+            for b in range(2):
+                single = fair_objective(
+                    game, SoftmaxPolicyProfile([first[a, 0], second[b]]), weights
+                )
+                assert stacked[a, b].tobytes() == single.tobytes()
+
+
 class TestExactGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -766,6 +806,25 @@ class TestMonteCarloMatchesReference:
         for a, b in zip(new, old):
             assert a.quadrature_residual == b.quadrature_residual
             assert np.array_equal(a.analytic, b.analytic)
+            assert np.array_equal(a.mc_mean, b.mc_mean)
+            assert np.array_equal(a.mc_se, b.mc_se)
+
+
+    @pytest.mark.parametrize(
+        "counts, num_samples",
+        # one action, whose samples are all (signed) zeros; and sample counts
+        # that fill one slab of rows, and spill into a second and a third
+        [((1, 3), 5_000), ((2, 1, 2), 5_000), ((2, 3), 8_192), ((3, 2), 20_000)],
+    )
+    def test_baseline_check_bit_identical_across_slabs(self, counts, num_samples):
+        rng = np.random.default_rng(len(counts) + num_samples)
+        game = random_markov_game(len(counts), 3, counts, 0.9, seed=num_samples)
+        policies = SoftmaxPolicyProfile.random(3, counts, rng, scale=1.0)
+        levels = rng.uniform(-5.0, 5.0, size=game.num_states)
+        args = (game, policies, lambda s: float(levels[s]), num_samples)
+        new = baseline_zero_check(*args, seed=4)
+        old = reference_baseline_zero_check(*args, seed=4)
+        for a, b in zip(new, old, strict=True):
             assert np.array_equal(a.mc_mean, b.mc_mean)
             assert np.array_equal(a.mc_se, b.mc_se)
 
