@@ -39,7 +39,7 @@ from .games import (
     social_optima,
 )
 from .learning import collect_rollouts, train
-from .metrics import emit_plot_data, write_panels
+from .metrics import emit_plot_data, gini, write_panels
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -242,19 +242,23 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(seed)
     track_joint = isinstance(env, RepeatedMatrixGameEnv)
     joint = np.zeros(env.action_counts, dtype=np.int64) if track_joint else None
-    returns, apples, ginis = [], [], []
+    returns, apples = [], []
     for _ in range(args.episodes):
-        buffer, (stats,) = collect_rollouts([env], policies, rng)
-        returns.append(stats.returns)
-        apples.append(stats.apples)
-        ginis.append(stats.gini)
+        buffer, episode_returns, episode_apples = collect_rollouts([env], policies, rng)
+        returns.append(episode_returns)
+        apples.append(episode_apples)
         if track_joint:
             np.add.at(joint, tuple(buffer.actions[0].T), 1)
+    returns = np.concatenate(returns)
+    if apples[0] is None:  # one env: it reports apples in every episode or in none
+        apples, consumptions = np.zeros_like(returns), returns
+    else:
+        apples = consumptions = np.concatenate(apples)
     report = {
         "episodes": args.episodes,
-        "return": _spread(np.stack(returns)),
-        "apples": _spread(np.stack(apples)),
-        "gini": _spread(np.array(ginis)),
+        "return": _spread(returns),
+        "apples": _spread(apples),
+        "gini": _spread(gini(consumptions)),
     }
     if track_joint:
         total = int(joint.sum())

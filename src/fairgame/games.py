@@ -248,8 +248,8 @@ def altruism_level_bruteforce(
     Bisection is used for symmetric 2x2 dilemmas, where the condition is
     monotone in alpha; other games fall back to an ascending grid scan.
     """
-    if not grid_resolution > 0.0:
-        raise DomainError("grid_resolution must be positive")
+    if not 0.0 < grid_resolution < math.inf:
+        raise DomainError(f"grid_resolution must be positive and finite, got {grid_resolution}")
     if not _cooperative_profile_exists(game, 1.0):
         return None
     if _cooperative_profile_exists(game, 0.0):

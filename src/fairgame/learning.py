@@ -160,24 +160,16 @@ class RolloutBuffer:
         )
 
 
-@dataclass
-class EpisodeStats:
-    """Collection-time metrics for one episode."""
-
-    returns: np.ndarray  # undiscounted per-agent sums
-    apples: np.ndarray
-    has_apples: bool
-
-    @property
-    def gini(self) -> float:
-        return gini(self.apples if self.has_apples else self.returns)
-
-
 def collect_rollouts(
     envs: Sequence, policies: SoftmaxPolicyProfile, rng: np.random.Generator
-) -> tuple[RolloutBuffer, list[EpisodeStats]]:
+) -> tuple[RolloutBuffer, np.ndarray, np.ndarray | None]:
     """One episode of ``episode_length`` steps from every collector, in fixed
     order for determinism, into (E, T, N) arrays.
+
+    Returns the buffer and two (E, N) per-episode blocks: the undiscounted
+    per-agent returns, and the apples harvested, summed from the envs'
+    ``info["apples"]``. The apples block is None when the envs report none
+    (they come from one factory, so all report apples or none do).
 
     The shared rng draws only the (E, T, N) block of action uniforms; agent
     i samples the first action whose cumulative probability exceeds its
@@ -197,13 +189,12 @@ def collect_rollouts(
     actions = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape)
     next_observations = np.empty(shape, dtype=np.int64)
+    apples = np.zeros((num_envs, num_agents))
+    has_apples = False
     cumulative: list[dict[int, list[float]]] = [{} for _ in range(num_agents)]
-    stats = []
     for e, env in enumerate(envs):
         obs = env.reset()
         visited, taken, paid = [obs], [], []
-        apples = np.zeros(num_agents)
-        has_apples = False
         for us in uniforms[e]:
             action = []
             for i in range(num_agents):
@@ -219,22 +210,22 @@ def collect_rollouts(
             paid.append(step.rewards)
             if "apples" in step.info:
                 has_apples = True
-                apples += step.info["apples"]
+                apples[e] += step.info["apples"]
         path = np.array(visited, dtype=np.int64)
         observations[e], next_observations[e] = path[:-1], path[1:]
         actions[e], rewards[e] = taken, paid
-        stats.append(EpisodeStats(rewards[e].sum(axis=0), apples, has_apples))
     buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
-    return buffer, stats
+    return buffer, rewards.sum(axis=1), apples if has_apples else None
 
 
 def _collect_single_state(
     envs: Sequence, policies: SoftmaxPolicyProfile, uniforms: np.ndarray
-) -> tuple[RolloutBuffer, list[EpisodeStats]]:
+) -> tuple[RolloutBuffer, np.ndarray, None]:
     """``collect_rollouts`` for envs whose only observation is 0: each agent
     samples its (E, T) actions with one ``markov._draw`` on its cumulative
     softmax row (the per-step bisection's rule), and the (E, T, N) rewards
-    are one gather from the stacked joint reward tables."""
+    are one gather from the stacked joint reward tables. Such envs report no
+    apples."""
     num_envs, _, num_agents = uniforms.shape
     actions = np.empty(uniforms.shape, dtype=np.int64)
     for i in range(num_agents):
@@ -243,13 +234,9 @@ def _collect_single_state(
     tables = np.stack([env.joint_rewards for env in envs])
     episode = np.arange(num_envs)[:, None]
     rewards = tables[(episode, *np.moveaxis(actions, -1, 0))]
-    stats = [
-        EpisodeStats(rewards[e].sum(axis=0), np.zeros(num_agents), False)
-        for e in range(num_envs)
-    ]
     zeros = np.zeros(uniforms.shape, dtype=np.int64)
     buffer = RolloutBuffer(zeros, actions, rewards, zeros.copy(), policies.version)
-    return buffer, stats
+    return buffer, rewards.sum(axis=1), None
 
 
 def compute_gae(
@@ -348,15 +335,15 @@ def _critic_regression_step(
     Each visited state's value moves by -lr * d/dV mean_(t: s_t=s)(V - R_t)^2,
     so a constant-return state contracts its error by (1 - 2 lr) per step.
     ``visited, inverse = np.unique(obs, return_inverse=True)`` for the batch's
-    observations: sums and counts are kept for the visited rows only.
-    Returns the pre-update batch MSE.
+    observations: sums and counts are kept for the visited rows only, each
+    one ``np.bincount``, which adds in sample order from 0.0 as a scatter
+    onto zeros would. Returns the pre-update batch MSE.
     """
     values = table[visited]
-    mse = float(np.mean((values[inverse] - targets) ** 2))
-    sums = np.zeros(len(visited))
-    counts = np.zeros(len(visited))
-    np.add.at(sums, inverse, targets)
-    np.add.at(counts, inverse, 1.0)
+    squared = (values[inverse] - targets) ** 2
+    mse = float(squared.sum() / squared.size)
+    sums = np.bincount(inverse, weights=targets, minlength=len(visited))
+    counts = np.bincount(inverse, minlength=len(visited))
     table[visited] = values - lr * 2.0 * (values - sums / counts)
     return mse
 
@@ -422,13 +409,13 @@ def _policy_gradient_update(
             w = fair[:, i]
             if clip is None:
                 coeff = w
-                actor_loss = -(w * log_taken).mean()
+                actor_loss = -((w * log_taken).sum() / batch)
             else:
                 ratio = np.exp(log_taken - old_log[i])
                 clipped_out = ((w > 0) & (ratio > 1.0 + clip)) | ((w < 0) & (ratio < 1.0 - clip))
                 coeff = np.where(clipped_out, 0.0, ratio * w)
                 surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
-                actor_loss = -surrogate.mean()
+                actor_loss = -(surrogate.sum() / batch)
             grad = np.zeros(probs.shape)
             np.add.at(grad, (inverse, actions[:, i]), coeff / batch)
             np.add.at(grad, inverse, -(coeff[:, None] * rows) / batch)
@@ -437,7 +424,7 @@ def _policy_gradient_update(
                 ent_grad = -probs * (log_probs + entropy[:, None])
                 np.add.at(grad, inverse, (config.entropy_coef * ent_grad / batch)[inverse])
             diag["actor_loss"].append(float(actor_loss))
-            diag["entropy"].append(float(entropy[inverse].mean()))
+            diag["entropy"].append(float(entropy[inverse].sum() / batch))
             policies.logits[i][visited] += lr * grad
             critic_loss = _critic_regression_step(
                 critics.values[i], returns[:, i], critic_lr, visited, inverse
@@ -563,29 +550,33 @@ def train(
 
     update = a2c_update if config.algorithm is Algorithm.FAIR_MAA2C else ppo_update
     steps_done = 0
-    episode_steps, episode_updates, stats, ginis, diagnostics = [], [], [], [], []
+    # per-update (E, N) blocks, each list led by an empty block so that a run
+    # of no updates concatenates to empty arrays
+    empty = np.empty((0, num_agents))
+    returns, apples, ginis = [empty], [empty], [np.empty(0)]
+    update_steps, diagnostics = [], []
     while steps_done < config.total_steps:
-        buffer, collected = collect_rollouts(envs, policies, rng)
+        buffer, block_returns, block_apples = collect_rollouts(envs, policies, rng)
         steps_done += buffer.num_steps
         diag = update(
             policies, critics, buffer, config, progress=steps_done / config.total_steps
         )
         _check_finite(len(diagnostics), policies, critics, buffer, diag)
-        episode_steps += [steps_done] * len(collected)
-        episode_updates += [len(diagnostics)] * len(collected)
-        stats += collected
-        ginis += [stat.gini for stat in collected]
+        ginis.append(gini(block_returns if block_apples is None else block_apples))
+        returns.append(block_returns)
+        apples.append(np.zeros_like(block_returns) if block_apples is None else block_apples)
+        update_steps.append(steps_done)
         diagnostics.append(diag)
 
     def per_agent(rows: list) -> np.ndarray:
         return np.array(rows, dtype=float).reshape(-1, num_agents)
 
     table = EpisodeTable(
-        step=np.array(episode_steps, dtype=np.int64),
-        returns=per_agent([stat.returns for stat in stats]),
-        apples=per_agent([stat.apples for stat in stats]),
-        gini=np.array(ginis, dtype=float),
-        update=np.array(episode_updates, dtype=np.int64),
+        step=np.repeat(np.array(update_steps, dtype=np.int64), config.num_envs),
+        returns=np.concatenate(returns),
+        apples=np.concatenate(apples),
+        gini=np.concatenate(ginis),
+        update=np.repeat(np.arange(len(diagnostics), dtype=np.int64), config.num_envs),
         actor_loss=per_agent([diag["actor_loss"] for diag in diagnostics]),
         critic_loss=per_agent([diag["critic_loss"] for diag in diagnostics]),
         entropy=per_agent([diag["entropy"] for diag in diagnostics]),
@@ -600,7 +591,7 @@ def train(
         critics=critics,
         table=table,
         steps=steps_done,
-        episodes=len(stats),
+        episodes=len(table.gini),
     )
 
 

@@ -69,8 +69,9 @@ def rolling_aggregate(
 
     Every full window is one row of a sliding-window view, reduced once per
     statistic; the prefix minima and maxima are running accumulations. The
-    prefix means stay one ``mean()`` each: numpy sums a slice pairwise, so a
-    running sum would round differently.
+    prefix means stay one slice ``sum()`` over its length each, which is
+    ``mean()``: numpy sums a slice pairwise, so a running sum would round
+    differently.
     """
     if window < 1:
         raise DomainError("window must be at least 1")
@@ -81,7 +82,7 @@ def rolling_aggregate(
     full = np.lib.stride_tricks.sliding_window_view(values, width)
     head = values[: width - 1]
     means = np.concatenate(
-        [[values[: k + 1].mean() for k in range(width - 1)], full.mean(axis=1)]
+        [[values[: k + 1].sum() / (k + 1) for k in range(width - 1)], full.mean(axis=1)]
     )
     mins = np.concatenate([np.minimum.accumulate(head), full.min(axis=1)])
     maxs = np.concatenate([np.maximum.accumulate(head), full.max(axis=1)])
@@ -179,8 +180,7 @@ def _episode_series(
     return steps, agents, np.reshape(apples, (len(episodes), len(agents))), totals, ginis
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
+_fmt = "{:.6g}".format  # a float as text, 6 significant digits
 
 
 def _render_panel_svg(
@@ -204,23 +204,24 @@ def _render_panel_svg(
         y_lo, y_hi = float(all_values.min()), float(all_values.max())
         y_span = (y_hi - y_lo) or 1.0
 
-        def sx(x: float) -> float:
-            return _SVG_MARGIN + (x - x_lo) / x_span * (_SVG_WIDTH - 2 * _SVG_MARGIN)
-
-        def sy(y: float) -> float:
-            return _SVG_HEIGHT - _SVG_MARGIN - (y - y_lo) / y_span * (_SVG_HEIGHT - 2 * _SVG_MARGIN)
+        # canvas coordinates: (v - lo) / span * extent from the margin, one
+        # array expression per axis or series, rounded as the scalar chain is
+        x_extent, y_extent = _SVG_WIDTH - 2 * _SVG_MARGIN, _SVG_HEIGHT - 2 * _SVG_MARGIN
+        scaled_x = _SVG_MARGIN + (np.asarray(steps) - x_lo) / x_span * x_extent
+        xs = list(map(_fmt, scaled_x.tolist()))  # formatted once, shared by every series
 
         def points(xs: list[str], ys: list[float]) -> str:
-            return " ".join(f"{x},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+            return " ".join(map("{},{:.6g}".format, xs, ys))
 
-        xs = [_fmt(sx(x)) for x in steps]  # formatted once, shared by every series
         for index, (label, mean, low, high) in enumerate(series):
             color = _LINE_COLORS[index % len(_LINE_COLORS)]
-            band = points(xs + xs[::-1], high + low[::-1])
+            values = np.asarray(mean + high + low[::-1], dtype=float)
+            ys = (_SVG_HEIGHT - _SVG_MARGIN - (values - y_lo) / y_span * y_extent).tolist()
+            line, band = points(xs, ys[: len(mean)]), points(xs + xs[::-1], ys[len(mean) :])
             body += [
                 f'<polygon fill="{color}" fill-opacity="0.2" stroke="none" points="{band}"/>',
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{points(xs, mean)}"/>',
+                f'points="{line}"/>',
                 f'<text x="{_SVG_WIDTH - _SVG_MARGIN}" y="{20 + 14 * index}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>',
             ]
@@ -266,11 +267,8 @@ def write_panels(
         csv_rows, svg_series = [], []
         for legend, agent, values in series if steps else []:  # no episodes: no series
             mean, low, high = [stat.tolist() for stat in rolling_aggregate(values, window)]
-            label = [] if agent is None else [agent]
-            csv_rows += (
-                [s, _fmt(m), _fmt(lo), _fmt(hi), *label]
-                for s, m, lo, hi in zip(steps, mean, low, high)
-            )
+            label = [] if agent is None else [[agent] * len(steps)]
+            csv_rows += zip(steps, *(map(_fmt, stat) for stat in (mean, low, high)), *label)
             svg_series.append((legend, mean, low, high))
         csv_path, svg_path = out / f"{name}.csv", out / f"{name}.svg"
         with open_fresh(csv_path, newline="") as handle:

@@ -79,13 +79,24 @@ def sample_dilemmas(
     Optionally restrict to T > R instances, and to instances whose closed-form
     altruism level falls in alpha_range (so threshold probes stay in (0, 1)).
     The level lies in [0, 1] for every dilemma (2R >= T + S), so a range
-    outside [0, 1], or with lo > hi, raises DomainError.
+    outside [0, 1], or with lo > hi, raises DomainError. The level is exactly
+    0 where T <= R and varies continuously elsewhere, so a zero-width range
+    other than (0, 0), or (0, 0) with ``require_temptation``, holds no draw
+    and raises DomainError too, before anything is drawn.
     """
-    if alpha_range is not None and not 0.0 <= alpha_range[0] <= alpha_range[1] <= 1.0:
-        raise DomainError(
-            f"alpha_range: {alpha_range} must satisfy 0 <= lo <= hi <= 1, "
-            "the range of the altruism level"
-        )
+    if alpha_range is not None:
+        lo, hi = alpha_range
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise DomainError(
+                f"alpha_range: {alpha_range} must satisfy 0 <= lo <= hi <= 1, "
+                "the range of the altruism level"
+            )
+        if lo == hi and (lo > 0.0 or require_temptation):
+            raise DomainError(
+                f"alpha_range: {alpha_range} has zero width, and the level of a dilemma "
+                "with T > R is continuous, so no draw lands on it; only (0, 0) without "
+                "require_temptation can be met"
+            )
     kept: list[DilemmaPayoffs] = []
     while len(kept) < count:
         batch = rng.uniform(0.1, 10.0, size=(4096, 4))
@@ -98,7 +109,7 @@ def sample_dilemmas(
                 level = np.where(
                     T > R, (np.log(T) - np.log(R)) / (np.log(R) - np.log(S)), 0.0
                 )
-            ok &= (level >= alpha_range[0]) & (level <= alpha_range[1])
+            ok &= (level >= lo) & (level <= hi)
         for row in batch[ok]:
             kept.append(DilemmaPayoffs(*(float(x) for x in row)))
             if len(kept) == count:

@@ -496,6 +496,16 @@ class TestCliAnalyze:
         assert report["transformed"]["0.2"]["has_social_optimum"] is False
         assert report["transformed"]["0.6"]["has_social_optimum"] is True
 
+    @pytest.mark.parametrize("resolution", ["inf", "nan", "0", "-0.1"])
+    def test_non_finite_or_nonpositive_resolution_exits_2(self, tmp_path, capsys, resolution):
+        game_file = tmp_path / "pd.json"
+        game_file.write_text(json.dumps({"T": 5, "R": 3, "S": 1, "P": 2}))
+        assert main(["analyze", str(game_file), "--resolution", resolution]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: grid_resolution must be positive and finite" in captured.err
+        assert captured.err.rstrip().endswith(f"got {float(resolution)}")
+
     def test_stag_hunt_alpha_zero(self, tmp_path, capsys):
         game_file = tmp_path / "stag.json"
         game_file.write_text(json.dumps({"T": 3, "R": 4, "S": 1, "P": 2}))

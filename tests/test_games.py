@@ -145,6 +145,11 @@ class TestAltruismLevel:
             brute = altruism_level_bruteforce(payoffs.to_game(), 1e-6)
             assert brute == pytest.approx(closed, abs=2e-6)
 
+    @pytest.mark.parametrize("resolution", [math.inf, -math.inf, math.nan, 0.0, -1e-3])
+    def test_bruteforce_rejects_a_non_finite_or_nonpositive_resolution(self, resolution):
+        with pytest.raises(DomainError, match="grid_resolution must be positive and finite"):
+            altruism_level_bruteforce(PD.to_game(), resolution)
+
     def test_bruteforce_stag_hunt_zero(self):
         assert altruism_level_bruteforce(STAG.to_game()) == 0.0
 

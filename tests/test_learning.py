@@ -85,7 +85,7 @@ class TestComputeGae:
 
     def test_lambda_zero_is_td_residual(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies)
+        buffer, _, _ = collect_pd_buffer(policies)
         critic = CriticTable([np.array([5.0]), np.array([7.0])])
         advantages, _ = compute_gae(buffer, critic, gamma=0.9, lam=0.0)
         expected = buffer.rewards + 0.9 * np.array([5.0, 7.0]) - np.array([5.0, 7.0])
@@ -93,7 +93,7 @@ class TestComputeGae:
 
     def test_lambda_one_zero_critic_is_reward_to_go(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies, episode_length=5, num_envs=1)
+        buffer, _, _ = collect_pd_buffer(policies, episode_length=5, num_envs=1)
         critic = CriticTable([np.zeros(1), np.zeros(1)])
         advantages, _ = compute_gae(buffer, critic, gamma=0.9, lam=1.0)
         rewards = buffer.rewards[0]
@@ -288,17 +288,15 @@ def collect_block_and_loop(make_env, policies, make_rng, num_envs=3):
 
 
 def assert_same_collection(block, loop):
-    (a, stats_a), (b, stats_b) = block, loop
+    (a, returns_a, apples_a), (b, returns_b, apples_b) = block, loop
     for name in ("observations", "actions", "rewards", "next_observations"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
     assert a.policy_version == b.policy_version
-    assert len(stats_a) == len(stats_b)
-    for p, q in zip(stats_a, stats_b):
-        assert p.returns.tobytes() == q.returns.tobytes()
-        assert p.apples.tobytes() == q.apples.tobytes()
-        assert (p.has_apples, p.gini) == (q.has_apples, q.gini)
+    assert returns_a.shape == returns_b.shape == a.rewards.shape[::2]
+    assert returns_a.tobytes() == returns_b.tobytes()
+    assert apples_a is None and apples_b is None
 
 
 def tied_uniforms(policies, shape, seed):
@@ -352,6 +350,33 @@ class TestSingleStateCollection:
         assert block_envs[0].steps == 0
 
 
+class TestEpisodeBlocks:
+    def test_returns_are_each_episodes_reward_sums(self):
+        policies = SoftmaxPolicyProfile.random(1, (2, 2), np.random.default_rng(2), scale=1.0)
+        for num_envs, length in ((1, 1), (3, 20), (5, 101)):
+            buffer, returns, apples = collect_pd_buffer(policies, length, num_envs)
+            assert apples is None
+            expected = np.stack([buffer.rewards[e].sum(axis=0) for e in range(num_envs)])
+            assert returns.tobytes() == expected.tobytes()
+
+    def test_mini_cleanup_apples_are_the_reported_harvests(self):
+        env_config = MiniCleanupConfig(episode_length=50)
+        envs = [MiniCleanupEnv(env_config, seed) for seed in range(3)]
+        replay = [MiniCleanupEnv(env_config, seed) for seed in range(3)]
+        policies = SoftmaxPolicyProfile.random(
+            envs[0].num_states, envs[0].action_counts, np.random.default_rng(3), scale=1.0
+        )
+        buffer, returns, apples = collect_rollouts(envs, policies, np.random.default_rng(4))
+        assert returns.shape == apples.shape == (3, 3) and apples.any()
+        for e, env in enumerate(replay):
+            env.reset()
+            harvested = np.zeros(3)
+            for action in buffer.actions[e]:
+                harvested += env.step(action).info["apples"]
+            assert apples[e].tobytes() == harvested.tobytes()
+            assert returns[e].tobytes() == buffer.rewards[e].sum(axis=0).tobytes()
+
+
 def make_config(**overrides):
     defaults = dict(
         algorithm=Algorithm.FAIR_MAA2C,
@@ -373,7 +398,7 @@ def make_config(**overrides):
 class TestA2CUpdate:
     def test_stale_buffer_rejected(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies)
+        buffer, _, _ = collect_pd_buffer(policies)
         critics = CriticTable.constant(2, 1, 30.0)
         policies.version += 1
         with pytest.raises(StaleBufferError):
@@ -381,7 +406,7 @@ class TestA2CUpdate:
 
     def test_zero_advantages_leave_actor_unchanged(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies)
+        buffer, _, _ = collect_pd_buffer(policies)
         # constant rewards would still give nonzero GAE; zero them via a
         # critic whose value matches the geometric fixed point of a constant
         # reward stream: impossible for mixed payoffs, so zero the advantage
@@ -389,7 +414,7 @@ class TestA2CUpdate:
         # rewards by forcing a degenerate payoff matrix
         flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 20)
         rng = np.random.default_rng(0)
-        buffer, _ = collect_rollouts([flat, flat], policies, rng)
+        buffer, _, _ = collect_rollouts([flat, flat], policies, rng)
         critics = CriticTable.constant(2, 1, 2.0 / (1 - 0.9))
         before = [l.copy() for l in policies.logits]
         a2c_update(policies, critics, buffer, make_config())
@@ -403,7 +428,7 @@ class TestA2CUpdate:
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 30)
         rng = np.random.default_rng(1)
-        buffer, _ = collect_rollouts([flat], policies, rng)
+        buffer, _, _ = collect_rollouts([flat], policies, rng)
         lr = 0.1
         config = make_config(
             learning_rate=lr, critic_lr=lr, gae_lambda=1.0, gamma=0.0, lr_floor=lr
@@ -421,7 +446,7 @@ class TestA2CUpdate:
     def test_positive_advantage_raises_logit(self):
         # single-state bandit: action 0 pays more, its logit must increase
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=3)
+        buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=3)
         critics = CriticTable.constant(2, 1, 27.5)  # near the uniform-play value
         before = policies.logits[0].copy()
         config = make_config(alpha=0.0, gae_lambda=0.0, learning_rate=1.0, critic_lr=0.1)
@@ -434,14 +459,14 @@ class TestA2CUpdate:
         critics = CriticTable.constant(2, 1, 30.0)
         config = make_config()
         for seed in range(5):
-            buffer, _ = collect_pd_buffer(policies, seed=seed)
+            buffer, _, _ = collect_pd_buffer(policies, seed=seed)
             a2c_update(policies, critics, buffer, config)
         for i in range(2):
             assert np.allclose(policies.probs(i).sum(axis=1), 1.0, atol=1e-12)
 
     def test_version_bumped(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies)
+        buffer, _, _ = collect_pd_buffer(policies)
         critics = CriticTable.constant(2, 1, 30.0)
         a2c_update(policies, critics, buffer, make_config())
         assert policies.version == 1
@@ -451,7 +476,7 @@ class TestUpdateSchedules:
     @pytest.mark.parametrize("objective", list(ObjectiveMode))
     def test_normalized_advantages_are_centred_with_unit_spread(self, objective):
         policies = SoftmaxPolicyProfile.random(1, (2, 2), np.random.default_rng(2), scale=1.0)
-        buffer, _ = collect_pd_buffer(policies, episode_length=30, num_envs=4, seed=5)
+        buffer, _, _ = collect_pd_buffer(policies, episode_length=30, num_envs=4, seed=5)
         critics = CriticTable.constant(2, 1, 30.0)
         config = make_config(normalize_advantages=True, objective=objective)
         advantages, _ = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
@@ -464,7 +489,7 @@ class TestUpdateSchedules:
         """From uniform (zero) logits the step is lr * grad exactly, so the
         step at progress 1 is lr_floor / learning_rate times that at 0."""
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies, seed=4)
+        buffer, _, _ = collect_pd_buffer(policies, seed=4)
         config = make_config(learning_rate=0.5, lr_floor=0.02)
         steps = []
         for progress in (0.0, 1.0):
@@ -482,7 +507,7 @@ class TestPPOUpdate:
     def test_first_epoch_matches_a2c_direction(self, entropy_coef):
         # a non-uniform start, where the entropy gradient is nonzero
         policies_a = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
-        buffer, _ = collect_pd_buffer(policies_a, seed=5)
+        buffer, _, _ = collect_pd_buffer(policies_a, seed=5)
         critics_a = CriticTable.constant(2, 1, 30.0)
         critics_b = critics_a.copy()
         policies_b = policies_a.copy()
@@ -500,7 +525,7 @@ class TestPPOUpdate:
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 20)
         rng = np.random.default_rng(2)
-        buffer, _ = collect_rollouts([flat, flat], policies, rng)
+        buffer, _, _ = collect_rollouts([flat, flat], policies, rng)
         critics = CriticTable.constant(2, 1, 20.0)
         before = [l.copy() for l in policies.logits]
         config = make_config(
@@ -512,7 +537,7 @@ class TestPPOUpdate:
 
     def test_ratio_clipped_after_many_epochs(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
+        buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
         critics = CriticTable.constant(2, 1, 27.5)
         old_probs = [policies.probs(i).copy() for i in range(2)]
         config = make_config(
@@ -542,7 +567,7 @@ class TestPPOUpdate:
 
     def test_stale_buffer_rejected(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies)
+        buffer, _, _ = collect_pd_buffer(policies)
         critics = CriticTable.constant(2, 1, 30.0)
         policies.version += 3
         with pytest.raises(StaleBufferError):
@@ -638,7 +663,7 @@ class TestUpdateCoreBitIdentical:
         policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
         critics = CriticTable.constant(2, 1, 50.0)
         for seed in range(10):
-            buffer, _ = collect_pd_buffer(policies, episode_length=100, num_envs=2, seed=seed)
+            buffer, _, _ = collect_pd_buffer(policies, episode_length=100, num_envs=2, seed=seed)
             assert_same_update(
                 a2c_update, 1, None, policies, critics, buffer, config, progress=seed / 10
             )
@@ -657,13 +682,60 @@ class TestUpdateCoreBitIdentical:
         )
         critics = CriticTable.constant(envs[0].num_agents, envs[0].num_states, 1.0)
         for update_index in range(3):
-            buffer, _ = collect_rollouts(envs, policies, rng)
+            buffer, _, _ = collect_rollouts(envs, policies, rng)
             obs, _ = buffer.flat()
             for i in range(obs.shape[1]):
                 assert len(np.unique(obs[:, i])) < obs.shape[0]  # rows repeat
             assert_same_update(
                 ppo_update, 4, 0.2, policies, critics, buffer, config, progress=update_index / 3
             )
+
+
+def scattered_critic_step(table, targets, lr, visited, inverse):
+    """``_critic_regression_step`` with its sums and counts scattered onto
+    zeros by ``np.add.at`` and its MSE from ``np.mean``: the reference for
+    its bincount form."""
+    values = table[visited]
+    mse = float(np.mean((values[inverse] - targets) ** 2))
+    sums = np.zeros(len(visited))
+    counts = np.zeros(len(visited))
+    np.add.at(sums, inverse, targets)
+    np.add.at(counts, inverse, 1.0)
+    table[visited] = values - lr * 2.0 * (values - sums / counts)
+    return mse
+
+
+class TestCriticRegressionStep:
+    def assert_matches_scatter(self, table, obs, targets, lr):
+        visited, inverse = np.unique(obs, return_inverse=True)
+        expected_table = table.copy()
+        expected = scattered_critic_step(expected_table, targets, lr, visited, inverse)
+        mse = _critic_regression_step(table, targets, lr, visited, inverse)
+        assert mse == expected or (np.isnan(mse) and np.isnan(expected))
+        assert table.tobytes() == expected_table.tobytes()
+
+    def test_random_batches_with_repeated_rows(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            num_states = int(rng.integers(1, 40))
+            batch = int(rng.integers(1, 500))
+            table = rng.normal(0.0, 10.0, num_states)
+            obs = rng.integers(0, num_states, batch)
+            targets = rng.normal(0.0, 10.0, batch) * 10.0 ** rng.integers(-8, 9, batch)
+            self.assert_matches_scatter(table, obs, targets, float(rng.uniform(0.01, 0.49)))
+
+    def test_single_visited_row(self):
+        rng = np.random.default_rng(1)
+        for batch in (1, 2, 2000):
+            table = np.array([50.0, -1.0, 3.0])
+            obs = np.full(batch, 1)
+            self.assert_matches_scatter(table, obs, rng.uniform(1.0, 5.0, batch), 0.2)
+
+    def test_large_table_with_few_visited_rows(self):
+        rng = np.random.default_rng(2)
+        table = rng.normal(0.0, 1.0, 131072)
+        obs = rng.choice(131072, 7, replace=False)[rng.integers(0, 7, 3000)]
+        self.assert_matches_scatter(table, obs, rng.normal(5.0, 2.0, 3000), 0.1)
 
 
 def fair_advantages(critics, buffer, config):
@@ -771,7 +843,7 @@ def small_markov_batch(policies_seed):
     envs = [MarkovGameEnv(game, 12, seed=k) for k in range(2)]
     rng = np.random.default_rng(policies_seed)
     policies = SoftmaxPolicyProfile.random(16, game.action_counts, rng, scale=1.0)
-    buffer, _ = collect_rollouts(envs, policies, rng)
+    buffer, _, _ = collect_rollouts(envs, policies, rng)
     obs, _ = buffer.flat()
     assert all(len(np.unique(obs[:, i])) < min(16, len(obs)) for i in range(2))
     return policies, CriticTable.constant(2, 16, 5.0), buffer
@@ -784,7 +856,7 @@ class TestUpdateCoreAscendsTheLoss:
 
     def test_ppo_on_a_pd_batch_where_the_clip_binds(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
+        buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
         critics = CriticTable.constant(2, 1, 27.5)
         config = make_config(
             algorithm=Algorithm.FAIR_MAPPO, entropy_coef=0.05, ppo_epochs=4,
@@ -808,7 +880,7 @@ class TestUpdateCoreAscendsTheLoss:
     def test_a2c(self, batch):
         if batch == "pd":
             policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
-            buffer, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
+            buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
             critics = CriticTable.constant(2, 1, 27.5)
         else:
             policies, critics, buffer = small_markov_batch(policies_seed=22)
@@ -865,7 +937,7 @@ class TestTrain:
     @pytest.mark.parametrize("name", ["critic", "actor_loss", "critic_loss", "entropy"])
     def test_non_finite_check_names_the_value(self, name):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _ = collect_pd_buffer(policies)
+        buffer, _, _ = collect_pd_buffer(policies)
         critics = CriticTable.constant(2, 1, 1.0)
         diag = {key: [0.5, 0.5] for key in ("actor_loss", "critic_loss", "entropy")}
         if name == "critic":
@@ -876,18 +948,37 @@ class TestTrain:
             _check_finite(3, policies, critics, buffer, diag)
 
     def test_gini_once_per_episode(self, monkeypatch):
-        calls = []
+        # one stacked call per update, on that update's (E, N) block of
+        # episodes: each episode's Gini is still computed once
+        shapes = []
 
         def counting_gini(consumptions):
-            calls.append(1)
+            shapes.append(np.shape(consumptions))
             return gini(consumptions)
 
         monkeypatch.setattr(learning, "gini", counting_gini)
         result = train(self.factory, make_config(total_steps=400))
         assert result.episodes > 0
-        assert len(calls) == result.episodes
+        assert shapes == [(2, 2)] * len(result.table.floor_hits)
         assert result.table.gini.shape == (result.episodes,)
         assert result.table.apples.shape == (result.episodes, 2)
+
+    @pytest.mark.parametrize("env", ["pd", "mini_cleanup"])
+    def test_stacked_gini_is_each_episodes_gini(self, env):
+        if env == "pd":
+            result = train(self.factory, make_config(total_steps=400))
+            assert not result.table.apples.any()  # no apples: the Gini of returns
+            consumptions = result.table.returns
+        else:
+            env_config = MiniCleanupConfig(episode_length=40)  # 3 agents
+            result = train(
+                lambda seed: MiniCleanupEnv(env_config, seed),
+                make_config(num_envs=3, total_steps=480, critic_init=1.0),
+            )
+            consumptions = result.table.apples
+            assert consumptions.shape == (12, 3) and consumptions.any()
+        expected = np.array([gini(row) for row in consumptions])
+        assert result.table.gini.tobytes() == expected.tobytes()
 
     def test_gini_error_stops_training_at_its_update(self, monkeypatch):
         updates = []
@@ -945,7 +1036,7 @@ class TestScoreFunctionSanity:
     def test_on_policy_score_mean_near_zero(self):
         rng = np.random.default_rng(21)
         policies = SoftmaxPolicyProfile.random(1, (2, 2), rng)
-        buffer, _ = collect_pd_buffer(policies, episode_length=100, num_envs=20, seed=9)
+        buffer, _, _ = collect_pd_buffer(policies, episode_length=100, num_envs=20, seed=9)
         _, actions = buffer.flat()
         for i in range(2):
             probs = policies.probs(i)[0]
@@ -969,7 +1060,7 @@ class TestEstimatorAlignment:
             critics = CriticTable([bundle.state_values[j].copy() for j in range(2)])
             # 200 consecutive episodes of one env: one collector per episode
             env = MarkovGameEnv(game, episode_length=50, seed=300 + trial)
-            buffer, _ = collect_rollouts([env] * 200, policies, rng)
+            buffer, _, _ = collect_rollouts([env] * 200, policies, rng)
             weights = AltruismWeights(0.6)
             exact = exact_fair_gradient(game, policies, weights)
             lr = 1e-3

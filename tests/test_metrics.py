@@ -1,4 +1,5 @@
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from fairgame.metrics import (
     emit_plot_data,
     gini,
     rolling_aggregate,
+    write_panels,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -284,3 +286,106 @@ class TestEmitPlotData:
         produced = (tmp_path / "panels" / "panel_gini.svg").read_bytes()
         golden = (DATA / "panel_gini_golden.svg").read_bytes()
         assert produced == golden
+
+
+def scalar_panels(steps, apples, ginis, window):
+    """Reference for ``write_panels``: each panel's CSV and SVG text, every
+    point scaled by the scalar ``sx``/``sy`` and formatted by one
+    ``format(x, ".6g")`` call."""
+    width, height, margin = 640, 360, 40
+    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2")
+
+    def fmt(x):
+        return format(x, ".6g")
+
+    def svg(title, series):
+        body = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<text x="{width // 2}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{title}</text>',
+        ]
+        if steps:
+            x_lo, x_hi = min(steps), max(steps)
+            x_span = (x_hi - x_lo) or 1.0
+            all_values = np.concatenate([lo + hi for _, _, lo, hi in series])
+            y_lo, y_hi = float(all_values.min()), float(all_values.max())
+            y_span = (y_hi - y_lo) or 1.0
+
+            def sx(x):
+                return margin + (x - x_lo) / x_span * (width - 2 * margin)
+
+            def sy(y):
+                return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+
+            def points(xs, ys):
+                return " ".join(f"{x},{fmt(sy(y))}" for x, y in zip(xs, ys))
+
+            xs = [fmt(sx(x)) for x in steps]
+            for index, (label, mean, low, high) in enumerate(series):
+                color = colors[index % len(colors)]
+                body += [
+                    f'<polygon fill="{color}" fill-opacity="0.2" stroke="none" '
+                    f'points="{points(xs + xs[::-1], high + low[::-1])}"/>',
+                    f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                    f'points="{points(xs, mean)}"/>',
+                    f'<text x="{width - margin}" y="{20 + 14 * index}" text-anchor="end" '
+                    f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>',
+                ]
+            body.append(
+                f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+                f'y2="{height - margin}" stroke="black" stroke-width="1"/>'
+            )
+        body.append("</svg>")
+        return "\n".join(body) + "\n"
+
+    apples = np.asarray(apples, dtype=float)
+    totals = [sum(row) for row in apples.tolist()]
+    panels = [
+        ("panel_total", "Total apples per episode", [("total", None, totals)]),
+        ("panel_per_agent", "Apples per agent per episode",
+         [(f"agent {a}", a, apples[:, a].copy()) for a in range(apples.shape[1])]),
+        ("panel_gini", "Gini coefficient per episode", [("gini", None, ginis)]),
+    ]
+    files = {}
+    for name, title, series in panels:
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        label = ["agent"] if name == "panel_per_agent" else []
+        writer.writerow(["step", "mean", "min", "max"] + label)
+        svg_series = []
+        for legend, agent, values in series if steps else []:
+            mean, low, high = [stat.tolist() for stat in rolling_aggregate(values, window)]
+            for s, m, lo, hi in zip(steps, mean, low, high):
+                writer.writerow([s, fmt(m), fmt(lo), fmt(hi)] + ([] if agent is None else [agent]))
+            svg_series.append((legend, mean, low, high))
+        files[f"{name}.csv"] = text.getvalue().encode()
+        files[f"{name}.svg"] = svg(title, svg_series).encode()
+    return files
+
+
+class TestPanelsEqualTheScalarRendering:
+    def random_panel_input(self, rng):
+        episodes = int(rng.integers(0, 120))
+        num_agents = int(rng.integers(1, 6))
+        steps = np.cumsum(rng.integers(0, 3, episodes) * int(rng.integers(1, 500)))
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        apples = np.round(rng.exponential(scale, (episodes, num_agents)), int(rng.integers(0, 4)))
+        apples[rng.random(apples.shape) < 0.2] = 0.0
+        apples[rng.random(apples.shape) < 0.1] = -0.0
+        ginis = rng.uniform(0.0, 0.8, episodes)
+        ginis[rng.random(episodes) < 0.1] = -0.0
+        if rng.random() < 0.3:
+            ginis[rng.random(episodes) < 0.2] = np.nan
+        return steps, apples, ginis, int(rng.integers(1, 51))
+
+    def test_300_random_series(self, tmp_path):
+        rng = np.random.default_rng(18)
+        for case in range(300):
+            steps, apples, ginis, window = self.random_panel_input(rng)
+            out = tmp_path / str(case)
+            write_panels(out, steps, apples, ginis, window)
+            expected = scalar_panels(steps.tolist(), apples, ginis, window)
+            for name, content in expected.items():
+                assert (out / name).read_bytes() == content, (case, name)

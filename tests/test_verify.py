@@ -124,6 +124,27 @@ class TestSampleDilemmas:
         with pytest.raises(DomainError, match="alpha_range"):
             sample_dilemmas(np.random.default_rng(0), 3, alpha_range=alpha_range)
 
+    @pytest.mark.parametrize("alpha_range", [(0.5, 0.5), (1.0, 1.0), (1e-9, 1e-9)])
+    def test_zero_width_range_above_zero_raises_before_drawing(self, alpha_range):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="alpha_range: .* has zero width"):
+            sample_dilemmas(rng, 1, alpha_range=alpha_range)
+        assert rng.bit_generator.state == state
+
+    def test_zero_range_draws_dilemmas_without_temptation(self):
+        kept = sample_dilemmas(np.random.default_rng(2), 20, alpha_range=(0.0, 0.0))
+        assert len(kept) == 20
+        for payoffs in kept:
+            assert payoffs.T <= payoffs.R
+            assert altruism_level_closed_form(payoffs) == 0.0
+
+    def test_zero_range_with_temptation_raises(self):
+        with pytest.raises(DomainError, match="alpha_range: .* has zero width"):
+            sample_dilemmas(
+                np.random.default_rng(0), 1, require_temptation=True, alpha_range=(0.0, 0.0)
+            )
+
     def test_levels_fall_in_the_range(self):
         kept = sample_dilemmas(
             np.random.default_rng(1), 50, require_temptation=True, alpha_range=(0.2, 0.4)
