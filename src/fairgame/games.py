@@ -263,11 +263,12 @@ def altruism_level_bruteforce(
             else:
                 lo = mid
         return hi
-    alpha = grid_resolution
-    while alpha < 1.0:
+    # grid points are k * grid_resolution, so the scan does not drift off them
+    k = 1
+    while (alpha := k * grid_resolution) < 1.0:
         if _cooperative_profile_exists(game, alpha):
             return alpha
-        alpha += grid_resolution
+        k += 1
     return 1.0
 
 

@@ -6,7 +6,11 @@ with GAE and the initial-state-normalized fair advantage combination.
 import csv
 import json
 import math
+import multiprocessing
+import os
 from bisect import bisect_right
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -621,21 +625,41 @@ def write_log_csv(path, table: EpisodeTable) -> None:
 SNAPSHOT_BLOCK_ROWS = 4096
 
 
+def _json_rows(block: np.ndarray) -> str:
+    """The JSON rows of one block of a logit table, without the enclosing
+    brackets."""
+    return json.dumps(block.tolist())[1:-1]
+
+
 def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
     """Policy snapshot: a JSON array of per-agent logit matrices.
 
-    The file is streamed in blocks of ``SNAPSHOT_BLOCK_ROWS`` rows, so memory
-    scales with a block rather than the table; its bytes equal
-    ``json.dumps([logits.tolist() for logits in policies.logits])``.
+    Every table is cut into blocks of ``SNAPSHOT_BLOCK_ROWS`` rows, and the
+    blocks are formatted and written in order, so the bytes equal
+    ``json.dumps([logits.tolist() for logits in policies.logits])``. When
+    there are more blocks than CPUs, a process pool formats them across the
+    CPUs, and memory scales with the blocks in flight rather than a table. A
+    multiprocessing child (a ``--jobs`` sweep worker, whose siblings already
+    fill the CPUs) formats its blocks in-process.
     """
     from .formats import open_fresh  # formats imports this module
 
-    with open_fresh(path) as handle:
+    blocks = [
+        logits[start : start + SNAPSHOT_BLOCK_ROWS]
+        for logits in policies.logits
+        for start in range(0, len(logits), SNAPSHOT_BLOCK_ROWS)
+    ]
+    cpus = len(os.sched_getaffinity(0))
+    with ExitStack() as stack:
+        if len(blocks) > cpus and multiprocessing.parent_process() is None:
+            rows = stack.enter_context(ProcessPoolExecutor(cpus)).map(_json_rows, blocks)
+        else:
+            rows = map(_json_rows, blocks)
+        handle = stack.enter_context(open_fresh(path))
         handle.write("[")
         for agent, logits in enumerate(policies.logits):
             handle.write(", [" if agent else "[")
             for start in range(0, len(logits), SNAPSHOT_BLOCK_ROWS):
-                block = logits[start : start + SNAPSHOT_BLOCK_ROWS].tolist()
-                handle.write((", " if start else "") + json.dumps(block)[1:-1])
+                handle.write((", " if start else "") + next(rows))
             handle.write("]")
         handle.write("]")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +506,15 @@ class TestCliAnalyze:
         assert captured.out == ""
         assert "error: grid_resolution must be positive and finite" in captured.err
         assert captured.err.rstrip().endswith(f"got {float(resolution)}")
+
+    def test_general_game_level_is_an_exact_grid_point(self, tmp_path, capsys):
+        game_file = tmp_path / "general.json"
+        game_file.write_text(json.dumps(
+            {"players": 2, "strategies": [2, 2], "payoffs": [3, 3.5, 1, 5, 5, 1, 2, 2]}
+        ))
+        assert main(["analyze", str(game_file), "--resolution", "1e-3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["alpha_g_bruteforce"] == 408 * 1e-3
 
     def test_stag_hunt_alpha_zero(self, tmp_path, capsys):
         game_file = tmp_path / "stag.json"
@@ -1076,23 +1086,38 @@ class TestDirectoryGivenAsInputFile:
 
 class TestParallelSweep:
     def test_jobs_flag_produces_same_runs(self, tmp_path, capsys):
-        doc = self.config_doc(tmp_path / "runs_par")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        assert main(["train", str(config), "--jobs", "2"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert {r["status"] for r in out["runs"]} == {"ok"}
-        doc["out"] = str(tmp_path / "runs_seq")
-        config_seq = tmp_path / "config_seq.json"
-        config_seq.write_text(json.dumps(doc))
-        assert main(["train", str(config_seq)]) == 0
-        capsys.readouterr()
-        for run_id in os.listdir(tmp_path / "runs_par"):
-            if not (tmp_path / "runs_par" / run_id).is_dir():
-                continue
-            par = (tmp_path / "runs_par" / run_id / "log.csv").read_bytes()
-            seq = (tmp_path / "runs_seq" / run_id / "log.csv").read_bytes()
-            assert par == seq
+        self.assert_jobs_agree(tmp_path, capsys, self.config_doc(tmp_path / "runs"))
+
+    def test_jobs_flag_produces_same_mini_cleanup_runs(self, tmp_path, capsys, snapshot_pools):
+        # 3 agents x 32768 states: 24 snapshot blocks per item, which the
+        # --jobs 1 run formats in a pool and the --jobs 2 workers in-process
+        doc = {
+            **SWEEP_CONFIGS["mini_cleanup"], "alpha": [0.5, 1.0], "total_steps": 72,
+            "seed": 3, "out": str(tmp_path / "runs"),
+        }
+        self.assert_jobs_agree(tmp_path, capsys, doc)
+        assert snapshot_pools == [2, 2]
+
+    @staticmethod
+    def assert_jobs_agree(tmp_path, capsys, doc):
+        """``--jobs 2`` and ``--jobs 1`` write the same log, snapshot and
+        panels, byte for byte, for every sweep item."""
+        outputs = {}
+        for jobs in ("2", "1"):
+            doc["out"] = str(tmp_path / f"runs_jobs{jobs}")
+            config = tmp_path / f"config_jobs{jobs}.json"
+            config.write_text(json.dumps(doc))
+            assert main(["train", str(config), "--jobs", jobs]) == 0
+            runs = json.loads(capsys.readouterr().out)["runs"]
+            assert [r["status"] for r in runs] == ["ok"] * len(doc["alpha"])
+            outputs[jobs] = {
+                (r["run_id"], path.relative_to(r["dir"]).as_posix()): path.read_bytes()
+                for r in runs
+                for path in sorted(Path(r["dir"]).rglob("*"))
+                if path.name in ("log.csv", "snapshot.json") or path.parent.name == "panels"
+            }
+        assert len(outputs["1"]) == 8 * len(doc["alpha"])
+        assert outputs["2"] == outputs["1"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):

@@ -13,6 +13,7 @@ from fairgame.games import (
     altruism_level_bruteforce,
     altruism_level_closed_form,
     altruistic_extension,
+    as_dilemma_payoffs,
     check_consistency_ts_r2,
     check_proportionally_fair,
     classify_social_dilemma,
@@ -167,6 +168,15 @@ class TestAltruismLevel:
         game = NormalFormGame(2, (2, 2), payoffs)
         result = altruism_level_bruteforce(game, 1e-3)
         assert result is None or isinstance(result, float)
+
+    def test_grid_scan_returns_exact_grid_points(self):
+        # a general 2x2 game (not a symmetric dilemma) takes the grid scan;
+        # its level is the 408th grid point, which repeated addition of 1e-3
+        # overshoots as 0.4080000000000003
+        flat = np.array([3.0, 3.5, 1.0, 5.0, 5.0, 1.0, 2.0, 2.0])
+        game = NormalFormGame(2, (2, 2), flat.reshape(2, 2, 2))
+        assert as_dilemma_payoffs(game) is None
+        assert altruism_level_bruteforce(game, 1e-3) == 408 * 1e-3
 
     def test_grid_scan_fallback_three_players(self):
         # 3-player coordination game: already fine at alpha=0

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -1124,6 +1125,36 @@ class TestFairDynamicsConsistency:
 
 
 class TestSnapshotFiles:
+    """The snapshot writer, in-process and across a pool of two workers."""
+
+    BLOCK_EDGES = [
+        1,
+        SNAPSHOT_BLOCK_ROWS - 1,
+        SNAPSHOT_BLOCK_ROWS,
+        SNAPSHOT_BLOCK_ROWS + 1,
+        2 * SNAPSHOT_BLOCK_ROWS + 1,
+    ]
+
+    @staticmethod
+    def assert_written_as_one_dump(path, logits):
+        save_policy_snapshot(path, SoftmaxPolicyProfile(logits))
+        assert path.read_bytes() == json.dumps([table.tolist() for table in logits]).encode()
+        assert multiprocessing.active_children() == []
+
+    def assert_block_edges_written_exactly(self, path, num_rows):
+        rng = np.random.default_rng(num_rows)
+        # three tables: at least three blocks, more than the two CPUs
+        logits = [
+            rng.normal(size=(num_rows, 1)),
+            rng.normal(size=(num_rows, 3)) * 1e3,
+            rng.normal(size=(num_rows, 2)) * 1e-3,
+        ]
+        logits[1][0] = [-0.0, 1e-300, 1e16]
+        logits[0][-1] = -0.0
+        self.assert_written_as_one_dump(path, logits)
+        loaded = load_policy_snapshot(path).logits
+        assert [t.tobytes() for t in loaded] == [t.tobytes() for t in logits]
+
     def test_snapshot_is_json_array(self, tmp_path):
         policies = SoftmaxPolicyProfile.uniform(2, (2, 3))
         path = tmp_path / "snap.json"
@@ -1132,24 +1163,53 @@ class TestSnapshotFiles:
         assert isinstance(data, list) and len(data) == 2
         assert np.asarray(data[1]).shape == (2, 3)
 
-    @pytest.mark.parametrize(
-        "num_rows",
-        [
-            1,
-            SNAPSHOT_BLOCK_ROWS - 1,
-            SNAPSHOT_BLOCK_ROWS,
-            SNAPSHOT_BLOCK_ROWS + 1,
-            2 * SNAPSHOT_BLOCK_ROWS + 1,
-        ],
-    )
-    def test_streamed_bytes_equal_one_dump_and_load_exactly(self, tmp_path, num_rows):
-        rng = np.random.default_rng(num_rows)
-        logits = [rng.normal(size=(num_rows, 1)), rng.normal(size=(num_rows, 3)) * 1e3]
-        logits[1][0] = [-0.0, 1e-300, 1e16]
-        logits[0][-1] = -0.0
+    @pytest.mark.parametrize("num_rows", BLOCK_EDGES)
+    def test_streamed_bytes_equal_one_dump_and_load_exactly(
+        self, tmp_path, snapshot_pools, monkeypatch, num_rows
+    ):
+        # a multiprocessing child (a --jobs sweep worker) makes no pool
+        monkeypatch.setattr(learning.multiprocessing, "parent_process", lambda: object())
+        self.assert_block_edges_written_exactly(tmp_path / "snap.json", num_rows)
+        assert snapshot_pools == []
+
+    @pytest.mark.parametrize("num_rows", BLOCK_EDGES)
+    def test_pooled_bytes_equal_one_dump_and_load_exactly(
+        self, tmp_path, snapshot_pools, num_rows
+    ):
+        self.assert_block_edges_written_exactly(tmp_path / "snap.json", num_rows)
+        assert snapshot_pools == [2]
+
+    def test_pooled_empty_table_between_nonempty_ones(self, tmp_path, snapshot_pools):
+        rng = np.random.default_rng(0)
+        logits = [
+            rng.normal(size=(5, 2)),
+            np.zeros((0, 3)),
+            rng.normal(size=(SNAPSHOT_BLOCK_ROWS + 1, 1)),
+        ]
         path = tmp_path / "snap.json"
-        save_policy_snapshot(path, SoftmaxPolicyProfile(logits))
-        expected = json.dumps([table.tolist() for table in logits])
-        assert path.read_bytes() == expected.encode()
-        loaded = load_policy_snapshot(path).logits
-        assert [t.tobytes() for t in loaded] == [t.tobytes() for t in logits]
+        self.assert_written_as_one_dump(path, logits)
+        assert snapshot_pools == [2]
+        assert [np.asarray(t).tobytes() for t in json.loads(path.read_text())] == [
+            t.tobytes() for t in logits
+        ]
+
+    def test_few_blocks_are_formatted_in_process(self, tmp_path, snapshot_pools):
+        # one block per agent, as in the PD sweep: no more blocks than CPUs
+        self.assert_written_as_one_dump(tmp_path / "snap.json", [np.ones((1, 2)), np.ones((3, 2))])
+        assert snapshot_pools == []
+
+    def test_worker_error_propagates(self, tmp_path, snapshot_pools, monkeypatch):
+        monkeypatch.setattr(learning, "_json_rows", _rows_failing_in_workers)
+        logits = [np.ones((SNAPSHOT_BLOCK_ROWS + 1, 2)) for _ in range(2)]
+        with pytest.raises(ValueError, match="formatting failed in a worker"):
+            save_policy_snapshot(tmp_path / "snap.json", SoftmaxPolicyProfile(logits))
+        assert snapshot_pools == [2]
+        assert multiprocessing.active_children() == []
+
+
+def _rows_failing_in_workers(block):
+    """A block formatter that fails in a pool worker (module level, so that
+    the pool can send it to its workers)."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError("formatting failed in a worker")
+    return json.dumps(block.tolist())[1:-1]
