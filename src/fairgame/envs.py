@@ -12,9 +12,19 @@ positive. An env with ``num_states == 1`` also exposes ``joint_rewards``, a
 read-only float64 array of shape (A_1, ..., A_N, N) holding every agent's
 reward for each joint action, so that its episodes can be collected without
 stepping it.
+
+The multi-state envs, mini-CleanUp and ``MarkovGameEnv``, keep their state
+as a batch of one env (leading axis of length 1), and ``step`` is that
+batch's step. ``_lockstep(envs)`` resets E envs of one kind, stacks their
+batches into one (E, ...) batch for the collector to step together, and
+hands every env its own final state back when the episode ends. Every env
+keeps its own generator, and a batched step draws from it exactly what the
+env's own step would, in env order.
 """
 
+import copy
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,9 +35,12 @@ from .games import DilemmaPayoffs
 from .markov import TabularMarkovGame
 
 UP, DOWN, LEFT, RIGHT, CLEAN, NOOP = range(6)
-_MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
+# row and column offsets of each action; CLEAN and NOOP hold position
+_ROW_MOVES = np.array([-1, 1, 0, 0, 0, 0])
+_COL_MOVES = np.array([0, 0, -1, 1, 0, 0])
 _POLLUTION_BUCKETS = 4
 _WINDOW_BITS = 9  # 3x3 local apple bitmap
+_WINDOW_WEIGHTS = 1 << np.arange(_WINDOW_BITS - 1, -1, -1)
 
 
 @dataclass
@@ -77,6 +90,79 @@ def matrix_markov_game(payoffs: DilemmaPayoffs, gamma: float) -> TabularMarkovGa
     )
 
 
+class _Batch:
+    """The state of E envs of one kind, stepped together: ``rngs`` holds
+    each env's generator, and every array named in ``_arrays`` has a
+    leading axis of length E. A subclass adds ``observations()``, the (E, N)
+    observation indices, and ``step(actions)``, which takes (E, N) actions
+    to (E, N) observations, (E, N) rewards and the (E, N) apples harvested
+    (None for an env without apples)."""
+
+    _arrays: tuple[str, ...] = ()
+
+    @classmethod
+    def concatenate(cls, batches: Sequence["_Batch"]) -> "_Batch":
+        stacked = copy.copy(batches[0])
+        stacked.rngs = [rng for batch in batches for rng in batch.rngs]
+        for name in cls._arrays:
+            setattr(stacked, name, np.concatenate([getattr(batch, name) for batch in batches]))
+        return stacked
+
+    def split(self) -> list["_Batch"]:
+        """One batch of one env per env, each with its own copy of the state."""
+        parts = []
+        for e, rng in enumerate(self.rngs):
+            part = copy.copy(self)
+            part.rngs = [rng]
+            for name in self._arrays:
+                setattr(part, name, getattr(self, name)[e : e + 1].copy())
+            parts.append(part)
+        return parts
+
+
+@contextmanager
+def _lockstep(envs: Sequence):
+    """Reset every env in order and yield their states stacked as one
+    ``_Batch`` of E envs; after the episode every env takes back its own
+    final state. For E distinct multi-state envs of one kind: one env
+    listed twice cannot step as two."""
+    if len({id(env) for env in envs}) < len(envs):
+        raise DomainError("lockstep collection needs distinct envs; one env is listed twice")
+    for env in envs:
+        env.reset()
+    batch = type(envs[0]._batch).concatenate([env._batch for env in envs])
+    yield batch
+    for env, part in zip(envs, batch.split()):
+        env._batch = part
+
+
+class _MarkovBatch(_Batch):
+    """``MarkovGameEnv`` states: the global state index of each env, which
+    every agent observes. Each env draws its next state from its own
+    generator, one ``choice`` per step."""
+
+    _arrays = ("states",)
+
+    def __init__(self, game: TabularMarkovGame, rngs: list, states: np.ndarray):
+        self.game, self.rngs, self.states = game, rngs, states
+
+    def observations(self) -> np.ndarray:
+        return np.repeat(self.states[:, None], self.game.num_agents, axis=1)
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+        game = self.game
+        joint = np.ravel_multi_index(tuple(actions.T), game.action_counts)
+        rewards = game.rewards[:, self.states, joint].T
+        self.states = np.array(
+            [
+                rng.choice(game.num_states, p=game.transitions[state, action])
+                for rng, state, action in zip(self.rngs, self.states.tolist(), joint.tolist())
+            ],
+            dtype=np.int64,
+        )
+        return self.observations(), rewards, None
+
+
 class MarkovGameEnv:
     """Episode-truncated simulator for a TabularMarkovGame; every agent
     observes the global state index."""
@@ -93,22 +179,18 @@ class MarkovGameEnv:
         if game.num_states == 1:
             self.joint_rewards = game.rewards[:, 0, :].T.reshape(*game.action_counts, -1)
             self.joint_rewards.flags.writeable = False
-        self._rng = np.random.default_rng(seed)
-        self._state = 0
+        rng = np.random.default_rng(seed)
+        self._batch = _MarkovBatch(game, [rng], np.zeros(1, dtype=np.int64))
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        self._state = int(self._rng.choice(self.num_states, p=self.game.initial_dist))
-        return (self._state,) * self.num_agents
+        rng = self._batch.rngs[0] if seed is None else np.random.default_rng(seed)
+        state = rng.choice(self.num_states, p=self.game.initial_dist)
+        self._batch = _MarkovBatch(self.game, [rng], np.array([state], dtype=np.int64))
+        return (int(state),) * self.num_agents
 
     def step(self, actions: Sequence[int]) -> EnvStep:
-        joint = self.game.joint_action_index(actions)
-        rewards = self.game.rewards[:, self._state, joint].copy()
-        self._state = int(
-            self._rng.choice(self.num_states, p=self.game.transitions[self._state, joint])
-        )
-        return EnvStep(observations=(self._state,) * self.num_agents, rewards=rewards)
+        observations, rewards, _ = self._batch.step(np.array([actions], dtype=np.int64))
+        return EnvStep(observations=tuple(observations[0].tolist()), rewards=rewards[0])
 
 
 @dataclass(frozen=True)
@@ -152,6 +234,109 @@ class MiniCleanupConfig:
                 raise DomainError(f"{name}: must be strictly positive")
 
 
+def _grid_tables(config: MiniCleanupConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row (column) each action moves an agent to from each row
+    (column), held inside the grid, and the flat offsets in a padded apple
+    grid of a 3x3 window's cells from its top-left cell, in row-major
+    order."""
+    next_row = np.clip(np.arange(config.height)[:, None] + _ROW_MOVES, 0, config.height - 1)
+    next_col = np.clip(np.arange(config.width)[:, None] + _COL_MOVES, 0, config.width - 1)
+    stride = config.width + 2
+    window = np.array([dy * stride + dx for dy in range(3) for dx in range(3)])
+    return next_row, next_col, window
+
+
+class _CleanupBatch(_Batch):
+    """Mini-CleanUp states of E envs of one config: the agents' ``rows`` and
+    ``cols`` (E, N), ``apples`` (E, H + 2, W + 2) with a border of cells
+    that never hold an apple around each grid, ``pollution`` (E,), and the
+    episode's ``spawned`` and ``harvested`` apple totals (E,)."""
+
+    _arrays = ("rows", "cols", "apples", "pollution", "spawned", "harvested")
+
+    def __init__(
+        self, config: MiniCleanupConfig, tables: tuple, rngs: list, rows: np.ndarray,
+        cols: np.ndarray,
+    ):
+        """Fresh episodes: agents at (rows, cols), no apples, pollution 0.5.
+        ``tables`` is ``_grid_tables(config)``."""
+        num_envs = len(rngs)
+        self.config, self.rngs, self.rows, self.cols = config, rngs, rows, cols
+        self.apples = np.zeros((num_envs, config.height + 2, config.width + 2), dtype=bool)
+        self.pollution = np.full(num_envs, 0.5)
+        self.spawned = np.zeros(num_envs, dtype=np.int64)
+        self.harvested = np.zeros(num_envs, dtype=np.int64)
+        self._next_row, self._next_col, self._window = tables
+
+    def _corners(self) -> np.ndarray:
+        """Flat index, in ``apples``, of the top-left cell of each agent's
+        3x3 window; the agent's own cell is ``width + 3`` further on."""
+        height, width = self.config.height, self.config.width
+        envs = np.arange(len(self.rngs))[:, None]
+        return envs * ((height + 2) * (width + 2)) + self.rows * (width + 2) + self.cols
+
+    def observations(self, corners: np.ndarray | None = None) -> np.ndarray:
+        """(agent cell, pollution bucket, 3x3 apple bitmap) as one index per
+        agent. The four buckets are aligned to the regrowth threshold, so
+        the alive/dead boundary is visible: comfortably below, nearing,
+        just above, deeply above. The window's top-left cell is the highest
+        bit; cells off the grid read as empty. ``corners`` is
+        ``_corners()``, if the caller has it."""
+        cfg = self.config
+        theta, level = cfg.pollution_threshold, self.pollution
+        bucket = 3 - (level < 0.5 * theta) - (level < theta)
+        bucket -= level < theta + 0.5 * (1.0 - theta)
+        if corners is None:
+            corners = self._corners()
+        window = self.apples.reshape(-1)[corners[..., None] + self._window]
+        cell = self.rows * cfg.width + self.cols
+        return (cell * _POLLUTION_BUCKETS + bucket[:, None]) * (1 << _WINDOW_BITS) + (
+            window @ _WINDOW_WEIGHTS
+        )
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cfg = self.config
+        self.rows = self._next_row[self.rows, actions]
+        self.cols = self._next_col[self.cols, actions]
+        cleaners = ((actions == CLEAN) & (self.rows < cfg.river_rows)).sum(axis=1)
+        self.pollution = np.minimum(
+            np.maximum(
+                self.pollution + cfg.pollution_increment - cleaners * cfg.clean_amount, 0.0
+            ),
+            1.0,
+        )
+        # one agent at a time, vectorised over envs: the lower index takes a
+        # contested cell's apple
+        corners = self._corners()
+        cells = corners + (cfg.width + 3)
+        flat = self.apples.reshape(-1)  # a view: every batch's apples are C-contiguous
+        harvests = np.empty(actions.shape, dtype=np.int64)
+        for agent in range(cfg.num_agents):
+            harvests[:, agent] = flat[cells[:, agent]]
+            flat[cells[:, agent]] = False
+        self.harvested += harvests.sum(axis=1)
+        rewards = cfg.base_reward + cfg.apple_reward * harvests
+        if cfg.regen_rate > 0.0:
+            self._spawn(np.flatnonzero(self.pollution < cfg.pollution_threshold))
+        return self.observations(corners), rewards, harvests
+
+    def _spawn(self, growing: np.ndarray) -> None:
+        """Each growing env, in env order, draws one uniform per grid cell
+        from its own generator; an empty orchard cell grows an apple where
+        its uniform is below ``regen_rate``."""
+        cfg = self.config
+        if len(growing) == 0:
+            return
+        # the other envs draw nothing: 1.0 is never below regen_rate
+        draws = np.ones((len(self.rngs), cfg.height, cfg.width))
+        for e in growing.tolist():
+            self.rngs[e].random(out=draws[e])
+        orchard = self.apples[:, 1 + cfg.river_rows : -1, 1:-1]
+        new = (draws[:, cfg.river_rows :] < cfg.regen_rate) & ~orchard
+        self.spawned += new.sum(axis=(1, 2))
+        orchard |= new
+
+
 class MiniCleanupEnv:
     """Gridworld commons: harvest apples in the orchard or clean the river
     that gates apple regrowth.
@@ -173,124 +358,51 @@ class MiniCleanupEnv:
         self.num_agents = config.num_agents
         self.num_states = config.width * config.height * _POLLUTION_BUCKETS * (1 << _WINDOW_BITS)
         self.action_counts = (6,) * config.num_agents
-        self._rng = np.random.default_rng(seed)
-        self._positions = np.zeros((config.num_agents, 2), dtype=np.int64)
-        self._apples = np.zeros((config.height, config.width), dtype=bool)
-        self._pollution = 0.5
-        self._spawned = 0
-        self._harvested = 0
+        self._tables = _grid_tables(config)
+        origin = np.zeros((1, config.num_agents), dtype=np.int64)
+        self._batch = _CleanupBatch(
+            config, self._tables, [np.random.default_rng(seed)], origin, origin.copy()
+        )
 
     @property
     def pollution(self) -> float:
-        return self._pollution
+        return float(self._batch.pollution[0])
 
     @property
     def apple_count(self) -> int:
-        return int(self._apples.sum())
+        return int(self._batch.apples[0].sum())
 
     @property
     def conservation_counts(self) -> tuple[int, int, int]:
         """(spawned, harvested, remaining) apple totals for the episode."""
-        return self._spawned, self._harvested, self.apple_count
+        return int(self._batch.spawned[0]), int(self._batch.harvested[0]), self.apple_count
 
     @property
     def agent_cells(self) -> list[int]:
         """Flat cell index (row * width + col) per agent."""
-        return [int(y) * self.config.width + int(x) for y, x in self._positions]
+        return (self._batch.rows[0] * self.config.width + self._batch.cols[0]).tolist()
 
     @property
     def apple_cells(self) -> list[int]:
         """Sorted flat cell indices currently holding an apple."""
-        rows, cols = np.nonzero(self._apples)
-        return sorted(int(y) * self.config.width + int(x) for y, x in zip(rows, cols))
+        return np.flatnonzero(self._batch.apples[0, 1:-1, 1:-1]).tolist()
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
         cfg = self.config
-        cells = self._rng.choice(cfg.width * cfg.height, size=cfg.num_agents, replace=False)
-        self._positions = np.stack([cells // cfg.width, cells % cfg.width], axis=1)
-        self._apples[:] = False
-        self._pollution = 0.5
-        self._spawned = 0
-        self._harvested = 0
-        return self._observations()
-
-    def _in_river(self, row: int) -> bool:
-        return row < self.config.river_rows
+        rng = self._batch.rngs[0] if seed is None else np.random.default_rng(seed)
+        cells = rng.choice(cfg.width * cfg.height, size=cfg.num_agents, replace=False)
+        self._batch = _CleanupBatch(
+            cfg, self._tables, [rng], cells[None] // cfg.width, cells[None] % cfg.width
+        )
+        return tuple(self._batch.observations()[0].tolist())
 
     def step(self, actions: Sequence[int]) -> EnvStep:
-        cfg = self.config
-        actions = [int(a) for a in actions]
-        for agent, action in enumerate(actions):
-            if action in _MOVES:
-                dy, dx = _MOVES[action]
-                y = min(max(self._positions[agent, 0] + dy, 0), cfg.height - 1)
-                x = min(max(self._positions[agent, 1] + dx, 0), cfg.width - 1)
-                self._positions[agent] = (y, x)
-
-        cleaners = sum(
-            1
-            for agent, action in enumerate(actions)
-            if action == CLEAN and self._in_river(self._positions[agent, 0])
-        )
-        self._pollution = min(
-            max(self._pollution + cfg.pollution_increment - cleaners * cfg.clean_amount, 0.0),
-            1.0,
-        )
-
-        rewards = np.full(cfg.num_agents, cfg.base_reward)
-        harvests = np.zeros(cfg.num_agents, dtype=np.int64)
-        for agent in range(cfg.num_agents):
-            y, x = self._positions[agent]
-            if self._apples[y, x]:
-                self._apples[y, x] = False
-                rewards[agent] += cfg.apple_reward
-                harvests[agent] += 1
-                self._harvested += 1
-
-        if self._pollution < cfg.pollution_threshold and cfg.regen_rate > 0.0:
-            orchard = np.zeros_like(self._apples)
-            orchard[cfg.river_rows :, :] = True
-            eligible = orchard & ~self._apples
-            spawn = self._rng.random(self._apples.shape) < cfg.regen_rate
-            new_apples = eligible & spawn
-            self._spawned += int(new_apples.sum())
-            self._apples |= new_apples
-
+        observations, rewards, harvests = self._batch.step(np.array([actions], dtype=np.int64))
         return EnvStep(
-            observations=self._observations(), rewards=rewards, info={"apples": harvests}
+            observations=tuple(observations[0].tolist()),
+            rewards=rewards[0],
+            info={"apples": harvests[0]},
         )
-
-    def _pollution_bucket(self) -> int:
-        """Four levels aligned to the regrowth threshold so the alive/dead
-        boundary is visible in the observation: comfortably below, nearing,
-        just above, deeply above."""
-        theta = self.config.pollution_threshold
-        d = self._pollution
-        if d < 0.5 * theta:
-            return 0
-        if d < theta:
-            return 1
-        if d < theta + 0.5 * (1.0 - theta):
-            return 2
-        return 3
-
-    def _observations(self) -> tuple[int, ...]:
-        bucket = self._pollution_bucket()
-        obs = []
-        for agent in range(self.config.num_agents):
-            y, x = self._positions[agent]
-            bitmap = 0
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    bitmap <<= 1
-                    yy, xx = y + dy, x + dx
-                    if 0 <= yy < self.config.height and 0 <= xx < self.config.width:
-                        bitmap |= int(self._apples[yy, xx])
-            cell = y * self.config.width + x
-            obs.append((int(cell) * _POLLUTION_BUCKETS + bucket) * (1 << _WINDOW_BITS) + bitmap)
-        return tuple(obs)
 
 
 def scripted_trajectory(

@@ -5,6 +5,7 @@ proportional-fairness checks on finite allocation sets.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -246,10 +247,18 @@ def altruism_level_bruteforce(
 
     Returns None when the condition fails even at alpha=1 ("not 1-altruistic").
     Bisection is used for symmetric 2x2 dilemmas, where the condition is
-    monotone in alpha; other games fall back to an ascending grid scan.
+    monotone in alpha; other games fall back to an ascending grid scan that
+    checks only the grid points near each social optimum's equilibrium
+    interval (see ``_equilibrium_interval``), so its cost does not grow with
+    1 / grid_resolution.
     """
     if not 0.0 < grid_resolution < math.inf:
         raise DomainError(f"grid_resolution must be positive and finite, got {grid_resolution}")
+    if grid_resolution < sys.float_info.min:
+        # below it, alpha / grid_resolution overflows for alpha near 1
+        raise DomainError(
+            f"grid_resolution must be at least {sys.float_info.min}, got {grid_resolution}"
+        )
     if not _cooperative_profile_exists(game, 1.0):
         return None
     if _cooperative_profile_exists(game, 0.0):
@@ -258,18 +267,55 @@ def altruism_level_bruteforce(
         lo, hi = 0.0, 1.0
         while hi - lo > grid_resolution:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # lo and hi are adjacent floats: no finer grid exists
             if _cooperative_profile_exists(game, mid):
                 hi = mid
             else:
                 lo = mid
         return hi
-    # grid points are k * grid_resolution, so the scan does not drift off them
-    k = 1
-    while (alpha := k * grid_resolution) < 1.0:
-        if _cooperative_profile_exists(game, alpha):
-            return alpha
-        k += 1
+    # the scan visits grid points k * grid_resolution (so it does not drift
+    # off them) near each social optimum's interval, in order of the
+    # intervals' lower ends, with two grid points either side for rounding;
+    # no other grid point can pass the check
+    intervals = (_equilibrium_interval(game, optimum) for optimum in social_optima(game))
+    for lo, hi in sorted(interval for interval in intervals if interval is not None):
+        k = max(1, math.floor(min(lo, 1.0) / grid_resolution) - 2)
+        last = math.ceil(max(hi, 0.0) / grid_resolution) + 2
+        while k <= last and (alpha := k * grid_resolution) < 1.0:
+            if _cooperative_profile_exists(game, alpha):
+                return alpha
+            k += 1
     return 1.0
+
+
+def _equilibrium_interval(
+    game: NormalFormGame, profile: tuple[int, ...]
+) -> tuple[float, float] | None:
+    """The interval [lo, hi] of alphas in [0, 1] at which ``profile`` is a
+    pure Nash equilibrium of ``altruistic_extension(game, alpha)``, up to
+    rounding, or None when some deviation pays at every alpha.
+
+    Player i's transformed payoff is log p_i + alpha * sum_(j != i) log p_j,
+    so each deviation condition reads a + alpha * b >= 0, linear in alpha,
+    and their intersection is an interval (empty when lo > hi).
+    """
+    logs = np.log(game.payoffs)
+    lo, hi = 0.0, 1.0
+    for player in range(game.num_players):
+        for alternative in range(game.strategy_counts[player]):
+            if alternative == profile[player]:
+                continue
+            deviated = profile[:player] + (alternative,) + profile[player + 1 :]
+            gain = logs[profile] - logs[deviated]
+            own, others = gain[player], gain.sum() - gain[player]
+            if others > 0.0:
+                lo = max(lo, -own / others)
+            elif others < 0.0:
+                hi = min(hi, -own / others)
+            elif own < 0.0:
+                return None
+    return lo, hi
 
 
 def _validated_utilities(allocation: Allocation) -> np.ndarray:

@@ -8,7 +8,6 @@ import json
 import math
 import multiprocessing
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .envs import _lockstep
 from .errors import DomainError, StaleBufferError
 from .markov import SoftmaxPolicyProfile, _compared_columns, _draw, _softmax
 from .metrics import LOG_COLUMNS, gini
@@ -171,55 +171,59 @@ def collect_rollouts(
     order for determinism, into (E, T, N) arrays.
 
     Returns the buffer and two (E, N) per-episode blocks: the undiscounted
-    per-agent returns, and the apples harvested, summed from the envs'
-    ``info["apples"]``. The apples block is None when the envs report none
-    (they come from one factory, so all report apples or none do).
+    per-agent returns, and the apples harvested. The apples block is None
+    when the envs report none (they come from one factory, so all report
+    apples or none do).
 
     The shared rng draws only the (E, T, N) block of action uniforms; agent
     i samples the first action whose cumulative probability exceeds its
-    uniform. Envs with more than one state are reset and stepped, and each
-    draws its own randomness. When every env has a single state, nothing an
-    action does can change an observation, so the whole block is sampled at
-    once and its rewards are read from each env's ``joint_rewards`` table;
-    those envs are neither reset nor stepped.
+    uniform. There are two paths. When every env has a single state,
+    nothing an action does can change an observation, so the whole block is
+    sampled at once and its rewards are read from each env's
+    ``joint_rewards`` table; those envs are neither reset nor stepped.
+    Otherwise every env is reset and the E envs are stepped in lockstep as
+    one batch (see ``envs._lockstep``), each drawing its own randomness from
+    its own generator; their ``step`` methods are not called.
     """
     num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
-    shape = (num_envs, length, num_agents)
-    uniforms = rng.random(shape)
+    uniforms = rng.random((num_envs, length, num_agents))
     if all(env.num_states == 1 for env in envs):
         return _collect_single_state(envs, policies, uniforms)
-    uniforms = uniforms.tolist()
-    observations = np.empty(shape, dtype=np.int64)
-    actions = np.empty(shape, dtype=np.int64)
-    rewards = np.empty(shape)
-    next_observations = np.empty(shape, dtype=np.int64)
-    apples = np.zeros((num_envs, num_agents))
-    has_apples = False
-    cumulative: list[dict[int, list[float]]] = [{} for _ in range(num_agents)]
-    for e, env in enumerate(envs):
-        obs = env.reset()
-        visited, taken, paid = [obs], [], []
-        for us in uniforms[e]:
-            action = []
-            for i in range(num_agents):
-                cum = cumulative[i].get(obs[i])
-                if cum is None:
-                    cum = np.cumsum(_softmax(policies.logits[i][obs[i]])).tolist()
-                    cumulative[i][obs[i]] = cum
-                action.append(min(bisect_right(cum, us[i]), len(cum) - 1))
-            step = env.step(action)
-            obs = step.observations
-            visited.append(obs)
-            taken.append(action)
-            paid.append(step.rewards)
-            if "apples" in step.info:
-                has_apples = True
-                apples[e] += step.info["apples"]
-        path = np.array(visited, dtype=np.int64)
-        observations[e], next_observations[e] = path[:-1], path[1:]
-        actions[e], rewards[e] = taken, paid
+    return _collect_lockstep(envs, policies, uniforms)
+
+
+def _collect_lockstep(
+    envs: Sequence, policies: SoftmaxPolicyProfile, uniforms: np.ndarray
+) -> tuple[RolloutBuffer, np.ndarray, np.ndarray | None]:
+    """``collect_rollouts`` for multi-state envs, stepped together. At each
+    step the agents with the same number of actions sample their (E,)
+    actions as one stack: their E observations' logit rows are gathered,
+    and one ``markov._draw`` counts the compared columns of the cumulative
+    softmax rows (row for row, ``bisect_right`` clipped to the last
+    action)."""
+    num_envs, length, num_agents = uniforms.shape
+    groups: dict[int, list[int]] = {}
+    for i, table in enumerate(policies.logits):
+        groups.setdefault(table.shape[-1], []).append(i)
+    path = np.empty((num_envs, length + 1, num_agents), dtype=np.int64)
+    actions = np.empty(uniforms.shape, dtype=np.int64)
+    rewards = np.empty(uniforms.shape)
+    apples = None
+    with _lockstep(envs) as batch:
+        path[:, 0] = batch.observations()
+        for t in range(length):
+            for agents in groups.values():
+                rows = np.stack([policies.logits[i][path[:, t, i]] for i in agents])
+                cum = np.cumsum(_softmax(rows), axis=-1)
+                columns = list(cum.transpose(2, 0, 1)[:-1])
+                actions[:, t, agents] = _draw(columns, uniforms[:, t, agents].T).T
+            path[:, t + 1], rewards[:, t], harvests = batch.step(actions[:, t])
+            if harvests is not None:
+                apples = harvests if apples is None else apples + harvests
+    observations = np.ascontiguousarray(path[:, :-1])
+    next_observations = np.ascontiguousarray(path[:, 1:])
     buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
-    return buffer, rewards.sum(axis=1), apples if has_apples else None
+    return buffer, rewards.sum(axis=1), None if apples is None else apples.astype(float)
 
 
 def _collect_single_state(
@@ -227,9 +231,9 @@ def _collect_single_state(
 ) -> tuple[RolloutBuffer, np.ndarray, None]:
     """``collect_rollouts`` for envs whose only observation is 0: each agent
     samples its (E, T) actions with one ``markov._draw`` on its cumulative
-    softmax row (the per-step bisection's rule), and the (E, T, N) rewards
-    are one gather from the stacked joint reward tables. Such envs report no
-    apples."""
+    softmax row (``bisect_right`` clipped to the last action), and the
+    (E, T, N) rewards are one gather from the stacked joint reward tables.
+    Such envs report no apples."""
     num_envs, _, num_agents = uniforms.shape
     actions = np.empty(uniforms.shape, dtype=np.int64)
     for i in range(num_agents):

@@ -89,6 +89,16 @@ class TestRepeatedMatrixEnv:
         assert abs(value - discounted) <= bound + 1e-6
 
 
+def place_agent(env, agent, row, col):
+    """Move one agent of a mini-CleanUp env, which keeps its state as a
+    batch of one env."""
+    env._batch.rows[0, agent], env._batch.cols[0, agent] = row, col
+
+
+def place_apple(env, row, col):
+    env._batch.apples[0, row + 1, col + 1] = True  # the grid sits inside a 1-cell border
+
+
 class TestMiniCleanup:
     def small_config(self, **overrides):
         defaults = dict(
@@ -140,8 +150,8 @@ class TestMiniCleanup:
         config = self.small_config(regen_rate=0.0, pollution_increment=0.0, clean_amount=0.3)
         env = MiniCleanupEnv(config, seed=3)
         env.reset()
-        env._positions[0] = (3, 0)  # orchard row
-        env._positions[1] = (0, 0)  # river row
+        place_agent(env, 0, 3, 0)  # orchard row
+        place_agent(env, 1, 0, 0)  # river row
         before = env.pollution
         env.step((CLEAN, NOOP))
         assert env.pollution == pytest.approx(before)  # orchard clean does nothing
@@ -170,9 +180,9 @@ class TestMiniCleanup:
         config = self.small_config(regen_rate=0.0)
         env = MiniCleanupEnv(config, seed=6)
         env.reset()
-        env._apples[2, 1] = True
-        env._positions[0] = (2, 0)
-        env._positions[1] = (2, 2)
+        place_apple(env, 2, 1)
+        place_agent(env, 0, 2, 0)
+        place_agent(env, 1, 2, 2)
         step = env.step((RIGHT, 2))  # both enter (2, 1); LEFT == 2
         assert step.info["apples"].tolist() == [1, 0]
 
@@ -191,10 +201,10 @@ class TestMiniCleanup:
         config = self.small_config(regen_rate=0.0, pollution_increment=0.0)
         env = MiniCleanupEnv(config, seed=8)
         env.reset()
-        env._positions[0] = (2, 2)
-        env._positions[1] = (0, 0)
-        env._apples[1, 1] = True  # NW neighbor of agent 0 -> highest bitmap bit
-        obs = env._observations()
+        place_agent(env, 0, 2, 2)
+        place_agent(env, 1, 0, 0)
+        place_apple(env, 1, 1)  # NW neighbor of agent 0 -> highest bitmap bit
+        obs = env._batch.observations()[0]
         cell = 2 * 4 + 2
         bucket = 1  # pollution 0.5 with threshold 0.6: in [theta/2, theta)
         assert obs[0] == (cell * 4 + bucket) * 512 + (1 << 8)

@@ -507,6 +507,12 @@ class TestCliAnalyze:
         assert "error: grid_resolution must be positive and finite" in captured.err
         assert captured.err.rstrip().endswith(f"got {float(resolution)}")
 
+    def test_subnormal_resolution_exits_2(self, tmp_path, capsys):
+        game_file = tmp_path / "pd.json"
+        game_file.write_text(json.dumps({"T": 5, "R": 3, "S": 1, "P": 2}))
+        assert main(["analyze", str(game_file), "--resolution", "1e-320"]) == 2
+        assert "error: grid_resolution must be at least" in capsys.readouterr().err
+
     def test_general_game_level_is_an_exact_grid_point(self, tmp_path, capsys):
         game_file = tmp_path / "general.json"
         game_file.write_text(json.dumps(
@@ -515,6 +521,10 @@ class TestCliAnalyze:
         assert main(["analyze", str(game_file), "--resolution", "1e-3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["alpha_g_bruteforce"] == 408 * 1e-3
+        # a resolution small against the level: the scan starts next to it
+        assert main(["analyze", str(game_file), "--resolution", "1e-9"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["alpha_g_bruteforce"] == 407759199 * 1e-9
 
     def test_stag_hunt_alpha_zero(self, tmp_path, capsys):
         game_file = tmp_path / "stag.json"
@@ -926,6 +936,31 @@ def test_eval_report_is_pinned(tmp_path, capsys, name):
     argv = ["eval", str(snapshot), "--env", str(env_spec), "--episodes", "50", "--seed", "4"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of the printed report, recorded while mini-CleanUp was still
+# collected by a per-step loop over its scalar step: 50 episodes of one env
+# (lockstep with E = 1) that share the env's generator must reproduce it
+PINNED_CLEANUP_EVAL_REPORT = "ac6715f9be32a353ac1978b9522470f64b7985992e785f98f6d3551bf1441e07"
+
+
+def test_mini_cleanup_eval_report_is_pinned(tmp_path, capsys):
+    spec = {"type": "mini_cleanup", "width": 3, "height": 3, "num_agents": 2,
+            "river_rows": 1, "regen_rate": 0.3, "pollution_increment": 0.05,
+            "clean_amount": 0.2, "pollution_threshold": 0.7, "episode_length": 30}
+    num_states = 3 * 3 * 4 * 512
+    rng = np.random.default_rng(9)
+    # one decimal per logit keeps the 18432-row snapshot near 1 MB
+    logits = [np.round(rng.normal(size=(num_states, 6)), 1) for _ in range(2)]
+    snapshot = tmp_path / "snap.json"
+    snapshot.write_text(json.dumps([table.tolist() for table in logits]))
+    env_spec = tmp_path / "env.json"
+    env_spec.write_text(json.dumps(spec))
+    argv = ["eval", str(snapshot), "--env", str(env_spec), "--episodes", "50", "--seed", "4"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert 0.0 < json.loads(report)["gini"]["mean"]
+    assert hashlib.sha256(report.encode()).hexdigest() == PINNED_CLEANUP_EVAL_REPORT
 
 
 LOG_HEADER = "step,episode,agent,return,apples,gini,actor_loss,critic_loss,entropy,floor_hits\n"

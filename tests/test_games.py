@@ -21,6 +21,7 @@ from fairgame.games import (
     pf_optimum,
     social_optima,
 )
+from fairgame.games import _cooperative_profile_exists
 from fairgame.verify import sample_dilemmas
 
 PD = DilemmaPayoffs(5, 3, 1, 2)
@@ -178,12 +179,55 @@ class TestAltruismLevel:
         assert as_dilemma_payoffs(game) is None
         assert altruism_level_bruteforce(game, 1e-3) == 408 * 1e-3
 
+    def test_resolutions_far_below_the_level(self):
+        # bisection: below the spacing of floats near the level, it ends when
+        # no float lies strictly between its bounds
+        level = altruism_level_bruteforce(PD.to_game(), 1e-17)
+        assert level == pytest.approx(altruism_level_closed_form(PD), abs=1e-15)
+        # grid scan: it starts next to the level, not at the first grid point
+        flat = np.array([3.0, 3.5, 1.0, 5.0, 5.0, 1.0, 2.0, 2.0])
+        game = NormalFormGame(2, (2, 2), flat.reshape(2, 2, 2))
+        assert altruism_level_bruteforce(game, 1e-300) == pytest.approx(0.40775919835778, abs=1e-14)
+
+    def test_subnormal_resolution_rejected(self):
+        with pytest.raises(DomainError, match="grid_resolution must be at least"):
+            altruism_level_bruteforce(PD.to_game(), 1e-320)
+
+    def test_grid_scan_matches_the_full_scan_on_random_games(self):
+        rng = np.random.default_rng(31)
+        nontrivial = 0
+        for trial in range(240):
+            shape = ((2, 2, 2), (2, 2, 2, 3), (3, 2, 2))[trial % 3]
+            game = NormalFormGame(len(shape) - 1, shape[:-1], rng.uniform(0.1, 10.0, size=shape))
+            if as_dilemma_payoffs(game) is not None:
+                continue
+            for resolution in (1e-2, 0.13, 1.5):
+                expected = full_grid_scan(game, resolution)
+                assert altruism_level_bruteforce(game, resolution) == expected, (trial, resolution)
+                nontrivial += expected not in (None, 0.0, 1.0)
+        assert nontrivial >= 40
+
     def test_grid_scan_fallback_three_players(self):
         # 3-player coordination game: already fine at alpha=0
         payoffs = np.ones((2, 2, 2, 3))
         payoffs[0, 0, 0] = (2.0, 2.0, 2.0)
         game = NormalFormGame(3, (2, 2, 2), payoffs)
         assert altruism_level_bruteforce(game, 1e-3) == 0.0
+
+
+def full_grid_scan(game, grid_resolution):
+    """The reference for the grid scan: every grid point k * grid_resolution
+    in (0, 1), in ascending order."""
+    if not _cooperative_profile_exists(game, 1.0):
+        return None
+    if _cooperative_profile_exists(game, 0.0):
+        return 0.0
+    k = 1
+    while (alpha := k * grid_resolution) < 1.0:
+        if _cooperative_profile_exists(game, alpha):
+            return alpha
+        k += 1
+    return 1.0
 
 
 class TestConsistency:

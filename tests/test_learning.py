@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import json
 import multiprocessing
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from fairgame import learning
 from fairgame.envs import (
+    DOWN,
+    UP,
     MarkovGameEnv,
     MiniCleanupConfig,
     MiniCleanupEnv,
@@ -226,13 +229,50 @@ class TestCombineAdvantages:
         assert combined == pytest.approx(np.array([[-1.0, -1.0], [1.0, 1.0]]))
 
 
-class CountingEnv:
-    """Test stand-in that delegates to a single-state ``env``, reports
-    ``num_states`` and counts steps. Reporting 2 states forces
-    collect_rollouts' per-step loop, the reference for its block path."""
+def reference_collect(envs, policies, rng):
+    """The per-step collector that ``collect_rollouts`` replaced, kept as its
+    reference: every env is reset and stepped alone through its scalar
+    ``step``, and agent i takes ``bisect_right`` of its uniform on the
+    cumulative softmax row of its observation, clipped to the last action.
+    Returns what ``collect_rollouts`` returns."""
+    num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
+    shape = (num_envs, length, num_agents)
+    uniforms = rng.random(shape).tolist()
+    observations = np.empty(shape, dtype=np.int64)
+    actions = np.empty(shape, dtype=np.int64)
+    rewards = np.empty(shape)
+    next_observations = np.empty(shape, dtype=np.int64)
+    apples = np.zeros((num_envs, num_agents))
+    has_apples = False
+    for e, env in enumerate(envs):
+        obs = env.reset()
+        visited, taken, paid = [obs], [], []
+        for us in uniforms[e]:
+            action = []
+            for i in range(num_agents):
+                cum = np.cumsum(_softmax(policies.logits[i][obs[i]])).tolist()
+                action.append(min(bisect_right(cum, us[i]), len(cum) - 1))
+            step = env.step(action)
+            obs = step.observations
+            visited.append(obs)
+            taken.append(action)
+            paid.append(step.rewards)
+            if "apples" in step.info:
+                has_apples = True
+                apples[e] += step.info["apples"]
+        path = np.array(visited, dtype=np.int64)
+        observations[e], next_observations[e] = path[:-1], path[1:]
+        actions[e], rewards[e] = taken, paid
+    buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
+    return buffer, rewards.sum(axis=1), apples if has_apples else None
 
-    def __init__(self, env, num_states):
-        self.env, self.num_states, self.steps = env, num_states, 0
+
+class CountingEnv:
+    """Test stand-in that delegates to a single-state ``env`` and counts the
+    steps taken through its scalar ``step``."""
+
+    def __init__(self, env):
+        self.env, self.num_states, self.steps = env, 1, 0
         self.num_agents, self.action_counts = env.num_agents, env.action_counts
         self.episode_length, self.joint_rewards = env.episode_length, env.joint_rewards
 
@@ -278,18 +318,18 @@ SINGLE_STATE_ENVS = {
 }
 
 
-def collect_block_and_loop(make_env, policies, make_rng, num_envs=3):
-    """collect_rollouts on single-state envs and on the same envs reported
-    as two-state; returns both results and both env lists."""
-    block_envs = [CountingEnv(make_env(), 1) for _ in range(num_envs)]
-    loop_envs = [CountingEnv(make_env(), 2) for _ in range(num_envs)]
+def collect_block_and_reference(make_env, policies, make_rng, num_envs=3):
+    """collect_rollouts and the per-step reference on two lists of the same
+    single-state envs; returns both results and both env lists."""
+    block_envs = [CountingEnv(make_env()) for _ in range(num_envs)]
+    reference_envs = [CountingEnv(make_env()) for _ in range(num_envs)]
     block = collect_rollouts(block_envs, policies, make_rng())
-    loop = collect_rollouts(loop_envs, policies, make_rng())
-    return block, loop, block_envs, loop_envs
+    reference = reference_collect(reference_envs, policies, make_rng())
+    return block, reference, block_envs, reference_envs
 
 
-def assert_same_collection(block, loop):
-    (a, returns_a, apples_a), (b, returns_b, apples_b) = block, loop
+def assert_same_collection(collected, reference):
+    (a, returns_a, apples_a), (b, returns_b, apples_b) = collected, reference
     for name in ("observations", "actions", "rewards", "next_observations"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
@@ -297,7 +337,10 @@ def assert_same_collection(block, loop):
     assert a.policy_version == b.policy_version
     assert returns_a.shape == returns_b.shape == a.rewards.shape[::2]
     assert returns_a.tobytes() == returns_b.tobytes()
-    assert apples_a is None and apples_b is None
+    assert (apples_a is None) == (apples_b is None)
+    if apples_a is not None:
+        assert apples_a.dtype == apples_b.dtype and apples_a.shape == apples_b.shape
+        assert apples_a.tobytes() == apples_b.tobytes()
 
 
 def tied_uniforms(policies, shape, seed):
@@ -322,12 +365,12 @@ class TestSingleStateCollection:
         policies.version = 3
         tied = tied_uniforms(policies, (3, 23, len(counts)), seed=7)
         for make_rng in (lambda: np.random.default_rng(7), lambda: StubRng(tied)):
-            block, loop, block_envs, loop_envs = collect_block_and_loop(
+            block, reference, block_envs, reference_envs = collect_block_and_reference(
                 make_env, policies, make_rng
             )
-            assert_same_collection(block, loop)
+            assert_same_collection(block, reference)
             assert [env.steps for env in block_envs] == [0, 0, 0]
-            assert [env.steps for env in loop_envs] == [23, 23, 23]
+            assert [env.steps for env in reference_envs] == [23, 23, 23]
 
     def test_ties_skip_zero_probability_and_top_is_clipped(self):
         # agent 0: probabilities (0.5, 0, 0.5), so a uniform of exactly 0.5
@@ -340,15 +383,130 @@ class TestSingleStateCollection:
         assert policies.probs(0)[0, 1] == 0.0 and cum[-1] == top
         uniforms = [[[0.0, cum[3]], [0.5, cum[0]], [0.25, top], [top, 0.0], [0.5, cum[8]]]]
         game = random_markov_game(2, 1, (3, 10), 0.9, seed=9)
-        block, loop, block_envs, _ = collect_block_and_loop(
+        block, reference, block_envs, _ = collect_block_and_reference(
             lambda: MarkovGameEnv(game, 5, seed=0),
             policies,
             lambda: StubRng(uniforms),
             num_envs=1,
         )
-        assert_same_collection(block, loop)
+        assert_same_collection(block, reference)
         assert block[0].actions[0].tolist() == [[0, 4], [2, 1], [0, 9], [2, 0], [2, 9]]
         assert block_envs[0].steps == 0
+
+
+def env_generator_state(env):
+    return env._batch.rngs[0].bit_generator.state
+
+
+def cleanup_state(env):
+    return env.pollution, env.agent_cells, env.apple_cells, env.conservation_counts
+
+
+# mini-CleanUp grids for the lockstep cases, each with an episode of 30 steps
+LOCKSTEP_CLEANUP = {
+    "shipped_8x8": dict(),
+    "regen_zero": dict(width=3, height=3, river_rows=1, regen_rate=0.0),
+    # every empty orchard cell grows an apple while pollution is low
+    "regen_one": dict(width=3, height=2, river_rows=1, regen_rate=1.0, pollution_threshold=1.0),
+    # pollution moves in exact steps of 1/8: it sits on the threshold (0.75,
+    # where spawning stops) and on the bucket edges 0.375 and 0.875, and is
+    # clamped at 0 and 1
+    "dyadic_pollution": dict(
+        width=3, height=4, river_rows=2, regen_rate=0.5, pollution_increment=0.125,
+        clean_amount=0.25, pollution_threshold=0.75,
+    ),
+    # a 2x2 orchard full of apples: agents meet on one cell and walk into walls
+    "contested_2x2": dict(width=2, height=2, river_rows=0, regen_rate=1.0),
+}
+
+
+def lockstep_cleanup_envs(name, num_envs, num_agents):
+    config = MiniCleanupConfig(
+        **{"num_agents": num_agents, "episode_length": 30, **LOCKSTEP_CLEANUP[name]}
+    )
+    return [MiniCleanupEnv(config, seed=100 + e) for e in range(num_envs)]
+
+
+def check_cleanup_lockstep(name, num_envs, num_agents, seed):
+    """``assert_lockstep_equals_reference`` on one mini-CleanUp grid under
+    seeded random policies; returns the reference's buffers."""
+    make_envs = lambda: lockstep_cleanup_envs(name, num_envs, num_agents)  # noqa: E731
+    env = make_envs()[0]
+    policies = SoftmaxPolicyProfile.random(
+        env.num_states, env.action_counts, np.random.default_rng(seed), scale=2.0
+    )
+    policies.version = 5
+    return assert_lockstep_equals_reference(make_envs, policies, seed=seed)
+
+
+def assert_lockstep_equals_reference(make_envs, policies, seed, episodes=2):
+    """Two episodes in a row from collect_rollouts and from the per-step
+    reference on fresh copies of the same envs: the buffers, the returns and
+    apples, the shared generator and every env's generator and final state
+    must agree bit for bit. Returns the reference's buffers."""
+    envs, reference_envs = make_envs(), make_envs()
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    buffers = []
+    for _ in range(episodes):
+        reference = reference_collect(reference_envs, policies, reference_rng)
+        assert_same_collection(collect_rollouts(envs, policies, rng), reference)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        for env, reference_env in zip(envs, reference_envs):
+            assert env_generator_state(env) == env_generator_state(reference_env)
+            if isinstance(env, MiniCleanupEnv):
+                assert cleanup_state(env) == cleanup_state(reference_env)
+            else:
+                assert env._batch.states.tolist() == reference_env._batch.states.tolist()
+        buffers.append(reference[0])
+    return buffers
+
+
+class TestLockstepCollection:
+    @pytest.mark.parametrize("num_agents", [1, 3])
+    @pytest.mark.parametrize("num_envs", [1, 3, 10])
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CLEANUP))
+    def test_mini_cleanup_equals_per_step_reference(self, name, num_envs, num_agents):
+        check_cleanup_lockstep(name, num_envs, num_agents, seed=num_envs + num_agents)
+
+    def test_cases_reach_the_edges_they_name(self):
+        """The dyadic case visits all four pollution buckets (so pollution sat
+        on the threshold); the contested case has agents share an apple cell
+        and walk into the grid's walls."""
+        buffers = check_cleanup_lockstep("dyadic_pollution", 10, 3, seed=13)
+        buckets = {int(b) for buffer in buffers for b in np.unique(buffer.observations // 512 % 4)}
+        assert buckets == {0, 1, 2, 3}
+        for buffer in check_cleanup_lockstep("contested_2x2", 10, 3, seed=13):
+            cells = buffer.next_observations // (4 * 512)  # (E, T, N)
+            shared = (cells[..., :, None] == cells[..., None, :]).sum(axis=-1) > 1
+            harvest = buffer.rewards > 0.5
+            assert (shared & harvest).any()
+            rows, actions = buffer.observations // (4 * 512) // 2, buffer.actions
+            assert ((rows == 0) & (actions == UP)).any()
+            assert ((rows == 1) & (actions == DOWN)).any()
+
+    def test_an_env_listed_twice_is_rejected(self):
+        env = lockstep_cleanup_envs("regen_zero", 1, 1)[0]
+        policies = SoftmaxPolicyProfile.uniform(env.num_states, env.action_counts)
+        with pytest.raises(DomainError, match="listed twice"):
+            collect_rollouts([env, env], policies, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "num_agents, num_states, counts",
+        [(1, 4, (3,)), (2, 3, (2, 2)), (2, 6, (1, 3)), (3, 5, (2, 3, 4))],
+    )
+    @pytest.mark.parametrize("num_envs", [1, 3, 10])
+    def test_markov_game_equals_per_step_reference(
+        self, num_envs, num_agents, num_states, counts
+    ):
+        game = random_markov_game(num_agents, num_states, counts, 0.9, seed=num_states)
+        policies = SoftmaxPolicyProfile.random(
+            num_states, counts, np.random.default_rng(num_envs), scale=2.0
+        )
+        assert_lockstep_equals_reference(
+            lambda: [MarkovGameEnv(game, 17, seed=40 + e) for e in range(num_envs)],
+            policies,
+            seed=num_envs,
+        )
 
 
 class TestEpisodeBlocks:
@@ -1059,9 +1217,16 @@ class TestEstimatorAlignment:
             policies = SoftmaxPolicyProfile.random(3, (2, 2), rng, scale=0.5)
             bundle = solve_values(game, policies)
             critics = CriticTable([bundle.state_values[j].copy() for j in range(2)])
-            # 200 consecutive episodes of one env: one collector per episode
+            # 200 consecutive episodes of one env, collected one at a time
             env = MarkovGameEnv(game, episode_length=50, seed=300 + trial)
-            buffer, _, _ = collect_rollouts([env] * 200, policies, rng)
+            episodes = [collect_rollouts([env], policies, rng)[0] for _ in range(200)]
+            buffer = RolloutBuffer(
+                *(
+                    np.concatenate([getattr(episode, name) for episode in episodes])
+                    for name in ("observations", "actions", "rewards", "next_observations")
+                ),
+                policies.version,
+            )
             weights = AltruismWeights(0.6)
             exact = exact_fair_gradient(game, policies, weights)
             lr = 1e-3
