@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_fields
 from .games import DilemmaPayoffs
 from .markov import TabularMarkovGame
 
@@ -201,7 +201,8 @@ class MiniCleanupConfig:
     pollution level rises every step and is pushed down by agents executing
     CLEAN while standing in the river; apple regrowth halts whenever
     pollution reaches the threshold. ``base_reward`` keeps per-step rewards
-    strictly positive.
+    strictly positive. Construction checks every field's type, finiteness
+    and range, and raises one DomainError naming each invalid field.
     """
 
     width: int = 8
@@ -217,21 +218,21 @@ class MiniCleanupConfig:
     base_reward: float = 0.01
 
     def __post_init__(self):
-        """Range checks; each message starts with the offending field."""
-        for name in ("width", "height", "num_agents", "episode_length"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name}: must be at least 1")
-        if not 0.0 <= self.regen_rate <= 1.0:
-            raise DomainError("regen_rate: must lie in [0, 1]")
-        if not 0.0 < self.pollution_threshold <= 1.0:
-            raise DomainError("pollution_threshold: must lie in (0, 1]")
-        if not 0 <= self.river_rows <= self.height:
-            raise DomainError("river_rows: must fit within the grid")
-        if self.num_agents > self.width * self.height:
-            raise DomainError("num_agents: more agents than grid cells")
-        for name in ("base_reward", "apple_reward"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name}: must be strictly positive")
+        check_fields(self, (
+            ("width", lambda c: c.width >= 1, "must be at least 1"),
+            ("height", lambda c: c.height >= 1, "must be at least 1"),
+            ("num_agents", lambda c: c.num_agents >= 1, "must be at least 1"),
+            ("episode_length", lambda c: c.episode_length >= 1, "must be at least 1"),
+            ("regen_rate", lambda c: 0.0 <= c.regen_rate <= 1.0, "must lie in [0, 1]"),
+            ("pollution_threshold", lambda c: 0.0 < c.pollution_threshold <= 1.0,
+             "must lie in (0, 1]"),
+            ("river_rows", lambda c: 0 <= c.river_rows <= c.height, "must fit within the grid",
+             "height"),
+            ("num_agents", lambda c: c.num_agents <= c.width * c.height,
+             "more agents than grid cells", "width", "height"),
+            ("apple_reward", lambda c: c.apple_reward > 0.0, "must be strictly positive"),
+            ("base_reward", lambda c: c.base_reward > 0.0, "must be strictly positive"),
+        ))
 
 
 def _grid_tables(config: MiniCleanupConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from .envs import (
     RepeatedMatrixGameEnv,
     random_markov_game,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, _is_finite_number, _is_int
 from .games import DilemmaPayoffs, NormalFormGame
 from .learning import Algorithm, ObjectiveMode, TrainConfig
 from .markov import SoftmaxPolicyProfile, TabularMarkovGame
@@ -49,20 +49,6 @@ def read_json(path):
         raise SchemaError(f"{path}: a directory, not a JSON file") from None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number, not a boolean, that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
 def _is_numbers(value, length: int) -> bool:
     """A list of ``length`` finite numbers."""
     return isinstance(value, list) and len(value) == length and all(map(_is_finite_number, value))
@@ -74,21 +60,11 @@ def _is_counts(value, length) -> bool:
     return valid and (length is None or len(value) == length)
 
 
-# JSON check and description per TrainConfig field type
-_JSON_TYPES = {
-    int: (_is_int, "an integer"),
-    float: (_is_finite_number, "a finite number"),
-    float | None: (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-}
-# TrainConfig settings an experiment config may set, with their checks; the
-# other four are fixed per sweep item.
-_TRAIN_CHECKS = {
-    f.name: _JSON_TYPES[f.type]
-    for f in fields(TrainConfig)
-    if f.name not in {"algorithm", "objective", "alpha", "seed"}
-}
-TRAIN_FIELDS = tuple(_TRAIN_CHECKS)
+# TrainConfig fields an experiment config may override; its algorithm,
+# objective and seed keys hold for the whole sweep, and alpha is swept.
+TRAIN_FIELDS = tuple(
+    f.name for f in fields(TrainConfig) if f.name not in {"algorithm", "objective", "alpha", "seed"}
+)
 
 
 def _dilemma_payoffs(doc: dict) -> DilemmaPayoffs:
@@ -305,7 +281,8 @@ def _parse_env_spec(spec) -> tuple[list[str], Callable[[int], object] | None]:
         sign = "positive" if minimum == 1 else "nonnegative"
         return read(key, lambda v: _is_int(v) and v >= minimum, f"a {sign} integer", default)
 
-    length = integer("episode_length", 100)
+    # mini-CleanUp's episode_length is a MiniCleanupConfig field, checked there
+    length = None if kind == "mini_cleanup" else integer("episode_length", 100)
     if kind == "repeated_matrix":
         raw = read("payoffs", lambda v: isinstance(v, dict), 'a {"T","R","S","P"} object')
         if raw is not None:
@@ -315,19 +292,12 @@ def _parse_env_spec(spec) -> tuple[list[str], Callable[[int], object] | None]:
                 problems.append(f"env.payoffs: {exc}")
         factory = lambda seed: RepeatedMatrixGameEnv(payoffs, length)  # noqa: E731
     elif kind == "mini_cleanup":
-        values = {"episode_length": length}
-        for f in fields(MiniCleanupConfig):
-            if f.name in values:
-                continue
-            if f.type is int:
-                values[f.name] = integer(f.name, f.default, 0 if f.name == "river_rows" else 1)
-            else:
-                values[f.name] = read(f.name, _is_finite_number, "a finite number", f.default)
-        if not problems:
-            try:
-                config = MiniCleanupConfig(**values)
-            except DomainError as exc:
-                problems.append(f"env.{exc}")
+        names = [f.name for f in fields(MiniCleanupConfig)]
+        known.update(names)
+        try:
+            config = MiniCleanupConfig(**{name: spec[name] for name in names if name in spec})
+        except DomainError as exc:
+            problems.extend(f"env.{problem}" for problem in exc.problems)
         factory = lambda seed: MiniCleanupEnv(config, seed)  # noqa: E731
     else:
         if kind == "random_markov":
@@ -394,58 +364,40 @@ class ExperimentConfig:
 
 def _parse_experiment_config(doc, seed_override=None) -> tuple[list[str], ExperimentConfig | None]:
     """Read an experiment config once: every problem by field, or none and
-    the config. ``seed_override`` replaces the config's seed."""
+    the config. ``seed_override`` replaces the config's seed. The training
+    settings are checked by building the TrainConfig of every sweep alpha."""
     if not isinstance(doc, dict):
         return ["config: expected a JSON object"], None
     problems = validate_env_spec(doc.get("env"))
-
-    def choice(key, enum, default):
-        try:
-            return enum(doc.get(key, default))
-        except ValueError:
-            problems.append(f"{key}: unknown value {doc[key]!r}")
-
-    algorithm = choice("algorithm", Algorithm, Algorithm.FAIR_MAA2C)
-    objective = choice("objective", ObjectiveMode, ObjectiveMode.PROPORTIONAL_FAIR)
     alphas = doc.get("alpha", [1.0])
     if not isinstance(alphas, list) or not alphas:
         problems.append("alpha: must be a nonempty array")
-    else:
-        for value in alphas:
-            if not _is_finite_number(value) or not 0.0 <= value <= 1.0:
-                problems.append(f"alpha: sweep value {value!r} is not a number in [0, 1]")
+        alphas = [1.0]  # the other settings are still checked
     if "out" not in doc:
         problems.append("out: output directory required")
     elif not isinstance(doc["out"], str):
         problems.append(f"out: must be a path string, got {doc['out']!r}")
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
     unknown = set(doc) - {"env", "algorithm", "objective", "alpha", "seed", "out", *TRAIN_FIELDS}
     if unknown:
         problems.append(f"config: unknown fields: {', '.join(sorted(unknown))}")
+    settings = {k: doc[k] for k in ("algorithm", "objective", "seed") if k in doc}
     overrides = {k: doc[k] for k in TRAIN_FIELDS if k in doc}
-    for key, value in overrides.items():
-        accepts, kind = _TRAIN_CHECKS[key]
-        if not accepts(value):
-            problems.append(f"{key}: must be {kind}, got {value!r}")
+    for alpha in alphas:
+        try:
+            train_config = TrainConfig(alpha=alpha, **settings, **overrides)
+        except DomainError as exc:
+            problems += [p for p in exc.problems if p not in problems]
     if problems:
         return problems, None
-    config = ExperimentConfig(
+    return [], ExperimentConfig(
         env=doc["env"],
-        algorithm=algorithm,
-        objective=objective,
+        algorithm=train_config.algorithm,
+        objective=train_config.objective,
         alphas=[float(a) for a in alphas],
-        seed=seed if seed_override is None else seed_override,
+        seed=train_config.seed if seed_override is None else seed_override,
         out=doc["out"],
         overrides=overrides,
     )
-    try:
-        config.train_config(config.alphas[0], config.seed)
-    except DomainError as exc:
-        # TrainConfig reports "invalid train config: <field>: ...; ..."
-        return str(exc).removeprefix("invalid train config: ").split("; "), None
-    return [], config
 
 
 def validate_experiment_config(doc) -> list[str]:

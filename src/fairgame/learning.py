@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envs import _lockstep
-from .errors import DomainError, StaleBufferError
+from .errors import DomainError, StaleBufferError, check_fields
 from .markov import SoftmaxPolicyProfile, _compared_columns, _draw, _softmax
 from .metrics import LOG_COLUMNS, gini
 
@@ -32,11 +32,12 @@ class ObjectiveMode(str, Enum):
     UTILITARIAN_WELFARE = "UtilitarianWelfare"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run. ``validate()`` returns every
-    violated field by name; the constructor raises on the first use of an
-    invalid config."""
+    """Hyperparameters for one training run. Construction checks every
+    field's type, finiteness and range, and raises one DomainError naming
+    each invalid field; the config is frozen, and ``dataclasses.replace``
+    derives a variant, checked the same way."""
 
     algorithm: Algorithm = Algorithm.FAIR_MAA2C
     alpha: float = 1.0
@@ -57,57 +58,27 @@ class TrainConfig:
     objective: ObjectiveMode = ObjectiveMode.PROPORTIONAL_FAIR
     normalize_advantages: bool = False
 
-    def validate(self) -> list[str]:
-        problems = []
-        if not isinstance(self.algorithm, Algorithm):
-            problems.append(f"algorithm: unknown value {self.algorithm!r}")
-        if not isinstance(self.objective, ObjectiveMode):
-            problems.append(f"objective: unknown value {self.objective!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            problems.append(f"alpha: {self.alpha} outside [0, 1]")
-        if not self.learning_rate > 0.0:
-            problems.append("learning_rate: must be positive")
-        if self.critic_lr is not None and not 0.0 < self.critic_lr < 0.5:
-            problems.append(
-                "critic_lr: must lie in (0, 0.5) for the per-state regression to contract"
-            )
-        if self.critic_lr is None and self.learning_rate >= 0.5:
-            problems.append(
-                "critic_lr: required when learning_rate >= 0.5 (the shared rate "
-                "would make the critic regression diverge)"
-            )
-        if not self.lr_floor > 0.0:
-            problems.append("lr_floor: must be positive")
-        if not 0.0 <= self.gamma < 1.0:
-            problems.append(f"gamma: {self.gamma} outside [0, 1)")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            problems.append(f"gae_lambda: {self.gae_lambda} outside [0, 1]")
-        if self.entropy_coef < 0.0:
-            problems.append("entropy_coef: must be nonnegative")
-        if not 0.0 < self.ppo_clip < 1.0:
-            problems.append(f"ppo_clip: {self.ppo_clip} outside (0, 1)")
-        if self.ppo_epochs < 1:
-            problems.append("ppo_epochs: must be at least 1")
-        if self.num_envs < 1:
-            problems.append("num_envs: must be at least 1")
-        if self.total_steps < 0:
-            problems.append("total_steps: must be nonnegative")
-        if self.seed < 0:
-            problems.append("seed: must be nonnegative")
-        if not self.v_floor > 0.0:
-            problems.append("v_floor: must be positive")
-        if self.policy_init_scale < 0.0:
-            problems.append("policy_init_scale: must be nonnegative")
-        return problems
-
     def __post_init__(self):
-        if isinstance(self.algorithm, str) and not isinstance(self.algorithm, Algorithm):
-            self.algorithm = Algorithm(self.algorithm)
-        if isinstance(self.objective, str) and not isinstance(self.objective, ObjectiveMode):
-            self.objective = ObjectiveMode(self.objective)
-        problems = self.validate()
-        if problems:
-            raise DomainError("invalid train config: " + "; ".join(problems))
+        check_fields(self, (
+            ("alpha", lambda c: 0.0 <= c.alpha <= 1.0, "must lie in [0, 1]"),
+            ("learning_rate", lambda c: c.learning_rate > 0.0, "must be positive"),
+            ("critic_lr", lambda c: c.critic_lr is None or 0.0 < c.critic_lr < 0.5,
+             "must lie in (0, 0.5) for the per-state regression to contract"),
+            ("critic_lr", lambda c: c.critic_lr is not None or c.learning_rate < 0.5,
+             "required when learning_rate >= 0.5 (the shared rate would make the critic "
+             "regression diverge)", "learning_rate"),
+            ("lr_floor", lambda c: c.lr_floor > 0.0, "must be positive"),
+            ("gamma", lambda c: 0.0 <= c.gamma < 1.0, "must lie in [0, 1)"),
+            ("gae_lambda", lambda c: 0.0 <= c.gae_lambda <= 1.0, "must lie in [0, 1]"),
+            ("entropy_coef", lambda c: c.entropy_coef >= 0.0, "must be nonnegative"),
+            ("ppo_clip", lambda c: 0.0 < c.ppo_clip < 1.0, "must lie in (0, 1)"),
+            ("ppo_epochs", lambda c: c.ppo_epochs >= 1, "must be at least 1"),
+            ("num_envs", lambda c: c.num_envs >= 1, "must be at least 1"),
+            ("total_steps", lambda c: c.total_steps >= 0, "must be nonnegative"),
+            ("seed", lambda c: c.seed >= 0, "must be a nonnegative integer"),
+            ("v_floor", lambda c: c.v_floor > 0.0, "must be positive"),
+            ("policy_init_scale", lambda c: c.policy_init_scale >= 0.0, "must be nonnegative"),
+        ))
 
     def learning_rate_at(self, progress: float) -> float:
         """Linear decay from the initial rate to the floor over total_steps."""
@@ -535,9 +506,6 @@ def train(
     agent); fully deterministic for a fixed config and seed.
     Raises DomainError at the first update that leaves a non-finite value.
     """
-    problems = config.validate()
-    if problems:
-        raise DomainError("invalid train config: " + "; ".join(problems))
     seed_seq = np.random.SeedSequence(config.seed)
     children = seed_seq.spawn(config.num_envs + 1)
     envs = [

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fairgame.cli import main
-from fairgame.envs import random_markov_game
-from fairgame.errors import SchemaError
+from fairgame.envs import MiniCleanupConfig, random_markov_game
+from fairgame.errors import DomainError, SchemaError
 from fairgame.formats import (
     HASH_BLOCK_BYTES,
     build_env_factory,
@@ -26,7 +26,7 @@ from fairgame.formats import (
     write_manifest,
 )
 from fairgame import metrics
-from fairgame.learning import save_policy_snapshot
+from fairgame.learning import TrainConfig, save_policy_snapshot
 from fairgame.markov import SoftmaxPolicyProfile
 from fairgame.metrics import emit_plot_data
 
@@ -149,6 +149,23 @@ class TestMarkovGameFiles:
             load_markov_game(path)
 
 
+MISTYPED_CONFIG_FIELDS = [
+    ("num_envs", 2.5),
+    ("ppo_epochs", 1.5),
+    ("total_steps", True),
+    ("learning_rate", "0.1"),
+    ("gamma", None),
+    ("entropy_coef", [0.01]),
+    ("v_floor", float("inf")),
+    ("critic_lr", "0.1"),
+    ("critic_lr", float("nan")),
+    ("normalize_advantages", 1),
+    ("alpha", [True]),
+    ("alpha", [0.5, "1"]),
+    ("out", 5),
+]
+
+
 class TestExperimentConfig:
     def base_doc(self, tmp_path):
         return {
@@ -194,24 +211,7 @@ class TestExperimentConfig:
         problems = validate_experiment_config(doc)
         assert any(p.startswith("seed:") for p in problems)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("num_envs", 2.5),
-            ("ppo_epochs", 1.5),
-            ("total_steps", True),
-            ("learning_rate", "0.1"),
-            ("gamma", None),
-            ("entropy_coef", [0.01]),
-            ("v_floor", float("inf")),
-            ("critic_lr", "0.1"),
-            ("critic_lr", float("nan")),
-            ("normalize_advantages", 1),
-            ("alpha", [True]),
-            ("alpha", [0.5, "1"]),
-            ("out", 5),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", MISTYPED_CONFIG_FIELDS)
     def test_mistyped_field_named_and_train_exits_2(self, tmp_path, capsys, field, value):
         doc = self.base_doc(tmp_path)
         doc[field] = value
@@ -227,6 +227,15 @@ class TestExperimentConfig:
         doc.update(learning_rate=-1.0, ppo_clip=1.5)
         problems = validate_experiment_config(doc)
         assert sorted(p.split(":")[0] for p in problems) == ["learning_rate", "ppo_clip"]
+
+    def test_every_sweep_alpha_is_checked_and_problems_are_not_repeated(self, tmp_path):
+        doc = self.base_doc(tmp_path)
+        doc.update(alpha=[0.5, 2.0, True, 2.0], seed=-1)
+        assert validate_experiment_config(doc) == [
+            "seed: must be a nonnegative integer, got -1",
+            "alpha: must lie in [0, 1], got 2.0",
+            "alpha: must be a finite number, got True",
+        ]
 
     def test_typed_fields_accept_json_forms(self, tmp_path):
         doc = self.base_doc(tmp_path)
@@ -317,6 +326,56 @@ MALFORMED_ENV_SPECS = [
     (PD_SPEC, "payoffs", {"T": 5, "R": 3, "S": 1}),
 ]
 MALFORMED_IDS = [f"{base['type']}-{key}-{value!r}" for base, key, value in MALFORMED_ENV_SPECS]
+
+
+class TestDirectConstruction:
+    """Constructing the config dataclasses rejects the cases the JSON loaders
+    reject, with one DomainError naming each invalid field."""
+
+    @staticmethod
+    def problems(config_class, **values) -> list[str]:
+        """The problems of the DomainError that construction raises, each
+        also in its message."""
+        with pytest.raises(DomainError) as info:
+            config_class(**values)
+        for problem in info.value.problems:
+            assert problem in str(info.value)
+        return info.value.problems
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # a sweep's alphas are checked one by one
+        [(f, v) for f, v in MISTYPED_CONFIG_FIELDS if f not in ("alpha", "out")]
+        + [("alpha", True), ("alpha", "1")]
+        + [
+            ("ppo_epochs", True),
+            ("entropy_coef", float("nan")),
+            ("critic_init", float("inf")),
+            ("lr_floor", float("inf")),
+            ("algorithm", "x"),
+            ("objective", "x"),
+            ("seed", -1),
+        ],
+    )
+    def test_train_config_names_the_field(self, field, value):
+        (problem,) = self.problems(TrainConfig, **{field: value})
+        assert problem.startswith(f"{field}:")
+
+    def test_train_config_names_every_range_problem(self):
+        problems = self.problems(TrainConfig, learning_rate=-1.0, ppo_clip=1.5)
+        assert [p.split(":")[0] for p in problems] == ["learning_rate", "ppo_clip"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for base, key, value in MALFORMED_ENV_SPECS if base is MINI_CLEANUP]
+        + [("width", 2.5), ("apple_reward", float("inf"))],
+    )
+    def test_mini_cleanup_config_names_the_field_as_the_loader_does(self, key, value):
+        spec = {**MINI_CLEANUP, key: value}
+        values = {k: v for k, v in spec.items() if k != "type"}
+        (problem,) = self.problems(MiniCleanupConfig, **values)
+        assert problem.startswith(f"{key}:")
+        assert validate_env_spec(spec) == [f"env.{problem}"]
 
 
 class TestEnvSpecValidation:
@@ -885,7 +944,10 @@ class TestSweepPanels:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         assert main(["train", str(config)]) == 0
-        return json.loads((tmp_path / "runs" / "sweep.json").read_text())["runs"]
+        records = json.loads((tmp_path / "runs" / "sweep.json").read_text())["runs"]
+        for record in records:  # unread here, and 12 MB for mini-CleanUp
+            (tmp_path / "runs" / record["run_id"] / "snapshot.json").unlink(missing_ok=True)
+        return records
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
     def test_panels_equal_those_plotted_from_the_log(self, tmp_path, capsys, name):
@@ -1136,7 +1198,8 @@ class TestParallelSweep:
     @staticmethod
     def assert_jobs_agree(tmp_path, capsys, doc):
         """``--jobs 2`` and ``--jobs 1`` write the same log, snapshot and
-        panels, byte for byte, for every sweep item."""
+        panels, byte for byte (by sha256), for every sweep item. Each
+        snapshot is deleted once hashed."""
         outputs = {}
         for jobs in ("2", "1"):
             doc["out"] = str(tmp_path / f"runs_jobs{jobs}")
@@ -1146,11 +1209,13 @@ class TestParallelSweep:
             runs = json.loads(capsys.readouterr().out)["runs"]
             assert [r["status"] for r in runs] == ["ok"] * len(doc["alpha"])
             outputs[jobs] = {
-                (r["run_id"], path.relative_to(r["dir"]).as_posix()): path.read_bytes()
+                (r["run_id"], path.relative_to(r["dir"]).as_posix()): file_sha256(path)
                 for r in runs
                 for path in sorted(Path(r["dir"]).rglob("*"))
                 if path.name in ("log.csv", "snapshot.json") or path.parent.name == "panels"
             }
+            for r in runs:
+                (Path(r["dir"]) / "snapshot.json").unlink()
         assert len(outputs["1"]) == 8 * len(doc["alpha"])
         assert outputs["2"] == outputs["1"]
 

@@ -1187,7 +1187,7 @@ class TestTrain:
             make_config(ppo_clip=0.0)
         with pytest.raises(DomainError):
             make_config(gae_lambda=1.5)
-        with pytest.raises(DomainError, match="seed: must be nonnegative"):
+        with pytest.raises(DomainError, match="seed: must be a nonnegative integer, got -1"):
             make_config(seed=-1)
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairgame.envs import random_markov_game
-from fairgame.errors import SchemaError
+from fairgame.errors import DomainError, SchemaError
 from fairgame.formats import (
     TRAIN_FIELDS,
     build_env_factory,
@@ -353,3 +353,32 @@ def test_experiment_config_validates_exactly_when_it_loads(workdir, edits):
         assert problems and str(exc) == "; ".join(problems)
     else:
         assert problems == []
+
+
+# the TrainConfig fields a config sets once per sweep
+SWEEP_SETTINGS = [f.name for f in fields(TrainConfig) if f.name != "alpha"]
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.sampled_from(SWEEP_SETTINGS), PLAUSIBLE | JSON_VALUES, max_size=4),
+    PLAUSIBLE | JSON_VALUES,
+)
+@example({"critic_init": 3}, 1)
+@example({"seed": -1, "learning_rate": 0.7}, 2.0)
+@example({"algorithm": "x", "ppo_epochs": True}, float("nan"))
+def test_train_settings_load_exactly_when_they_construct(workdir, settings, alpha):
+    doc = {**_config_doc(workdir), **settings, "alpha": [alpha]}
+    values = {k: v for k, v in doc.items() if k in SWEEP_SETTINGS}
+    path = workdir / "config.json"
+    path.unlink(missing_ok=True)
+    path.write_text(json.dumps(doc))
+    try:
+        expected = TrainConfig(alpha=alpha, **values)
+    except DomainError as exc:
+        assert validate_experiment_config(doc) == exc.problems
+        with pytest.raises(SchemaError):
+            load_experiment_config(path)
+    else:
+        config = load_experiment_config(path)
+        assert config.train_config(config.alphas[0], config.seed) == expected

@@ -1,5 +1,6 @@
 import csv
 import io
+import shutil
 import sys
 from pathlib import Path
 
@@ -389,3 +390,4 @@ class TestPanelsEqualTheScalarRendering:
             expected = scalar_panels(steps.tolist(), apples, ginis, window)
             for name, content in expected.items():
                 assert (out / name).read_bytes() == content, (case, name)
+            shutil.rmtree(out)  # 300 cases would leave 2100 files behind

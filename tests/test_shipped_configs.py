@@ -110,7 +110,8 @@ PANELS = {
 
 @pytest.fixture(scope="module", params=list(PINNED), ids=[n for n, _ in PINNED])
 def trained(request, tmp_path_factory):
-    """The pinned config key and each alpha's (log, snapshot) paths."""
+    """The pinned config key and each alpha's log path and snapshot digest;
+    each snapshot (49 MB for mini-CleanUp) is deleted once hashed."""
     name, total_steps = request.param
     config = load_experiment_config(CONFIGS / name)
     if total_steps is not None:
@@ -127,13 +128,14 @@ def trained(request, tmp_path_factory):
             log_path=log,
             snapshot_path=snapshot,
         )
-        runs.append((log, snapshot))
+        runs.append((log, file_sha256(snapshot)))
+        snapshot.unlink()
     return request.param, runs
 
 
 def test_log_and_snapshot_digests_are_pinned(trained):
     key, runs = trained
-    digests = [(file_sha256(log), file_sha256(snapshot)) for log, snapshot in runs]
+    digests = [(file_sha256(log), snapshot_digest) for log, snapshot_digest in runs]
     assert digests == PINNED[key]
 
 
