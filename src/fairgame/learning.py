@@ -173,9 +173,7 @@ def _collect_lockstep(
     softmax rows (row for row, ``bisect_right`` clipped to the last
     action)."""
     num_envs, length, num_agents = uniforms.shape
-    groups: dict[int, list[int]] = {}
-    for i, table in enumerate(policies.logits):
-        groups.setdefault(table.shape[-1], []).append(i)
+    groups = _action_groups(policies.logits)
     path = np.empty((num_envs, length + 1, num_agents), dtype=np.int64)
     actions = np.empty(uniforms.shape, dtype=np.int64)
     rewards = np.empty(uniforms.shape)
@@ -183,7 +181,7 @@ def _collect_lockstep(
     with _lockstep(envs) as batch:
         path[:, 0] = batch.observations()
         for t in range(length):
-            for agents in groups.values():
+            for agents in groups:
                 rows = np.stack([policies.logits[i][path[:, t, i]] for i in agents])
                 cum = np.cumsum(_softmax(rows), axis=-1)
                 columns = list(cum.transpose(2, 0, 1)[:-1])
@@ -195,6 +193,16 @@ def _collect_lockstep(
     next_observations = np.ascontiguousarray(path[:, 1:])
     buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
     return buffer, rewards.sum(axis=1), None if apples is None else apples.astype(float)
+
+
+def _action_groups(logits: Sequence[np.ndarray]) -> list[list[int]]:
+    """The agents grouped by action count, each group in agent order and the
+    groups in order of their first agent: the agents that collection and the
+    update core stack together."""
+    groups: dict[int, list[int]] = {}
+    for i, table in enumerate(logits):
+        groups.setdefault(table.shape[-1], []).append(i)
+    return list(groups.values())
 
 
 def _collect_single_state(
@@ -307,24 +315,128 @@ def _combined_advantages(
 
 
 def _critic_regression_step(
-    table: np.ndarray, targets: np.ndarray, lr: float, visited: np.ndarray, inverse: np.ndarray
-) -> float:
-    """One descent step on the per-state mean squared return error.
+    values: np.ndarray,
+    targets: np.ndarray,
+    lr: float,
+    inverse: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One descent step on each of n agents' per-state mean squared return
+    error.
 
     Each visited state's value moves by -lr * d/dV mean_(t: s_t=s)(V - R_t)^2,
     so a constant-return state contracts its error by (1 - 2 lr) per step.
-    ``visited, inverse = np.unique(obs, return_inverse=True)`` for the batch's
-    observations: sums and counts are kept for the visited rows only, each
-    one ``np.bincount``, which adds in sample order from 0.0 as a scatter
-    onto zeros would. Returns the pre-update batch MSE.
+    ``values`` holds the n agents' visited entries, stacked, and ``targets``
+    their (n, B) returns; sample k of ``targets.ravel()`` sits at entry
+    ``inverse[k]``, and ``counts`` is ``np.bincount(inverse)``. The
+    per-entry sums are one ``np.bincount``, which adds in sample order from
+    0.0 as a scatter onto zeros would. Returns the stepped entries and the
+    (n, B) pre-update squared errors, whose row means are the agents' MSEs.
     """
-    values = table[visited]
-    squared = (values[inverse] - targets) ** 2
-    mse = float(squared.sum() / squared.size)
-    sums = np.bincount(inverse, weights=targets, minlength=len(visited))
-    counts = np.bincount(inverse, minlength=len(visited))
-    table[visited] = values - lr * 2.0 * (values - sums / counts)
-    return mse
+    flat = targets.ravel()
+    squared = (values[inverse] - flat) ** 2
+    sums = np.bincount(inverse, weights=flat, minlength=len(values))
+    return values - lr * 2.0 * (values - sums / counts), squared.reshape(targets.shape)
+
+
+class _AgentStack:
+    """The agents with one action count, stacked for one update. Their B
+    samples each run agent-major along one (n*B,) axis, and the table rows
+    the batch visited run along one stacked axis: agent by agent, each
+    agent's rows sorted, as one ``np.unique`` of the agent-offset keys
+    ``k * S + obs`` orders them. ``inverse`` places each sample among the
+    stacked rows, and ``blocks[k]`` holds agent ``agents[k]``'s rows, which
+    are rows ``visited[k]`` of its tables. The batch is fixed across
+    epochs, so all of this is built once per update, from (N, B)
+    agent-major observations, actions, fair advantages and returns."""
+
+    def __init__(
+        self,
+        agents: list[int],
+        tables: Sequence[np.ndarray],
+        obs: np.ndarray,
+        actions: np.ndarray,
+        fair: np.ndarray,
+        returns: np.ndarray,
+        entropy_coef: float,
+    ):
+        span = max(len(tables[i]) for i in agents)
+        offsets = np.arange(0, span * (len(agents) + 1), span)
+        keys = obs[agents] + offsets[:-1, None]
+        rows, self.inverse = np.unique(keys.ravel(), return_inverse=True)
+        bounds = np.searchsorted(rows, offsets).tolist()
+        self.agents = agents
+        self.blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self.visited = [rows[block] - offset for block, offset in zip(self.blocks, offsets)]
+        self.weights = fair[agents].ravel()
+        self.targets = returns[agents]
+        self.counts = np.bincount(self.inverse, minlength=len(rows))
+        self.entropy_coef = entropy_coef
+        # flat entries of the stacked (rows, actions) tables: each sample's
+        # taken action, and its whole row laid out (actions, samples)
+        width = tables[agents[0]].shape[-1]
+        starts = self.inverse * width
+        self.taken = starts + actions[agents].ravel()
+        self.per_row = (starts + np.arange(width)[:, None]).ravel()
+        terms = [self.taken, self.per_row] + ([self.per_row] if entropy_coef > 0.0 else [])
+        self.entries = np.concatenate(terms)
+
+    def gather(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate([tables[i][v] for i, v in zip(self.agents, self.visited)])
+
+    def scatter(self, tables: Sequence[np.ndarray], stacked: np.ndarray) -> None:
+        for i, v, block in zip(self.agents, self.visited, self.blocks):
+            tables[i][v] = stacked[block]
+
+    def taken_probs(self, logits: Sequence[np.ndarray]) -> np.ndarray:
+        """The (n, B) probabilities the current policies give the taken
+        actions."""
+        probs = _softmax(self.gather(logits)).ravel()[self.taken]
+        return probs.reshape(len(self.agents), -1)
+
+    def step(
+        self,
+        policies: SoftmaxPolicyProfile,
+        critics: CriticTable,
+        lr: float,
+        critic_lr: float,
+        clip: float | None,
+        old_log: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One epoch's actor and critic steps for the stacked agents, written
+        back to their tables. Returns the (3, n) actor losses, critic losses
+        and mean entropies, and the stepped logit rows and critic entries."""
+        batch = self.targets.shape[1]
+        logits = self.gather(policies.logits)
+        probs = _softmax(logits)
+        log_probs = np.log(np.maximum(probs, 1e-300))
+        log_taken = log_probs.ravel()[self.taken]
+        w = self.weights
+        if clip is None:
+            coeff = w
+            surrogate = w * log_taken
+        else:
+            ratio = np.exp(log_taken - old_log)
+            clipped_out = ((w > 0) & (ratio > 1.0 + clip)) | ((w < 0) & (ratio < 1.0 - clip))
+            coeff = np.where(clipped_out, 0.0, ratio * w)
+            surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
+        entropy = -(probs * log_probs).sum(axis=1)
+        sample_probs = probs.ravel()[self.per_row].reshape(-1, len(w))
+        terms = [coeff / batch, (-(coeff * sample_probs) / batch).ravel()]
+        if self.entropy_coef > 0.0:
+            ent_grad = -probs * (log_probs + entropy[:, None])
+            terms.append((self.entropy_coef * ent_grad / batch).ravel()[self.per_row])
+        grad = np.bincount(self.entries, np.concatenate(terms), logits.size)
+        logits = logits + lr * grad.reshape(logits.shape)
+        self.scatter(policies.logits, logits)
+        values, squared = _critic_regression_step(
+            self.gather(critics.values), self.targets, critic_lr, self.inverse, self.counts
+        )
+        self.scatter(critics.values, values)
+        # each agent's three per-sample rows, summed over B at once; negation
+        # is exact, so -surrogate sums to minus the surrogate's sum
+        per_sample = np.concatenate([-surrogate, squared.ravel(), entropy[self.inverse]])
+        return per_sample.reshape(3, -1, batch).sum(axis=2) / batch, logits, values
 
 
 def _policy_gradient_update(
@@ -341,10 +453,24 @@ def _policy_gradient_update(
     Each of ``epochs`` passes ascends, per actor, the score-function step on
     the fixed fair advantages A^F (plus entropy regularization), then takes
     one regression step per critic on the fixed TD(lambda) returns. Both
-    scatter into the rows the batch visited, not the whole table. With
-    ``clip`` set, each sample's weight is rho * A^F, with rho the ratio of the
-    current to the buffer's policy, and it is zeroed where the clipped
-    surrogate min(rho A^F, clip(rho, 1-clip, 1+clip) A^F) is flat.
+    touch only the rows the batch visited. With ``clip`` set, each sample's
+    weight is rho * A^F, with rho the ratio of the current to the buffer's
+    policy, and it is zeroed where the clipped surrogate min(rho A^F,
+    clip(rho, 1-clip, 1+clip) A^F) is flat.
+
+    The agents with one action count take each pass as one stacked batch
+    (``_AgentStack``); only the table gathers and write-backs are per
+    agent. The softmax, its logs and the entropy are taken once per stacked
+    row. A stack's actor gradient is one ``np.bincount`` over the
+    taken-action terms, then the -coeff * pi terms, then the entropy terms,
+    each in sample order: every gradient entry adds its samples in the
+    order of three per-sample scatters, so no sum is reordered. The critic
+    sums are one ``np.bincount`` too, and each agent's losses are a row of
+    an agent-major (n, B) block.
+
+    Raises DomainError, naming the agent, if the update leaves a non-finite
+    logit or critic entry in a row it touched, or a non-finite diagnostic
+    (see ``_check_finite``).
     """
     if buffer.policy_version != policies.version:
         raise StaleBufferError(
@@ -358,59 +484,71 @@ def _policy_gradient_update(
     fair, floor_hits = _combined_advantages(advantages, critics, buffer, config)
     num_agents = obs.shape[1]
     returns = returns.reshape(-1, num_agents)
-    batch = obs.shape[0]
-    # the batch is fixed across epochs: each agent's visited rows, and each
-    # sample's position among them, serve the actor and the critic alike.
-    # Row-wise quantities (softmax, logs, entropy and its gradient) are
-    # computed once per visited row and gathered per sample with [inverse].
-    rows_of = [np.unique(obs[:, i], return_inverse=True) for i in range(num_agents)]
-    old_log = []
+    stacks = [
+        _AgentStack(
+            agents, policies.logits, obs.T, actions.T, fair.T, returns.T, config.entropy_coef
+        )
+        for agents in _action_groups(policies.logits)
+    ]
+    old_log = [None] * len(stacks)
     if clip is not None:
-        for i in range(num_agents):
-            visited, inverse = rows_of[i]
-            p_taken = _softmax(policies.logits[i][visited])[inverse, actions[:, i]]
-            if not np.all(p_taken > 0.0):
-                raise DomainError(
-                    f"agent {i}: the current policy assigns zero probability to "
-                    f"{int(np.sum(p_taken <= 0.0))} taken action(s) in the buffer"
-                )
-            old_log.append(np.log(p_taken))
-
-    diag = {"floor_hits": floor_hits}
-    for _ in range(epochs):
-        diag["actor_loss"], diag["critic_loss"], diag["entropy"] = [], [], []
-        for i in range(num_agents):
-            visited, inverse = rows_of[i]
-            probs = _softmax(policies.logits[i][visited])
-            log_probs = np.log(np.clip(probs, 1e-300, None))
-            rows = probs[inverse]
-            log_taken = log_probs[inverse, actions[:, i]]
-            w = fair[:, i]
-            if clip is None:
-                coeff = w
-                actor_loss = -((w * log_taken).sum() / batch)
-            else:
-                ratio = np.exp(log_taken - old_log[i])
-                clipped_out = ((w > 0) & (ratio > 1.0 + clip)) | ((w < 0) & (ratio < 1.0 - clip))
-                coeff = np.where(clipped_out, 0.0, ratio * w)
-                surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
-                actor_loss = -(surrogate.sum() / batch)
-            grad = np.zeros(probs.shape)
-            np.add.at(grad, (inverse, actions[:, i]), coeff / batch)
-            np.add.at(grad, inverse, -(coeff[:, None] * rows) / batch)
-            entropy = -(probs * log_probs).sum(axis=1)
-            if config.entropy_coef > 0.0:
-                ent_grad = -probs * (log_probs + entropy[:, None])
-                np.add.at(grad, inverse, (config.entropy_coef * ent_grad / batch)[inverse])
-            diag["actor_loss"].append(float(actor_loss))
-            diag["entropy"].append(float(entropy[inverse].sum() / batch))
-            policies.logits[i][visited] += lr * grad
-            critic_loss = _critic_regression_step(
-                critics.values[i], returns[:, i], critic_lr, visited, inverse
+        taken = [stack.taken_probs(policies.logits) for stack in stacks]
+        zero = {
+            i: int(np.sum(p <= 0.0))
+            for stack, block in zip(stacks, taken)
+            for i, p in zip(stack.agents, block)
+            if not np.all(p > 0.0)
+        }
+        if zero:
+            agent = min(zero)
+            raise DomainError(
+                f"agent {agent}: the current policy assigns zero probability to "
+                f"{zero[agent]} taken action(s) in the buffer"
             )
-            diag["critic_loss"].append(critic_loss)
+        old_log = [np.log(block).ravel() for block in taken]
+
+    losses = np.empty((3, num_agents))  # actor loss, critic loss, entropy
+    for _ in range(epochs):
+        touched = []
+        for stack, old in zip(stacks, old_log):
+            losses[:, stack.agents], logits, values = stack.step(
+                policies, critics, lr, critic_lr, clip, old
+            )
+            touched.append((stack.agents, stack.blocks, logits, values))
         policies.version += 1
-    return diag
+    _check_finite(touched, losses)
+    actor_loss, critic_loss, entropy = losses.tolist()
+    return {
+        "floor_hits": floor_hits,
+        "actor_loss": actor_loss,
+        "critic_loss": critic_loss,
+        "entropy": entropy,
+    }
+
+
+def _check_finite(touched: list[tuple], losses: np.ndarray) -> None:
+    """Raise DomainError naming the first agent with a non-finite value
+    among, in this order, its touched logit rows, its touched critic
+    entries, and its actor loss, critic loss and entropy (the rows of
+    ``losses``, one column per agent). ``touched`` holds per stack its
+    agents, their row blocks, and its stepped logit rows and critic
+    entries: each stacked array is one check, and an agent's block is
+    checked only when its stack's check fails."""
+    faults = {}
+    for agents, blocks, *arrays in touched:
+        for name, stacked in zip(("logits", "critic"), arrays):
+            if not np.isfinite(stacked).all():
+                for agent, block in zip(agents, blocks):
+                    if not np.isfinite(stacked[block]).all():
+                        faults.setdefault(agent, name)
+    if not faults and np.isfinite(losses).all():
+        return
+    for agent, values in enumerate(losses.T.tolist()):
+        if agent in faults:
+            raise DomainError(f"agent {agent}: non-finite {faults[agent]}")
+        for name, value in zip(("actor_loss", "critic_loss", "entropy"), values):
+            if not math.isfinite(value):
+                raise DomainError(f"agent {agent}: non-finite {name}")
 
 
 def a2c_update(
@@ -424,7 +562,9 @@ def a2c_update(
     epoch, ascending E_t[A^F_{i,t} log pi_i(a_{i,t}|o_{i,t})] plus
     ``entropy_coef`` times the policy entropy per actor (advantages detached)
     and descending the squared TD-return error per critic. Requires an
-    on-policy buffer."""
+    on-policy buffer. Raises DomainError, naming the agent, if the step
+    leaves a non-finite value in a row it touched or a non-finite loss or
+    entropy."""
     return _policy_gradient_update(
         policies, critics, buffer, config, progress, epochs=1, clip=None
     )
@@ -440,8 +580,10 @@ def ppo_update(
     """Fair PPO: the shared policy-gradient core for ppo_epochs passes of the
     clipped surrogate min(rho A^F, clip(rho, 1-eps, 1+eps) A^F) plus entropy
     regularization, with per-agent probability ratios against the buffer's
-    policy. Raises DomainError, before any update, if that policy gives a
-    taken action zero probability."""
+    policy. Raises DomainError, naming the agent, before any update if that
+    policy gives a taken action zero probability, and after the update if it
+    leaves a non-finite value in a row it touched or a non-finite loss or
+    entropy."""
     return _policy_gradient_update(
         policies, critics, buffer, config, progress, config.ppo_epochs, config.ppo_clip
     )
@@ -473,27 +615,6 @@ class TrainResult:
     episodes: int
 
 
-def _check_finite(
-    update: int,
-    policies: SoftmaxPolicyProfile,
-    critics: CriticTable,
-    buffer: RolloutBuffer,
-    diag: dict,
-) -> None:
-    """Raise DomainError, naming the update and agent, on the first
-    non-finite logit row or critic entry the update touched, or non-finite
-    diagnostic. Each gathered table block is one array check; the
-    diagnostics are Python floats."""
-    obs, _ = buffer.flat()
-    for agent in range(obs.shape[1]):
-        for name, table in (("logits", policies.logits), ("critic", critics.values)):
-            if not np.isfinite(table[agent][obs[:, agent]]).all():
-                raise DomainError(f"update {update}, agent {agent}: non-finite {name}")
-        for name in ("actor_loss", "critic_loss", "entropy"):
-            if not math.isfinite(diag[name][agent]):
-                raise DomainError(f"update {update}, agent {agent}: non-finite {name}")
-
-
 def train(
     env_factory: Callable[[int], object],
     config: TrainConfig,
@@ -504,7 +625,8 @@ def train(
     updates until total_steps environment steps are consumed. Returns the
     per-episode table, which ``log_path`` receives as one row per (episode,
     agent); fully deterministic for a fixed config and seed.
-    Raises DomainError at the first update that leaves a non-finite value.
+    Raises DomainError, naming the update and agent, at the first update
+    that fails, such as one that leaves a non-finite value.
     """
     seed_seq = np.random.SeedSequence(config.seed)
     children = seed_seq.spawn(config.num_envs + 1)
@@ -534,10 +656,12 @@ def train(
     while steps_done < config.total_steps:
         buffer, block_returns, block_apples = collect_rollouts(envs, policies, rng)
         steps_done += buffer.num_steps
-        diag = update(
-            policies, critics, buffer, config, progress=steps_done / config.total_steps
-        )
-        _check_finite(len(diagnostics), policies, critics, buffer, diag)
+        try:
+            diag = update(
+                policies, critics, buffer, config, progress=steps_done / config.total_steps
+            )
+        except DomainError as exc:
+            raise DomainError(f"update {len(diagnostics)}, {exc}") from exc
         ginis.append(gini(block_returns if block_apples is None else block_apples))
         returns.append(block_returns)
         apples.append(np.zeros_like(block_returns) if block_apples is None else block_apples)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import multiprocessing
 from bisect import bisect_right
@@ -743,11 +744,28 @@ class TestPPOUpdate:
         assert np.array_equal(policies.logits[0], before)
         assert policies.version == 0
 
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 2, 3)])
+    def test_zero_probability_names_the_first_faulty_agent(self, counts):
+        # agent 1 takes an action of probability exactly 0; with counts
+        # (3, 2, 3) agent 2, stacked with agent 0, does as well
+        buffer, critics = single_transition_buffer(1.0, 10.0, 10.0, num_agents=len(counts))
+        policies = SoftmaxPolicyProfile.uniform(2, counts)
+        for agent in range(1, len(counts)):
+            policies.logits[agent][0, 0] = -1e4
+        before = [table.copy() for table in policies.logits + critics.values]
+        with pytest.raises(DomainError, match="^agent 1: .* zero probability to 1 taken"):
+            ppo_update(policies, critics, buffer, make_config(algorithm=Algorithm.FAIR_MAPPO))
+        after = policies.logits + critics.values
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+        assert policies.version == 0
+
 
 def per_sample_update_core(policies, critics, buffer, config, progress, epochs, clip):
-    """The policy-gradient core with the softmax, logs, entropy and entropy
-    gradient taken per sample rather than per visited row: the reference
-    ``a2c_update`` and ``ppo_update`` must match bit for bit."""
+    """The policy-gradient core one agent at a time, with the softmax, logs,
+    entropy and entropy gradient taken per sample rather than per visited
+    row, and the gradient and critic sums scattered per sample with
+    ``np.add.at``: the reference ``a2c_update`` and ``ppo_update`` must match
+    bit for bit."""
     lr = config.learning_rate_at(progress)
     critic_lr = config.critic_lr_at(progress)
     obs, actions = buffer.flat()
@@ -790,7 +808,7 @@ def per_sample_update_core(policies, critics, buffer, config, progress, epochs, 
             diag["actor_loss"].append(float(actor_loss))
             diag["entropy"].append(float(entropy.mean()))
             policies.logits[i][visited] += lr * grad
-            critic_loss = _critic_regression_step(
+            critic_loss = scattered_critic_step(
                 critics.values[i], returns[:, i], critic_lr, visited, inverse
             )
             diag["critic_loss"].append(critic_loss)
@@ -811,6 +829,14 @@ def assert_same_update(update, epochs, clip, policies, critics, buffer, config, 
     want = ref_policies.logits + ref_critics.values
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
     assert policies.version == ref_policies.version
+
+
+def update_of(config):
+    """The update that ``config``'s algorithm runs, and its core's epochs and
+    clip."""
+    if config.algorithm is Algorithm.FAIR_MAA2C:
+        return a2c_update, 1, None
+    return ppo_update, config.ppo_epochs, config.ppo_clip
 
 
 class TestUpdateCoreBitIdentical:
@@ -849,6 +875,45 @@ class TestUpdateCoreBitIdentical:
                 ppo_update, 4, 0.2, policies, critics, buffer, config, progress=update_index / 3
             )
 
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2, 3)])
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_agents_with_different_action_counts(self, counts, algorithm):
+        # (3, 2, 3) stacks agents 0 and 2 apart from agent 1
+        game = random_markov_game(len(counts), 16, counts, 0.9, seed=5)
+        envs = [MarkovGameEnv(game, 30, seed=k) for k in range(3)]
+        config = TrainConfig(
+            algorithm=algorithm, alpha=0.7, learning_rate=2.0, critic_lr=0.2,
+            entropy_coef=0.02, ppo_epochs=3, num_envs=3, total_steps=900, critic_init=5.0,
+        )
+        update, epochs, clip = update_of(config)
+        rng = np.random.default_rng(13)
+        policies = SoftmaxPolicyProfile.random(16, counts, rng, scale=1.0)
+        critics = CriticTable.constant(len(counts), 16, 5.0)
+        for update_index in range(3):
+            buffer, _, _ = collect_rollouts(envs, policies, rng)
+            assert_same_update(
+                update, epochs, clip, policies, critics, buffer, config, progress=update_index / 3
+            )
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_normalized_utilitarian_advantages(self, algorithm):
+        config = TrainConfig(
+            algorithm=algorithm, objective=ObjectiveMode.UTILITARIAN_WELFARE,
+            normalize_advantages=True, learning_rate=2.0, critic_lr=0.2, entropy_coef=0.02,
+            ppo_epochs=3, num_envs=2, total_steps=2000, critic_init=50.0,
+        )
+        update, epochs, clip = update_of(config)
+        policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
+        critics = CriticTable.constant(2, 1, 50.0)
+        for seed in range(5):
+            buffer, _, _ = collect_pd_buffer(policies, episode_length=100, num_envs=2, seed=seed)
+            assert_same_update(
+                update, epochs, clip, policies, critics, buffer, config, progress=seed / 5
+            )
+
+    def test_learning_scatters_with_no_add_at(self):
+        assert "add.at" not in inspect.getsource(learning)
+
 
 def scattered_critic_step(table, targets, lr, visited, inverse):
     """``_critic_regression_step`` with its sums and counts scattered onto
@@ -869,7 +934,10 @@ class TestCriticRegressionStep:
         visited, inverse = np.unique(obs, return_inverse=True)
         expected_table = table.copy()
         expected = scattered_critic_step(expected_table, targets, lr, visited, inverse)
-        mse = _critic_regression_step(table, targets, lr, visited, inverse)
+        table[visited], squared = _critic_regression_step(
+            table[visited], targets[None], lr, inverse, np.bincount(inverse)
+        )
+        mse = float(squared.sum() / squared.size)
         assert mse == expected or (np.isnan(mse) and np.isnan(expected))
         assert table.tobytes() == expected_table.tobytes()
 
@@ -1095,16 +1163,48 @@ class TestTrain:
 
     @pytest.mark.parametrize("name", ["critic", "actor_loss", "critic_loss", "entropy"])
     def test_non_finite_check_names_the_value(self, name):
-        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        buffer, _, _ = collect_pd_buffer(policies)
-        critics = CriticTable.constant(2, 1, 1.0)
-        diag = {key: [0.5, 0.5] for key in ("actor_loss", "critic_loss", "entropy")}
+        # one stack of agents 0 and 1, with one touched row each; the rows
+        # of ``losses`` are the actor loss, critic loss and entropy
+        logits, values, losses = np.zeros((2, 2)), np.ones(2), np.full((3, 2), 0.5)
         if name == "critic":
-            critics.values[1][0] = np.inf
+            values[1] = np.inf
         else:
-            diag[name][1] = float("nan")
-        with pytest.raises(DomainError, match=f"update 3, agent 1: non-finite {name}$"):
-            _check_finite(3, policies, critics, buffer, diag)
+            losses[["actor_loss", "critic_loss", "entropy"].index(name), 1] = np.nan
+        touched = [([0, 1], [slice(0, 1), slice(1, 2)], logits, values)]
+        with pytest.raises(DomainError, match=f"^agent 1: non-finite {name}$"):
+            _check_finite(touched, losses)
+
+    def test_non_finite_check_goes_in_agent_order(self):
+        # agents 0 and 2 share a stack, agent 1 has its own: agent 2's
+        # logits and agent 1's entropy are non-finite, and agent 1 is named
+        losses = np.full((3, 3), 0.5)
+        losses[2, 1] = np.inf
+        logits = np.zeros((3, 2))
+        logits[2, 1] = np.nan
+        touched = [
+            ([0, 2], [slice(0, 1), slice(1, 3)], logits, np.ones(3)),
+            ([1], [slice(0, 2)], np.zeros((2, 3)), np.ones(2)),
+        ]
+        with pytest.raises(DomainError, match="^agent 1: non-finite entropy$"):
+            _check_finite(touched, losses)
+        losses[2, 1] = 0.5
+        losses[0, 2] = np.nan  # an agent's tables come before its losses
+        with pytest.raises(DomainError, match="^agent 2: non-finite logits$"):
+            _check_finite(touched, losses)
+
+    def test_update_error_names_its_update(self, monkeypatch):
+        calls = []
+        a2c_update = learning.a2c_update
+
+        def failing_third_update(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DomainError("agent 1: non-finite critic")
+            return a2c_update(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "a2c_update", failing_third_update)
+        with pytest.raises(DomainError, match="^update 2, agent 1: non-finite critic$"):
+            train(self.factory, make_config(total_steps=400))
 
     def test_gini_once_per_episode(self, monkeypatch):
         # one stacked call per update, on that update's (E, N) block of
@@ -1217,16 +1317,10 @@ class TestEstimatorAlignment:
             policies = SoftmaxPolicyProfile.random(3, (2, 2), rng, scale=0.5)
             bundle = solve_values(game, policies)
             critics = CriticTable([bundle.state_values[j].copy() for j in range(2)])
-            # 200 consecutive episodes of one env, collected one at a time
-            env = MarkovGameEnv(game, episode_length=50, seed=300 + trial)
-            episodes = [collect_rollouts([env], policies, rng)[0] for _ in range(200)]
-            buffer = RolloutBuffer(
-                *(
-                    np.concatenate([getattr(episode, name) for episode in episodes])
-                    for name in ("observations", "actions", "rewards", "next_observations")
-                ),
-                policies.version,
-            )
+            # 200 episodes, one from each of 200 envs collected in lockstep
+            seeds = np.random.SeedSequence(300 + trial).spawn(200)
+            envs = [MarkovGameEnv(game, episode_length=50, seed=seed) for seed in seeds]
+            buffer, _, _ = collect_rollouts(envs, policies, rng)
             weights = AltruismWeights(0.6)
             exact = exact_fair_gradient(game, policies, weights)
             lr = 1e-3
