@@ -50,7 +50,6 @@ from .envs import (
 )
 from .learning import (
     Algorithm,
-    CriticTable,
     EpisodeTable,
     ObjectiveMode,
     RolloutBuffer,

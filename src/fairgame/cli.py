@@ -38,7 +38,7 @@ from .games import (
     find_pure_nash,
     social_optima,
 )
-from .learning import collect_rollouts, train
+from .learning import collect_rollouts, save_policy_snapshot, train, write_log_csv
 from .metrics import emit_plot_data, gini, write_panels
 from .verify import run_suite
 
@@ -135,12 +135,9 @@ def _run_sweep_item(
         with open_fresh(run_dir / "config.json") as handle:
             handle.write(json.dumps(snapshot, indent=2, sort_keys=True))
         factory = build_env_factory(config.env)
-        result = train(
-            factory,
-            train_config,
-            log_path=run_dir / "log.csv",
-            snapshot_path=run_dir / "snapshot.json",
-        )
+        result = train(factory, train_config)
+        write_log_csv(run_dir / "log.csv", result.table)
+        save_policy_snapshot(run_dir / "snapshot.json", result.policies)
         write_panels(run_dir / "panels", result.table.step, result.table.apples, result.table.gini)
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
         write_manifest(
@@ -178,7 +175,10 @@ def _run_sweep_item(
 def cmd_train(args) -> int:
     config = load_experiment_config(args.config, seed_override=_seed_override())
     out_root = Path(config.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # out, or a parent, is a file
+        raise SchemaError(f"out: {config.out} is not a directory") from None
     items = list(enumerate(config.alphas))
     # a forking pool starts every worker at once: no more than there are items
     workers = min(args.jobs, len(items))
@@ -299,7 +299,7 @@ def cmd_plot(args) -> int:
 
 
 def _positive_int(raw: str) -> int:
-    """``--jobs``: an integer of at least 1."""
+    """``--jobs`` and ``--window``: an integer of at least 1."""
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
     return int(raw)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="emit plot-ready panels from a training log")
     plot.add_argument("log", help="training log CSV")
     plot.add_argument("--out", required=True, help="output directory for panels")
-    plot.add_argument("--window", type=int, default=50)
+    plot.add_argument("--window", type=_positive_int, default=50)
     plot.set_defaults(fn=cmd_plot)
     return parser
 

@@ -92,20 +92,6 @@ class TrainConfig:
 
 
 @dataclass
-class CriticTable:
-    """Per-agent state-value tables indexed by encoded observation."""
-
-    values: list[np.ndarray]
-
-    @classmethod
-    def constant(cls, num_agents: int, num_states: int, value: float) -> "CriticTable":
-        return cls([np.full(num_states, float(value)) for _ in range(num_agents)])
-
-    def copy(self) -> "CriticTable":
-        return CriticTable([v.copy() for v in self.values])
-
-
-@dataclass
 class RolloutBuffer:
     """One truncated episode per collector under one policy version, as
     (E, T, N) arrays: E episodes of T steps for N agents. Episodes truncate
@@ -227,9 +213,10 @@ def _collect_single_state(
 
 
 def compute_gae(
-    buffer: RolloutBuffer, critic: CriticTable, gamma: float, lam: float
+    buffer: RolloutBuffer, critic: np.ndarray, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """GAE(lambda) advantages and TD(lambda) returns, each (E, T, N).
+    """GAE(lambda) advantages and TD(lambda) returns, each (E, T, N), from
+    the (N, S) critic, whose entry [j, s] is agent j's value of state s.
 
     delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), accumulated backward over
     T as acc = delta_t + (gamma * lam) * acc, one (env, agent) lane at a time
@@ -242,12 +229,9 @@ def compute_gae(
     num_envs, length, num_agents = buffer.observations.shape
     if num_envs == 0 or length == 0:
         raise DomainError("buffer is empty")
-
-    def values(obs: np.ndarray) -> np.ndarray:
-        return np.stack([critic.values[j][obs[..., j]] for j in range(num_agents)], axis=-1)
-
-    v = values(buffer.observations)
-    delta = buffer.rewards + gamma * values(buffer.next_observations) - v
+    agents = np.arange(num_agents)
+    v = critic[agents, buffer.observations]
+    delta = buffer.rewards + gamma * critic[agents, buffer.next_observations] - v
     decay = gamma * lam
     lanes = []
     for lane in delta.transpose(0, 2, 1).reshape(-1, length).tolist():
@@ -265,14 +249,14 @@ def compute_gae(
 
 def combine_fair_advantages(
     advantages: np.ndarray,
-    critic: CriticTable,
+    critic: np.ndarray,
     buffer: RolloutBuffer,
     alpha: float,
     v_floor: float,
 ) -> tuple[np.ndarray, int]:
     """Fair advantage A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0), v_floor)
-    over (E, T, N) advantages, with V_j(s0) the critic at agent j's initial
-    observation of each episode.
+    over (E, T, N) advantages, with V_j(s0) the (N, S) critic's entry for
+    agent j's initial observation of each episode.
 
     Returns the combined (E, T, N) array and the number of floored
     (episode, agent) denominators.
@@ -280,8 +264,7 @@ def combine_fair_advantages(
     num_agents = advantages.shape[-1]
     coeffs = np.full((num_agents, num_agents), alpha)
     np.fill_diagonal(coeffs, 1.0)
-    initial = buffer.observations[:, 0]
-    v0 = np.stack([critic.values[j][initial[:, j]] for j in range(num_agents)], axis=-1)
+    v0 = critic[np.arange(num_agents), buffer.observations[:, 0]]
     floor_hits = int((v0 < v_floor).sum())
     v0 = np.maximum(v0, v_floor)
     return (advantages / v0[:, None, :]) @ coeffs.T, floor_hits
@@ -295,7 +278,7 @@ def combine_utilitarian_advantages(advantages: np.ndarray) -> np.ndarray:
 
 def _combined_advantages(
     advantages: np.ndarray,
-    critic: CriticTable,
+    critic: np.ndarray,
     buffer: RolloutBuffer,
     config: TrainConfig,
 ) -> tuple[np.ndarray, int]:
@@ -346,7 +329,8 @@ class _AgentStack:
     agent's rows sorted, as one ``np.unique`` of the agent-offset keys
     ``k * S + obs`` orders them. ``inverse`` places each sample among the
     stacked rows, and ``blocks[k]`` holds agent ``agents[k]``'s rows, which
-    are rows ``visited[k]`` of its tables. The batch is fixed across
+    are rows ``visited[k]`` of its logit table; ``critic_index`` indexes
+    the same entries of the (N, S) critic at once. The batch is fixed across
     epochs, so all of this is built once per update, from (N, B)
     agent-major observations, actions, fair advantages and returns."""
 
@@ -368,6 +352,7 @@ class _AgentStack:
         self.agents = agents
         self.blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         self.visited = [rows[block] - offset for block, offset in zip(self.blocks, offsets)]
+        self.critic_index = (np.array(agents)[rows // span], rows % span)
         self.weights = fair[agents].ravel()
         self.targets = returns[agents]
         self.counts = np.bincount(self.inverse, minlength=len(rows))
@@ -397,7 +382,7 @@ class _AgentStack:
     def step(
         self,
         policies: SoftmaxPolicyProfile,
-        critics: CriticTable,
+        critics: np.ndarray,
         lr: float,
         critic_lr: float,
         clip: float | None,
@@ -430,9 +415,9 @@ class _AgentStack:
         logits = logits + lr * grad.reshape(logits.shape)
         self.scatter(policies.logits, logits)
         values, squared = _critic_regression_step(
-            self.gather(critics.values), self.targets, critic_lr, self.inverse, self.counts
+            critics[self.critic_index], self.targets, critic_lr, self.inverse, self.counts
         )
-        self.scatter(critics.values, values)
+        critics[self.critic_index] = values
         # each agent's three per-sample rows, summed over B at once; negation
         # is exact, so -surrogate sums to minus the surrogate's sum
         per_sample = np.concatenate([-surrogate, squared.ravel(), entropy[self.inverse]])
@@ -441,7 +426,7 @@ class _AgentStack:
 
 def _policy_gradient_update(
     policies: SoftmaxPolicyProfile,
-    critics: CriticTable,
+    critics: np.ndarray,
     buffer: RolloutBuffer,
     config: TrainConfig,
     progress: float,
@@ -459,12 +444,13 @@ def _policy_gradient_update(
     clip(rho, 1-clip, 1+clip) A^F) is flat.
 
     The agents with one action count take each pass as one stacked batch
-    (``_AgentStack``); only the table gathers and write-backs are per
-    agent. The softmax, its logs and the entropy are taken once per stacked
-    row. A stack's actor gradient is one ``np.bincount`` over the
-    taken-action terms, then the -coeff * pi terms, then the entropy terms,
-    each in sample order: every gradient entry adds its samples in the
-    order of three per-sample scatters, so no sum is reordered. The critic
+    (``_AgentStack``); only the logit gathers and write-backs are per agent,
+    and the (N, S) critic is read and written with one index. The softmax,
+    its logs and the entropy are taken once per stacked row. A stack's
+    actor gradient is one ``np.bincount`` over the taken-action terms, then
+    the -coeff * pi terms, then the entropy terms, each in sample order:
+    every gradient entry adds its samples in the order of three per-sample
+    scatters, so no sum is reordered. The critic
     sums are one ``np.bincount`` too, and each agent's losses are a row of
     an agent-major (n, B) block.
 
@@ -553,7 +539,7 @@ def _check_finite(touched: list[tuple], losses: np.ndarray) -> None:
 
 def a2c_update(
     policies: SoftmaxPolicyProfile,
-    critics: CriticTable,
+    critics: np.ndarray,
     buffer: RolloutBuffer,
     config: TrainConfig,
     progress: float = 0.0,
@@ -572,7 +558,7 @@ def a2c_update(
 
 def ppo_update(
     policies: SoftmaxPolicyProfile,
-    critics: CriticTable,
+    critics: np.ndarray,
     buffer: RolloutBuffer,
     config: TrainConfig,
     progress: float = 0.0,
@@ -609,22 +595,18 @@ class EpisodeTable:
 @dataclass
 class TrainResult:
     policies: SoftmaxPolicyProfile
-    critics: CriticTable
+    critics: np.ndarray  # (N, S): entry [j, s] is agent j's value of state s
     table: EpisodeTable
     steps: int
     episodes: int
 
 
-def train(
-    env_factory: Callable[[int], object],
-    config: TrainConfig,
-    log_path=None,
-    snapshot_path=None,
-) -> TrainResult:
+def train(env_factory: Callable[[int], object], config: TrainConfig) -> TrainResult:
     """Alternate collection over num_envs seeded collectors with on-policy
     updates until total_steps environment steps are consumed. Returns the
-    per-episode table, which ``log_path`` receives as one row per (episode,
-    agent); fully deterministic for a fixed config and seed.
+    policies, the critic and the per-episode table (``write_log_csv`` and
+    ``save_policy_snapshot`` write them out); writes no file, and is fully
+    deterministic for a fixed config and seed.
     Raises DomainError, naming the update and agent, at the first update
     that fails, such as one that leaves a non-finite value.
     """
@@ -644,7 +626,7 @@ def train(
         )
     else:
         policies = SoftmaxPolicyProfile.uniform(num_states, action_counts)
-    critics = CriticTable.constant(num_agents, num_states, config.critic_init)
+    critics = np.full((num_agents, num_states), float(config.critic_init))
 
     update = a2c_update if config.algorithm is Algorithm.FAIR_MAA2C else ppo_update
     steps_done = 0
@@ -682,10 +664,6 @@ def train(
         entropy=per_agent([diag["entropy"] for diag in diagnostics]),
         floor_hits=np.array([diag["floor_hits"] for diag in diagnostics], dtype=np.int64),
     )
-    if log_path is not None:
-        write_log_csv(log_path, table)
-    if snapshot_path is not None:
-        save_policy_snapshot(snapshot_path, policies)
     return TrainResult(
         policies=policies,
         critics=critics,

@@ -19,6 +19,7 @@ from fairgame.learning import (
     ObjectiveMode,
     TrainConfig,
     train,
+    write_log_csv,
 )
 from fairgame.verify import (
     verify_altruism,
@@ -308,7 +309,7 @@ def test_criterion_12_train_determinism(tmp_path):
     )
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for path in paths:
-        train(lambda s: RepeatedMatrixGameEnv(PD, 50), config, log_path=path)
+        write_log_csv(path, train(lambda s: RepeatedMatrixGameEnv(PD, 50), config).table)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     emit(12, "train log byte-identical across reruns", identical, "")
     assert identical

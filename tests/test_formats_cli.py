@@ -783,6 +783,17 @@ class TestCliTrainEvalPlot:
             if run_dir.is_dir():
                 assert verify_manifest(run_dir) == []
 
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_out_that_is_not_a_directory_exits_2(self, tmp_path, capsys, inside):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "sub" if inside else taken
+        config = self.write_config(tmp_path, out=str(out))
+        assert main(["train", str(config)]) == 2
+        assert f"error: out: {out} is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
     def test_fairgame_seed_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FAIRGAME_SEED", "99")
         config = self.write_config(tmp_path, alpha=[1.0])
@@ -827,8 +838,10 @@ class TestCliTrainEvalPlot:
         assert [r["status"] for r in runs] == ["failed", "failed"]
         for record in runs:
             assert record["error"] == "DomainError: update 0, agent 0: non-finite logits"
-            manifest = json.loads((tmp_path / "runs" / record["run_id"] / "manifest.json").read_text())
+            run_dir = tmp_path / "runs" / record["run_id"]
+            manifest = json.loads((run_dir / "manifest.json").read_text())
             assert manifest["notes"]["error"] == record["error"]
+            assert not (run_dir / "log.csv").exists()
 
     def test_eval_uniform_snapshot_cooperation_quarter(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.json"
@@ -1144,6 +1157,17 @@ class TestCliPlotMalformedLog:
         log, _, code = self.plot(tmp_path, content)
         assert code == 2
         assert f"error: {log}: log CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_exits_2_on_a_header_only_log(self, tmp_path, capsys, window):
+        log = tmp_path / "log.csv"
+        log.write_text(LOG_HEADER)
+        out = tmp_path / "panels"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plot", str(log), "--out", str(out), "--window", window])
+        assert exit_info.value.code == 2
+        assert "--window" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_log_that_is_a_directory_exits_2(self, tmp_path, capsys):
         log = tmp_path / "logdir"

@@ -24,7 +24,6 @@ from fairgame.games import DilemmaPayoffs
 from fairgame.learning import (
     SNAPSHOT_BLOCK_ROWS,
     Algorithm,
-    CriticTable,
     ObjectiveMode,
     RolloutBuffer,
     TrainConfig,
@@ -39,6 +38,7 @@ from fairgame.learning import (
     ppo_update,
     save_policy_snapshot,
     train,
+    write_log_csv,
 )
 from fairgame.markov import (
     AltruismWeights,
@@ -55,7 +55,7 @@ PD = DilemmaPayoffs(5, 3, 1, 2)
 
 def single_transition_buffer(
     reward: float, v_s: float, v_next: float, num_agents: int = 1
-) -> tuple[RolloutBuffer, CriticTable]:
+) -> tuple[RolloutBuffer, np.ndarray]:
     buffer = RolloutBuffer(
         observations=np.zeros((1, 1, num_agents), dtype=np.int64),
         actions=np.zeros((1, 1, num_agents), dtype=np.int64),
@@ -63,7 +63,7 @@ def single_transition_buffer(
         next_observations=np.ones((1, 1, num_agents), dtype=np.int64),
         policy_version=0,
     )
-    critic = CriticTable([np.array([v_s, v_next]) for _ in range(num_agents)])
+    critic = np.array([[v_s, v_next]] * num_agents, dtype=float)
     return buffer, critic
 
 
@@ -91,7 +91,7 @@ class TestComputeGae:
     def test_lambda_zero_is_td_residual(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies)
-        critic = CriticTable([np.array([5.0]), np.array([7.0])])
+        critic = np.array([[5.0], [7.0]])
         advantages, _ = compute_gae(buffer, critic, gamma=0.9, lam=0.0)
         expected = buffer.rewards + 0.9 * np.array([5.0, 7.0]) - np.array([5.0, 7.0])
         assert np.allclose(advantages, expected)
@@ -99,7 +99,7 @@ class TestComputeGae:
     def test_lambda_one_zero_critic_is_reward_to_go(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies, episode_length=5, num_envs=1)
-        critic = CriticTable([np.zeros(1), np.zeros(1)])
+        critic = np.zeros((2, 1))
         advantages, _ = compute_gae(buffer, critic, gamma=0.9, lam=1.0)
         rewards = buffer.rewards[0]
         expected = np.zeros_like(rewards)
@@ -114,7 +114,7 @@ class TestComputeGae:
         empty = np.zeros((num_envs, length, 1), dtype=np.int64)
         buffer = RolloutBuffer(empty, empty, empty.astype(float), empty, 0)
         with pytest.raises(DomainError):
-            compute_gae(buffer, CriticTable([np.zeros(1)]), 0.9, 0.95)
+            compute_gae(buffer, np.zeros((1, 1)), 0.9, 0.95)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 100, 2), (10, 100, 3), (3, 7, 5)])
     @pytest.mark.parametrize("gamma, lam", [(0.9, 0.0), (0.95, 0.95), (1.0, 1.0)])
@@ -133,7 +133,7 @@ class TestComputeGae:
         zeros = np.signbit(deltas[deltas == 0.0])
         assert zeros.any() and not zeros.all()
         buffer, critic = exact_delta_buffer(deltas)
-        table = critic.values[0]
+        table = critic[0]
         v, v_next = table[buffer.observations], table[buffer.next_observations]
         delta = buffer.rewards + gamma * v_next - v
         assert delta.tobytes() == deltas.tobytes()
@@ -145,7 +145,7 @@ def numpy_step_loop_gae(buffer, critic, gamma, lam):
     num_envs, length, num_agents = buffer.observations.shape
 
     def values(obs):
-        return np.stack([critic.values[j][obs[..., j]] for j in range(num_agents)], axis=-1)
+        return np.stack([critic[j][obs[..., j]] for j in range(num_agents)], axis=-1)
 
     v = values(buffer.observations)
     delta = buffer.rewards + gamma * values(buffer.next_observations) - v
@@ -178,14 +178,14 @@ def exact_delta_buffer(deltas):
     ones = np.ones(deltas.shape, dtype=np.int64)
     buffer = RolloutBuffer(ones - 1, ones - 1, ones.astype(float), ones, 0)
     buffer.rewards = deltas.copy()
-    critic = CriticTable([np.array([0.0, -0.0]) for _ in range(deltas.shape[2])])
+    critic = np.array([[0.0, -0.0]] * deltas.shape[2])
     return buffer, critic
 
 
 class TestCombineAdvantages:
     def test_hand_computed(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
-        critic = CriticTable([np.array([10.0, 0.0]), np.array([8.0, 0.0])])
+        critic = np.array([[10.0, 0.0], [8.0, 0.0]])
         advantages = np.array([[[2.0, -4.0]]])
         combined, floor_hits = combine_fair_advantages(
             advantages, critic, buffer, alpha=0.5, v_floor=1e-3
@@ -196,7 +196,7 @@ class TestCombineAdvantages:
 
     def test_alpha_zero_self_normalization(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
-        critic = CriticTable([np.array([4.0, 0.0]), np.array([5.0, 0.0])])
+        critic = np.array([[4.0, 0.0], [5.0, 0.0]])
         advantages = np.array([[[2.0, -4.0]]])
         combined, _ = combine_fair_advantages(advantages, critic, buffer, 0.0, 1e-3)
         assert combined[0, 0] == pytest.approx([2.0 / 4.0, -4.0 / 5.0])
@@ -210,7 +210,7 @@ class TestCombineAdvantages:
 
     def test_floor_hits_counted(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
-        critic = CriticTable([np.array([0.0, 0.0]), np.array([5.0, 0.0])])
+        critic = np.array([[0.0, 0.0], [5.0, 0.0]])
         _, floor_hits = combine_fair_advantages(
             np.ones((1, 1, 2)), critic, buffer, 1.0, v_floor=1e-3
         )
@@ -218,7 +218,7 @@ class TestCombineAdvantages:
 
     def test_alpha_one_shared_signal(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=3)
-        critic = CriticTable([np.array([2.0, 0.0]) for _ in range(3)])
+        critic = np.array([[2.0, 0.0]] * 3)
         advantages = np.array([[[1.0, -2.0, 0.5]]])
         combined, _ = combine_fair_advantages(advantages, critic, buffer, 1.0, 1e-3)
         assert np.allclose(combined[..., 0], combined[..., 1])
@@ -559,7 +559,7 @@ class TestA2CUpdate:
     def test_stale_buffer_rejected(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies)
-        critics = CriticTable.constant(2, 1, 30.0)
+        critics = np.full((2, 1), 30.0)
         policies.version += 1
         with pytest.raises(StaleBufferError):
             a2c_update(policies, critics, buffer, make_config())
@@ -575,7 +575,7 @@ class TestA2CUpdate:
         flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 20)
         rng = np.random.default_rng(0)
         buffer, _, _ = collect_rollouts([flat, flat], policies, rng)
-        critics = CriticTable.constant(2, 1, 2.0 / (1 - 0.9))
+        critics = np.full((2, 1), 2.0 / (1 - 0.9))
         before = [l.copy() for l in policies.logits]
         a2c_update(policies, critics, buffer, make_config())
         for old, new in zip(before, policies.logits):
@@ -593,11 +593,11 @@ class TestA2CUpdate:
         config = make_config(
             learning_rate=lr, critic_lr=lr, gae_lambda=1.0, gamma=0.0, lr_floor=lr
         )
-        critics = CriticTable.constant(2, 1, 10.0)
+        critics = np.full((2, 1), 10.0)
         target = 2.0  # gamma=0 return is the immediate reward
         errors = []
         for _ in range(4):
-            errors.append(critics.values[0][0] - target)
+            errors.append(critics[0, 0] - target)
             buffer = with_version(buffer, policies.version)
             a2c_update(policies, critics, buffer, config, progress=0.0)
         for before, after in zip(errors, errors[1:]):
@@ -607,7 +607,7 @@ class TestA2CUpdate:
         # single-state bandit: action 0 pays more, its logit must increase
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=3)
-        critics = CriticTable.constant(2, 1, 27.5)  # near the uniform-play value
+        critics = np.full((2, 1), 27.5)  # near the uniform-play value
         before = policies.logits[0].copy()
         config = make_config(alpha=0.0, gae_lambda=0.0, learning_rate=1.0, critic_lr=0.1)
         a2c_update(policies, critics, buffer, config)
@@ -616,7 +616,7 @@ class TestA2CUpdate:
 
     def test_probability_conservation_after_updates(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
-        critics = CriticTable.constant(2, 1, 30.0)
+        critics = np.full((2, 1), 30.0)
         config = make_config()
         for seed in range(5):
             buffer, _, _ = collect_pd_buffer(policies, seed=seed)
@@ -627,7 +627,7 @@ class TestA2CUpdate:
     def test_version_bumped(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies)
-        critics = CriticTable.constant(2, 1, 30.0)
+        critics = np.full((2, 1), 30.0)
         a2c_update(policies, critics, buffer, make_config())
         assert policies.version == 1
 
@@ -637,7 +637,7 @@ class TestUpdateSchedules:
     def test_normalized_advantages_are_centred_with_unit_spread(self, objective):
         policies = SoftmaxPolicyProfile.random(1, (2, 2), np.random.default_rng(2), scale=1.0)
         buffer, _, _ = collect_pd_buffer(policies, episode_length=30, num_envs=4, seed=5)
-        critics = CriticTable.constant(2, 1, 30.0)
+        critics = np.full((2, 1), 30.0)
         config = make_config(normalize_advantages=True, objective=objective)
         advantages, _ = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
         combined, _ = _combined_advantages(advantages, critics, buffer, config)
@@ -654,7 +654,7 @@ class TestUpdateSchedules:
         steps = []
         for progress in (0.0, 1.0):
             moved = policies.copy()
-            a2c_update(moved, CriticTable.constant(2, 1, 30.0), buffer, config, progress)
+            a2c_update(moved, np.full((2, 1), 30.0), buffer, config, progress)
             steps.append([m - b for m, b in zip(moved.logits, policies.logits)])
         ratio = config.lr_floor / config.learning_rate
         for early, late in zip(*steps):
@@ -668,7 +668,7 @@ class TestPPOUpdate:
         # a non-uniform start, where the entropy gradient is nonzero
         policies_a = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
         buffer, _, _ = collect_pd_buffer(policies_a, seed=5)
-        critics_a = CriticTable.constant(2, 1, 30.0)
+        critics_a = np.full((2, 1), 30.0)
         critics_b = critics_a.copy()
         policies_b = policies_a.copy()
         config_a2c = make_config(entropy_coef=entropy_coef)
@@ -686,7 +686,7 @@ class TestPPOUpdate:
         flat = RepeatedMatrixGameEnv(DilemmaPayoffs(2, 2, 2, 2), 20)
         rng = np.random.default_rng(2)
         buffer, _, _ = collect_rollouts([flat, flat], policies, rng)
-        critics = CriticTable.constant(2, 1, 20.0)
+        critics = np.full((2, 1), 20.0)
         before = [l.copy() for l in policies.logits]
         config = make_config(
             algorithm=Algorithm.FAIR_MAPPO, entropy_coef=0.0, ppo_epochs=4
@@ -698,7 +698,7 @@ class TestPPOUpdate:
     def test_ratio_clipped_after_many_epochs(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
-        critics = CriticTable.constant(2, 1, 27.5)
+        critics = np.full((2, 1), 27.5)
         old_probs = [policies.probs(i).copy() for i in range(2)]
         config = make_config(
             algorithm=Algorithm.FAIR_MAPPO,
@@ -728,7 +728,7 @@ class TestPPOUpdate:
     def test_stale_buffer_rejected(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies)
-        critics = CriticTable.constant(2, 1, 30.0)
+        critics = np.full((2, 1), 30.0)
         policies.version += 3
         with pytest.raises(StaleBufferError):
             ppo_update(policies, critics, buffer, make_config(algorithm=Algorithm.FAIR_MAPPO))
@@ -752,10 +752,10 @@ class TestPPOUpdate:
         policies = SoftmaxPolicyProfile.uniform(2, counts)
         for agent in range(1, len(counts)):
             policies.logits[agent][0, 0] = -1e4
-        before = [table.copy() for table in policies.logits + critics.values]
+        before = [table.copy() for table in [*policies.logits, critics]]
         with pytest.raises(DomainError, match="^agent 1: .* zero probability to 1 taken"):
             ppo_update(policies, critics, buffer, make_config(algorithm=Algorithm.FAIR_MAPPO))
-        after = policies.logits + critics.values
+        after = [*policies.logits, critics]
         assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
         assert policies.version == 0
 
@@ -809,7 +809,7 @@ def per_sample_update_core(policies, critics, buffer, config, progress, epochs, 
             diag["entropy"].append(float(entropy.mean()))
             policies.logits[i][visited] += lr * grad
             critic_loss = scattered_critic_step(
-                critics.values[i], returns[:, i], critic_lr, visited, inverse
+                critics[i], returns[:, i], critic_lr, visited, inverse
             )
             diag["critic_loss"].append(critic_loss)
         policies.version += 1
@@ -825,8 +825,8 @@ def assert_same_update(update, epochs, clip, policies, critics, buffer, config, 
     )
     diag = update(policies, critics, buffer, config, progress=progress)
     assert diag == expected
-    got = policies.logits + critics.values
-    want = ref_policies.logits + ref_critics.values
+    got = [*policies.logits, critics]
+    want = [*ref_policies.logits, ref_critics]
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
     assert policies.version == ref_policies.version
 
@@ -846,7 +846,7 @@ class TestUpdateCoreBitIdentical:
             entropy_coef=0.02, num_envs=2, total_steps=2000, critic_init=50.0,
         )
         policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
-        critics = CriticTable.constant(2, 1, 50.0)
+        critics = np.full((2, 1), 50.0)
         for seed in range(10):
             buffer, _, _ = collect_pd_buffer(policies, episode_length=100, num_envs=2, seed=seed)
             assert_same_update(
@@ -865,7 +865,7 @@ class TestUpdateCoreBitIdentical:
         policies = SoftmaxPolicyProfile.random(
             envs[0].num_states, envs[0].action_counts, rng, scale=1.0
         )
-        critics = CriticTable.constant(envs[0].num_agents, envs[0].num_states, 1.0)
+        critics = np.full((envs[0].num_agents, envs[0].num_states), 1.0)
         for update_index in range(3):
             buffer, _, _ = collect_rollouts(envs, policies, rng)
             obs, _ = buffer.flat()
@@ -888,7 +888,7 @@ class TestUpdateCoreBitIdentical:
         update, epochs, clip = update_of(config)
         rng = np.random.default_rng(13)
         policies = SoftmaxPolicyProfile.random(16, counts, rng, scale=1.0)
-        critics = CriticTable.constant(len(counts), 16, 5.0)
+        critics = np.full((len(counts), 16), 5.0)
         for update_index in range(3):
             buffer, _, _ = collect_rollouts(envs, policies, rng)
             assert_same_update(
@@ -904,7 +904,7 @@ class TestUpdateCoreBitIdentical:
         )
         update, epochs, clip = update_of(config)
         policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
-        critics = CriticTable.constant(2, 1, 50.0)
+        critics = np.full((2, 1), 50.0)
         for seed in range(5):
             buffer, _, _ = collect_pd_buffer(policies, episode_length=100, num_envs=2, seed=seed)
             assert_same_update(
@@ -1073,7 +1073,7 @@ def small_markov_batch(policies_seed):
     buffer, _, _ = collect_rollouts(envs, policies, rng)
     obs, _ = buffer.flat()
     assert all(len(np.unique(obs[:, i])) < min(16, len(obs)) for i in range(2))
-    return policies, CriticTable.constant(2, 16, 5.0), buffer
+    return policies, np.full((2, 16), 5.0), buffer
 
 
 class TestUpdateCoreAscendsTheLoss:
@@ -1084,7 +1084,7 @@ class TestUpdateCoreAscendsTheLoss:
     def test_ppo_on_a_pd_batch_where_the_clip_binds(self):
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
-        critics = CriticTable.constant(2, 1, 27.5)
+        critics = np.full((2, 1), 27.5)
         config = make_config(
             algorithm=Algorithm.FAIR_MAPPO, entropy_coef=0.05, ppo_epochs=4,
             learning_rate=8.0, critic_lr=0.01, ppo_clip=0.2, normalize_advantages=True,
@@ -1108,7 +1108,7 @@ class TestUpdateCoreAscendsTheLoss:
         if batch == "pd":
             policies = SoftmaxPolicyProfile([np.array([[0.4, -0.3]]), np.array([[-0.2, 0.5]])])
             buffer, _, _ = collect_pd_buffer(policies, episode_length=50, num_envs=4, seed=7)
-            critics = CriticTable.constant(2, 1, 27.5)
+            critics = np.full((2, 1), 27.5)
         else:
             policies, critics, buffer = small_markov_batch(policies_seed=22)
         config = make_config(entropy_coef=0.05, learning_rate=2.0, critic_lr=0.2, ppo_epochs=1)
@@ -1120,20 +1120,22 @@ class TestTrain:
         return RepeatedMatrixGameEnv(PD, 20)
 
     def test_zero_steps_returns_initial_policies(self):
-        config = make_config(total_steps=0)
+        config = make_config(total_steps=0, critic_init=30)  # an int init gives a float critic
         result = train(self.factory, config)
         assert result.table.step.shape == result.table.gini.shape == (0,)
         assert result.table.returns.shape == result.table.apples.shape == (0, 2)
         assert result.episodes == 0
         for logits in result.policies.logits:
             assert not logits.any()
+        assert result.critics.dtype == np.float64
+        assert result.critics.tolist() == [[30.0], [30.0]]  # (N, S), at critic_init
 
     def test_log_schema_and_determinism(self, tmp_path):
         config = make_config(total_steps=400, seed=11)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        train(self.factory, config, log_path=first)
-        train(self.factory, config, log_path=second)
+        write_log_csv(first, train(self.factory, config).table)
+        write_log_csv(second, train(self.factory, config).table)
         assert first.read_bytes() == second.read_bytes()
         header = first.read_text().splitlines()[0]
         assert header == "step,episode,agent,return,apples,gini,actor_loss,critic_loss,entropy,floor_hits"
@@ -1147,19 +1149,18 @@ class TestTrain:
     def test_snapshot_round_trip(self, tmp_path):
         config = make_config(total_steps=200)
         path = tmp_path / "snapshot.json"
-        result = train(self.factory, config, snapshot_path=path)
+        result = train(self.factory, config)
+        save_policy_snapshot(path, result.policies)
         loaded = load_policy_snapshot(path)
         for a, b in zip(result.policies.logits, loaded.logits):
             assert np.allclose(a, b, atol=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_non_finite_update_raises(self, tmp_path):
+    def test_non_finite_update_raises(self):
         # a huge step overflows the logits on the first update
         config = make_config(learning_rate=1e308, critic_lr=0.2, critic_init=0.0)
-        log = tmp_path / "log.csv"
         with pytest.raises(DomainError, match="update 0, agent 0: non-finite logits"):
-            train(self.factory, config, log_path=log)
-        assert not log.exists()
+            train(self.factory, config)
 
     @pytest.mark.parametrize("name", ["critic", "actor_loss", "critic_loss", "entropy"])
     def test_non_finite_check_names_the_value(self, name):
@@ -1259,7 +1260,8 @@ class TestTrain:
     def test_episode_table_matches_the_log(self, tmp_path):
         # 400 steps of 2 collectors x 20-step episodes: 10 updates of 2 episodes
         log = tmp_path / "log.csv"
-        result = train(self.factory, make_config(total_steps=400), log_path=log)
+        result = train(self.factory, make_config(total_steps=400))
+        write_log_csv(log, result.table)
         table = result.table
         assert np.array_equal(table.update, np.repeat(np.arange(10), 2))
         assert np.array_equal(table.step, 40 * (table.update + 1))
@@ -1316,7 +1318,7 @@ class TestEstimatorAlignment:
             rng = np.random.default_rng(200 + trial)
             policies = SoftmaxPolicyProfile.random(3, (2, 2), rng, scale=0.5)
             bundle = solve_values(game, policies)
-            critics = CriticTable([bundle.state_values[j].copy() for j in range(2)])
+            critics = bundle.state_values.copy()
             # 200 episodes, one from each of 200 envs collected in lockstep
             seeds = np.random.SeedSequence(300 + trial).spawn(200)
             envs = [MarkovGameEnv(game, episode_length=50, seed=seed) for seed in seeds]

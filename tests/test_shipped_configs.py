@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fairgame.formats import build_env_factory, file_sha256, load_experiment_config
-from fairgame.learning import train
+from fairgame.learning import save_policy_snapshot, train, write_log_csv
 from fairgame.metrics import emit_plot_data
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -122,12 +122,11 @@ def trained(request, tmp_path_factory):
         log = tmp_path / f"log_{index}.csv"
         snapshot = tmp_path / f"snapshot_{index}.json"
         # the seed derivation of `fairgame train`
-        train(
-            build_env_factory(config.env),
-            config.train_config(alpha, config.seed + index),
-            log_path=log,
-            snapshot_path=snapshot,
+        result = train(
+            build_env_factory(config.env), config.train_config(alpha, config.seed + index)
         )
+        write_log_csv(log, result.table)
+        save_policy_snapshot(snapshot, result.policies)
         runs.append((log, file_sha256(snapshot)))
         snapshot.unlink()
     return request.param, runs
