@@ -38,7 +38,14 @@ from .games import (
     find_pure_nash,
     social_optima,
 )
-from .learning import collect_rollouts, save_policy_snapshot, train, write_log_csv
+from .learning import (  # train stays bound here: perfbench traces fairgame.cli.train
+    _runs_per_batch,
+    _train_runs,
+    collect_rollouts,
+    save_policy_snapshot,
+    train,
+    write_log_csv,
+)
 from .metrics import emit_plot_data, gini, write_panels
 from .verify import run_suite
 
@@ -113,86 +120,128 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep_item(
-    config: ExperimentConfig, alpha: float, index: int, out_root: str
-) -> dict:
-    """One sweep item in its own run directory; returns a status record."""
-    derived_seed = config.seed + index
-    run_id = f"{config.algorithm.value}_alpha{alpha:g}_seed{derived_seed}"
-    run_dir = Path(out_root) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    try:
-        train_config = config.train_config(alpha, derived_seed)
-        snapshot = {
-            "env": config.env,
-            "algorithm": config.algorithm.value,
-            "objective": config.objective.value,
-            "alpha": alpha,
-            "seed": derived_seed,
-            "train": {k: getattr(train_config, k) for k in TRAIN_FIELDS},
-        }
-        with open_fresh(run_dir / "config.json") as handle:
-            handle.write(json.dumps(snapshot, indent=2, sort_keys=True))
-        factory = build_env_factory(config.env)
-        result = train(factory, train_config)
-        write_log_csv(run_dir / "log.csv", result.table)
-        save_policy_snapshot(run_dir / "snapshot.json", result.policies)
-        write_panels(run_dir / "panels", result.table.step, result.table.apples, result.table.gini)
-        finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        write_manifest(
-            run_dir,
-            snapshot,
-            derived_seed,
-            started,
-            finished,
-            notes={
-                "env_steps": result.steps,
-                "episodes": result.episodes,
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+class _SweepItem:
+    """One sweep item: its run directory, training config, config snapshot
+    and status record. Any failure is recorded in the record and the
+    directory's manifest, not raised: the other sweep items continue."""
+
+    def __init__(self, config: ExperimentConfig, index: int, out_root: Path):
+        self.alpha = config.alphas[index]
+        self.seed = config.seed + index
+        self.run_id = f"{config.algorithm.value}_alpha{self.alpha:g}_seed{self.seed}"
+        self.dir = out_root / self.run_id
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.started = _now()
+        self.record: dict | None = None
+        try:
+            self.train_config = config.train_config(self.alpha, self.seed)
+            self.snapshot = {
+                "env": config.env,
+                "algorithm": config.algorithm.value,
+                "objective": config.objective.value,
+                "alpha": self.alpha,
+                "seed": self.seed,
+                "train": {k: getattr(self.train_config, k) for k in TRAIN_FIELDS},
+            }
+            with open_fresh(self.dir / "config.json") as handle:
+                handle.write(json.dumps(self.snapshot, indent=2, sort_keys=True))
+        except Exception as exc:
+            self.fail(exc)
+
+    def finish(self, outcome) -> None:
+        """Write a trained run's log, snapshot, panels and manifest, or record
+        its error."""
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            table = outcome.table
+            write_log_csv(self.dir / "log.csv", table)
+            save_policy_snapshot(self.dir / "snapshot.json", outcome.policies)
+            write_panels(self.dir / "panels", table.step, table.apples, table.gini)
+            notes = {
+                "env_steps": outcome.steps,
+                "episodes": outcome.episodes,
                 "step_counting": "global across parallel collectors",
-            },
-        )
-        return {"run_id": run_id, "alpha": alpha, "status": "ok", "dir": str(run_dir)}
-    except Exception as exc:  # recorded, not raised: other sweep items continue
-        finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        write_manifest(
-            run_dir,
-            {"alpha": alpha},
-            derived_seed,
-            started,
-            finished,
-            notes={"error": f"{type(exc).__name__}: {exc}"},
-        )
-        return {
-            "run_id": run_id,
-            "alpha": alpha,
-            "status": "failed",
-            "error": f"{type(exc).__name__}: {exc}",
-            "dir": str(run_dir),
-        }
+            }
+            write_manifest(self.dir, self.snapshot, self.seed, self.started, _now(), notes=notes)
+            self.record = {"run_id": self.run_id, "alpha": self.alpha, "status": "ok",
+                           "dir": str(self.dir)}
+        except Exception as exc:
+            self.fail(exc)
+
+    def fail(self, exc: Exception) -> None:
+        error = f"{type(exc).__name__}: {exc}"
+        write_manifest(self.dir, {"alpha": self.alpha}, self.seed, self.started, _now(),
+                       notes={"error": error})
+        self.record = {"run_id": self.run_id, "alpha": self.alpha, "status": "failed",
+                       "error": error, "dir": str(self.dir)}
+
+
+def _run_sweep_batch(config: ExperimentConfig, batch: list[int], out_root: str) -> list:
+    """Sweep items ``batch``, each in its own run directory, trained as one
+    ``_train_runs`` call, whose outputs equal those of one ``train`` call
+    per item. Returns one status record per item."""
+    items = [_SweepItem(config, index, Path(out_root)) for index in batch]
+    pending = [item for item in items if item.record is None]
+    if pending:
+        try:
+            factory = build_env_factory(config.env)
+            outcomes = _train_runs(factory, [item.train_config for item in pending])
+        except Exception as exc:  # outside any one run: the whole batch fails
+            outcomes = [exc] * len(pending)
+        for item, outcome in zip(pending, outcomes):
+            item.finish(outcome)
+    return [item.record for item in items]
+
+
+def _run_sweep_share(config: ExperimentConfig, batches: list[list[int]], out_root: str) -> list:
+    """One worker's share of the sweep, batch by batch; each batch's runs
+    are released before the next one trains."""
+    return [record for batch in batches for record in _run_sweep_batch(config, batch, out_root)]
+
+
+def _sweep_shares(config: ExperimentConfig, jobs: int) -> list[list[list[int]]]:
+    """The sweep items' indices cut into ``min(jobs, items)`` contiguous
+    shares, one per worker process, sizes differing by at most one, and each
+    share cut into consecutive batches of at most ``_runs_per_batch`` items
+    (the cap on one batch's logit tables)."""
+    items = len(config.alphas)
+    per_batch = _runs_per_batch(build_env_factory(config.env)(0))
+    shares = [share.tolist() for share in np.array_split(np.arange(items), min(jobs, items))]
+    return [
+        [share[start : start + per_batch] for start in range(0, len(share), per_batch)]
+        for share in shares
+    ]
 
 
 def cmd_train(args) -> int:
+    """Train the config's sweep, one run directory per item, and write
+    ``sweep.json``. The items are cut into ``--jobs`` contiguous shares, one
+    per worker process (one share runs in-process), and each share into
+    batches under a cap on their logit tables; a batch's items train as one
+    stacked run. Every item's files equal those of ``train`` run alone, for
+    any ``--jobs``. Exits 1 only when every item failed."""
     config = load_experiment_config(args.config, seed_override=_seed_override())
     out_root = Path(config.out)
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):  # out, or a parent, is a file
         raise SchemaError(f"out: {config.out} is not a directory") from None
-    items = list(enumerate(config.alphas))
-    # a forking pool starts every worker at once: no more than there are items
-    workers = min(args.jobs, len(items))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    shares = _sweep_shares(config, args.jobs)
+    if len(shares) > 1:
+        # a forking pool starts every worker at once: one per share
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             futures = [
-                pool.submit(_run_sweep_item, config, alpha, index, str(out_root))
-                for index, alpha in items
+                pool.submit(_run_sweep_share, config, share, str(out_root)) for share in shares
             ]
-            records = [f.result() for f in futures]
+            records = [record for future in futures for record in future.result()]
     else:
-        records = [
-            _run_sweep_item(config, alpha, index, str(out_root)) for index, alpha in items
-        ]
+        records = _run_sweep_share(config, shares[0], str(out_root))
+
     summary = {"runs": records}
     with open_fresh(out_root / "sweep.json") as handle:
         handle.write(json.dumps(summary, indent=2))

@@ -10,7 +10,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -120,6 +120,12 @@ class RolloutBuffer:
             self.actions.reshape(-1, num_agents),
         )
 
+    def lanes(self, agents: slice) -> "RolloutBuffer":
+        """The buffer of the agents in ``agents``, as views of this one's
+        arrays."""
+        arrays = (self.observations, self.actions, self.rewards, self.next_observations)
+        return RolloutBuffer(*(array[..., agents] for array in arrays), self.policy_version)
+
 
 def collect_rollouts(
     envs: Sequence, policies: SoftmaxPolicyProfile, rng: np.random.Generator
@@ -134,9 +140,9 @@ def collect_rollouts(
 
     The shared rng draws only the (E, T, N) block of action uniforms; agent
     i samples the first action whose cumulative probability exceeds its
-    uniform. There are two paths. When every env has a single state,
-    nothing an action does can change an observation, so the whole block is
-    sampled at once and its rewards are read from each env's
+    uniform. There are two paths (see ``_collect``). When every env has a
+    single state, nothing an action does can change an observation, so the
+    whole block is sampled at once and its rewards are read from each env's
     ``joint_rewards`` table; those envs are neither reset nor stepped.
     Otherwise every env is reset and the E envs are stepped in lockstep as
     one batch (see ``envs._lockstep``), each drawing its own randomness from
@@ -144,41 +150,74 @@ def collect_rollouts(
     """
     num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
     uniforms = rng.random((num_envs, length, num_agents))
+    *arrays, apples = _collect(envs, policies.logits, uniforms)
+    buffer = RolloutBuffer(*arrays, policies.version)
+    return buffer, buffer.rewards.sum(axis=1), apples
+
+
+def _by_env(lanes: np.ndarray, runs: int) -> np.ndarray:
+    """(E, ..., R*N) lanes of R runs, run r's agent i in lane r*N + i, as
+    (R*E, ..., N) rows, run r's env e in row r*E + e."""
+    num_envs, *middle, width = lanes.shape
+    split = lanes.reshape(num_envs, -1, runs, width // runs).transpose(2, 0, 1, 3)
+    return split.reshape(runs * num_envs, *middle, width // runs)
+
+
+def _by_lane(rows: np.ndarray, runs: int) -> np.ndarray:
+    """The inverse of ``_by_env``: (R*E, ..., N) rows as (E, ..., R*N) lanes."""
+    total, *middle, num_agents = rows.shape
+    split = rows.reshape(runs, total // runs, -1, num_agents).transpose(1, 2, 0, 3)
+    return split.reshape(total // runs, *middle, runs * num_agents)
+
+
+def _collect(
+    envs: Sequence, logits: Sequence[np.ndarray], uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """One episode of R runs side by side: ``envs`` holds each run's E envs
+    in run order, ``logits`` each run's N tables in run order, and the
+    (E, T, R*N) ``uniforms`` hold run r's action uniforms in lanes r*N to
+    r*N + N - 1. Returns the (E, T, R*N) observations, actions, rewards and
+    next observations, and the (E, R*N) apples harvested or None. A run's
+    lanes equal what it would collect alone."""
     if all(env.num_states == 1 for env in envs):
-        return _collect_single_state(envs, policies, uniforms)
-    return _collect_lockstep(envs, policies, uniforms)
+        return _collect_single_state(envs, logits, uniforms)
+    return _collect_lockstep(envs, logits, uniforms)
 
 
 def _collect_lockstep(
-    envs: Sequence, policies: SoftmaxPolicyProfile, uniforms: np.ndarray
-) -> tuple[RolloutBuffer, np.ndarray, np.ndarray | None]:
-    """``collect_rollouts`` for multi-state envs, stepped together. At each
+    envs: Sequence, logits: Sequence[np.ndarray], uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """``_collect`` for multi-state envs, all R*E stepped together. At each
     step the agents with the same number of actions sample their (E,)
     actions as one stack: their E observations' logit rows are gathered,
     and one ``markov._draw`` counts the compared columns of the cumulative
     softmax rows (row for row, ``bisect_right`` clipped to the last
     action)."""
-    num_envs, length, num_agents = uniforms.shape
-    groups = _action_groups(policies.logits)
-    path = np.empty((num_envs, length + 1, num_agents), dtype=np.int64)
+    num_envs, length, _ = uniforms.shape
+    runs = len(envs) // num_envs
+    groups = _action_groups(logits)
+    path = np.empty((num_envs, length + 1, uniforms.shape[2]), dtype=np.int64)
     actions = np.empty(uniforms.shape, dtype=np.int64)
     rewards = np.empty(uniforms.shape)
     apples = None
     with _lockstep(envs) as batch:
-        path[:, 0] = batch.observations()
+        path[:, 0] = _by_lane(batch.observations(), runs)
         for t in range(length):
             for agents in groups:
-                rows = np.stack([policies.logits[i][path[:, t, i]] for i in agents])
+                rows = np.stack([logits[i][path[:, t, i]] for i in agents])
                 cum = np.cumsum(_softmax(rows), axis=-1)
                 columns = list(cum.transpose(2, 0, 1)[:-1])
                 actions[:, t, agents] = _draw(columns, uniforms[:, t, agents].T).T
-            path[:, t + 1], rewards[:, t], harvests = batch.step(actions[:, t])
+            observations, step_rewards, harvests = batch.step(_by_env(actions[:, t], runs))
+            path[:, t + 1] = _by_lane(observations, runs)
+            rewards[:, t] = _by_lane(step_rewards, runs)
             if harvests is not None:
+                harvests = _by_lane(harvests, runs)
                 apples = harvests if apples is None else apples + harvests
     observations = np.ascontiguousarray(path[:, :-1])
     next_observations = np.ascontiguousarray(path[:, 1:])
-    buffer = RolloutBuffer(observations, actions, rewards, next_observations, policies.version)
-    return buffer, rewards.sum(axis=1), None if apples is None else apples.astype(float)
+    apples = None if apples is None else apples.astype(float)
+    return observations, actions, rewards, next_observations, apples
 
 
 def _action_groups(logits: Sequence[np.ndarray]) -> list[list[int]]:
@@ -192,24 +231,24 @@ def _action_groups(logits: Sequence[np.ndarray]) -> list[list[int]]:
 
 
 def _collect_single_state(
-    envs: Sequence, policies: SoftmaxPolicyProfile, uniforms: np.ndarray
-) -> tuple[RolloutBuffer, np.ndarray, None]:
-    """``collect_rollouts`` for envs whose only observation is 0: each agent
-    samples its (E, T) actions with one ``markov._draw`` on its cumulative
-    softmax row (``bisect_right`` clipped to the last action), and the
-    (E, T, N) rewards are one gather from the stacked joint reward tables.
-    Such envs report no apples."""
-    num_envs, _, num_agents = uniforms.shape
+    envs: Sequence, logits: Sequence[np.ndarray], uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None]:
+    """``_collect`` for envs whose only observation is 0: the agents with
+    one action count sample their (E, T) actions with one ``markov._draw``
+    on their stacked cumulative softmax rows (``bisect_right`` clipped to
+    the last action), and the rewards are one gather from the stacked joint
+    reward tables of all R*E envs. Such envs report no apples."""
+    runs = len(envs) // uniforms.shape[0]
     actions = np.empty(uniforms.shape, dtype=np.int64)
-    for i in range(num_agents):
-        columns = _compared_columns(np.cumsum(_softmax(policies.logits[i][0])))
-        actions[..., i] = _draw(columns, uniforms[..., i])
+    for agents in _action_groups(logits):
+        rows = np.stack([logits[i][0] for i in agents])
+        columns = _compared_columns(np.cumsum(_softmax(rows), axis=-1))
+        actions[..., agents] = _draw(columns, uniforms[..., agents])
     tables = np.stack([env.joint_rewards for env in envs])
-    episode = np.arange(num_envs)[:, None]
-    rewards = tables[(episode, *np.moveaxis(actions, -1, 0))]
+    episode = np.arange(len(envs))[:, None]
+    rewards = tables[(episode, *np.moveaxis(_by_env(actions, runs), -1, 0))]
     zeros = np.zeros(uniforms.shape, dtype=np.int64)
-    buffer = RolloutBuffer(zeros, actions, rewards, zeros.copy(), policies.version)
-    return buffer, rewards.sum(axis=1), None
+    return zeros, actions, _by_lane(rewards, runs), zeros.copy(), None
 
 
 def compute_gae(
@@ -428,12 +467,15 @@ def _policy_gradient_update(
     policies: SoftmaxPolicyProfile,
     critics: np.ndarray,
     buffer: RolloutBuffer,
-    config: TrainConfig,
+    configs: Sequence[TrainConfig],
     progress: float,
     epochs: int,
     clip: float | None,
-) -> dict:
-    """The fair policy-gradient core shared by A2C and PPO.
+) -> list[dict | DomainError]:
+    """The fair policy-gradient core shared by A2C and PPO, for R runs side
+    by side: run r's agent i is agent r*N + i of ``policies``, of the
+    (R*N, S) critic and of the buffer's lanes, and ``configs`` holds each
+    run's config. The runs may differ only in alpha and objective.
 
     Each of ``epochs`` passes ascends, per actor, the score-function step on
     the fixed fair advantages A^F (plus entropy regularization), then takes
@@ -443,39 +485,65 @@ def _policy_gradient_update(
     policy, and it is zeroed where the clipped surrogate min(rho A^F,
     clip(rho, 1-clip, 1+clip) A^F) is flat.
 
-    The agents with one action count take each pass as one stacked batch
-    (``_AgentStack``); only the logit gathers and write-backs are per agent,
-    and the (N, S) critic is read and written with one index. The softmax,
-    its logs and the entropy are taken once per stacked row. A stack's
-    actor gradient is one ``np.bincount`` over the taken-action terms, then
-    the -coeff * pi terms, then the entropy terms, each in sample order:
-    every gradient entry adds its samples in the order of three per-sample
-    scatters, so no sum is reordered. The critic
-    sums are one ``np.bincount`` too, and each agent's losses are a row of
-    an agent-major (n, B) block.
+    GAE runs once over all lanes, lane by lane; the fair (or utilitarian)
+    combination and its normalization run per run, on that run's lanes.
+    The agents of all runs with one action count take each pass as one
+    stacked batch (``_AgentStack``); only the logit gathers and write-backs
+    are per agent, and the critic is read and written with one index. The
+    softmax, its logs and the entropy are taken once per stacked row. A
+    stack's actor gradient is one ``np.bincount`` over the taken-action
+    terms, then the -coeff * pi terms, then the entropy terms, each in
+    sample order: every gradient entry adds its samples in the order of
+    three per-sample scatters, so no sum is reordered. The critic sums are
+    one ``np.bincount`` too, and each agent's losses are a row of an
+    agent-major (n, B) block. So each run's numbers are those it gets
+    alone, bit for bit.
 
-    Raises DomainError, naming the agent, if the update leaves a non-finite
-    logit or critic entry in a row it touched, or a non-finite diagnostic
-    (see ``_check_finite``).
+    Returns per run its diagnostics, or the DomainError that names its
+    first faulty agent by its index in the run: under PPO, before any
+    update, an agent whose buffer policy gives a taken action zero
+    probability (that run then sits the update out), and after the update
+    one left with a non-finite logit or critic entry in a row it touched,
+    or a non-finite diagnostic (see ``_non_finite``). Raises
+    StaleBufferError on an off-policy buffer.
     """
     if buffer.policy_version != policies.version:
         raise StaleBufferError(
             f"buffer from policy version {buffer.policy_version}, "
             f"policies at {policies.version}"
         )
+    config = configs[0]  # for the fields every run shares
     lr = config.learning_rate_at(progress)
     critic_lr = config.critic_lr_at(progress)
     obs, actions = buffer.flat()
     advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
-    fair, floor_hits = _combined_advantages(advantages, critics, buffer, config)
-    num_agents = obs.shape[1]
-    returns = returns.reshape(-1, num_agents)
-    stacks = [
-        _AgentStack(
-            agents, policies.logits, obs.T, actions.T, fair.T, returns.T, config.entropy_coef
+    width = obs.shape[1]
+    num_agents = width // len(configs)
+    lanes = [slice(r * num_agents, (r + 1) * num_agents) for r in range(len(configs))]
+    combined = [
+        _combined_advantages(
+            advantages[..., lane],
+            critics[lane],
+            buffer if len(configs) == 1 else buffer.lanes(lane),
+            run_config,
         )
-        for agents in _action_groups(policies.logits)
+        for lane, run_config in zip(lanes, configs)
     ]
+    fair = np.concatenate([block for block, _ in combined], axis=1)
+    returns = returns.reshape(-1, width)
+    outcomes: list = [None] * len(configs)
+
+    def stacked(groups):
+        return [
+            _AgentStack(
+                agents, policies.logits, obs.T, actions.T, fair.T, returns.T, config.entropy_coef
+            )
+            for agents in groups
+            if agents
+        ]
+
+    groups = _action_groups(policies.logits)
+    stacks = stacked(groups)
     old_log = [None] * len(stacks)
     if clip is not None:
         taken = [stack.taken_probs(policies.logits) for stack in stacks]
@@ -486,14 +554,19 @@ def _policy_gradient_update(
             if not np.all(p > 0.0)
         }
         if zero:
-            agent = min(zero)
-            raise DomainError(
-                f"agent {agent}: the current policy assigns zero probability to "
-                f"{zero[agent]} taken action(s) in the buffer"
-            )
+            _fail_runs(outcomes, {
+                i: f"the current policy assigns zero probability to {count} taken "
+                "action(s) in the buffer"
+                for i, count in zero.items()
+            }, num_agents)
+            stacks = stacked([[i for i in g if outcomes[i // num_agents] is None] for g in groups])
+            if not stacks:
+                return outcomes
+            taken = [stack.taken_probs(policies.logits) for stack in stacks]
         old_log = [np.log(block).ravel() for block in taken]
 
-    losses = np.empty((3, num_agents))  # actor loss, critic loss, entropy
+    # actor loss, critic loss, entropy; zero for a run that sits out
+    losses = np.zeros((3, width))
     for _ in range(epochs):
         touched = []
         for stack, old in zip(stacks, old_log):
@@ -502,19 +575,32 @@ def _policy_gradient_update(
             )
             touched.append((stack.agents, stack.blocks, logits, values))
         policies.version += 1
-    _check_finite(touched, losses)
-    actor_loss, critic_loss, entropy = losses.tolist()
-    return {
-        "floor_hits": floor_hits,
-        "actor_loss": actor_loss,
-        "critic_loss": critic_loss,
-        "entropy": entropy,
-    }
+    faults = _non_finite(touched, losses)
+    _fail_runs(outcomes, {i: f"non-finite {name}" for i, name in faults.items()}, num_agents)
+    for r, (lane, (_, floor_hits)) in enumerate(zip(lanes, combined)):
+        if outcomes[r] is None:
+            actor_loss, critic_loss, entropy = losses[:, lane].tolist()
+            outcomes[r] = {
+                "floor_hits": floor_hits,
+                "actor_loss": actor_loss,
+                "critic_loss": critic_loss,
+                "entropy": entropy,
+            }
+    return outcomes
 
 
-def _check_finite(touched: list[tuple], losses: np.ndarray) -> None:
-    """Raise DomainError naming the first agent with a non-finite value
-    among, in this order, its touched logit rows, its touched critic
+def _fail_runs(outcomes: list, faults: dict[int, str], num_agents: int) -> None:
+    """Give each run with a fault among its agents (``faults`` maps agent
+    r*N + i to the fault) the DomainError naming its lowest such agent by
+    its index i in the run."""
+    for agent in sorted(faults, reverse=True):
+        run, i = divmod(agent, num_agents)
+        outcomes[run] = DomainError(f"agent {i}: {faults[agent]}")
+
+
+def _non_finite(touched: list[tuple], losses: np.ndarray) -> dict[int, str]:
+    """Each agent with a non-finite value, mapped to the name of its first
+    one among, in this order, its touched logit rows, its touched critic
     entries, and its actor loss, critic loss and entropy (the rows of
     ``losses``, one column per agent). ``touched`` holds per stack its
     agents, their row blocks, and its stepped logit rows and critic
@@ -527,14 +613,22 @@ def _check_finite(touched: list[tuple], losses: np.ndarray) -> None:
                 for agent, block in zip(agents, blocks):
                     if not np.isfinite(stacked[block]).all():
                         faults.setdefault(agent, name)
-    if not faults and np.isfinite(losses).all():
-        return
-    for agent, values in enumerate(losses.T.tolist()):
-        if agent in faults:
-            raise DomainError(f"agent {agent}: non-finite {faults[agent]}")
-        for name, value in zip(("actor_loss", "critic_loss", "entropy"), values):
-            if not math.isfinite(value):
-                raise DomainError(f"agent {agent}: non-finite {name}")
+    if not np.isfinite(losses).all():
+        for agent, values in enumerate(losses.T.tolist()):
+            for name, value in zip(("actor_loss", "critic_loss", "entropy"), values):
+                if not math.isfinite(value):
+                    faults.setdefault(agent, name)
+                    break
+    return faults
+
+
+def _one_run(outcomes: list):
+    """The outcome of a one-run batch (of updates or of training); raises
+    its DomainError."""
+    (outcome,) = outcomes
+    if isinstance(outcome, DomainError):
+        raise outcome
+    return outcome
 
 
 def a2c_update(
@@ -551,9 +645,9 @@ def a2c_update(
     on-policy buffer. Raises DomainError, naming the agent, if the step
     leaves a non-finite value in a row it touched or a non-finite loss or
     entropy."""
-    return _policy_gradient_update(
-        policies, critics, buffer, config, progress, epochs=1, clip=None
-    )
+    return _one_run(_policy_gradient_update(
+        policies, critics, buffer, [config], progress, epochs=1, clip=None
+    ))
 
 
 def ppo_update(
@@ -570,9 +664,9 @@ def ppo_update(
     policy gives a taken action zero probability, and after the update if it
     leaves a non-finite value in a row it touched or a non-finite loss or
     entropy."""
-    return _policy_gradient_update(
-        policies, critics, buffer, config, progress, config.ppo_epochs, config.ppo_clip
-    )
+    return _one_run(_policy_gradient_update(
+        policies, critics, buffer, [config], progress, config.ppo_epochs, config.ppo_clip
+    ))
 
 
 @dataclass
@@ -606,71 +700,194 @@ def train(env_factory: Callable[[int], object], config: TrainConfig) -> TrainRes
     updates until total_steps environment steps are consumed. Returns the
     policies, the critic and the per-episode table (``write_log_csv`` and
     ``save_policy_snapshot`` write them out); writes no file, and is fully
-    deterministic for a fixed config and seed.
+    deterministic for a fixed config and seed. This is the one-run batch of
+    ``_train_runs``.
     Raises DomainError, naming the update and agent, at the first update
     that fails, such as one that leaves a non-finite value.
     """
-    seed_seq = np.random.SeedSequence(config.seed)
-    children = seed_seq.spawn(config.num_envs + 1)
-    envs = [
-        env_factory(int(children[k].generate_state(1)[0]))
-        for k in range(config.num_envs)
-    ]
-    rng = np.random.default_rng(children[-1])
-    num_agents = envs[0].num_agents
-    num_states = envs[0].num_states
-    action_counts = envs[0].action_counts
-    if config.policy_init_scale > 0.0:
-        policies = SoftmaxPolicyProfile.random(
-            num_states, action_counts, rng, scale=config.policy_init_scale
-        )
-    else:
-        policies = SoftmaxPolicyProfile.uniform(num_states, action_counts)
-    critics = np.full((num_agents, num_states), float(config.critic_init))
+    return _one_run(_train_runs(env_factory, [config]))
 
-    update = a2c_update if config.algorithm is Algorithm.FAIR_MAA2C else ppo_update
-    steps_done = 0
-    # per-update (E, N) blocks, each list led by an empty block so that a run
-    # of no updates concatenates to empty arrays
-    empty = np.empty((0, num_agents))
-    returns, apples, ginis = [empty], [empty], [np.empty(0)]
-    update_steps, diagnostics = [], []
-    while steps_done < config.total_steps:
-        buffer, block_returns, block_apples = collect_rollouts(envs, policies, rng)
-        steps_done += buffer.num_steps
-        try:
-            diag = update(
-                policies, critics, buffer, config, progress=steps_done / config.total_steps
+
+# A batch holds consecutive runs only while their logit tables total at most
+# this many entries (8 MB of float64): one shipped mini-CleanUp run's tables
+# hold 2.4M entries, so such runs train one per batch, in one run's memory.
+_BATCH_TABLE_ENTRIES = 1 << 20
+
+# the TrainConfig fields in which the runs of one batch may differ
+_RUN_FIELDS = ("alpha", "objective", "seed")
+
+
+def _runs_per_batch(env) -> int:
+    """How many runs on ``env`` one batch holds under the table cap: at
+    least one."""
+    return max(1, _BATCH_TABLE_ENTRIES // (env.num_states * sum(env.action_counts)))
+
+
+class _Run:
+    """One run of a batch: its config, its num_envs seeded envs, its shared
+    rng, its logit tables, its episode table, and its outcome: None while it
+    trains, then its TrainResult or the DomainError that ended it. The
+    seeding and initial tables are those of ``train``. A run either fails
+    or completes all ceil(total_steps / (E*T)) updates, so its table is
+    allocated whole and update u writes rows u*E to u*E + E - 1 (and row u
+    of its diagnostics)."""
+
+    def __init__(self, env_factory: Callable[[int], object], config: TrainConfig):
+        children = np.random.SeedSequence(config.seed).spawn(config.num_envs + 1)
+        self.envs = [
+            env_factory(int(children[k].generate_state(1)[0]))
+            for k in range(config.num_envs)
+        ]
+        self.rng = np.random.default_rng(children[-1])
+        env = self.envs[0]
+        if config.policy_init_scale > 0.0:
+            policies = SoftmaxPolicyProfile.random(
+                env.num_states, env.action_counts, self.rng, scale=config.policy_init_scale
             )
-        except DomainError as exc:
-            raise DomainError(f"update {len(diagnostics)}, {exc}") from exc
-        ginis.append(gini(block_returns if block_apples is None else block_apples))
-        returns.append(block_returns)
-        apples.append(np.zeros_like(block_returns) if block_apples is None else block_apples)
-        update_steps.append(steps_done)
-        diagnostics.append(diag)
+        else:
+            policies = SoftmaxPolicyProfile.uniform(env.num_states, env.action_counts)
+        self.config = config
+        self.logits = policies.logits
+        self.outcome: TrainResult | DomainError | None = None
+        batch = config.num_envs * env.episode_length
+        updates = -(-config.total_steps // batch)
+        episodes, per_agent = updates * config.num_envs, (updates, env.num_agents)
+        self.table = EpisodeTable(
+            step=np.repeat(np.arange(1, updates + 1, dtype=np.int64) * batch, config.num_envs),
+            returns=np.empty((episodes, env.num_agents)),
+            apples=np.empty((episodes, env.num_agents)),
+            gini=np.empty(episodes),
+            update=np.repeat(np.arange(updates, dtype=np.int64), config.num_envs),
+            actor_loss=np.empty(per_agent),
+            critic_loss=np.empty(per_agent),
+            entropy=np.empty(per_agent),
+            floor_hits=np.empty(updates, dtype=np.int64),
+        )
 
-    def per_agent(rows: list) -> np.ndarray:
-        return np.array(rows, dtype=float).reshape(-1, num_agents)
+    def record(
+        self,
+        update: int,
+        returns: np.ndarray,
+        apples: np.ndarray | float,
+        gini_block: np.ndarray,
+        diagnostics: dict,
+    ) -> None:
+        """Write update ``update``'s (E, N) returns and apples, its (E,)
+        episode Gini and its diagnostics into the table."""
+        table, num_envs = self.table, self.config.num_envs
+        episodes = slice(update * num_envs, (update + 1) * num_envs)
+        table.returns[episodes] = returns
+        table.apples[episodes] = apples
+        table.gini[episodes] = gini_block
+        for name in ("actor_loss", "critic_loss", "entropy", "floor_hits"):
+            getattr(table, name)[update] = diagnostics[name]
 
-    table = EpisodeTable(
-        step=np.repeat(np.array(update_steps, dtype=np.int64), config.num_envs),
-        returns=np.concatenate(returns),
-        apples=np.concatenate(apples),
-        gini=np.concatenate(ginis),
-        update=np.repeat(np.arange(len(diagnostics), dtype=np.int64), config.num_envs),
-        actor_loss=per_agent([diag["actor_loss"] for diag in diagnostics]),
-        critic_loss=per_agent([diag["critic_loss"] for diag in diagnostics]),
-        entropy=per_agent([diag["entropy"] for diag in diagnostics]),
-        floor_hits=np.array([diag["floor_hits"] for diag in diagnostics], dtype=np.int64),
-    )
-    return TrainResult(
-        policies=policies,
-        critics=critics,
-        table=table,
-        steps=steps_done,
-        episodes=len(table.gini),
-    )
+
+def _train_runs(
+    env_factory: Callable[[int], object], configs: Sequence[TrainConfig]
+) -> list[TrainResult | DomainError]:
+    """Train R runs that differ only in alpha, objective and seed as one
+    batch: one wide problem of R*N agents, run r's agent i being agent
+    r*N + i. Returns per run, in order, the TrainResult ``train`` returns
+    for its config, bit for bit, or the DomainError ``train`` raises for it.
+    Raises DomainError if the configs differ in any other field.
+
+    Each run keeps its own envs, shared rng, tables and update count. Per
+    update, each run draws its (E, T, N) uniforms from its own rng, and the
+    R blocks are laid side by side as lanes: all R*E envs are collected as
+    one batch (``_collect``), and the agents of all runs are updated as one
+    batch (``_policy_gradient_update``), whose only per-run steps are the
+    ones that read alpha or the objective. The (R*N, S) critic holds run r's
+    critic in rows r*N to r*N + N - 1, and one stacked ``gini`` call serves
+    every run's episodes.
+
+    A run whose update or episode Gini fails leaves the batch with the
+    error ``train`` raises for it alone; the other runs go on unchanged. A
+    non-positive reward, which no env this package builds pays, fails the
+    whole batch with the buffer's DomainError.
+    """
+    first = configs[0]
+    differing = [
+        f.name for f in fields(TrainConfig)
+        if f.name not in _RUN_FIELDS
+        and any(getattr(c, f.name) != getattr(first, f.name) for c in configs)
+    ]
+    if differing:
+        raise DomainError(f"batched runs differ in {', '.join(differing)}")
+    runs = [_Run(env_factory, config) for config in configs]
+    env = runs[0].envs[0]
+    num_agents, length = env.num_agents, env.episode_length
+    live = runs
+    profile = SoftmaxPolicyProfile([table for run in runs for table in run.logits])
+    critic = np.full((len(runs) * num_agents, env.num_states), float(first.critic_init))
+    if first.algorithm is Algorithm.FAIR_MAA2C:
+        epochs, clip = 1, None
+    else:
+        epochs, clip = first.ppo_epochs, first.ppo_clip
+    steps_done = updates = 0
+    while live and steps_done < first.total_steps:
+        uniforms = np.concatenate(
+            [run.rng.random((first.num_envs, length, num_agents)) for run in live], axis=-1
+        )
+        *arrays, apples = _collect(
+            [e for run in live for e in run.envs], profile.logits, uniforms
+        )
+        buffer = RolloutBuffer(*arrays, profile.version)
+        steps_done += buffer.num_steps
+        outcomes = _policy_gradient_update(
+            profile, critic, buffer, [run.config for run in live],
+            steps_done / first.total_steps, epochs, clip,
+        )
+        returns = buffer.rewards.sum(axis=1)
+        ginis = _run_ginis(returns if apples is None else apples, outcomes)
+        for r, (run, outcome, block_gini) in enumerate(zip(live, outcomes, ginis)):
+            lane = slice(r * num_agents, (r + 1) * num_agents)
+            if isinstance(outcome, DomainError):
+                run.outcome = DomainError(f"update {updates}, {outcome}")
+                run.outcome.__cause__ = outcome
+            elif isinstance(block_gini, DomainError):
+                run.outcome = block_gini
+            else:
+                run_apples = 0.0 if apples is None else apples[:, lane]
+                run.record(updates, returns[:, lane], run_apples, block_gini, outcome)
+        updates += 1
+        if any(run.outcome for run in live):  # the failed runs leave
+            kept = [r for r, run in enumerate(live) if run.outcome is None]
+            critic = critic.reshape(len(live), num_agents, -1)[kept].reshape(-1, critic.shape[1])
+            live = [live[r] for r in kept]
+            profile = SoftmaxPolicyProfile(
+                [table for run in live for table in run.logits], profile.version
+            )
+    for r, run in enumerate(live):
+        run.outcome = TrainResult(
+            policies=SoftmaxPolicyProfile(run.logits, profile.version),
+            critics=critic[r * num_agents : (r + 1) * num_agents],
+            table=run.table,
+            steps=steps_done,
+            episodes=len(run.table.gini),
+        )
+    return [run.outcome for run in runs]
+
+
+def _run_ginis(
+    consumptions: np.ndarray, outcomes: list
+) -> list[np.ndarray | DomainError | None]:
+    """Each run's (E,) episode Gini of its lanes of the (E, R*N)
+    consumptions, from one stacked ``gini`` call over the (R*E, N) rows; if
+    that call fails, each run whose update succeeded is computed alone, and
+    gets its error."""
+    runs = len(outcomes)
+    rows = _by_env(consumptions, runs)
+    try:
+        return list(gini(rows).reshape(runs, -1))
+    except DomainError:
+        ginis = []
+        for block, outcome in zip(np.split(rows, runs), outcomes):
+            try:
+                ginis.append(None if isinstance(outcome, DomainError) else gini(block))
+            except DomainError as exc:
+                ginis.append(exc)
+        return ginis
 
 
 def write_log_csv(path, table: EpisodeTable) -> None:

@@ -25,8 +25,9 @@ from fairgame.formats import (
     verify_manifest,
     write_manifest,
 )
-from fairgame import metrics
-from fairgame.learning import TrainConfig, save_policy_snapshot
+from fairgame import learning, metrics
+from fairgame.cli import _sweep_shares
+from fairgame.learning import TrainConfig, save_policy_snapshot, train
 from fairgame.markov import SoftmaxPolicyProfile
 from fairgame.metrics import emit_plot_data
 
@@ -843,6 +844,54 @@ class TestCliTrainEvalPlot:
             assert manifest["notes"]["error"] == record["error"]
             assert not (run_dir / "log.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_item_leaves_the_others_of_its_batch_unchanged(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the alpha 0.5 item's fair advantages turn NaN from its third
+        # update: it fails with the error its run raises alone, and the two
+        # other items of its batch write what a clean sweep writes
+        overrides = {"alpha": [0.0, 0.5, 1.0], "total_steps": 200}
+
+        def outputs(out):
+            config = self.write_config(tmp_path, name=f"{out}.json", out=str(tmp_path / out),
+                                       **overrides)
+            code = main(["train", str(config)])
+            runs = json.loads(capsys.readouterr().out)["runs"]
+            files = {
+                (r["run_id"], path.relative_to(r["dir"]).as_posix()): path.read_bytes()
+                for r in runs
+                for path in sorted(Path(r["dir"]).rglob("*"))
+                if path.name in ("log.csv", "snapshot.json") or path.parent.name == "panels"
+            }
+            return code, runs, files
+
+        _, clean_runs, clean = outputs("clean")
+        combine = learning.combine_fair_advantages
+
+        def poisoning(advantages, critic, buffer, alpha, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, alpha, v_floor)
+            if alpha == 0.5 and buffer.policy_version >= 2:
+                combined = combined * np.nan
+            return combined, floor_hits
+
+        monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
+        code, runs, files = outputs("faulty")
+        assert code == 0
+        assert [r["status"] for r in runs] == ["ok", "failed", "ok"]
+        config = load_experiment_config(tmp_path / "faulty.json")
+        with pytest.raises(DomainError) as alone:
+            train(build_env_factory(config.env), config.train_config(0.5, config.seed + 1))
+        assert str(alone.value).startswith("update 2, agent 0: non-finite ")
+        failed = runs[1]
+        assert failed["error"] == f"DomainError: {alone.value}"
+        manifest = json.loads((Path(failed["dir"]) / "manifest.json").read_text())
+        assert manifest["notes"]["error"] == failed["error"]
+        assert not (Path(failed["dir"]) / "log.csv").exists()
+        healthy = {key: data for key, data in clean.items() if key[0] != failed["run_id"]}
+        assert len(healthy) == 16
+        assert files == healthy
+
     def test_eval_uniform_snapshot_cooperation_quarter(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.json"
         save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
@@ -1218,6 +1267,26 @@ class TestParallelSweep:
         }
         self.assert_jobs_agree(tmp_path, capsys, doc)
         assert snapshot_pools == [2, 2]
+
+    def test_jobs_flag_produces_same_runs_on_an_uneven_split(self, tmp_path, capsys):
+        # --jobs 2 on 3 items: one worker trains items 0 and 1 as one batch,
+        # the other item 2 alone; --jobs 1 trains all three as one batch
+        doc = self.config_doc(tmp_path / "runs")
+        doc["alpha"] = [0.0, 0.5, 1.0]
+        self.assert_jobs_agree(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("name, jobs, shares", [
+        ("pd_sweep.json", 1, [[[0, 1, 2]]]),
+        ("pd_sweep.json", 2, [[[0, 1]], [[2]]]),
+        ("pd_sweep.json", 3, [[[0]], [[1]], [[2]]]),
+        ("mini_cleanup_pf_vs_uw.json", 1, [[[0], [1], [2]]]),
+        ("mini_cleanup_pf_vs_uw.json", 2, [[[0], [1]], [[2]]]),
+    ])
+    def test_shares_and_batches_of_the_shipped_configs(self, name, jobs, shares):
+        # contiguous shares, one per worker; a mini-CleanUp run's tables
+        # exceed the batch cap, so its runs train one per batch
+        config = load_experiment_config(Path(__file__).resolve().parent.parent / "configs" / name)
+        assert _sweep_shares(config, jobs) == shares
 
     @staticmethod
     def assert_jobs_agree(tmp_path, capsys, doc):

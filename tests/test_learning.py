@@ -27,9 +27,11 @@ from fairgame.learning import (
     ObjectiveMode,
     RolloutBuffer,
     TrainConfig,
-    _check_finite,
     _combined_advantages,
     _critic_regression_step,
+    _non_finite,
+    _policy_gradient_update,
+    _train_runs,
     a2c_update,
     collect_rollouts,
     combine_fair_advantages,
@@ -1172,12 +1174,11 @@ class TestTrain:
         else:
             losses[["actor_loss", "critic_loss", "entropy"].index(name), 1] = np.nan
         touched = [([0, 1], [slice(0, 1), slice(1, 2)], logits, values)]
-        with pytest.raises(DomainError, match=f"^agent 1: non-finite {name}$"):
-            _check_finite(touched, losses)
+        assert _non_finite(touched, losses) == {1: name}
 
     def test_non_finite_check_goes_in_agent_order(self):
         # agents 0 and 2 share a stack, agent 1 has its own: agent 2's
-        # logits and agent 1's entropy are non-finite, and agent 1 is named
+        # logits and agent 1's entropy are non-finite, and both are named
         losses = np.full((3, 3), 0.5)
         losses[2, 1] = np.inf
         logits = np.zeros((3, 2))
@@ -1186,24 +1187,25 @@ class TestTrain:
             ([0, 2], [slice(0, 1), slice(1, 3)], logits, np.ones(3)),
             ([1], [slice(0, 2)], np.zeros((2, 3)), np.ones(2)),
         ]
-        with pytest.raises(DomainError, match="^agent 1: non-finite entropy$"):
-            _check_finite(touched, losses)
+        assert _non_finite(touched, losses) == {1: "entropy", 2: "logits"}
         losses[2, 1] = 0.5
         losses[0, 2] = np.nan  # an agent's tables come before its losses
-        with pytest.raises(DomainError, match="^agent 2: non-finite logits$"):
-            _check_finite(touched, losses)
+        assert _non_finite(touched, losses) == {2: "logits"}
 
     def test_update_error_names_its_update(self, monkeypatch):
+        # train reaches the update core directly: the core returns each
+        # run's error, and the third update fails the one run here
         calls = []
-        a2c_update = learning.a2c_update
+        core = learning._policy_gradient_update
 
         def failing_third_update(*args, **kwargs):
             calls.append(1)
+            outcomes = core(*args, **kwargs)
             if len(calls) == 3:
-                raise DomainError("agent 1: non-finite critic")
-            return a2c_update(*args, **kwargs)
+                return [DomainError("agent 1: non-finite critic")]
+            return outcomes
 
-        monkeypatch.setattr(learning, "a2c_update", failing_third_update)
+        monkeypatch.setattr(learning, "_policy_gradient_update", failing_third_update)
         with pytest.raises(DomainError, match="^update 2, agent 1: non-finite critic$"):
             train(self.factory, make_config(total_steps=400))
 
@@ -1242,16 +1244,16 @@ class TestTrain:
 
     def test_gini_error_stops_training_at_its_update(self, monkeypatch):
         updates = []
-        a2c_update = learning.a2c_update
+        core = learning._policy_gradient_update  # what train calls per update
 
         def counting_update(*args, **kwargs):
             updates.append(1)
-            return a2c_update(*args, **kwargs)
+            return core(*args, **kwargs)
 
         def failing_gini(consumptions):
             raise DomainError("gini: negative consumption")
 
-        monkeypatch.setattr(learning, "a2c_update", counting_update)
+        monkeypatch.setattr(learning, "_policy_gradient_update", counting_update)
         monkeypatch.setattr(learning, "gini", failing_gini)
         with pytest.raises(DomainError, match="negative consumption"):
             train(self.factory, make_config(total_steps=400))
@@ -1291,6 +1293,197 @@ class TestTrain:
             make_config(gae_lambda=1.5)
         with pytest.raises(DomainError, match="seed: must be a nonnegative integer, got -1"):
             make_config(seed=-1)
+
+
+TABLE_FIELDS = ("step", "returns", "apples", "gini", "update", "actor_loss", "critic_loss",
+                "entropy", "floor_hits")
+
+
+def assert_same_run(batched, alone):
+    """One run of a batch and the same run trained alone agree byte for
+    byte: every logit table, the critic, every episode table array, and the
+    step, episode and version counts."""
+    assert [t.tobytes() for t in batched.policies.logits] == [
+        t.tobytes() for t in alone.policies.logits
+    ]
+    assert batched.critics.shape == alone.critics.shape
+    assert batched.critics.tobytes() == alone.critics.tobytes()
+    for name in TABLE_FIELDS:
+        ours, theirs = getattr(batched.table, name), getattr(alone.table, name)
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert (batched.steps, batched.episodes, batched.policies.version) == (
+        alone.steps, alone.episodes, alone.policies.version
+    )
+
+
+# (env factory, the configs of one batch): every case trains at least two
+# updates per run, and the runs differ in alpha, objective or seed
+BATCH_CASES = {
+    "pd_a2c_three_alphas": (
+        lambda seed: RepeatedMatrixGameEnv(PD, 20),
+        [
+            make_config(alpha=alpha, seed=seed, learning_rate=2.0)
+            for alpha, seed in ((0.0, 4), (0.8, 5), (1.0, 6))
+        ],
+    ),
+    "markov_ppo_pf_and_uw": (
+        lambda seed: MarkovGameEnv(random_markov_game(3, 3, (2, 2, 2), 0.9, seed=2), 15, seed),
+        [
+            make_config(
+                algorithm=Algorithm.FAIR_MAPPO, alpha=alpha, objective=objective, seed=seed,
+                normalize_advantages=True, learning_rate=1.0, policy_init_scale=0.5,
+                num_envs=3, total_steps=450, ppo_epochs=3,
+            )
+            for alpha, objective, seed in (
+                (0.3, ObjectiveMode.PROPORTIONAL_FAIR, 1),
+                (0.3, ObjectiveMode.UTILITARIAN_WELFARE, 2),
+                (1.0, ObjectiveMode.PROPORTIONAL_FAIR, 3),
+            )
+        ],
+    ),
+    "two_action_groups": (
+        lambda seed: MarkovGameEnv(random_markov_game(2, 4, (2, 3), 0.9, seed=6), 12, seed),
+        [
+            make_config(alpha=alpha, seed=seed, learning_rate=1.0, total_steps=240)
+            for alpha, seed in ((0.2, 0), (0.9, 5))
+        ],
+    ),
+    "mini_cleanup_3x3_ppo": (
+        lambda seed: MiniCleanupEnv(
+            MiniCleanupConfig(width=3, height=3, num_agents=2, river_rows=1, episode_length=20),
+            seed,
+        ),
+        [
+            make_config(
+                algorithm=Algorithm.FAIR_MAPPO, alpha=alpha, seed=seed, learning_rate=1.0,
+                critic_init=1.0, policy_init_scale=1.0, num_envs=3, total_steps=180,
+                normalize_advantages=True,
+            )
+            for alpha, seed in ((0.5, 7), (1.0, 8))
+        ],
+    ),
+}
+
+
+def lone_outcome(factory, config):
+    """What ``train`` returns for ``config``, or the DomainError it raises."""
+    try:
+        return train(factory, config)
+    except DomainError as exc:
+        return exc
+
+
+class TestTrainRuns:
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_batch_equals_separate_runs(self, case):
+        factory, configs = BATCH_CASES[case]
+        batched = _train_runs(factory, configs)
+        assert len(batched) == len(configs)
+        for result, config in zip(batched, configs):
+            assert len(result.table.floor_hits) >= 2
+            assert_same_run(result, train(factory, config))
+
+    def test_mini_cleanup_pair_shares_one_batch(self):
+        factory, configs = BATCH_CASES["mini_cleanup_3x3_ppo"]
+        assert learning._runs_per_batch(factory(0)) >= len(configs)
+
+    def test_batch_size_under_the_table_cap(self):
+        shipped = MiniCleanupEnv(MiniCleanupConfig())  # 3 x 131072 x 6 logits
+        assert learning._runs_per_batch(shipped) == 1
+        pd = RepeatedMatrixGameEnv(PD, 20)  # 2 x 1 x 2 logits
+        assert learning._runs_per_batch(pd) == learning._BATCH_TABLE_ENTRIES // 4
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", 0.2), ("num_envs", 3)])
+    def test_runs_differing_in_a_shared_field_are_refused(self, field, value):
+        configs = [make_config(), make_config(alpha=0.9, **{field: value})]
+        with pytest.raises(DomainError, match=f"^batched runs differ in {field}$"):
+            _train_runs(lambda seed: RepeatedMatrixGameEnv(PD, 20), configs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case, failing", [
+        ("pd_a2c_three_alphas", 1), ("markov_ppo_pf_and_uw", 2),
+    ])
+    def test_a_non_finite_run_leaves_and_the_others_go_on(self, case, failing, monkeypatch):
+        # one run's fair advantages turn NaN from its third update on: it
+        # fails there with the error it raises alone, and the others finish
+        factory, configs = BATCH_CASES[case]
+        poisoned = configs[failing]
+        epochs = poisoned.ppo_epochs if poisoned.algorithm is Algorithm.FAIR_MAPPO else 1
+        combine = learning.combine_fair_advantages
+
+        def poisoning(advantages, critic, buffer, alpha, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, alpha, v_floor)
+            if alpha == poisoned.alpha and buffer.policy_version >= 2 * epochs:
+                combined = combined * np.nan
+            return combined, floor_hits
+
+        monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
+        batched = _train_runs(factory, configs)
+        lone = [lone_outcome(factory, config) for config in configs]
+        assert str(lone[failing]).startswith("update 2, agent 0: non-finite ")
+        assert isinstance(batched[failing], DomainError)
+        assert str(batched[failing]) == str(lone[failing])
+        for k, config in enumerate(configs):
+            if k != failing:
+                assert_same_run(batched[k], lone[k])
+
+    def test_a_failed_gini_fails_only_its_run(self, monkeypatch):
+        # the Gini of run 2's episodes of update 3 fails, in the stacked
+        # call and alone
+        factory, configs = BATCH_CASES["pd_a2c_three_alphas"]
+        target = train(factory, configs[2]).table.returns[6:8]
+
+        def failing_gini(consumptions):
+            rows = np.asarray(consumptions)
+            if any(np.array_equal(rows[k : k + 2], target) for k in range(0, len(rows), 2)):
+                raise DomainError("gini: injected")
+            return gini(consumptions)
+
+        monkeypatch.setattr(learning, "gini", failing_gini)
+        batched = _train_runs(factory, configs)
+        lone = [lone_outcome(factory, config) for config in configs]
+        assert str(lone[2]) == "gini: injected"
+        assert isinstance(batched[2], DomainError) and str(batched[2]) == str(lone[2])
+        for k in (0, 1):
+            assert_same_run(batched[k], lone[k])
+
+    def test_zero_probability_run_sits_out_the_update(self):
+        # two PPO runs side by side; run 1's buffer policy gives agent 1's
+        # taken action 1 zero probability, so run 1 is refused before any
+        # update, and run 0 steps as it does alone
+        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
+        buffer, _, _ = collect_pd_buffer(policies, num_envs=2)
+        assert (buffer.actions[..., 1] == 1).any()
+        wide_logits = [np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)),
+                       np.array([[0.0, -800.0]])]
+        wide = SoftmaxPolicyProfile([t.copy() for t in wide_logits])
+        wide_buffer = RolloutBuffer(
+            *(np.concatenate([a, a], axis=-1) for a in (
+                buffer.observations, buffer.actions, buffer.rewards, buffer.next_observations
+            )),
+            0,
+        )
+        configs = [make_config(algorithm=Algorithm.FAIR_MAPPO, alpha=a) for a in (0.5, 1.0)]
+        critics = np.full((4, 1), 30.0)
+        outcomes = _policy_gradient_update(
+            wide, critics, wide_buffer, configs, 0.5, configs[0].ppo_epochs, configs[0].ppo_clip
+        )
+        count = int((buffer.actions[..., 1] == 1).sum())
+        assert isinstance(outcomes[1], DomainError)
+        assert str(outcomes[1]) == (
+            f"agent 1: the current policy assigns zero probability to {count} taken "
+            "action(s) in the buffer"
+        )
+        alone = SoftmaxPolicyProfile([np.zeros((1, 2)), np.zeros((1, 2))])
+        alone_critics = np.full((2, 1), 30.0)
+        diag = ppo_update(alone, alone_critics, buffer, configs[0], progress=0.5)
+        assert outcomes[0] == diag
+        assert [t.tobytes() for t in wide.logits[:2]] == [t.tobytes() for t in alone.logits]
+        assert critics[:2].tobytes() == alone_critics.tobytes()
+        assert [t.tobytes() for t in wide.logits[2:]] == [t.tobytes() for t in wide_logits[2:]]
+        assert (critics[2:] == 30.0).all()
+        assert wide.version == alone.version
 
 
 class TestScoreFunctionSanity:
