@@ -124,17 +124,32 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _run_dir(config: ExperimentConfig, index: int, out_root: Path) -> Path:
+    """Sweep item ``index``'s run directory, named by its run id."""
+    alpha, seed = config.alphas[index], config.seed + index
+    return out_root / f"{config.algorithm.value}_alpha{alpha:g}_seed{seed}"
+
+
+def _make_out_dir(path: Path) -> None:
+    """Create ``path`` and its parents; raise SchemaError if it, or a
+    parent, is a file."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise SchemaError(f"out: {path} is not a directory") from None
+
+
 class _SweepItem:
-    """One sweep item: its run directory, training config, config snapshot
-    and status record. Any failure is recorded in the record and the
-    directory's manifest, not raised: the other sweep items continue."""
+    """One sweep item: its run directory (which ``cmd_train`` creates),
+    training config, config snapshot and status record. Any failure is
+    recorded in the record and the directory's manifest, not raised: the
+    other sweep items continue."""
 
     def __init__(self, config: ExperimentConfig, index: int, out_root: Path):
         self.alpha = config.alphas[index]
         self.seed = config.seed + index
-        self.run_id = f"{config.algorithm.value}_alpha{self.alpha:g}_seed{self.seed}"
-        self.dir = out_root / self.run_id
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.dir = _run_dir(config, index, out_root)
+        self.run_id = self.dir.name
         self.started = _now()
         self.record: dict | None = None
         try:
@@ -224,13 +239,15 @@ def cmd_train(args) -> int:
     per worker process (one share runs in-process), and each share into
     batches under a cap on their logit tables; a batch's items train as one
     stacked run. Every item's files equal those of ``train`` run alone, for
-    any ``--jobs``. Exits 1 only when every item failed."""
+    any ``--jobs``. A batch that fails trains each of its items again alone,
+    so an item's error is the one ``train`` raises for it. Exits 2, before
+    any item trains, when ``out`` or an item's run directory is not a
+    directory, and 1 only when every item failed."""
     config = load_experiment_config(args.config, seed_override=_seed_override())
     out_root = Path(config.out)
-    try:
-        out_root.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):  # out, or a parent, is a file
-        raise SchemaError(f"out: {config.out} is not a directory") from None
+    _make_out_dir(out_root)
+    for index in range(len(config.alphas)):
+        _make_out_dir(_run_dir(config, index, out_root))
     shares = _sweep_shares(config, args.jobs)
     if len(shares) > 1:
         # a forking pool starts every worker at once: one per share

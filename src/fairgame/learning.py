@@ -471,7 +471,7 @@ def _policy_gradient_update(
     progress: float,
     epochs: int,
     clip: float | None,
-) -> list[dict | DomainError]:
+) -> list[dict]:
     """The fair policy-gradient core shared by A2C and PPO, for R runs side
     by side: run r's agent i is agent r*N + i of ``policies``, of the
     (R*N, S) critic and of the buffer's lanes, and ``configs`` holds each
@@ -499,13 +499,13 @@ def _policy_gradient_update(
     agent-major (n, B) block. So each run's numbers are those it gets
     alone, bit for bit.
 
-    Returns per run its diagnostics, or the DomainError that names its
-    first faulty agent by its index in the run: under PPO, before any
-    update, an agent whose buffer policy gives a taken action zero
-    probability (that run then sits the update out), and after the update
-    one left with a non-finite logit or critic entry in a row it touched,
-    or a non-finite diagnostic (see ``_non_finite``). Raises
-    StaleBufferError on an off-policy buffer.
+    Returns one diagnostics dict per run. Raises DomainError naming the
+    lowest faulty agent by its index in its run: under PPO, before any
+    table is touched, an agent whose buffer policy gives a taken action
+    zero probability; after the update, one left with a non-finite logit
+    or critic entry in a row it touched, or a non-finite diagnostic (see
+    ``_non_finite``). With one run, that is the error the run raises
+    alone. Raises StaleBufferError on an off-policy buffer.
     """
     if buffer.policy_version != policies.version:
         raise StaleBufferError(
@@ -531,42 +531,25 @@ def _policy_gradient_update(
     ]
     fair = np.concatenate([block for block, _ in combined], axis=1)
     returns = returns.reshape(-1, width)
-    outcomes: list = [None] * len(configs)
-
-    def stacked(groups):
-        return [
-            _AgentStack(
-                agents, policies.logits, obs.T, actions.T, fair.T, returns.T, config.entropy_coef
-            )
-            for agents in groups
-            if agents
-        ]
-
-    groups = _action_groups(policies.logits)
-    stacks = stacked(groups)
+    stacks = [
+        _AgentStack(
+            agents, policies.logits, obs.T, actions.T, fair.T, returns.T, config.entropy_coef
+        )
+        for agents in _action_groups(policies.logits)
+    ]
     old_log = [None] * len(stacks)
     if clip is not None:
         taken = [stack.taken_probs(policies.logits) for stack in stacks]
-        zero = {
-            i: int(np.sum(p <= 0.0))
+        _raise_lowest({
+            i: f"the current policy assigns zero probability to {int(np.sum(p <= 0.0))} "
+            "taken action(s) in the buffer"
             for stack, block in zip(stacks, taken)
             for i, p in zip(stack.agents, block)
             if not np.all(p > 0.0)
-        }
-        if zero:
-            _fail_runs(outcomes, {
-                i: f"the current policy assigns zero probability to {count} taken "
-                "action(s) in the buffer"
-                for i, count in zero.items()
-            }, num_agents)
-            stacks = stacked([[i for i in g if outcomes[i // num_agents] is None] for g in groups])
-            if not stacks:
-                return outcomes
-            taken = [stack.taken_probs(policies.logits) for stack in stacks]
+        }, num_agents)
         old_log = [np.log(block).ravel() for block in taken]
 
-    # actor loss, critic loss, entropy; zero for a run that sits out
-    losses = np.zeros((3, width))
+    losses = np.empty((3, width))  # actor loss, critic loss, entropy
     for _ in range(epochs):
         touched = []
         for stack, old in zip(stacks, old_log):
@@ -576,26 +559,26 @@ def _policy_gradient_update(
             touched.append((stack.agents, stack.blocks, logits, values))
         policies.version += 1
     faults = _non_finite(touched, losses)
-    _fail_runs(outcomes, {i: f"non-finite {name}" for i, name in faults.items()}, num_agents)
-    for r, (lane, (_, floor_hits)) in enumerate(zip(lanes, combined)):
-        if outcomes[r] is None:
-            actor_loss, critic_loss, entropy = losses[:, lane].tolist()
-            outcomes[r] = {
-                "floor_hits": floor_hits,
-                "actor_loss": actor_loss,
-                "critic_loss": critic_loss,
-                "entropy": entropy,
-            }
-    return outcomes
+    _raise_lowest({i: f"non-finite {name}" for i, name in faults.items()}, num_agents)
+    diagnostics = []
+    for lane, (_, floor_hits) in zip(lanes, combined):
+        actor_loss, critic_loss, entropy = losses[:, lane].tolist()
+        diagnostics.append({
+            "floor_hits": floor_hits,
+            "actor_loss": actor_loss,
+            "critic_loss": critic_loss,
+            "entropy": entropy,
+        })
+    return diagnostics
 
 
-def _fail_runs(outcomes: list, faults: dict[int, str], num_agents: int) -> None:
-    """Give each run with a fault among its agents (``faults`` maps agent
-    r*N + i to the fault) the DomainError naming its lowest such agent by
-    its index i in the run."""
-    for agent in sorted(faults, reverse=True):
-        run, i = divmod(agent, num_agents)
-        outcomes[run] = DomainError(f"agent {i}: {faults[agent]}")
+def _raise_lowest(faults: dict[int, str], num_agents: int) -> None:
+    """Raise the DomainError naming the lowest agent r*N + i in ``faults``
+    (which maps each faulty agent to its fault) by its index i in its run;
+    return if there is none."""
+    if faults:
+        agent = min(faults)
+        raise DomainError(f"agent {agent % num_agents}: {faults[agent]}")
 
 
 def _non_finite(touched: list[tuple], losses: np.ndarray) -> dict[int, str]:
@@ -622,15 +605,6 @@ def _non_finite(touched: list[tuple], losses: np.ndarray) -> dict[int, str]:
     return faults
 
 
-def _one_run(outcomes: list):
-    """The outcome of a one-run batch (of updates or of training); raises
-    its DomainError."""
-    (outcome,) = outcomes
-    if isinstance(outcome, DomainError):
-        raise outcome
-    return outcome
-
-
 def a2c_update(
     policies: SoftmaxPolicyProfile,
     critics: np.ndarray,
@@ -645,9 +619,10 @@ def a2c_update(
     on-policy buffer. Raises DomainError, naming the agent, if the step
     leaves a non-finite value in a row it touched or a non-finite loss or
     entropy."""
-    return _one_run(_policy_gradient_update(
+    (diagnostics,) = _policy_gradient_update(
         policies, critics, buffer, [config], progress, epochs=1, clip=None
-    ))
+    )
+    return diagnostics
 
 
 def ppo_update(
@@ -664,9 +639,10 @@ def ppo_update(
     policy gives a taken action zero probability, and after the update if it
     leaves a non-finite value in a row it touched or a non-finite loss or
     entropy."""
-    return _one_run(_policy_gradient_update(
+    (diagnostics,) = _policy_gradient_update(
         policies, critics, buffer, [config], progress, config.ppo_epochs, config.ppo_clip
-    ))
+    )
+    return diagnostics
 
 
 @dataclass
@@ -701,11 +677,13 @@ def train(env_factory: Callable[[int], object], config: TrainConfig) -> TrainRes
     policies, the critic and the per-episode table (``write_log_csv`` and
     ``save_policy_snapshot`` write them out); writes no file, and is fully
     deterministic for a fixed config and seed. This is the one-run batch of
-    ``_train_runs``.
+    ``_train_batch``.
     Raises DomainError, naming the update and agent, at the first update
-    that fails, such as one that leaves a non-finite value.
+    that fails, such as one that leaves a non-finite value, and the Gini's
+    DomainError at the first episode block it refuses.
     """
-    return _one_run(_train_runs(env_factory, [config]))
+    (result,) = _train_batch(env_factory, [config])
+    return result
 
 
 # A batch holds consecutive runs only while their logit tables total at most
@@ -725,12 +703,11 @@ def _runs_per_batch(env) -> int:
 
 class _Run:
     """One run of a batch: its config, its num_envs seeded envs, its shared
-    rng, its logit tables, its episode table, and its outcome: None while it
-    trains, then its TrainResult or the DomainError that ended it. The
-    seeding and initial tables are those of ``train``. A run either fails
-    or completes all ceil(total_steps / (E*T)) updates, so its table is
-    allocated whole and update u writes rows u*E to u*E + E - 1 (and row u
-    of its diagnostics)."""
+    rng, its logit tables and its episode table. The seeding and initial
+    tables are those of ``train``. A batch either raises or completes all
+    ceil(total_steps / (E*T)) updates, so the table is allocated whole and
+    update u writes rows u*E to u*E + E - 1 (and row u of its
+    diagnostics)."""
 
     def __init__(self, env_factory: Callable[[int], object], config: TrainConfig):
         children = np.random.SeedSequence(config.seed).spawn(config.num_envs + 1)
@@ -748,7 +725,6 @@ class _Run:
             policies = SoftmaxPolicyProfile.uniform(env.num_states, env.action_counts)
         self.config = config
         self.logits = policies.logits
-        self.outcome: TrainResult | DomainError | None = None
         batch = config.num_envs * env.episode_length
         updates = -(-config.total_steps // batch)
         episodes, per_agent = updates * config.num_envs, (updates, env.num_agents)
@@ -786,25 +762,14 @@ class _Run:
 def _train_runs(
     env_factory: Callable[[int], object], configs: Sequence[TrainConfig]
 ) -> list[TrainResult | DomainError]:
-    """Train R runs that differ only in alpha, objective and seed as one
-    batch: one wide problem of R*N agents, run r's agent i being agent
-    r*N + i. Returns per run, in order, the TrainResult ``train`` returns
-    for its config, bit for bit, or the DomainError ``train`` raises for it.
-    Raises DomainError if the configs differ in any other field.
+    """Train R runs that differ only in alpha, objective and seed. Returns
+    per run, in order, the TrainResult ``train`` returns for its config,
+    bit for bit, or the DomainError ``train`` raises for it. Raises
+    DomainError if the configs differ in any other field.
 
-    Each run keeps its own envs, shared rng, tables and update count. Per
-    update, each run draws its (E, T, N) uniforms from its own rng, and the
-    R blocks are laid side by side as lanes: all R*E envs are collected as
-    one batch (``_collect``), and the agents of all runs are updated as one
-    batch (``_policy_gradient_update``), whose only per-run steps are the
-    ones that read alpha or the objective. The (R*N, S) critic holds run r's
-    critic in rows r*N to r*N + N - 1, and one stacked ``gini`` call serves
-    every run's episodes.
-
-    A run whose update or episode Gini fails leaves the batch with the
-    error ``train`` raises for it alone; the other runs go on unchanged. A
-    non-positive reward, which no env this package builds pays, fails the
-    whole batch with the buffer's DomainError.
+    The runs train as one batch (``_train_batch``). If the batch raises
+    DomainError, each run trains again alone, so only a failing batch costs
+    more than one pass, and a one-run batch returns its error.
     """
     first = configs[0]
     differing = [
@@ -814,80 +779,77 @@ def _train_runs(
     ]
     if differing:
         raise DomainError(f"batched runs differ in {', '.join(differing)}")
+    try:
+        return _train_batch(env_factory, configs)
+    except DomainError as exc:
+        if len(configs) == 1:
+            return [exc]
+    # retried after the except block, so the failed batch's tables are freed
+    return [_train_runs(env_factory, [config])[0] for config in configs]
+
+
+def _train_batch(
+    env_factory: Callable[[int], object], configs: Sequence[TrainConfig]
+) -> list[TrainResult]:
+    """Train R runs that differ only in alpha, objective and seed as one
+    batch: one wide problem of R*N agents, run r's agent i being agent
+    r*N + i. Returns each run's TrainResult, in order; raises the first
+    DomainError of any run, and with one run that is the error ``train``
+    raises.
+
+    Each run keeps its own envs, shared rng, tables and update count. Per
+    update, each run draws its (E, T, N) uniforms from its own rng, and the
+    R blocks are laid side by side as lanes: all R*E envs are collected as
+    one batch (``_collect``), and the agents of all runs are updated as one
+    batch (``_policy_gradient_update``), whose only per-run steps are the
+    ones that read alpha or the objective; its error is raised as
+    ``update U, ...``. The (R*N, S) critic holds run r's critic in rows r*N
+    to r*N + N - 1, and one stacked ``gini`` call serves every run's
+    episodes.
+    """
+    first = configs[0]
     runs = [_Run(env_factory, config) for config in configs]
     env = runs[0].envs[0]
     num_agents, length = env.num_agents, env.episode_length
-    live = runs
+    envs = [e for run in runs for e in run.envs]
     profile = SoftmaxPolicyProfile([table for run in runs for table in run.logits])
     critic = np.full((len(runs) * num_agents, env.num_states), float(first.critic_init))
     if first.algorithm is Algorithm.FAIR_MAA2C:
         epochs, clip = 1, None
     else:
         epochs, clip = first.ppo_epochs, first.ppo_clip
-    steps_done = updates = 0
-    while live and steps_done < first.total_steps:
+    steps_done = update = 0
+    while steps_done < first.total_steps:
         uniforms = np.concatenate(
-            [run.rng.random((first.num_envs, length, num_agents)) for run in live], axis=-1
+            [run.rng.random((first.num_envs, length, num_agents)) for run in runs], axis=-1
         )
-        *arrays, apples = _collect(
-            [e for run in live for e in run.envs], profile.logits, uniforms
-        )
+        *arrays, apples = _collect(envs, profile.logits, uniforms)
         buffer = RolloutBuffer(*arrays, profile.version)
         steps_done += buffer.num_steps
-        outcomes = _policy_gradient_update(
-            profile, critic, buffer, [run.config for run in live],
-            steps_done / first.total_steps, epochs, clip,
-        )
-        returns = buffer.rewards.sum(axis=1)
-        ginis = _run_ginis(returns if apples is None else apples, outcomes)
-        for r, (run, outcome, block_gini) in enumerate(zip(live, outcomes, ginis)):
-            lane = slice(r * num_agents, (r + 1) * num_agents)
-            if isinstance(outcome, DomainError):
-                run.outcome = DomainError(f"update {updates}, {outcome}")
-                run.outcome.__cause__ = outcome
-            elif isinstance(block_gini, DomainError):
-                run.outcome = block_gini
-            else:
-                run_apples = 0.0 if apples is None else apples[:, lane]
-                run.record(updates, returns[:, lane], run_apples, block_gini, outcome)
-        updates += 1
-        if any(run.outcome for run in live):  # the failed runs leave
-            kept = [r for r, run in enumerate(live) if run.outcome is None]
-            critic = critic.reshape(len(live), num_agents, -1)[kept].reshape(-1, critic.shape[1])
-            live = [live[r] for r in kept]
-            profile = SoftmaxPolicyProfile(
-                [table for run in live for table in run.logits], profile.version
+        try:
+            diagnostics = _policy_gradient_update(
+                profile, critic, buffer, configs, steps_done / first.total_steps, epochs, clip
             )
-    for r, run in enumerate(live):
-        run.outcome = TrainResult(
+        except DomainError as exc:
+            raise DomainError(f"update {update}, {exc}") from exc
+        returns = buffer.rewards.sum(axis=1)
+        consumptions = returns if apples is None else apples
+        ginis = gini(_by_env(consumptions, len(runs))).reshape(len(runs), -1)
+        for r, (run, diag, block_gini) in enumerate(zip(runs, diagnostics, ginis)):
+            lane = slice(r * num_agents, (r + 1) * num_agents)
+            run_apples = 0.0 if apples is None else apples[:, lane]
+            run.record(update, returns[:, lane], run_apples, block_gini, diag)
+        update += 1
+    return [
+        TrainResult(
             policies=SoftmaxPolicyProfile(run.logits, profile.version),
             critics=critic[r * num_agents : (r + 1) * num_agents],
             table=run.table,
             steps=steps_done,
             episodes=len(run.table.gini),
         )
-    return [run.outcome for run in runs]
-
-
-def _run_ginis(
-    consumptions: np.ndarray, outcomes: list
-) -> list[np.ndarray | DomainError | None]:
-    """Each run's (E,) episode Gini of its lanes of the (E, R*N)
-    consumptions, from one stacked ``gini`` call over the (R*E, N) rows; if
-    that call fails, each run whose update succeeded is computed alone, and
-    gets its error."""
-    runs = len(outcomes)
-    rows = _by_env(consumptions, runs)
-    try:
-        return list(gini(rows).reshape(runs, -1))
-    except DomainError:
-        ginis = []
-        for block, outcome in zip(np.split(rows, runs), outcomes):
-            try:
-                ginis.append(None if isinstance(outcome, DomainError) else gini(block))
-            except DomainError as exc:
-                ginis.append(exc)
-        return ginis
+        for r, run in enumerate(runs)
+    ]
 
 
 def write_log_csv(path, table: EpisodeTable) -> None:

@@ -795,6 +795,20 @@ class TestCliTrainEvalPlot:
         assert taken.read_text() == "not a directory"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
+    @pytest.mark.parametrize("run_id", ["FairMAA2C_alpha0_seed5", "FairMAA2C_alpha1_seed6"])
+    def test_run_dir_that_is_a_file_exits_2_before_any_item_trains(
+        self, tmp_path, capsys, run_id
+    ):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        taken = runs / run_id
+        taken.write_text("not a directory")
+        config = self.write_config(tmp_path)
+        assert main(["train", str(config), "--jobs", "2"]) == 2
+        assert f"error: out: {taken} is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+        assert [p for p in runs.rglob("*") if p.is_file()] == [taken]
+
     def test_fairgame_seed_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FAIRGAME_SEED", "99")
         config = self.write_config(tmp_path, alpha=[1.0])

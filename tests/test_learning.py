@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import multiprocessing
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -1193,17 +1194,16 @@ class TestTrain:
         assert _non_finite(touched, losses) == {2: "logits"}
 
     def test_update_error_names_its_update(self, monkeypatch):
-        # train reaches the update core directly: the core returns each
-        # run's error, and the third update fails the one run here
+        # train reaches the update core directly, and the third update raises
         calls = []
         core = learning._policy_gradient_update
 
         def failing_third_update(*args, **kwargs):
             calls.append(1)
-            outcomes = core(*args, **kwargs)
+            diagnostics = core(*args, **kwargs)
             if len(calls) == 3:
-                return [DomainError("agent 1: non-finite critic")]
-            return outcomes
+                raise DomainError("agent 1: non-finite critic")
+            return diagnostics
 
         monkeypatch.setattr(learning, "_policy_gradient_update", failing_third_update)
         with pytest.raises(DomainError, match="^update 2, agent 1: non-finite critic$"):
@@ -1448,10 +1448,10 @@ class TestTrainRuns:
         for k in (0, 1):
             assert_same_run(batched[k], lone[k])
 
-    def test_zero_probability_run_sits_out_the_update(self):
+    def test_zero_probability_run_fails_the_update_untouched(self):
         # two PPO runs side by side; run 1's buffer policy gives agent 1's
-        # taken action 1 zero probability, so run 1 is refused before any
-        # update, and run 0 steps as it does alone
+        # taken action 1 zero probability, so the core raises the error run
+        # 1 raises alone before it touches any table
         policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
         buffer, _, _ = collect_pd_buffer(policies, num_envs=2)
         assert (buffer.actions[..., 1] == 1).any()
@@ -1466,24 +1466,50 @@ class TestTrainRuns:
         )
         configs = [make_config(algorithm=Algorithm.FAIR_MAPPO, alpha=a) for a in (0.5, 1.0)]
         critics = np.full((4, 1), 30.0)
-        outcomes = _policy_gradient_update(
-            wide, critics, wide_buffer, configs, 0.5, configs[0].ppo_epochs, configs[0].ppo_clip
-        )
         count = int((buffer.actions[..., 1] == 1).sum())
-        assert isinstance(outcomes[1], DomainError)
-        assert str(outcomes[1]) == (
+        message = (
             f"agent 1: the current policy assigns zero probability to {count} taken "
             "action(s) in the buffer"
         )
-        alone = SoftmaxPolicyProfile([np.zeros((1, 2)), np.zeros((1, 2))])
-        alone_critics = np.full((2, 1), 30.0)
-        diag = ppo_update(alone, alone_critics, buffer, configs[0], progress=0.5)
-        assert outcomes[0] == diag
-        assert [t.tobytes() for t in wide.logits[:2]] == [t.tobytes() for t in alone.logits]
-        assert critics[:2].tobytes() == alone_critics.tobytes()
-        assert [t.tobytes() for t in wide.logits[2:]] == [t.tobytes() for t in wide_logits[2:]]
-        assert (critics[2:] == 30.0).all()
-        assert wide.version == alone.version
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _policy_gradient_update(
+                wide, critics, wide_buffer, configs, 0.5, configs[0].ppo_epochs,
+                configs[0].ppo_clip,
+            )
+        assert [t.tobytes() for t in wide.logits] == [t.tobytes() for t in wide_logits]
+        assert (critics == 30.0).all()
+        assert wide.version == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("runs, poisoned, batches", [
+        ((0, 1, 2), None, [3]), ((0, 1, 2), 0.8, [3, 1, 1, 1]), ((1,), 0.8, [1]),
+    ])
+    def test_only_a_failing_batch_retrains_its_runs(self, runs, poisoned, batches, monkeypatch):
+        # a healthy batch trains once; a batch of R runs with a failing one
+        # trains again once per run, alone; a failing lone run is not retried
+        factory, configs = BATCH_CASES["pd_a2c_three_alphas"]
+        configs = [configs[k] for k in runs]
+        calls = []
+        train_batch = learning._train_batch
+        combine = learning.combine_fair_advantages
+
+        def counting_batch(env_factory, batch_configs):
+            calls.append(len(batch_configs))
+            return train_batch(env_factory, batch_configs)
+
+        def poisoning(advantages, critic, buffer, alpha, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, alpha, v_floor)
+            return combined * np.nan if alpha == poisoned else combined, floor_hits
+
+        monkeypatch.setattr(learning, "_train_batch", counting_batch)
+        monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
+        outcomes = _train_runs(factory, configs)
+        assert calls == batches
+        for outcome, config in zip(outcomes, configs):
+            if config.alpha == poisoned:
+                assert str(outcome) == "update 0, agent 0: non-finite logits"
+            else:
+                assert_same_run(outcome, train(factory, config))
 
 
 class TestScoreFunctionSanity:
