@@ -39,9 +39,10 @@ from .games import (
     social_optima,
 )
 from .learning import (  # train stays bound here: perfbench traces fairgame.cli.train
+    _grouped,
+    _rollouts,
     _runs_per_batch,
     _train_runs,
-    collect_rollouts,
     save_policy_snapshot,
     train,
     write_log_csv,
@@ -308,9 +309,10 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(seed)
     track_joint = isinstance(env, RepeatedMatrixGameEnv)
     joint = np.zeros(env.action_counts, dtype=np.int64) if track_joint else None
+    groups = _grouped(policies.logits)  # stacked once, collected from every episode
     returns, apples = [], []
     for _ in range(args.episodes):
-        buffer, episode_returns, episode_apples = collect_rollouts([env], policies, rng)
+        buffer, episode_returns, episode_apples = _rollouts([env], groups, policies.version, rng)
         returns.append(episode_returns)
         apples.append(episode_apples)
         if track_joint:

@@ -120,12 +120,6 @@ class RolloutBuffer:
             self.actions.reshape(-1, num_agents),
         )
 
-    def lanes(self, agents: slice) -> "RolloutBuffer":
-        """The buffer of the agents in ``agents``, as views of this one's
-        arrays."""
-        arrays = (self.observations, self.actions, self.rewards, self.next_observations)
-        return RolloutBuffer(*(array[..., agents] for array in arrays), self.policy_version)
-
 
 def collect_rollouts(
     envs: Sequence, policies: SoftmaxPolicyProfile, rng: np.random.Generator
@@ -140,19 +134,39 @@ def collect_rollouts(
 
     The shared rng draws only the (E, T, N) block of action uniforms; agent
     i samples the first action whose cumulative probability exceeds its
-    uniform. There are two paths (see ``_collect``). When every env has a
-    single state, nothing an action does can change an observation, so the
-    whole block is sampled at once and its rewards are read from each env's
-    ``joint_rewards`` table; those envs are neither reset nor stepped.
-    Otherwise every env is reset and the E envs are stepped in lockstep as
-    one batch (see ``envs._lockstep``), each drawing its own randomness from
-    its own generator; their ``step`` methods are not called.
+    uniform. The tables are stacked into their action groups (``_grouped``)
+    and collected by ``_collect``: single-state envs are neither reset nor
+    stepped, their rewards read from each env's ``joint_rewards`` table;
+    other envs are reset and stepped in lockstep as one batch (see
+    ``envs._lockstep``), each drawing its own randomness from its own
+    generator, without calling their ``step`` methods.
     """
+    return _rollouts(envs, _grouped(policies.logits), policies.version, rng)
+
+
+def _rollouts(envs: Sequence, groups: list, version: int, rng: np.random.Generator) -> tuple:
+    """``collect_rollouts`` from a profile's stacked ``groups``, at ``version``."""
     num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
     uniforms = rng.random((num_envs, length, num_agents))
-    *arrays, apples = _collect(envs, policies.logits, uniforms)
-    buffer = RolloutBuffer(*arrays, policies.version)
+    *arrays, apples = _collect(envs, groups, uniforms)
+    buffer = RolloutBuffer(*arrays, version)
     return buffer, buffer.rewards.sum(axis=1), apples
+
+
+def _action_groups(action_counts: Sequence[int]) -> list[list[int]]:
+    """The agents grouped by action count, each group in agent order and the
+    groups in order of their first agent."""
+    groups: dict[int, list[int]] = {}
+    for i, count in enumerate(action_counts):
+        groups.setdefault(count, []).append(i)
+    return list(groups.values())
+
+
+def _grouped(logits: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Each action group's agents and a copy of their tables as one
+    (n, S, A) array, table k being agent ``agents[k]``'s."""
+    counts = [table.shape[-1] for table in logits]
+    return [(agents, np.stack([logits[i] for i in agents])) for agents in _action_groups(counts)]
 
 
 def _by_env(lanes: np.ndarray, runs: int) -> np.ndarray:
@@ -170,32 +184,29 @@ def _by_lane(rows: np.ndarray, runs: int) -> np.ndarray:
     return split.reshape(total // runs, *middle, runs * num_agents)
 
 
-def _collect(
-    envs: Sequence, logits: Sequence[np.ndarray], uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+def _collect(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
     """One episode of R runs side by side: ``envs`` holds each run's E envs
-    in run order, ``logits`` each run's N tables in run order, and the
-    (E, T, R*N) ``uniforms`` hold run r's action uniforms in lanes r*N to
-    r*N + N - 1. Returns the (E, T, R*N) observations, actions, rewards and
-    next observations, and the (E, R*N) apples harvested or None. A run's
-    lanes equal what it would collect alone."""
+    in run order, ``groups`` the action groups of the R*N agents, run r's
+    agent i being agent r*N + i (``_grouped``), and the (E, T, R*N)
+    ``uniforms`` hold run r's action uniforms in lanes r*N to r*N + N - 1.
+    Returns the (E, T, R*N) observations, actions, rewards and next
+    observations, and the (E, R*N) apples harvested or None. A run's lanes
+    equal what it would collect alone."""
     if all(env.num_states == 1 for env in envs):
-        return _collect_single_state(envs, logits, uniforms)
-    return _collect_lockstep(envs, logits, uniforms)
+        return _collect_single_state(envs, groups, uniforms)
+    return _collect_lockstep(envs, groups, uniforms)
 
 
-def _collect_lockstep(
-    envs: Sequence, logits: Sequence[np.ndarray], uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+def _collect_lockstep(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
     """``_collect`` for multi-state envs, all R*E stepped together. At each
-    step the agents with the same number of actions sample their (E,)
-    actions as one stack: their E observations' logit rows are gathered,
-    and one ``markov._draw`` counts the compared columns of the cumulative
-    softmax rows (row for row, ``bisect_right`` clipped to the last
-    action)."""
+    step the agents of one action group sample their (E,) actions as one
+    stack: one index into the group's (n, S, A) array gathers the logit
+    rows of their E observations, and one ``markov._draw`` counts the
+    compared columns of the cumulative softmax rows (row for row,
+    ``bisect_right`` clipped to the last action)."""
     num_envs, length, _ = uniforms.shape
     runs = len(envs) // num_envs
-    groups = _action_groups(logits)
+    stacks = [(agents, tables, np.arange(len(agents))[:, None]) for agents, tables in groups]
     path = np.empty((num_envs, length + 1, uniforms.shape[2]), dtype=np.int64)
     actions = np.empty(uniforms.shape, dtype=np.int64)
     rewards = np.empty(uniforms.shape)
@@ -203,8 +214,8 @@ def _collect_lockstep(
     with _lockstep(envs) as batch:
         path[:, 0] = _by_lane(batch.observations(), runs)
         for t in range(length):
-            for agents in groups:
-                rows = np.stack([logits[i][path[:, t, i]] for i in agents])
+            for agents, tables, slots in stacks:
+                rows = tables[slots, path[:, t, agents].T]
                 cum = np.cumsum(_softmax(rows), axis=-1)
                 columns = list(cum.transpose(2, 0, 1)[:-1])
                 actions[:, t, agents] = _draw(columns, uniforms[:, t, agents].T).T
@@ -220,29 +231,17 @@ def _collect_lockstep(
     return observations, actions, rewards, next_observations, apples
 
 
-def _action_groups(logits: Sequence[np.ndarray]) -> list[list[int]]:
-    """The agents grouped by action count, each group in agent order and the
-    groups in order of their first agent: the agents that collection and the
-    update core stack together."""
-    groups: dict[int, list[int]] = {}
-    for i, table in enumerate(logits):
-        groups.setdefault(table.shape[-1], []).append(i)
-    return list(groups.values())
-
-
-def _collect_single_state(
-    envs: Sequence, logits: Sequence[np.ndarray], uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None]:
-    """``_collect`` for envs whose only observation is 0: the agents with
-    one action count sample their (E, T) actions with one ``markov._draw``
-    on their stacked cumulative softmax rows (``bisect_right`` clipped to
-    the last action), and the rewards are one gather from the stacked joint
-    reward tables of all R*E envs. Such envs report no apples."""
+def _collect_single_state(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
+    """``_collect`` for envs whose only observation is 0: the agents of one
+    action group sample their (E, T) actions with one ``markov._draw`` on
+    the cumulative softmax of their group's row-0 view (``bisect_right``
+    clipped to the last action), and the rewards are one gather from the
+    stacked joint reward tables of all R*E envs. Such envs report no
+    apples."""
     runs = len(envs) // uniforms.shape[0]
     actions = np.empty(uniforms.shape, dtype=np.int64)
-    for agents in _action_groups(logits):
-        rows = np.stack([logits[i][0] for i in agents])
-        columns = _compared_columns(np.cumsum(_softmax(rows), axis=-1))
+    for agents, logits in groups:
+        columns = _compared_columns(np.cumsum(_softmax(logits[:, 0]), axis=-1))
         actions[..., agents] = _draw(columns, uniforms[..., agents])
     tables = np.stack([env.joint_rewards for env in envs])
     episode = np.arange(len(envs))[:, None]
@@ -287,26 +286,35 @@ def compute_gae(
 
 
 def combine_fair_advantages(
-    advantages: np.ndarray,
-    critic: np.ndarray,
-    buffer: RolloutBuffer,
-    alpha: float,
-    v_floor: float,
-) -> tuple[np.ndarray, int]:
-    """Fair advantage A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0), v_floor)
-    over (E, T, N) advantages, with V_j(s0) the (N, S) critic's entry for
-    agent j's initial observation of each episode.
+    advantages: np.ndarray, critic: np.ndarray, buffer: RolloutBuffer,
+    coefficients: np.ndarray, v_floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fair advantages A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0),
+    v_floor) of R runs side by side: the (E, T, R*N) advantages, the
+    (R*N, S) critic and the buffer hold run r's agent i in lane (or row)
+    r*N + i, ``coefficients[r, i, j]`` is run r's c_i(j)
+    (``_fair_coefficients``), and V_j(s0) is the critic's entry for agent
+    j's initial observation of each episode.
 
-    Returns the combined (E, T, N) array and the number of floored
-    (episode, agent) denominators.
-    """
-    num_agents = advantages.shape[-1]
-    coeffs = np.full((num_agents, num_agents), alpha)
-    np.fill_diagonal(coeffs, 1.0)
-    v0 = critic[np.arange(num_agents), buffer.observations[:, 0]]
-    floor_hits = int((v0 < v_floor).sum())
-    v0 = np.maximum(v0, v_floor)
-    return (advantages / v0[:, None, :]) @ coeffs.T, floor_hits
+    Returns the (R, E, T, N) combined advantages, block r being run r's, and
+    the (R,) counts of floored (episode, agent) denominators. One division
+    serves all runs, and one matmul applies each run's matrix to its block
+    as the (T, N) @ (N, N) product per episode that a lone run makes."""
+    num_envs, length, width = advantages.shape
+    runs, num_agents = coefficients.shape[:2]
+    v0 = critic[np.arange(width), buffer.observations[:, 0]]
+    floor_hits = (v0 < v_floor).reshape(num_envs, runs, num_agents).sum(axis=(0, 2))
+    v0 = np.maximum(v0, v_floor).reshape(num_envs, runs, 1, num_agents).transpose(1, 0, 2, 3)
+    by_run = advantages.reshape(num_envs, length, runs, num_agents).transpose(2, 0, 1, 3)
+    scaled = np.divide(by_run, v0, out=np.empty((runs, num_envs, length, num_agents)))
+    return scaled @ coefficients.transpose(0, 2, 1)[:, None], floor_hits
+
+
+def _fair_coefficients(alphas: Sequence[float], num_agents: int) -> np.ndarray:
+    """The (R, N, N) coefficient matrices of R runs, c_i(j) = 1 for j == i
+    and the run's alpha otherwise (``markov.AltruismWeights``)."""
+    alphas = np.asarray(alphas, dtype=float)[:, None, None]
+    return np.where(np.eye(num_agents, dtype=bool), 1.0, alphas)
 
 
 def combine_utilitarian_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -316,24 +324,31 @@ def combine_utilitarian_advantages(advantages: np.ndarray) -> np.ndarray:
 
 
 def _combined_advantages(
-    advantages: np.ndarray,
-    critic: np.ndarray,
-    buffer: RolloutBuffer,
-    config: TrainConfig,
-) -> tuple[np.ndarray, int]:
-    """The configured combination of (E, T, N) advantages, flattened to
-    (E*T, N) in the order of ``buffer.flat()``."""
-    if config.objective is ObjectiveMode.UTILITARIAN_WELFARE:
-        combined, floor_hits = combine_utilitarian_advantages(advantages), 0
-    else:
-        combined, floor_hits = combine_fair_advantages(
-            advantages, critic, buffer, config.alpha, config.v_floor
-        )
-    combined = combined.reshape(-1, combined.shape[-1])
-    if config.normalize_advantages:
-        centered = combined - combined.mean(axis=0, keepdims=True)
-        combined = centered / (centered.std(axis=0, keepdims=True) + 1e-8)
-    return combined, floor_hits
+    advantages: np.ndarray, critic: np.ndarray, buffer: RolloutBuffer,
+    configs: Sequence[TrainConfig], coefficients: np.ndarray,
+) -> tuple[np.ndarray, list[int]]:
+    """The configured combination of R runs' (E, T, R*N) advantages as
+    (R, E*T, N), block r being run r's in the order of ``buffer.flat()``,
+    and each run's floor hits. The fair combination runs once for all runs
+    (``coefficients`` holds their matrices), then each utilitarian run's
+    block is replaced by its sum. Normalization reduces axis 1 of the
+    (R, E*T, N) block, which adds each run's columns in the order a lone
+    run's (E*T, N) block adds them."""
+    num_envs, length, width = advantages.shape
+    runs = len(configs)
+    combined, floor_hits = combine_fair_advantages(
+        advantages, critic, buffer, coefficients, configs[0].v_floor
+    )
+    by_run = advantages.reshape(num_envs, length, runs, width // runs)
+    for r, config in enumerate(configs):
+        if config.objective is ObjectiveMode.UTILITARIAN_WELFARE:
+            combined[r] = combine_utilitarian_advantages(by_run[:, :, r])
+            floor_hits[r] = 0
+    combined = combined.reshape(runs, num_envs * length, -1)
+    if configs[0].normalize_advantages:
+        centered = combined - combined.mean(axis=1, keepdims=True)
+        combined = centered / (centered.std(axis=1, keepdims=True) + 1e-8)
+    return combined, floor_hits.tolist()
 
 
 def _critic_regression_step(
@@ -362,76 +377,54 @@ def _critic_regression_step(
 
 
 class _AgentStack:
-    """The agents with one action count, stacked for one update. Their B
-    samples each run agent-major along one (n*B,) axis, and the table rows
-    the batch visited run along one stacked axis: agent by agent, each
-    agent's rows sorted, as one ``np.unique`` of the agent-offset keys
-    ``k * S + obs`` orders them. ``inverse`` places each sample among the
-    stacked rows, and ``blocks[k]`` holds agent ``agents[k]``'s rows, which
-    are rows ``visited[k]`` of its logit table; ``critic_index`` indexes
-    the same entries of the (N, S) critic at once. The batch is fixed across
-    epochs, so all of this is built once per update, from (N, B)
-    agent-major observations, actions, fair advantages and returns."""
+    """The agents of one action group, stacked for one update: their (n, S,
+    A) array seen as (n*S, A) ``tables``, row k*S + s being agent
+    ``agents[k]``'s row s, and their B samples each, agent-major along one
+    (n*B,) axis. One ``np.unique`` of the keys ``k * S + obs`` gives the
+    visited ``rows``, the index that reads and writes them; ``inverse``
+    places each sample among them, ``row_agents`` names each row's agent,
+    and ``critic_index`` indexes the same entries of the critic. All of this
+    is built once per update, from (W, B) agent-major observations,
+    actions, fair advantages and returns."""
 
     def __init__(
-        self,
-        agents: list[int],
-        tables: Sequence[np.ndarray],
-        obs: np.ndarray,
-        actions: np.ndarray,
-        fair: np.ndarray,
-        returns: np.ndarray,
-        entropy_coef: float,
+        self, agents: list[int], tables: np.ndarray, obs: np.ndarray, actions: np.ndarray,
+        fair: np.ndarray, returns: np.ndarray, entropy_coef: float,
     ):
-        span = max(len(tables[i]) for i in agents)
-        offsets = np.arange(0, span * (len(agents) + 1), span)
-        keys = obs[agents] + offsets[:-1, None]
-        rows, self.inverse = np.unique(keys.ravel(), return_inverse=True)
-        bounds = np.searchsorted(rows, offsets).tolist()
+        count, num_states, width = tables.shape
+        self.tables = tables.reshape(count * num_states, width)
+        keys = obs[agents] + np.arange(0, count * num_states, num_states)[:, None]
+        self.rows, self.inverse = np.unique(keys.ravel(), return_inverse=True)
         self.agents = agents
-        self.blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        self.visited = [rows[block] - offset for block, offset in zip(self.blocks, offsets)]
-        self.critic_index = (np.array(agents)[rows // span], rows % span)
+        self.row_agents = np.asarray(agents)[self.rows // num_states]
+        self.critic_index = (self.row_agents, self.rows % num_states)
         self.weights = fair[agents].ravel()
         self.targets = returns[agents]
-        self.counts = np.bincount(self.inverse, minlength=len(rows))
+        self.counts = np.bincount(self.inverse, minlength=len(self.rows))
         self.entropy_coef = entropy_coef
         # flat entries of the stacked (rows, actions) tables: each sample's
         # taken action, and its whole row laid out (actions, samples)
-        width = tables[agents[0]].shape[-1]
         starts = self.inverse * width
         self.taken = starts + actions[agents].ravel()
         self.per_row = (starts + np.arange(width)[:, None]).ravel()
         terms = [self.taken, self.per_row] + ([self.per_row] if entropy_coef > 0.0 else [])
         self.entries = np.concatenate(terms)
 
-    def gather(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([tables[i][v] for i, v in zip(self.agents, self.visited)])
-
-    def scatter(self, tables: Sequence[np.ndarray], stacked: np.ndarray) -> None:
-        for i, v, block in zip(self.agents, self.visited, self.blocks):
-            tables[i][v] = stacked[block]
-
-    def taken_probs(self, logits: Sequence[np.ndarray]) -> np.ndarray:
+    def taken_probs(self) -> np.ndarray:
         """The (n, B) probabilities the current policies give the taken
         actions."""
-        probs = _softmax(self.gather(logits)).ravel()[self.taken]
+        probs = _softmax(self.tables[self.rows]).ravel()[self.taken]
         return probs.reshape(len(self.agents), -1)
 
     def step(
-        self,
-        policies: SoftmaxPolicyProfile,
-        critics: np.ndarray,
-        lr: float,
-        critic_lr: float,
-        clip: float | None,
+        self, critics: np.ndarray, lr: float, critic_lr: float, clip: float | None,
         old_log: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One epoch's actor and critic steps for the stacked agents, written
         back to their tables. Returns the (3, n) actor losses, critic losses
         and mean entropies, and the stepped logit rows and critic entries."""
         batch = self.targets.shape[1]
-        logits = self.gather(policies.logits)
+        logits = self.tables[self.rows]
         probs = _softmax(logits)
         log_probs = np.log(np.maximum(probs, 1e-300))
         log_taken = log_probs.ravel()[self.taken]
@@ -452,7 +445,7 @@ class _AgentStack:
             terms.append((self.entropy_coef * ent_grad / batch).ravel()[self.per_row])
         grad = np.bincount(self.entries, np.concatenate(terms), logits.size)
         logits = logits + lr * grad.reshape(logits.shape)
-        self.scatter(policies.logits, logits)
+        self.tables[self.rows] = logits
         values, squared = _critic_regression_step(
             critics[self.critic_index], self.targets, critic_lr, self.inverse, self.counts
         )
@@ -464,18 +457,17 @@ class _AgentStack:
 
 
 def _policy_gradient_update(
-    policies: SoftmaxPolicyProfile,
-    critics: np.ndarray,
-    buffer: RolloutBuffer,
-    configs: Sequence[TrainConfig],
-    progress: float,
-    epochs: int,
+    policies: SoftmaxPolicyProfile, groups: list, critics: np.ndarray, buffer: RolloutBuffer,
+    configs: Sequence[TrainConfig], coefficients: np.ndarray, progress: float, epochs: int,
     clip: float | None,
 ) -> list[dict]:
     """The fair policy-gradient core shared by A2C and PPO, for R runs side
-    by side: run r's agent i is agent r*N + i of ``policies``, of the
-    (R*N, S) critic and of the buffer's lanes, and ``configs`` holds each
-    run's config. The runs may differ only in alpha and objective.
+    by side: run r's agent i is agent r*N + i of the (n, S, A) action-group
+    arrays ``groups`` (``_grouped``), which the update reads and writes, of
+    the (R*N, S) critic and of the buffer's lanes. ``configs`` holds each
+    run's config and ``coefficients`` its fair coefficient matrix
+    (``_fair_coefficients``); the runs may differ only in alpha and
+    objective. Each epoch steps ``policies.version``.
 
     Each of ``epochs`` passes ascends, per actor, the score-function step on
     the fixed fair advantages A^F (plus entropy regularization), then takes
@@ -485,19 +477,15 @@ def _policy_gradient_update(
     policy, and it is zeroed where the clipped surrogate min(rho A^F,
     clip(rho, 1-clip, 1+clip) A^F) is flat.
 
-    GAE runs once over all lanes, lane by lane; the fair (or utilitarian)
-    combination and its normalization run per run, on that run's lanes.
-    The agents of all runs with one action count take each pass as one
-    stacked batch (``_AgentStack``); only the logit gathers and write-backs
-    are per agent, and the critic is read and written with one index. The
-    softmax, its logs and the entropy are taken once per stacked row. A
-    stack's actor gradient is one ``np.bincount`` over the taken-action
-    terms, then the -coeff * pi terms, then the entropy terms, each in
-    sample order: every gradient entry adds its samples in the order of
-    three per-sample scatters, so no sum is reordered. The critic sums are
-    one ``np.bincount`` too, and each agent's losses are a row of an
-    agent-major (n, B) block. So each run's numbers are those it gets
-    alone, bit for bit.
+    GAE runs once over all lanes, lane by lane, and the combination once
+    over all runs (``_combined_advantages``). Each action group takes each
+    pass as one stacked batch (``_AgentStack``): one index reads and writes
+    its logit rows, another its critic entries; the softmax, its logs and
+    the entropy are taken once per row; its actor gradient is one
+    ``np.bincount`` over the taken-action terms, then the -coeff * pi terms,
+    then the entropy terms, each in sample order, so every entry adds its
+    samples in the order of three per-sample scatters. The critic sums are
+    one ``np.bincount`` too. So each run's numbers are its own, bit for bit.
 
     Returns one diagnostics dict per run. Raises DomainError naming the
     lowest faulty agent by its index in its run: under PPO, before any
@@ -517,29 +505,18 @@ def _policy_gradient_update(
     critic_lr = config.critic_lr_at(progress)
     obs, actions = buffer.flat()
     advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
+    combined, floor_hits = _combined_advantages(advantages, critics, buffer, configs, coefficients)
     width = obs.shape[1]
     num_agents = width // len(configs)
-    lanes = [slice(r * num_agents, (r + 1) * num_agents) for r in range(len(configs))]
-    combined = [
-        _combined_advantages(
-            advantages[..., lane],
-            critics[lane],
-            buffer if len(configs) == 1 else buffer.lanes(lane),
-            run_config,
-        )
-        for lane, run_config in zip(lanes, configs)
-    ]
-    fair = np.concatenate([block for block, _ in combined], axis=1)
+    fair = combined.transpose(0, 2, 1).reshape(width, -1)
     returns = returns.reshape(-1, width)
     stacks = [
-        _AgentStack(
-            agents, policies.logits, obs.T, actions.T, fair.T, returns.T, config.entropy_coef
-        )
-        for agents in _action_groups(policies.logits)
+        _AgentStack(agents, tables, obs.T, actions.T, fair, returns.T, config.entropy_coef)
+        for agents, tables in groups
     ]
     old_log = [None] * len(stacks)
     if clip is not None:
-        taken = [stack.taken_probs(policies.logits) for stack in stacks]
+        taken = [stack.taken_probs() for stack in stacks]
         _raise_lowest({
             i: f"the current policy assigns zero probability to {int(np.sum(p <= 0.0))} "
             "taken action(s) in the buffer"
@@ -553,23 +530,14 @@ def _policy_gradient_update(
     for _ in range(epochs):
         touched = []
         for stack, old in zip(stacks, old_log):
-            losses[:, stack.agents], logits, values = stack.step(
-                policies, critics, lr, critic_lr, clip, old
-            )
-            touched.append((stack.agents, stack.blocks, logits, values))
+            losses[:, stack.agents], logits, values = stack.step(critics, lr, critic_lr, clip, old)
+            touched.append((stack.row_agents, logits, values))
         policies.version += 1
     faults = _non_finite(touched, losses)
     _raise_lowest({i: f"non-finite {name}" for i, name in faults.items()}, num_agents)
-    diagnostics = []
-    for lane, (_, floor_hits) in zip(lanes, combined):
-        actor_loss, critic_loss, entropy = losses[:, lane].tolist()
-        diagnostics.append({
-            "floor_hits": floor_hits,
-            "actor_loss": actor_loss,
-            "critic_loss": critic_loss,
-            "entropy": entropy,
-        })
-    return diagnostics
+    per_run = losses.reshape(3, len(configs), num_agents).transpose(1, 0, 2).tolist()
+    names = ("actor_loss", "critic_loss", "entropy")
+    return [{"floor_hits": hits, **dict(zip(names, run))} for hits, run in zip(floor_hits, per_run)]
 
 
 def _raise_lowest(faults: dict[int, str], num_agents: int) -> None:
@@ -585,17 +553,17 @@ def _non_finite(touched: list[tuple], losses: np.ndarray) -> dict[int, str]:
     """Each agent with a non-finite value, mapped to the name of its first
     one among, in this order, its touched logit rows, its touched critic
     entries, and its actor loss, critic loss and entropy (the rows of
-    ``losses``, one column per agent). ``touched`` holds per stack its
-    agents, their row blocks, and its stepped logit rows and critic
-    entries: each stacked array is one check, and an agent's block is
-    checked only when its stack's check fails."""
+    ``losses``, one column per agent). ``touched`` holds per stack the
+    agent of each stepped row, and the stepped logit rows and critic
+    entries: each stacked array is one check, and the rows' agents are
+    looked up only when it fails."""
     faults = {}
-    for agents, blocks, *arrays in touched:
+    for row_agents, *arrays in touched:
         for name, stacked in zip(("logits", "critic"), arrays):
             if not np.isfinite(stacked).all():
-                for agent, block in zip(agents, blocks):
-                    if not np.isfinite(stacked[block]).all():
-                        faults.setdefault(agent, name)
+                finite = np.isfinite(stacked).reshape(len(row_agents), -1).all(axis=1)
+                for agent in row_agents[~finite].tolist():
+                    faults.setdefault(agent, name)
     if not np.isfinite(losses).all():
         for agent, values in enumerate(losses.T.tolist()):
             for name, value in zip(("actor_loss", "critic_loss", "entropy"), values):
@@ -619,10 +587,7 @@ def a2c_update(
     on-policy buffer. Raises DomainError, naming the agent, if the step
     leaves a non-finite value in a row it touched or a non-finite loss or
     entropy."""
-    (diagnostics,) = _policy_gradient_update(
-        policies, critics, buffer, [config], progress, epochs=1, clip=None
-    )
-    return diagnostics
+    return _update_profile(policies, critics, buffer, config, progress, 1, None)
 
 
 def ppo_update(
@@ -639,9 +604,26 @@ def ppo_update(
     policy gives a taken action zero probability, and after the update if it
     leaves a non-finite value in a row it touched or a non-finite loss or
     entropy."""
-    (diagnostics,) = _policy_gradient_update(
-        policies, critics, buffer, [config], progress, config.ppo_epochs, config.ppo_clip
-    )
+    epochs, clip = config.ppo_epochs, config.ppo_clip
+    return _update_profile(policies, critics, buffer, config, progress, epochs, clip)
+
+
+def _update_profile(
+    policies: SoftmaxPolicyProfile, critics: np.ndarray, buffer: RolloutBuffer,
+    config: TrainConfig, progress: float, epochs: int, clip: float | None,
+) -> dict:
+    """The core on one run's profile, stacked into its action groups and
+    copied back after the update, also when it raises."""
+    groups = _grouped(policies.logits)
+    coefficients = _fair_coefficients([config.alpha], policies.num_agents)
+    try:
+        (diagnostics,) = _policy_gradient_update(
+            policies, groups, critics, buffer, [config], coefficients, progress, epochs, clip
+        )
+    finally:
+        for agents, tables in groups:
+            for i, table in zip(agents, tables):
+                policies.logits[i][...] = table
     return diagnostics
 
 
@@ -703,11 +685,11 @@ def _runs_per_batch(env) -> int:
 
 class _Run:
     """One run of a batch: its config, its num_envs seeded envs, its shared
-    rng, its logit tables and its episode table. The seeding and initial
-    tables are those of ``train``. A batch either raises or completes all
-    ceil(total_steps / (E*T)) updates, so the table is allocated whole and
-    update u writes rows u*E to u*E + E - 1 (and row u of its
-    diagnostics)."""
+    rng and its episode table. The seeding is that of ``train``, and the
+    batch draws the run's initial tables from its rng before anything else.
+    A batch either raises or completes all ceil(total_steps / (E*T))
+    updates, so the table is allocated whole and update u writes rows u*E
+    to u*E + E - 1 (and row u of its diagnostics)."""
 
     def __init__(self, env_factory: Callable[[int], object], config: TrainConfig):
         children = np.random.SeedSequence(config.seed).spawn(config.num_envs + 1)
@@ -717,14 +699,7 @@ class _Run:
         ]
         self.rng = np.random.default_rng(children[-1])
         env = self.envs[0]
-        if config.policy_init_scale > 0.0:
-            policies = SoftmaxPolicyProfile.random(
-                env.num_states, env.action_counts, self.rng, scale=config.policy_init_scale
-            )
-        else:
-            policies = SoftmaxPolicyProfile.uniform(env.num_states, env.action_counts)
         self.config = config
-        self.logits = policies.logits
         batch = config.num_envs * env.episode_length
         updates = -(-config.total_steps // batch)
         episodes, per_agent = updates * config.num_envs, (updates, env.num_agents)
@@ -797,58 +772,82 @@ def _train_batch(
     DomainError of any run, and with one run that is the error ``train``
     raises.
 
-    Each run keeps its own envs, shared rng, tables and update count. Per
-    update, each run draws its (E, T, N) uniforms from its own rng, and the
-    R blocks are laid side by side as lanes: all R*E envs are collected as
-    one batch (``_collect``), and the agents of all runs are updated as one
-    batch (``_policy_gradient_update``), whose only per-run steps are the
-    ones that read alpha or the objective; its error is raised as
-    ``update U, ...``. The (R*N, S) critic holds run r's critic in rows r*N
-    to r*N + N - 1, and one stacked ``gini`` call serves every run's
-    episodes.
+    Each run keeps its own envs, shared rng and update count. All runs'
+    logit tables are one (n, S, A) array per action group, of which each
+    run's result holds views. Per update, each run draws its (E, T, N)
+    uniforms from its own rng, and the R blocks are laid side by side as
+    lanes: all R*E envs are collected as one batch (``_collect``), and the
+    agents of all runs are updated as one batch
+    (``_policy_gradient_update``), whose error is raised as ``update U,
+    ...``. The (R*N, S) critic holds run r's critic in rows r*N to
+    r*N + N - 1, the runs' fair coefficient matrices are built once, and
+    one stacked ``gini`` call serves every run's episodes.
     """
     first = configs[0]
     runs = [_Run(env_factory, config) for config in configs]
     env = runs[0].envs[0]
     num_agents, length = env.num_agents, env.episode_length
     envs = [e for run in runs for e in run.envs]
-    profile = SoftmaxPolicyProfile([table for run in runs for table in run.logits])
+    # one (n, S, A) array per action group holds every table; each run fills
+    # its own in agent order from its rng, by standard_normal(out=...) and an
+    # in-place scale: the bits of SoftmaxPolicyProfile.random (or .uniform's
+    # zeros), with no table copied
+    counts = list(env.action_counts) * len(runs)
+    groups = [
+        (agents, np.zeros((len(agents), env.num_states, counts[agents[0]])))
+        for agents in _action_groups(counts)
+    ]
+    logits = [None] * len(counts)
+    for agents, tables in groups:
+        for i, table in zip(agents, tables):
+            logits[i] = table
+    if first.policy_init_scale > 0.0:
+        for i, table in enumerate(logits):
+            runs[i // num_agents].rng.standard_normal(out=table)
+            table *= first.policy_init_scale
+    profile = SoftmaxPolicyProfile(logits)
     critic = np.full((len(runs) * num_agents, env.num_states), float(first.critic_init))
+    coefficients = _fair_coefficients([config.alpha for config in configs], num_agents)
     if first.algorithm is Algorithm.FAIR_MAA2C:
         epochs, clip = 1, None
     else:
         epochs, clip = first.ppo_epochs, first.ppo_clip
+    lanes = [slice(r * num_agents, (r + 1) * num_agents) for r in range(len(runs))]
+    episodes = [slice(r * first.num_envs, (r + 1) * first.num_envs) for r in range(len(runs))]
     steps_done = update = 0
     while steps_done < first.total_steps:
         uniforms = np.concatenate(
             [run.rng.random((first.num_envs, length, num_agents)) for run in runs], axis=-1
         )
-        *arrays, apples = _collect(envs, profile.logits, uniforms)
+        *arrays, apples = _collect(envs, groups, uniforms)
         buffer = RolloutBuffer(*arrays, profile.version)
         steps_done += buffer.num_steps
         try:
             diagnostics = _policy_gradient_update(
-                profile, critic, buffer, configs, steps_done / first.total_steps, epochs, clip
+                profile, groups, critic, buffer, configs, coefficients,
+                steps_done / first.total_steps, epochs, clip,
             )
         except DomainError as exc:
             raise DomainError(f"update {update}, {exc}") from exc
-        returns = buffer.rewards.sum(axis=1)
-        consumptions = returns if apples is None else apples
-        ginis = gini(_by_env(consumptions, len(runs))).reshape(len(runs), -1)
-        for r, (run, diag, block_gini) in enumerate(zip(runs, diagnostics, ginis)):
-            lane = slice(r * num_agents, (r + 1) * num_agents)
-            run_apples = 0.0 if apples is None else apples[:, lane]
-            run.record(update, returns[:, lane], run_apples, block_gini, diag)
+        # (R*E, N) rows, run r's env e in row r*E + e, summed over each run's
+        # contiguous (E, T, N) block, so a one-agent run adds as it does alone
+        returns = np.ascontiguousarray(_by_env(buffer.rewards, len(runs))).sum(axis=1)
+        if apples is not None:
+            apples = _by_env(apples, len(runs))
+        ginis = gini(returns if apples is None else apples)
+        for run, rows, diag in zip(runs, episodes, diagnostics):
+            run_apples = 0.0 if apples is None else apples[rows]
+            run.record(update, returns[rows], run_apples, ginis[rows], diag)
         update += 1
     return [
         TrainResult(
-            policies=SoftmaxPolicyProfile(run.logits, profile.version),
-            critics=critic[r * num_agents : (r + 1) * num_agents],
+            policies=SoftmaxPolicyProfile(profile.logits[lane], profile.version),
+            critics=critic[lane],
             table=run.table,
             steps=steps_done,
             episodes=len(run.table.gini),
         )
-        for r, run in enumerate(runs)
+        for run, lane in zip(runs, lanes)
     ]
 
 

@@ -1,6 +1,12 @@
 import multiprocessing
 
 import pytest
+from hypothesis import settings
+
+# every property test draws the same examples on every run; a test's own
+# settings override max_examples and keep these
+settings.register_profile("fairgame", deadline=None, derandomize=True)
+settings.load_profile("fairgame")
 
 
 @pytest.fixture(autouse=True)

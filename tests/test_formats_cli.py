@@ -25,7 +25,7 @@ from fairgame.formats import (
     verify_manifest,
     write_manifest,
 )
-from fairgame import learning, metrics
+from fairgame import cli, learning, metrics
 from fairgame.cli import _sweep_shares
 from fairgame.learning import TrainConfig, save_policy_snapshot, train
 from fairgame.markov import SoftmaxPolicyProfile
@@ -883,10 +883,10 @@ class TestCliTrainEvalPlot:
         _, clean_runs, clean = outputs("clean")
         combine = learning.combine_fair_advantages
 
-        def poisoning(advantages, critic, buffer, alpha, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, alpha, v_floor)
-            if alpha == 0.5 and buffer.policy_version >= 2:
-                combined = combined * np.nan
+        def poisoning(advantages, critic, buffer, coefficients, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+            if buffer.policy_version >= 2:
+                combined[coefficients[:, 0, 1] == 0.5] *= np.nan
             return combined, floor_hits
 
         monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
@@ -1074,6 +1074,27 @@ def test_eval_report_is_pinned(tmp_path, capsys, name):
     argv = ["eval", str(snapshot), "--env", str(env_spec), "--episodes", "50", "--seed", "4"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_eval_stacks_the_snapshot_once(tmp_path, capsys, monkeypatch):
+    # the tables go into their action-group arrays once per invocation,
+    # not once per episode
+    spec, counts, _ = PINNED_EVAL_REPORTS["random_markov_one_state"]
+    snapshot = tmp_path / "snap.json"
+    save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, counts))
+    env_spec = tmp_path / "env.json"
+    env_spec.write_text(json.dumps(spec))
+    stacked = []
+
+    def counting_grouped(logits):
+        stacked.append(len(logits))
+        return learning._grouped(logits)
+
+    monkeypatch.setattr(cli, "_grouped", counting_grouped)
+    argv = ["eval", str(snapshot), "--env", str(env_spec), "--episodes", "20", "--seed", "4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["episodes"] == 20
+    assert stacked == [3]
 
 
 # sha256 of the printed report, recorded while mini-CleanUp was still

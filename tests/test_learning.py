@@ -8,6 +8,8 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairgame import learning
 from fairgame.envs import (
@@ -30,6 +32,7 @@ from fairgame.learning import (
     TrainConfig,
     _combined_advantages,
     _critic_regression_step,
+    _fair_coefficients,
     _non_finite,
     _policy_gradient_update,
     _train_runs,
@@ -75,6 +78,15 @@ def with_version(buffer: RolloutBuffer, version: int) -> RolloutBuffer:
     return RolloutBuffer(
         buffer.observations, buffer.actions, buffer.rewards, buffer.next_observations, version
     )
+
+
+def one_run_combination(advantages, critics, buffer, config):
+    """One run's configured (E*T, N) combination and its floor hits."""
+    coefficients = _fair_coefficients([config.alpha], len(critics))
+    (combined,), (floor_hits,) = _combined_advantages(
+        advantages, critics, buffer, [config], coefficients
+    )
+    return combined, floor_hits
 
 
 def collect_pd_buffer(policies, episode_length=20, num_envs=3, seed=0):
@@ -190,24 +202,26 @@ class TestCombineAdvantages:
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = np.array([[10.0, 0.0], [8.0, 0.0]])
         advantages = np.array([[[2.0, -4.0]]])
-        combined, floor_hits = combine_fair_advantages(
-            advantages, critic, buffer, alpha=0.5, v_floor=1e-3
+        (combined,), floor_hits = combine_fair_advantages(
+            advantages, critic, buffer, _fair_coefficients([0.5], 2), v_floor=1e-3
         )
         assert combined[0, 0, 0] == pytest.approx(2.0 / 10.0 + 0.5 * (-4.0 / 8.0))
         assert combined[0, 0, 1] == pytest.approx(-4.0 / 8.0 + 0.5 * (2.0 / 10.0))
-        assert floor_hits == 0
+        assert floor_hits.tolist() == [0]
 
     def test_alpha_zero_self_normalization(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = np.array([[4.0, 0.0], [5.0, 0.0]])
         advantages = np.array([[[2.0, -4.0]]])
-        combined, _ = combine_fair_advantages(advantages, critic, buffer, 0.0, 1e-3)
+        (combined,), _ = combine_fair_advantages(
+            advantages, critic, buffer, _fair_coefficients([0.0], 2), 1e-3
+        )
         assert combined[0, 0] == pytest.approx([2.0 / 4.0, -4.0 / 5.0])
 
     def test_zero_advantages(self):
         buffer, critic = single_transition_buffer(1.0, 3.0, 3.0, num_agents=2)
         combined, _ = combine_fair_advantages(
-            np.zeros((1, 1, 2)), critic, buffer, 0.7, 1e-3
+            np.zeros((1, 1, 2)), critic, buffer, _fair_coefficients([0.7], 2), 1e-3
         )
         assert not combined.any()
 
@@ -215,17 +229,43 @@ class TestCombineAdvantages:
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = np.array([[0.0, 0.0], [5.0, 0.0]])
         _, floor_hits = combine_fair_advantages(
-            np.ones((1, 1, 2)), critic, buffer, 1.0, v_floor=1e-3
+            np.ones((1, 1, 2)), critic, buffer, _fair_coefficients([1.0], 2), v_floor=1e-3
         )
-        assert floor_hits == 1
+        assert floor_hits.tolist() == [1]
 
     def test_alpha_one_shared_signal(self):
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=3)
         critic = np.array([[2.0, 0.0]] * 3)
         advantages = np.array([[[1.0, -2.0, 0.5]]])
-        combined, _ = combine_fair_advantages(advantages, critic, buffer, 1.0, 1e-3)
+        combined, _ = combine_fair_advantages(
+            advantages, critic, buffer, _fair_coefficients([1.0], 3), 1e-3
+        )
         assert np.allclose(combined[..., 0], combined[..., 1])
         assert np.allclose(combined[..., 0], combined[..., 2])
+
+    def test_stacked_runs_equal_each_run_alone(self):
+        # R runs combined at once: each run's block is the one-run formula
+        # (advantages / v0) @ C.T on its lanes, bit for bit, with its floor hits
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            E, T, N, R, S = (int(rng.integers(1, k)) for k in (4, 30, 5, 5, 4))
+            obs = rng.integers(0, S, size=(E, T, R * N))
+            buffer = RolloutBuffer(obs, obs, np.ones(obs.shape), obs, 0)
+            critic = rng.uniform(-1.0, 40.0, size=(R * N, S))
+            advantages = rng.normal(scale=10.0, size=(E, T, R * N))
+            alphas = rng.uniform(0.0, 1.0, R)
+            combined, floor_hits = combine_fair_advantages(
+                advantages, critic, buffer, _fair_coefficients(alphas, N), 0.5
+            )
+            assert combined.shape == (R, E, T, N)
+            for r in range(R):
+                lane = slice(r * N, (r + 1) * N)
+                coeffs = np.full((N, N), alphas[r])
+                np.fill_diagonal(coeffs, 1.0)
+                v0 = critic[lane][np.arange(N), obs[:, 0, lane]]
+                expected = (advantages[..., lane] / np.maximum(v0, 0.5)[:, None, :]) @ coeffs.T
+                assert combined[r].tobytes() == expected.tobytes()
+                assert floor_hits[r] == (v0 < 0.5).sum()
 
     def test_utilitarian_sum(self):
         advantages = np.array([[1.0, -2.0], [0.5, 0.5]])
@@ -643,10 +683,43 @@ class TestUpdateSchedules:
         critics = np.full((2, 1), 30.0)
         config = make_config(normalize_advantages=True, objective=objective)
         advantages, _ = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
-        combined, _ = _combined_advantages(advantages, critics, buffer, config)
+        combined, _ = one_run_combination(advantages, critics, buffer, config)
         assert combined.shape == (buffer.num_steps, 2)
         assert np.all(np.abs(combined.mean(axis=0)) <= 1e-12)
         assert np.all(np.abs(combined.std(axis=0) - 1.0) <= 1e-6)
+
+    @pytest.mark.parametrize("num_agents", [1, 2])
+    def test_runs_are_combined_and_normalized_as_alone(self, num_agents):
+        # three runs (PF, UW, PF) combined and normalized at once, on
+        # advantages of wide dynamic range: each run's block is what its own
+        # lanes give alone, bit for bit, a one-agent run's sums included
+        rng = np.random.default_rng(8)
+        shape = (2, 40, 3 * num_agents)
+        obs = rng.integers(0, 3, size=shape)
+        critic = rng.uniform(0.5, 40.0, size=(shape[2], 3))
+        advantages = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        configs = [
+            make_config(alpha=alpha, objective=objective, normalize_advantages=True)
+            for alpha, objective in (
+                (0.2, ObjectiveMode.PROPORTIONAL_FAIR),
+                (0.5, ObjectiveMode.UTILITARIAN_WELFARE),
+                (0.9, ObjectiveMode.PROPORTIONAL_FAIR),
+            )
+        ]
+        coefficients = _fair_coefficients([c.alpha for c in configs], num_agents)
+        buffer = RolloutBuffer(obs, obs, np.ones(shape), obs, 0)
+        combined, floor_hits = _combined_advantages(
+            advantages, critic, buffer, configs, coefficients
+        )
+        for r, config in enumerate(configs):
+            lane = slice(r * num_agents, (r + 1) * num_agents)
+            own = np.ascontiguousarray(obs[..., lane])
+            alone, hits = one_run_combination(
+                np.ascontiguousarray(advantages[..., lane]), critic[lane],
+                RolloutBuffer(own, own, np.ones(own.shape), own, 0), config,
+            )
+            assert combined[r].tobytes() == alone.tobytes()
+            assert floor_hits[r] == hits
 
     def test_logit_step_decays_to_the_floor_rate(self):
         """From uniform (zero) logits the step is lr * grad exactly, so the
@@ -773,7 +846,7 @@ def per_sample_update_core(policies, critics, buffer, config, progress, epochs, 
     critic_lr = config.critic_lr_at(progress)
     obs, actions = buffer.flat()
     advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
-    fair, floor_hits = _combined_advantages(advantages, critics, buffer, config)
+    fair, floor_hits = one_run_combination(advantages, critics, buffer, config)
     num_agents = obs.shape[1]
     returns = returns.reshape(-1, num_agents)
     batch = obs.shape[0]
@@ -971,7 +1044,7 @@ class TestCriticRegressionStep:
 def fair_advantages(critics, buffer, config):
     """The (E*T, N) fair advantages an update computes before its epochs."""
     advantages, _ = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
-    return _combined_advantages(advantages, critics, buffer, config)[0]
+    return one_run_combination(advantages, critics, buffer, config)[0]
 
 
 def epoch_start_logits(update, policies, critics, buffer, config):
@@ -1165,28 +1238,46 @@ class TestTrain:
         with pytest.raises(DomainError, match="update 0, agent 0: non-finite logits"):
             train(self.factory, config)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_logits_name_their_agent_on_a_multi_state_game(self, monkeypatch):
+        # agent 1's fair advantages turn NaN on a 4-state game: the visited
+        # rows of agents 0 and 1 are checked as one stack, and agent 1 is named
+        combine = learning.combine_fair_advantages
+
+        def poisoning(advantages, critic, buffer, coefficients, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+            combined[..., 1] = np.nan
+            return combined, floor_hits
+
+        monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
+        game = random_markov_game(2, 4, (2, 2), 0.9, seed=3)
+        with pytest.raises(DomainError, match="^update 0, agent 1: non-finite logits$"):
+            train(lambda seed: MarkovGameEnv(game, 10, seed), make_config())
+
     @pytest.mark.parametrize("name", ["critic", "actor_loss", "critic_loss", "entropy"])
     def test_non_finite_check_names_the_value(self, name):
-        # one stack of agents 0 and 1, with one touched row each; the rows
+        # one stack of agents 0 and 1, with one touched row each (the agent
+        # of each touched row, its logits and critic entries); the rows
         # of ``losses`` are the actor loss, critic loss and entropy
         logits, values, losses = np.zeros((2, 2)), np.ones(2), np.full((3, 2), 0.5)
         if name == "critic":
             values[1] = np.inf
         else:
             losses[["actor_loss", "critic_loss", "entropy"].index(name), 1] = np.nan
-        touched = [([0, 1], [slice(0, 1), slice(1, 2)], logits, values)]
+        touched = [(np.array([0, 1]), logits, values)]
         assert _non_finite(touched, losses) == {1: name}
 
     def test_non_finite_check_goes_in_agent_order(self):
-        # agents 0 and 2 share a stack, agent 1 has its own: agent 2's
-        # logits and agent 1's entropy are non-finite, and both are named
+        # agents 0 and 2 share a stack (one touched row and two), agent 1
+        # has its own (two rows): agent 2's logits and agent 1's entropy are
+        # non-finite, and both are named
         losses = np.full((3, 3), 0.5)
         losses[2, 1] = np.inf
         logits = np.zeros((3, 2))
         logits[2, 1] = np.nan
         touched = [
-            ([0, 2], [slice(0, 1), slice(1, 3)], logits, np.ones(3)),
-            ([1], [slice(0, 2)], np.zeros((2, 3)), np.ones(2)),
+            (np.array([0, 2, 2]), logits, np.ones(3)),
+            (np.array([1, 1]), np.zeros((2, 3)), np.ones(2)),
         ]
         assert _non_finite(touched, losses) == {1: "entropy", 2: "logits"}
         losses[2, 1] = 0.5
@@ -1349,6 +1440,18 @@ BATCH_CASES = {
             for alpha, seed in ((0.2, 0), (0.9, 5))
         ],
     ),
+    "one_agent_markov_ppo_normalized": (
+        # long episodes: numpy sums a lone one-agent run's 1000 samples
+        # pairwise, so a reduction across the runs' lanes would round apart
+        lambda seed: MarkovGameEnv(random_markov_game(1, 3, (3,), 0.9, seed=4), 500, seed),
+        [
+            make_config(
+                algorithm=Algorithm.FAIR_MAPPO, alpha=alpha, seed=seed, num_envs=2,
+                total_steps=2000, normalize_advantages=True, policy_init_scale=0.5,
+            )
+            for alpha, seed in ((0.0, 1), (0.5, 2), (1.0, 3))
+        ],
+    ),
     "mini_cleanup_3x3_ppo": (
         lambda seed: MiniCleanupEnv(
             MiniCleanupConfig(width=3, height=3, num_agents=2, river_rows=1, episode_length=20),
@@ -1412,10 +1515,10 @@ class TestTrainRuns:
         epochs = poisoned.ppo_epochs if poisoned.algorithm is Algorithm.FAIR_MAPPO else 1
         combine = learning.combine_fair_advantages
 
-        def poisoning(advantages, critic, buffer, alpha, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, alpha, v_floor)
-            if alpha == poisoned.alpha and buffer.policy_version >= 2 * epochs:
-                combined = combined * np.nan
+        def poisoning(advantages, critic, buffer, coefficients, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+            if buffer.policy_version >= 2 * epochs:
+                combined[coefficients[:, 0, 1] == poisoned.alpha] *= np.nan
             return combined, floor_hits
 
         monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
@@ -1457,7 +1560,8 @@ class TestTrainRuns:
         assert (buffer.actions[..., 1] == 1).any()
         wide_logits = [np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)),
                        np.array([[0.0, -800.0]])]
-        wide = SoftmaxPolicyProfile([t.copy() for t in wide_logits])
+        groups = learning._grouped(wide_logits)  # one group: every agent has 2 actions
+        wide = SoftmaxPolicyProfile(list(groups[0][1]))
         wide_buffer = RolloutBuffer(
             *(np.concatenate([a, a], axis=-1) for a in (
                 buffer.observations, buffer.actions, buffer.rewards, buffer.next_observations
@@ -1473,8 +1577,8 @@ class TestTrainRuns:
         )
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             _policy_gradient_update(
-                wide, critics, wide_buffer, configs, 0.5, configs[0].ppo_epochs,
-                configs[0].ppo_clip,
+                wide, groups, critics, wide_buffer, configs, _fair_coefficients([0.5, 1.0], 2),
+                0.5, configs[0].ppo_epochs, configs[0].ppo_clip,
             )
         assert [t.tobytes() for t in wide.logits] == [t.tobytes() for t in wide_logits]
         assert (critics == 30.0).all()
@@ -1497,9 +1601,10 @@ class TestTrainRuns:
             calls.append(len(batch_configs))
             return train_batch(env_factory, batch_configs)
 
-        def poisoning(advantages, critic, buffer, alpha, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, alpha, v_floor)
-            return combined * np.nan if alpha == poisoned else combined, floor_hits
+        def poisoning(advantages, critic, buffer, coefficients, v_floor):
+            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+            combined[coefficients[:, 0, 1] == poisoned] *= np.nan
+            return combined, floor_hits
 
         monkeypatch.setattr(learning, "_train_batch", counting_batch)
         monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
@@ -1510,6 +1615,117 @@ class TestTrainRuns:
                 assert str(outcome) == "update 0, agent 0: non-finite logits"
             else:
                 assert_same_run(outcome, train(factory, config))
+
+
+@st.composite
+def batch_problems(draw):
+    """A small env factory and the configs of one batch: 1 to 4 runs with
+    distinct alphas and seeds and drawn objectives, on a random Markov game
+    (1 to 3 agents of 2 or 3 actions, so one or two action groups, and 1 to
+    4 states) or on a 3x3 mini-CleanUp, under A2C or PPO."""
+    length = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        num_agents = draw(st.integers(1, 3))
+        counts = draw(st.lists(st.integers(2, 3), min_size=num_agents, max_size=num_agents))
+        game = random_markov_game(
+            num_agents, draw(st.integers(1, 4)), counts, 0.9, seed=draw(st.integers(0, 99))
+        )
+
+        def factory(seed):
+            return MarkovGameEnv(game, length, seed)
+    else:
+        env_config = MiniCleanupConfig(
+            width=3, height=3, num_agents=2, river_rows=1, episode_length=length
+        )
+
+        def factory(seed):
+            return MiniCleanupEnv(env_config, seed)
+    runs = draw(st.integers(1, 4))
+    alphas = draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]), min_size=runs, max_size=runs, unique=True
+    ))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=runs, max_size=runs, unique=True))
+    objectives = draw(st.lists(st.sampled_from(list(ObjectiveMode)), min_size=runs, max_size=runs))
+    num_envs = draw(st.integers(1, 3))
+    shared = dict(
+        algorithm=draw(st.sampled_from(list(Algorithm))),
+        num_envs=num_envs,
+        total_steps=draw(st.integers(2, 3)) * num_envs * length,
+        policy_init_scale=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        normalize_advantages=draw(st.booleans()),
+        learning_rate=draw(st.sampled_from([0.1, 1.0])),
+        critic_init=1.0,
+        ppo_epochs=2,
+    )
+    configs = [
+        make_config(alpha=alpha, objective=objective, seed=seed, **shared)
+        for alpha, objective, seed in zip(alphas, objectives, seeds)
+    ]
+    return factory, configs
+
+
+class TestBatchProperty:
+    @settings(max_examples=80)  # the conftest profile draws the same examples every run
+    @given(batch_problems())
+    def test_batch_equals_separate_runs(self, problem):
+        factory, configs = problem
+        batched = _train_runs(factory, configs)
+        for outcome, config in zip(batched, configs):
+            lone = lone_outcome(factory, config)
+            if isinstance(lone, DomainError):
+                assert str(outcome) == str(lone)
+            else:
+                assert_same_run(outcome, lone)
+
+
+class TestBatchTables:
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0])
+    def test_group_fill_gives_each_runs_profile_bits(self, scale):
+        # three runs on mixed action counts (2, 3, 2): with no update, each
+        # run's tables are what it draws alone, in agent order, from its rng
+        game = random_markov_game(3, 4, (2, 3, 2), 0.9, seed=1)
+
+        def factory(seed):
+            return MarkovGameEnv(game, 5, seed)
+
+        configs = [make_config(alpha=a, seed=s, policy_init_scale=scale, total_steps=0)
+                   for a, s in ((0.0, 3), (0.5, 4), (1.0, 5))]
+        results = _train_runs(factory, configs)
+        for result, config in zip(results, configs):
+            if scale > 0.0:
+                rng = learning._Run(factory, config).rng
+                expected = SoftmaxPolicyProfile.random(4, (2, 3, 2), rng, scale=scale)
+            else:
+                expected = SoftmaxPolicyProfile.uniform(4, (2, 3, 2))
+            ours = result.policies.logits
+            assert [t.tobytes() for t in ours] == [t.tobytes() for t in expected.logits]
+        # the tables are views of one array per action count, across runs
+        views = [table for result in results for table in result.policies.logits]
+        two, three = views[0].base, views[1].base
+        assert two.shape == (6, 4, 2) and three.shape == (3, 4, 3)
+        assert [table.base is two for table in views] == [True, False, True] * 3
+        assert all(views[i].base is three for i in (1, 4, 7))
+
+    def test_one_update_allocates_no_table_copy(self):
+        # one PPO update of the shipped mini-CleanUp tables (3 x 131072 x 6
+        # float64, 18.9 MB) peaks below 1.3x the tables, the (3, 131072)
+        # critic's 3.1 MB included: neither the batch start nor the update
+        # copies a table, which would add at least 6.3 MB
+        import tracemalloc
+
+        env_config = MiniCleanupConfig()
+        config = make_config(
+            algorithm=Algorithm.FAIR_MAPPO, policy_init_scale=1.0, num_envs=2,
+            total_steps=2 * env_config.episode_length, critic_init=1.0,
+        )
+        table_bytes = 3 * 131072 * 6 * 8
+        tracemalloc.start()
+        try:
+            train(lambda seed: MiniCleanupEnv(env_config, seed), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * table_bytes, (peak, table_bytes)
 
 
 class TestScoreFunctionSanity:
