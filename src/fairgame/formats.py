@@ -377,6 +377,8 @@ def _parse_experiment_config(doc, seed_override=None) -> tuple[list[str], Experi
         problems.append("out: output directory required")
     elif not isinstance(doc["out"], str):
         problems.append(f"out: must be a path string, got {doc['out']!r}")
+    elif not doc["out"]:
+        problems.append("out: must be a nonempty path")
     unknown = set(doc) - {"env", "algorithm", "objective", "alpha", "seed", "out", *TRAIN_FIELDS}
     if unknown:
         problems.append(f"config: unknown fields: {', '.join(sorted(unknown))}")

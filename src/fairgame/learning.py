@@ -3,7 +3,6 @@ clipped-surrogate PPO over tabular softmax actors and tabular TD critics,
 with GAE and the initial-state-normalized fair advantage combination.
 """
 
-import csv
 import json
 import math
 import multiprocessing
@@ -12,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,7 +135,7 @@ def collect_rollouts(
     The shared rng draws only the (E, T, N) block of action uniforms; agent
     i samples the first action whose cumulative probability exceeds its
     uniform. The tables are stacked into their action groups (``_grouped``)
-    and collected by ``_collect``: single-state envs are neither reset nor
+    and collected by ``_collector``: single-state envs are neither reset nor
     stepped, their rewards read from each env's ``joint_rewards`` table;
     other envs are reset and stepped in lockstep as one batch (see
     ``envs._lockstep``), each drawing its own randomness from its own
@@ -148,7 +148,7 @@ def _rollouts(envs: Sequence, groups: list, version: int, rng: np.random.Generat
     """``collect_rollouts`` from a profile's stacked ``groups``, at ``version``."""
     num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
     uniforms = rng.random((num_envs, length, num_agents))
-    *arrays, apples = _collect(envs, groups, uniforms)
+    *arrays, apples = _collector(envs)(groups, uniforms)
     buffer = RolloutBuffer(*arrays, version)
     return buffer, buffer.rewards.sum(axis=1), apples
 
@@ -184,21 +184,23 @@ def _by_lane(rows: np.ndarray, runs: int) -> np.ndarray:
     return split.reshape(total // runs, *middle, runs * num_agents)
 
 
-def _collect(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
-    """One episode of R runs side by side: ``envs`` holds each run's E envs
-    in run order, ``groups`` the action groups of the R*N agents, run r's
-    agent i being agent r*N + i (``_grouped``), and the (E, T, R*N)
-    ``uniforms`` hold run r's action uniforms in lanes r*N to r*N + N - 1.
-    Returns the (E, T, R*N) observations, actions, rewards and next
-    observations, and the (E, R*N) apples harvested or None. A run's lanes
-    equal what it would collect alone."""
+def _collector(envs: Sequence) -> Callable[[list, np.ndarray], tuple]:
+    """The collector of R runs' envs side by side, built once per batch (it
+    stacks single-state envs' reward tables once): ``envs`` holds each
+    run's E envs in run order. Called with ``groups``,
+    the action groups of the R*N agents, run r's agent i being agent
+    r*N + i (``_grouped``), and the (E, T, R*N) ``uniforms``, which hold
+    run r's action uniforms in lanes r*N to r*N + N - 1, it collects one
+    episode of every env and returns the (E, T, R*N) observations,
+    actions, rewards and next observations, and the (E, R*N) apples
+    harvested or None. A run's lanes equal what it would collect alone."""
     if all(env.num_states == 1 for env in envs):
-        return _collect_single_state(envs, groups, uniforms)
-    return _collect_lockstep(envs, groups, uniforms)
+        return partial(_collect_single_state, np.stack([env.joint_rewards for env in envs]))
+    return partial(_collect_lockstep, envs)
 
 
 def _collect_lockstep(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
-    """``_collect`` for multi-state envs, all R*E stepped together. At each
+    """``_collector`` for multi-state envs, all R*E stepped together. At each
     step the agents of one action group sample their (E,) actions as one
     stack: one index into the group's (n, S, A) array gathers the logit
     rows of their E observations, and one ``markov._draw`` counts the
@@ -231,23 +233,27 @@ def _collect_lockstep(envs: Sequence, groups: list, uniforms: np.ndarray) -> tup
     return observations, actions, rewards, next_observations, apples
 
 
-def _collect_single_state(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
-    """``_collect`` for envs whose only observation is 0: the agents of one
-    action group sample their (E, T) actions with one ``markov._draw`` on
-    the cumulative softmax of their group's row-0 view (``bisect_right``
-    clipped to the last action), and the rewards are one gather from the
-    stacked joint reward tables of all R*E envs. Such envs report no
+def _collect_single_state(tables: np.ndarray, groups: list, uniforms: np.ndarray) -> tuple:
+    """``_collector`` for envs whose only observation is 0, ``tables``
+    holding the R*E envs' (A_1, ..., A_N, N) joint reward tables stacked:
+    the agents of one action group sample their (E, T) actions with one
+    ``markov._draw`` on the cumulative softmax of their group's row-0 view
+    (``bisect_right`` clipped to the last action), and the rewards are one
+    gather by env and flat (row-major) joint action. Such envs report no
     apples."""
-    runs = len(envs) // uniforms.shape[0]
+    num_envs, length, width = uniforms.shape
+    *counts, num_agents = tables.shape[1:]
+    runs = width // num_agents
     actions = np.empty(uniforms.shape, dtype=np.int64)
     for agents, logits in groups:
         columns = _compared_columns(np.cumsum(_softmax(logits[:, 0]), axis=-1))
         actions[..., agents] = _draw(columns, uniforms[..., agents])
-    tables = np.stack([env.joint_rewards for env in envs])
-    episode = np.arange(len(envs))[:, None]
-    rewards = tables[(episode, *np.moveaxis(_by_env(actions, runs), -1, 0))]
+    strides = np.cumprod([1, *counts[:0:-1]])[::-1]
+    joint = actions.reshape(num_envs, length, runs, num_agents) @ strides
+    env = np.arange(len(tables)).reshape(runs, num_envs).T[:, None]  # run r's env e is r*E + e
+    rewards = tables.reshape(len(tables), -1, num_agents)[env, joint].reshape(uniforms.shape)
     zeros = np.zeros(uniforms.shape, dtype=np.int64)
-    return zeros, actions, _by_lane(rewards, runs), zeros.copy(), None
+    return zeros, actions, rewards, zeros.copy(), None
 
 
 def compute_gae(
@@ -257,11 +263,13 @@ def compute_gae(
     the (N, S) critic, whose entry [j, s] is agent j's value of state s.
 
     delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), accumulated backward over
-    T as acc = delta_t + (gamma * lam) * acc, one (env, agent) lane at a time
-    over Python floats. The lanes are independent and short, so a numpy call
-    per step would cost more than its arithmetic; float64 arithmetic rounds
-    the same either way, so the result is exact. Episodes only truncate, so
-    the final step bootstraps with V of its next observation. Returns are
+    T as acc = delta_t + (gamma * lam) * acc from acc = 0.0, for all (env,
+    agent) lanes at once: the deltas are laid out time-major as contiguous
+    (T, E*N) rows, and each step is one ``np.add`` and one ``np.multiply``
+    into preallocated rows, the float64 operations of the scalar recursion
+    in its order, so the result is exact (a -0.0 delta at the last step
+    gives +0.0, as 0.0 added to it does). Episodes only truncate, so the
+    final step bootstraps with V of its next observation. Returns are
     advantages + V(s_t).
     """
     num_envs, length, num_agents = buffer.observations.shape
@@ -270,18 +278,16 @@ def compute_gae(
     agents = np.arange(num_agents)
     v = critic[agents, buffer.observations]
     delta = buffer.rewards + gamma * critic[agents, buffer.next_observations] - v
-    decay = gamma * lam
-    lanes = []
-    for lane in delta.transpose(0, 2, 1).reshape(-1, length).tolist():
-        acc = 0.0
-        backward = []
-        for d in reversed(lane):
-            acc = d + decay * acc
-            backward.append(acc)
-        lanes.append(backward)
-    # lanes[e * N + j] holds lane (e, j) from the last step back to the first
-    advantages = np.array(lanes).reshape(num_envs, num_agents, length)[..., ::-1]
-    advantages = np.ascontiguousarray(advantages.transpose(0, 2, 1))
+    rows = np.ascontiguousarray(delta.transpose(1, 0, 2)).reshape(length, -1)
+    backward = np.empty_like(rows)
+    decay = np.full(rows.shape[1], gamma * lam)  # a row, so no call converts a scalar
+    carried = np.zeros(rows.shape[1])  # decay * acc of the step after
+    for row, acc in zip(rows[::-1], backward[::-1]):
+        np.add(row, carried, acc)
+        np.multiply(acc, decay, carried)
+    advantages = np.ascontiguousarray(
+        backward.reshape(length, num_envs, num_agents).transpose(1, 0, 2)
+    )
     return advantages, advantages + v
 
 
@@ -376,44 +382,70 @@ def _critic_regression_step(
     return values - lr * 2.0 * (values - sums / counts), squared.reshape(targets.shape)
 
 
+class _RowPlan:
+    """The rows one action group's update visits, and the indexes built from
+    them. The group's (n, S, A) array is seen as (n*S, A), row k*S + s being
+    agent ``agents[k]``'s row s, and its agents' B samples each lie
+    agent-major along one (n*B,) axis. One ``np.unique`` of the keys
+    ``k * S + obs`` of the (n, B) observations ``obs`` gives the visited
+    ``rows``, the index that reads and writes them; ``inverse`` places each
+    sample among them and ``counts`` counts their samples, ``row_agents``
+    names each row's agent, and ``critic_index`` indexes the same entries of
+    the critic. ``starts`` is each sample's first flat entry of the stacked
+    (rows, actions) tables, and ``per_row`` its whole row laid out
+    (actions, samples). A plan depends on the observations alone, so a batch
+    keeps one per group and rebuilds it only when they change
+    (``_row_plans``)."""
+
+    def __init__(self, agents: list[int], num_states: int, width: int, obs: np.ndarray):
+        self.obs = obs
+        keys = obs + np.arange(0, len(agents) * num_states, num_states)[:, None]
+        self.rows, self.inverse = np.unique(keys.ravel(), return_inverse=True)
+        self.counts = np.bincount(self.inverse, minlength=len(self.rows))
+        self.row_agents = np.asarray(agents)[self.rows // num_states]
+        self.critic_index = (self.row_agents, self.rows % num_states)
+        self.starts = self.inverse * width
+        self.per_row = (self.starts + np.arange(width)[:, None]).ravel()
+
+
+def _row_plans(plans: list, groups: list, obs: np.ndarray) -> None:
+    """Bring ``plans``, one slot per action group (None before the first
+    update), up to date with an update's (W, B) agent-major observations: a
+    group's plan is rebuilt only when its observations differ from those it
+    was built from."""
+    for k, (agents, tables) in enumerate(groups):
+        group_obs = obs[agents]
+        if plans[k] is None or not np.array_equal(plans[k].obs, group_obs):
+            plans[k] = _RowPlan(agents, *tables.shape[1:], group_obs)
+
+
 class _AgentStack:
     """The agents of one action group, stacked for one update: their (n, S,
-    A) array seen as (n*S, A) ``tables``, row k*S + s being agent
-    ``agents[k]``'s row s, and their B samples each, agent-major along one
-    (n*B,) axis. One ``np.unique`` of the keys ``k * S + obs`` gives the
-    visited ``rows``, the index that reads and writes them; ``inverse``
-    places each sample among them, ``row_agents`` names each row's agent,
-    and ``critic_index`` indexes the same entries of the critic. All of this
-    is built once per update, from (W, B) agent-major observations,
-    actions, fair advantages and returns."""
+    A) array seen as (n*S, A) ``tables``, the group's ``_RowPlan``, and their
+    fair advantages, returns and taken actions from (W, B) agent-major
+    arrays."""
 
     def __init__(
-        self, agents: list[int], tables: np.ndarray, obs: np.ndarray, actions: np.ndarray,
+        self, agents: list[int], tables: np.ndarray, plan: _RowPlan, actions: np.ndarray,
         fair: np.ndarray, returns: np.ndarray, entropy_coef: float,
     ):
         count, num_states, width = tables.shape
         self.tables = tables.reshape(count * num_states, width)
-        keys = obs[agents] + np.arange(0, count * num_states, num_states)[:, None]
-        self.rows, self.inverse = np.unique(keys.ravel(), return_inverse=True)
         self.agents = agents
-        self.row_agents = np.asarray(agents)[self.rows // num_states]
-        self.critic_index = (self.row_agents, self.rows % num_states)
+        self.plan = plan
         self.weights = fair[agents].ravel()
         self.targets = returns[agents]
-        self.counts = np.bincount(self.inverse, minlength=len(self.rows))
         self.entropy_coef = entropy_coef
         # flat entries of the stacked (rows, actions) tables: each sample's
-        # taken action, and its whole row laid out (actions, samples)
-        starts = self.inverse * width
-        self.taken = starts + actions[agents].ravel()
-        self.per_row = (starts + np.arange(width)[:, None]).ravel()
-        terms = [self.taken, self.per_row] + ([self.per_row] if entropy_coef > 0.0 else [])
+        # taken action, then its whole row once per per-row gradient term
+        self.taken = plan.starts + actions[agents].ravel()
+        terms = [self.taken, plan.per_row] + ([plan.per_row] if entropy_coef > 0.0 else [])
         self.entries = np.concatenate(terms)
 
     def taken_probs(self) -> np.ndarray:
         """The (n, B) probabilities the current policies give the taken
         actions."""
-        probs = _softmax(self.tables[self.rows]).ravel()[self.taken]
+        probs = _softmax(self.tables[self.plan.rows]).ravel()[self.taken]
         return probs.reshape(len(self.agents), -1)
 
     def step(
@@ -423,8 +455,8 @@ class _AgentStack:
         """One epoch's actor and critic steps for the stacked agents, written
         back to their tables. Returns the (3, n) actor losses, critic losses
         and mean entropies, and the stepped logit rows and critic entries."""
-        batch = self.targets.shape[1]
-        logits = self.tables[self.rows]
+        plan, batch = self.plan, self.targets.shape[1]
+        logits = self.tables[plan.rows]
         probs = _softmax(logits)
         log_probs = np.log(np.maximum(probs, 1e-300))
         log_taken = log_probs.ravel()[self.taken]
@@ -438,28 +470,28 @@ class _AgentStack:
             coeff = np.where(clipped_out, 0.0, ratio * w)
             surrogate = np.minimum(ratio * w, np.clip(ratio, 1.0 - clip, 1.0 + clip) * w)
         entropy = -(probs * log_probs).sum(axis=1)
-        sample_probs = probs.ravel()[self.per_row].reshape(-1, len(w))
+        sample_probs = probs.ravel()[plan.per_row].reshape(-1, len(w))
         terms = [coeff / batch, (-(coeff * sample_probs) / batch).ravel()]
         if self.entropy_coef > 0.0:
             ent_grad = -probs * (log_probs + entropy[:, None])
-            terms.append((self.entropy_coef * ent_grad / batch).ravel()[self.per_row])
+            terms.append((self.entropy_coef * ent_grad / batch).ravel()[plan.per_row])
         grad = np.bincount(self.entries, np.concatenate(terms), logits.size)
         logits = logits + lr * grad.reshape(logits.shape)
-        self.tables[self.rows] = logits
+        self.tables[plan.rows] = logits
         values, squared = _critic_regression_step(
-            critics[self.critic_index], self.targets, critic_lr, self.inverse, self.counts
+            critics[plan.critic_index], self.targets, critic_lr, plan.inverse, plan.counts
         )
-        critics[self.critic_index] = values
+        critics[plan.critic_index] = values
         # each agent's three per-sample rows, summed over B at once; negation
         # is exact, so -surrogate sums to minus the surrogate's sum
-        per_sample = np.concatenate([-surrogate, squared.ravel(), entropy[self.inverse]])
+        per_sample = np.concatenate([-surrogate, squared.ravel(), entropy[plan.inverse]])
         return per_sample.reshape(3, -1, batch).sum(axis=2) / batch, logits, values
 
 
 def _policy_gradient_update(
     policies: SoftmaxPolicyProfile, groups: list, critics: np.ndarray, buffer: RolloutBuffer,
     configs: Sequence[TrainConfig], coefficients: np.ndarray, progress: float, epochs: int,
-    clip: float | None,
+    clip: float | None, plans: list | None = None,
 ) -> list[dict]:
     """The fair policy-gradient core shared by A2C and PPO, for R runs side
     by side: run r's agent i is agent r*N + i of the (n, S, A) action-group
@@ -467,7 +499,11 @@ def _policy_gradient_update(
     the (R*N, S) critic and of the buffer's lanes. ``configs`` holds each
     run's config and ``coefficients`` its fair coefficient matrix
     (``_fair_coefficients``); the runs may differ only in alpha and
-    objective. Each epoch steps ``policies.version``.
+    objective. Each epoch steps ``policies.version``. ``plans`` holds one
+    ``_RowPlan`` slot per group, which the update brings up to date
+    (``_row_plans``), so a caller that passes the same list to every update
+    builds a group's plan only when its observations change; by default the
+    update builds fresh ones.
 
     Each of ``epochs`` passes ascends, per actor, the score-function step on
     the fixed fair advantages A^F (plus entropy regularization), then takes
@@ -477,9 +513,9 @@ def _policy_gradient_update(
     policy, and it is zeroed where the clipped surrogate min(rho A^F,
     clip(rho, 1-clip, 1+clip) A^F) is flat.
 
-    GAE runs once over all lanes, lane by lane, and the combination once
-    over all runs (``_combined_advantages``). Each action group takes each
-    pass as one stacked batch (``_AgentStack``): one index reads and writes
+    GAE runs once over all lanes, and the combination once over all runs
+    (``_combined_advantages``). Each action group takes each pass as one
+    stacked batch (``_AgentStack``): one index reads and writes
     its logit rows, another its critic entries; the softmax, its logs and
     the entropy are taken once per row; its actor gradient is one
     ``np.bincount`` over the taken-action terms, then the -coeff * pi terms,
@@ -510,9 +546,11 @@ def _policy_gradient_update(
     num_agents = width // len(configs)
     fair = combined.transpose(0, 2, 1).reshape(width, -1)
     returns = returns.reshape(-1, width)
+    plans = [None] * len(groups) if plans is None else plans
+    _row_plans(plans, groups, obs.T)
     stacks = [
-        _AgentStack(agents, tables, obs.T, actions.T, fair, returns.T, config.entropy_coef)
-        for agents, tables in groups
+        _AgentStack(agents, tables, plan, actions.T, fair, returns.T, config.entropy_coef)
+        for (agents, tables), plan in zip(groups, plans)
     ]
     old_log = [None] * len(stacks)
     if clip is not None:
@@ -531,7 +569,7 @@ def _policy_gradient_update(
         touched = []
         for stack, old in zip(stacks, old_log):
             losses[:, stack.agents], logits, values = stack.step(critics, lr, critic_lr, clip, old)
-            touched.append((stack.row_agents, logits, values))
+            touched.append((stack.plan.row_agents, logits, values))
         policies.version += 1
     faults = _non_finite(touched, losses)
     _raise_lowest({i: f"non-finite {name}" for i, name in faults.items()}, num_agents)
@@ -776,7 +814,7 @@ def _train_batch(
     logit tables are one (n, S, A) array per action group, of which each
     run's result holds views. Per update, each run draws its (E, T, N)
     uniforms from its own rng, and the R blocks are laid side by side as
-    lanes: all R*E envs are collected as one batch (``_collect``), and the
+    lanes: all R*E envs are collected as one batch (``_collector``), and the
     agents of all runs are updated as one batch
     (``_policy_gradient_update``), whose error is raised as ``update U,
     ...``. The (R*N, S) critic holds run r's critic in rows r*N to
@@ -814,18 +852,19 @@ def _train_batch(
         epochs, clip = first.ppo_epochs, first.ppo_clip
     lanes = [slice(r * num_agents, (r + 1) * num_agents) for r in range(len(runs))]
     episodes = [slice(r * first.num_envs, (r + 1) * first.num_envs) for r in range(len(runs))]
+    collect, plans = _collector(envs), [None] * len(groups)
     steps_done = update = 0
     while steps_done < first.total_steps:
         uniforms = np.concatenate(
             [run.rng.random((first.num_envs, length, num_agents)) for run in runs], axis=-1
         )
-        *arrays, apples = _collect(envs, groups, uniforms)
+        *arrays, apples = collect(groups, uniforms)
         buffer = RolloutBuffer(*arrays, profile.version)
         steps_done += buffer.num_steps
         try:
             diagnostics = _policy_gradient_update(
                 profile, groups, critic, buffer, configs, coefficients,
-                steps_done / first.total_steps, epochs, clip,
+                steps_done / first.total_steps, epochs, clip, plans,
             )
         except DomainError as exc:
             raise DomainError(f"update {update}, {exc}") from exc
@@ -851,27 +890,45 @@ def _train_batch(
     ]
 
 
+_LOG_BLOCK_EPISODES = 4096
+
+
 def write_log_csv(path, table: EpisodeTable) -> None:
     """Training-log CSV: one row per (episode, agent), repeating the
     diagnostics of the update that consumed the episode. Floats are written
-    as their repr, so the log is deterministic."""
+    as their repr, so the log is deterministic.
+
+    The bytes are those of ``csv.writer``: ``repr`` for floats, ``str`` for
+    ints and ``\\r\\n`` line ends; no cell needs quoting. Each (update,
+    agent)'s diagnostics and each episode's Gini are formatted once, and the
+    lines are joined and written per block of ``_LOG_BLOCK_EPISODES``
+    episodes."""
     from .formats import open_fresh  # formats imports this module
 
-    losses = np.stack([table.actor_loss, table.critic_loss, table.entropy], axis=-1).tolist()
     floor_hits = table.floor_hits.tolist()
-    episodes = zip(
-        table.step.tolist(), table.update.tolist(), table.returns.tolist(),
-        table.apples.tolist(), table.gini.tolist(),
-    )
+    losses = zip(table.actor_loss.tolist(), table.critic_loss.tolist(), table.entropy.tolist())
+    tails = [
+        [f",{a!r},{c!r},{h!r},{floor_hits[update]}\r\n" for a, c, h in zip(*rows)]
+        for update, rows in enumerate(losses)
+    ]
     with open_fresh(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LOG_COLUMNS)
-        for episode, (step, update, returns, apples, episode_gini) in enumerate(episodes):
-            writer.writerows(
-                [step, episode, agent, returns[agent], apples[agent], episode_gini,
-                 *losses[update][agent], floor_hits[update]]
-                for agent in range(len(returns))
-            )
+        handle.write(",".join(LOG_COLUMNS) + "\r\n")
+        for start in range(0, len(table.gini), _LOG_BLOCK_EPISODES):
+            handle.write("".join(_log_lines(table, tails, start, start + _LOG_BLOCK_EPISODES)))
+
+
+def _log_lines(table: EpisodeTable, tails: list[list[str]], start: int, stop: int):
+    """The log lines of episodes ``start`` to ``stop - 1``, each episode's
+    Gini formatted once; ``tails[u][i]`` ends update u's agent i's lines."""
+    episodes = zip(
+        range(start, stop), table.step[start:stop].tolist(), table.update[start:stop].tolist(),
+        table.returns[start:stop].tolist(), table.apples[start:stop].tolist(),
+        table.gini[start:stop].tolist(),
+    )
+    for episode, step, update, returns, apples, episode_gini in episodes:
+        head, middle = f"{step},{episode},", f",{episode_gini!r}"
+        for agent, (r, a, tail) in enumerate(zip(returns, apples, tails[update])):
+            yield f"{head}{agent},{r!r},{a!r}{middle}{tail}"
 
 
 SNAPSHOT_BLOCK_ROWS = 4096

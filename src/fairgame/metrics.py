@@ -183,13 +183,35 @@ def _episode_series(
 _fmt = "{:.6g}".format  # a float as text, 6 significant digits
 
 
+def _formatted(values: np.ndarray) -> list[str]:
+    """``_fmt`` of each entry of a float array, each distinct bit pattern
+    formatted once: ``np.unique`` runs on the ``uint64`` view, so -0.0 is
+    not merged with 0.0 and every NaN keeps its own text."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [_fmt(value) for value in distinct.view(float).tolist()]
+    return [texts[k] for k in inverse.tolist()]
+
+
+def _canvas_xs(steps: list[float]) -> list[str]:
+    """The SVG x coordinate of each step, as text: (v - lo) / span * extent
+    from the margin, one array expression rounded as the scalar chain is."""
+    if not steps:
+        return []
+    x_lo, x_hi = min(steps), max(steps)
+    x_span = (x_hi - x_lo) or 1.0
+    x_extent = _SVG_WIDTH - 2 * _SVG_MARGIN
+    return _formatted(_SVG_MARGIN + (np.asarray(steps) - x_lo) / x_span * x_extent)
+
+
 def _render_panel_svg(
     title: str,
-    steps: list[float],
+    xs: list[str],
     series: list[tuple[str, list[float], list[float], list[float]]],
 ) -> str:
     """Minimal hand-rolled line chart: one mean polyline and min/max band per
-    series, fixed canvas, deterministic float formatting."""
+    series, fixed canvas, deterministic float formatting; ``xs`` holds the
+    steps' x coordinates (``_canvas_xs``)."""
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
@@ -197,26 +219,21 @@ def _render_panel_svg(
         f'<text x="{_SVG_WIDTH // 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if steps:
-        x_lo, x_hi = min(steps), max(steps)
-        x_span = (x_hi - x_lo) or 1.0
+    if xs:
         all_values = np.concatenate([lo + hi for _, _, lo, hi in series])
         y_lo, y_hi = float(all_values.min()), float(all_values.max())
         y_span = (y_hi - y_lo) or 1.0
+        # canvas y: (v - lo) / span * extent up from the bottom margin, one
+        # array expression per series, rounded as the scalar chain is
+        y_extent = _SVG_HEIGHT - 2 * _SVG_MARGIN
 
-        # canvas coordinates: (v - lo) / span * extent from the margin, one
-        # array expression per axis or series, rounded as the scalar chain is
-        x_extent, y_extent = _SVG_WIDTH - 2 * _SVG_MARGIN, _SVG_HEIGHT - 2 * _SVG_MARGIN
-        scaled_x = _SVG_MARGIN + (np.asarray(steps) - x_lo) / x_span * x_extent
-        xs = list(map(_fmt, scaled_x.tolist()))  # formatted once, shared by every series
-
-        def points(xs: list[str], ys: list[float]) -> str:
-            return " ".join(map("{},{:.6g}".format, xs, ys))
+        def points(xs: list[str], ys: list[str]) -> str:
+            return " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
 
         for index, (label, mean, low, high) in enumerate(series):
             color = _LINE_COLORS[index % len(_LINE_COLORS)]
             values = np.asarray(mean + high + low[::-1], dtype=float)
-            ys = (_SVG_HEIGHT - _SVG_MARGIN - (values - y_lo) / y_span * y_extent).tolist()
+            ys = _formatted(_SVG_HEIGHT - _SVG_MARGIN - (values - y_lo) / y_span * y_extent)
             line, band = points(xs, ys[: len(mean)]), points(xs + xs[::-1], ys[len(mean) :])
             body += [
                 f'<polygon fill="{color}" fill-opacity="0.2" stroke="none" points="{band}"/>',
@@ -261,22 +278,23 @@ def write_panels(
          [(f"agent {a}", a, series) for a, series in per_agent]),
         ("panel_gini", "Gini coefficient per episode", [("gini", None, ginis)]),
     ]
+    xs = _canvas_xs(steps)  # formatted once, shared by every panel and series
     written: list[Path] = []
     for name, title, series in panels:
         header = ["step", "mean", "min", "max"] + (["agent"] if name == "panel_per_agent" else [])
         csv_rows, svg_series = [], []
         for legend, agent, values in series if steps else []:  # no episodes: no series
-            mean, low, high = [stat.tolist() for stat in rolling_aggregate(values, window)]
+            stats = rolling_aggregate(values, window)
             label = [] if agent is None else [[agent] * len(steps)]
-            csv_rows += zip(steps, *(map(_fmt, stat) for stat in (mean, low, high)), *label)
-            svg_series.append((legend, mean, low, high))
+            csv_rows += zip(steps, *map(_formatted, stats), *label)
+            svg_series.append((legend, *(stat.tolist() for stat in stats)))
         csv_path, svg_path = out / f"{name}.csv", out / f"{name}.svg"
         with open_fresh(csv_path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(csv_rows)
         with open_fresh(svg_path) as handle:
-            handle.write(_render_panel_svg(title, steps, svg_series))
+            handle.write(_render_panel_svg(title, xs, svg_series))
         written += [csv_path, svg_path]
     return written
 

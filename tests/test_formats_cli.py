@@ -795,6 +795,15 @@ class TestCliTrainEvalPlot:
         assert taken.read_text() == "not a directory"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
+    def test_empty_out_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # an empty path would put every run directory and sweep.json in the
+        # working directory
+        config = self.write_config(tmp_path, out="")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", str(config)]) == 2
+        assert "error: out: must be a nonempty path" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("run_id", ["FairMAA2C_alpha0_seed5", "FairMAA2C_alpha1_seed6"])
     def test_run_dir_that_is_a_file_exits_2_before_any_item_trains(
         self, tmp_path, capsys, run_id

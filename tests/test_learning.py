@@ -142,6 +142,15 @@ class TestComputeGae:
         assert advantages.tobytes() == expected_advantages.tobytes()
         assert returns.tobytes() == expected_returns.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 100, 2), (3, 7, 5), (150, 100, 2)])
+    @pytest.mark.parametrize("gamma, lam", [(0.9, 0.0), (0.95, 0.95), (1.0, 1.0)])
+    def test_bit_identical_to_scalar_lane_loop(self, shape, gamma, lam):
+        buffer, critic = exact_delta_buffer(special_deltas(shape, seed=sum(shape)))
+        advantages, returns = compute_gae(buffer, critic, gamma, lam)
+        expected_advantages, expected_returns = scalar_lane_gae(buffer, critic, gamma, lam)
+        assert advantages.tobytes() == expected_advantages.tobytes()
+        assert returns.tobytes() == expected_returns.tobytes()
+
     @pytest.mark.parametrize("gamma", [0.0, 0.9, 0.95, 1.0])
     def test_exact_delta_buffer_reproduces_signed_zeros(self, gamma):
         deltas = special_deltas((3, 7, 5), seed=0)
@@ -155,8 +164,8 @@ class TestComputeGae:
 
 
 def numpy_step_loop_gae(buffer, critic, gamma, lam):
-    """GAE as one numpy call per time step on (E, N) vectors: the reference
-    the per-lane recursion of ``compute_gae`` must match bit for bit."""
+    """GAE as one numpy call per time step on (E, N) vectors: a reference
+    ``compute_gae`` must match bit for bit."""
     num_envs, length, num_agents = buffer.observations.shape
 
     def values(obs):
@@ -169,6 +178,25 @@ def numpy_step_loop_gae(buffer, critic, gamma, lam):
     for t in range(length - 1, -1, -1):
         acc = delta[:, t] + gamma * lam * acc
         advantages[:, t] = acc
+    return advantages, advantages + v
+
+
+def scalar_lane_gae(buffer, critic, gamma, lam):
+    """GAE one (env, agent) lane at a time over Python floats, acc = delta +
+    (gamma * lam) * acc from acc = 0.0: a reference ``compute_gae`` must
+    match bit for bit."""
+    num_envs, length, num_agents = buffer.observations.shape
+    agents = np.arange(num_agents)
+    v = critic[agents, buffer.observations]
+    delta = buffer.rewards + gamma * critic[agents, buffer.next_observations] - v
+    decay = gamma * lam
+    advantages = np.empty_like(delta)
+    for e in range(num_envs):
+        for j in range(num_agents):
+            acc = 0.0
+            for t in range(length - 1, -1, -1):
+                acc = float(delta[e, t, j]) + decay * acc
+                advantages[e, t, j] = acc
     return advantages, advantages + v
 
 
@@ -1386,6 +1414,81 @@ class TestTrain:
             make_config(seed=-1)
 
 
+def reference_write_log_csv(path, table):
+    """The csv.writer log writer: one row per (episode, agent), each float
+    formatted where its row is written."""
+    from fairgame.metrics import LOG_COLUMNS
+
+    losses = np.stack([table.actor_loss, table.critic_loss, table.entropy], axis=-1).tolist()
+    floor_hits = table.floor_hits.tolist()
+    episodes = zip(
+        table.step.tolist(), table.update.tolist(), table.returns.tolist(),
+        table.apples.tolist(), table.gini.tolist(),
+    )
+    with open(path, "x", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(LOG_COLUMNS)
+        for episode, (step, update, returns, apples, episode_gini) in enumerate(episodes):
+            writer.writerows(
+                [step, episode, agent, returns[agent], apples[agent], episode_gini,
+                 *losses[update][agent], floor_hits[update]]
+                for agent in range(len(returns))
+            )
+
+
+LOG_SPECIALS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 3.0, -7.0, float("nan"), float("inf"),
+                float("-inf"), 0.1, 1.0 / 3.0]
+
+
+def random_episode_table(num_agents, per_update, updates, seed):
+    """An EpisodeTable of ``updates`` updates of ``per_update`` episodes,
+    each float drawn from LOG_SPECIALS or over many magnitudes."""
+    rng = np.random.default_rng(seed)
+
+    def floats(*shape):
+        spread = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        return np.where(rng.random(shape) < 0.5, rng.choice(LOG_SPECIALS, shape), spread)
+
+    episodes = updates * per_update
+    return learning.EpisodeTable(
+        step=np.repeat(np.arange(1, updates + 1, dtype=np.int64) * 40, per_update),
+        returns=floats(episodes, num_agents),
+        apples=floats(episodes, num_agents),
+        gini=floats(episodes),
+        update=np.repeat(np.arange(updates, dtype=np.int64), per_update),
+        actor_loss=floats(updates, num_agents),
+        critic_loss=floats(updates, num_agents),
+        entropy=floats(updates, num_agents),
+        floor_hits=rng.integers(0, 7, updates),
+    )
+
+
+class TestLogCsv:
+    @pytest.mark.parametrize("num_agents", [1, 2, 3])
+    @pytest.mark.parametrize("per_update", [1, 2, 10])
+    @pytest.mark.parametrize("updates", [0, 1, 7])
+    def test_bytes_equal_the_csv_writer(self, tmp_path, num_agents, per_update, updates):
+        table = random_episode_table(num_agents, per_update, updates, seed=updates * 31 + num_agents)
+        write_log_csv(tmp_path / "ours.csv", table)
+        reference_write_log_csv(tmp_path / "reference.csv", table)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_blocks_join_to_one_log(self, tmp_path, monkeypatch):
+        # 3-episode blocks of 7 updates of 2 episodes: a block boundary falls
+        # inside an update's episodes, and the last block is short
+        table = random_episode_table(2, 2, 7, seed=5)
+        monkeypatch.setattr(learning, "_LOG_BLOCK_EPISODES", 3)
+        write_log_csv(tmp_path / "ours.csv", table)
+        reference_write_log_csv(tmp_path / "reference.csv", table)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_a_trained_log_equals_the_csv_writer(self, tmp_path):
+        table = train(lambda seed: RepeatedMatrixGameEnv(PD, 20), make_config(seed=3)).table
+        write_log_csv(tmp_path / "ours.csv", table)
+        reference_write_log_csv(tmp_path / "reference.csv", table)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 TABLE_FIELDS = ("step", "returns", "apples", "gini", "update", "actor_loss", "critic_loss",
                 "entropy", "floor_hits")
 
@@ -1726,6 +1829,99 @@ class TestBatchTables:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * table_bytes, (peak, table_bytes)
+
+
+def count_unique_calls(monkeypatch) -> list:
+    """A list that grows by one on every ``np.unique`` call, each of which
+    builds an action group's row plan in training."""
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    return calls
+
+
+def record_updates(monkeypatch) -> list:
+    """A list that receives each update's buffer observations, in order."""
+    observations = []
+    core = learning._policy_gradient_update
+
+    def recording_update(policies, groups, critics, buffer, *args):
+        observations.append(buffer.observations.copy())
+        return core(policies, groups, critics, buffer, *args)
+
+    monkeypatch.setattr(learning, "_policy_gradient_update", recording_update)
+    return observations
+
+
+class TestRowPlans:
+    @pytest.mark.parametrize("case", ["pd", "two_groups"])
+    def test_a_single_state_batch_builds_each_groups_plan_once(self, monkeypatch, case):
+        if case == "pd":
+            factory, configs = BATCH_CASES["pd_a2c_three_alphas"]
+        else:  # one state, action counts (2, 3): two groups
+            game = random_markov_game(2, 1, (2, 3), 0.9, seed=8)
+            factory = lambda seed: MarkovGameEnv(game, 10, seed)  # noqa: E731
+            configs = [make_config(alpha=alpha, seed=seed) for alpha, seed in ((0.2, 1), (0.7, 2))]
+        updates = record_updates(monkeypatch)
+        calls = count_unique_calls(monkeypatch)
+        _train_runs(factory, configs)
+        assert len(updates) >= 10
+        assert len(calls) == (1 if case == "pd" else 2)
+
+    def test_a_multi_state_batch_rebuilds_a_plan_when_its_observations_change(
+        self, monkeypatch
+    ):
+        factory, configs = BATCH_CASES["two_action_groups"]  # action counts (2, 3)
+        updates = record_updates(monkeypatch)
+        calls = count_unique_calls(monkeypatch)
+        _train_runs(factory, configs)
+        groups = learning._action_groups([2, 3] * len(configs))
+        previous = [None] * len(groups)
+        rebuilt = 0
+        for observations in updates:
+            for k, agents in enumerate(groups):
+                group = observations[..., agents]
+                rebuilt += previous[k] is None or not np.array_equal(previous[k], group)
+                previous[k] = group
+        assert len(updates) >= 2 and rebuilt > len(groups)
+        assert len(calls) == rebuilt
+
+    def test_an_update_reuses_a_plan_only_for_the_observations_it_was_built_from(
+        self, monkeypatch
+    ):
+        game = random_markov_game(2, 4, (2, 2), 0.9, seed=3)
+        envs = [MarkovGameEnv(game, 10, seed) for seed in range(2)]
+        policies = SoftmaxPolicyProfile.uniform(4, (2, 2))
+        first, _, _ = collect_rollouts(envs, policies, np.random.default_rng(0))
+        second, _, _ = collect_rollouts(envs, policies, np.random.default_rng(1))
+        assert not np.array_equal(first.observations, second.observations)
+        config = make_config()
+        groups = learning._grouped(policies.logits)
+        profile = SoftmaxPolicyProfile(list(groups[0][1]))
+        critics = np.full((2, 4), 30.0)
+        plans = [None]
+        calls = count_unique_calls(monkeypatch)
+        seen = []
+        for buffer in (first, first, second, second):
+            _policy_gradient_update(
+                profile, groups, critics, with_version(buffer, profile.version), [config],
+                _fair_coefficients([config.alpha], 2), 0.0, 1, None, plans,
+            )
+            seen.append(len(calls))
+        assert seen == [1, 1, 2, 2]
+
+    def test_a2c_and_ppo_updates_build_fresh_plans(self, monkeypatch):
+        policies = SoftmaxPolicyProfile.uniform(1, (2, 2))
+        buffer, _, _ = collect_pd_buffer(policies)
+        calls = count_unique_calls(monkeypatch)
+        a2c_update(policies, np.full((2, 1), 30.0), buffer, make_config())
+        ppo_update(policies, np.full((2, 1), 30.0), with_version(buffer, 1), make_config())
+        assert len(calls) == 2
 
 
 class TestScoreFunctionSanity:
