@@ -5,9 +5,6 @@ with GAE and the initial-state-normalized fair advantage combination.
 
 import json
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -20,6 +17,7 @@ from .envs import _lockstep
 from .errors import DomainError, StaleBufferError, check_fields
 from .markov import SoftmaxPolicyProfile, _compared_columns, _draw, _softmax
 from .metrics import LOG_COLUMNS, gini
+from .parallel import ordered_map, usable_cpus
 
 
 class Algorithm(str, Enum):
@@ -946,10 +944,10 @@ def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
     Every table is cut into blocks of ``SNAPSHOT_BLOCK_ROWS`` rows, and the
     blocks are formatted and written in order, so the bytes equal
     ``json.dumps([logits.tolist() for logits in policies.logits])``. When
-    there are more blocks than CPUs, a process pool formats them across the
-    CPUs, and memory scales with the blocks in flight rather than a table. A
-    multiprocessing child (a ``--jobs`` sweep worker, whose siblings already
-    fill the CPUs) formats its blocks in-process.
+    there are more blocks than CPUs, ``parallel.ordered_map`` formats them
+    on a process pool across the CPUs (in-process on one CPU or in a
+    multiprocessing child), and memory scales with the blocks in flight
+    rather than a table.
     """
     from .formats import open_fresh  # formats imports this module
 
@@ -958,12 +956,8 @@ def save_policy_snapshot(path, policies: SoftmaxPolicyProfile) -> None:
         for logits in policies.logits
         for start in range(0, len(logits), SNAPSHOT_BLOCK_ROWS)
     ]
-    cpus = len(os.sched_getaffinity(0))
     with ExitStack() as stack:
-        if len(blocks) > cpus and multiprocessing.parent_process() is None:
-            rows = stack.enter_context(ProcessPoolExecutor(cpus)).map(_json_rows, blocks)
-        else:
-            rows = map(_json_rows, blocks)
+        rows = ordered_map(stack, _json_rows, blocks, min_items=usable_cpus() + 1)
         handle = stack.enter_context(open_fresh(path))
         handle.write("[")
         for agent, logits in enumerate(policies.logits):

@@ -4,12 +4,14 @@ gradients, the exact one from the discounted occupancy measure.
 """
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .parallel import ordered_map
 
 _MC_CHUNK = 10_000
 _SLAB_ROWS = 8192
@@ -332,6 +334,84 @@ def _draw(columns: Sequence[np.ndarray], u: np.ndarray) -> np.ndarray:
     return index
 
 
+def _check_seed(seed) -> int:
+    """A seed for ``np.random.PCG64``: a nonnegative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+@dataclass(frozen=True)
+class _RolloutTables:
+    """What every rollout chunk of one ``mc_fair_gradient`` call reads:
+    the seed, the horizon, the discount and the tables built once per call."""
+
+    seed: int
+    horizon: int
+    discount: float
+    action_counts: tuple[int, ...]
+    probs: list[np.ndarray]  # pi_i, (S, A_i) each
+    coeffs: np.ndarray  # (N, N)
+    policy_columns: list[list[np.ndarray]]  # (S,) each
+    transition_columns: list[np.ndarray]  # (S*A,) each
+    initial_columns: list[np.ndarray]  # (1,) each
+    q_values: np.ndarray  # (N, S*A)
+    state_values: np.ndarray  # (N, S)
+
+    @property
+    def uniforms_per_rollout(self) -> int:
+        """One initial-state uniform, then one per agent and one for the
+        transition at every step."""
+        return 1 + self.horizon * (len(self.action_counts) + 1)
+
+
+def _mc_chunk(
+    chunk: tuple[int, int], tables: _RolloutTables
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One chunk of m rollouts whose uniforms start ``offset`` draws into the
+    seed's PCG64 stream: per agent, the sum over the chunk's rollouts of the
+    rollout gradients and of their squares, each (S, A_i).
+
+    The chunk draws, in order, m initial-state uniforms, then per step m per
+    agent and m for the transitions: the calls a serial pass over every
+    chunk makes, so chunks run anywhere and in any order give its samples.
+    """
+    m, offset = chunk
+    rng = np.random.Generator(np.random.PCG64(tables.seed))
+    rng.bit_generator.advance(offset)
+    counts, policy_columns = tables.action_counts, tables.policy_columns
+    s_count = tables.state_values.shape[1]
+    taken = [np.zeros(m * s_count * c) for c in counts]  # K_i, flat (m, S, A_i)
+    row_offsets = np.arange(m) * s_count
+    states = _draw(tables.initial_columns, rng.random(m))
+    # 1 / V_j(s0) per rollout, fixed for the whole trajectory
+    inv_v0 = 1.0 / tables.state_values[:, states]  # (N, m)
+    gamma_t = 1.0
+    for _ in range(tables.horizon):
+        actions = [
+            _draw([c.take(states) for c in columns], rng.random(m))
+            for columns in policy_columns
+        ]
+        rows = row_offsets + states
+        state_action = states  # becomes s * prod(A) + joint action, row-major
+        for i, count in enumerate(counts):
+            state_action = state_action * count + actions[i]
+        kappa = gamma_t * (
+            tables.coeffs @ (tables.q_values.take(state_action, axis=1) * inv_v0)
+        )
+        for i, count in enumerate(counts):
+            # one entry per rollout, so each is added once
+            np.add.at(taken[i], rows * count + actions[i], kappa[i])
+        states = _draw([c.take(state_action) for c in tables.transition_columns], rng.random(m))
+        gamma_t *= tables.discount
+    sums = []
+    for i, count in enumerate(counts):
+        k_table = taken[i].reshape(m, s_count, count)
+        rollout_grads = k_table - k_table.sum(axis=2, keepdims=True) * tables.probs[i]
+        sums.append((rollout_grads.sum(axis=0), (rollout_grads**2).sum(axis=0)))
+    return sums
+
+
 def mc_fair_gradient(
     game: TabularMarkovGame,
     policies: SoftmaxPolicyProfile,
@@ -355,9 +435,16 @@ def mc_fair_gradient(
     baseline term is applied once per chunk. Each draw gathers, per visited
     row, only the columns it compares: the first K-1 cumulative columns of
     the policy, transition and initial tables, built once per call.
+
+    Rollouts run in chunks of ``_MC_CHUNK`` (``_mc_chunk``), each from its
+    own jumped slice of the seed's PCG64 stream, on a process pool across
+    the CPUs (``parallel.ordered_map``); their sums are added in chunk
+    order, so the estimate is that of one serial pass, bit for bit, for
+    any worker count.
     """
     if num_rollouts < 1:
         raise DomainError("num_rollouts must be at least 1")
+    seed = _check_seed(seed)
     if horizon is None:
         horizon = default_horizon(game.discount, game.max_reward, truncation_tol)
     if horizon < 1:
@@ -365,47 +452,32 @@ def mc_fair_gradient(
     bundle = solve_values(game, policies)
     n, s_count, counts = game.num_agents, game.num_states, game.action_counts
     probs = [policies.probs(i) for i in range(n)]
-    coeffs = np.stack([weights.coefficients(i, n) for i in range(n)])  # (N, N)
-    policy_columns = [_compared_columns(np.cumsum(p, axis=1)) for p in probs]  # (S,) each
-    transition_columns = _compared_columns(  # (S*A,) each
-        np.cumsum(game.transitions, axis=2).reshape(-1, s_count)
+    tables = _RolloutTables(
+        seed=seed,
+        horizon=horizon,
+        discount=game.discount,
+        action_counts=counts,
+        probs=probs,
+        coeffs=np.stack([weights.coefficients(i, n) for i in range(n)]),
+        policy_columns=[_compared_columns(np.cumsum(p, axis=1)) for p in probs],
+        transition_columns=_compared_columns(
+            np.cumsum(game.transitions, axis=2).reshape(-1, s_count)
+        ),
+        initial_columns=_compared_columns(np.cumsum(game.initial_dist)),
+        q_values=bundle.action_values.reshape(n, -1),
+        state_values=bundle.state_values,
     )
-    initial_columns = _compared_columns(np.cumsum(game.initial_dist))  # (1,) each
-    q_values = bundle.action_values.reshape(n, -1)  # (N, S*A)
-    rng = np.random.default_rng(seed)
+    chunks = [
+        (min(_MC_CHUNK, num_rollouts - done), done * tables.uniforms_per_rollout)
+        for done in range(0, num_rollouts, _MC_CHUNK)
+    ]
     total = [np.zeros((s_count, c)) for c in counts]
     total_sq = [np.zeros((s_count, c)) for c in counts]
-
-    remaining = num_rollouts
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        remaining -= m
-        taken = [np.zeros(m * s_count * c) for c in counts]  # K_i, flat (m, S, A_i)
-        row_offsets = np.arange(m) * s_count
-        states = _draw(initial_columns, rng.random(m))
-        # 1 / V_j(s0) per rollout, fixed for the whole trajectory
-        inv_v0 = 1.0 / bundle.state_values[:, states]  # (N, m)
-        gamma_t = 1.0
-        for _ in range(horizon):
-            actions = [
-                _draw([c.take(states) for c in policy_columns[i]], rng.random(m))
-                for i in range(n)
-            ]
-            rows = row_offsets + states
-            state_action = states  # becomes s * prod(A) + joint action, row-major
-            for i, count in enumerate(counts):
-                state_action = state_action * count + actions[i]
-            kappa = gamma_t * (coeffs @ (q_values.take(state_action, axis=1) * inv_v0))
-            for i, count in enumerate(counts):
-                # one entry per rollout, so each is added once
-                np.add.at(taken[i], rows * count + actions[i], kappa[i])
-            states = _draw([c.take(state_action) for c in transition_columns], rng.random(m))
-            gamma_t *= game.discount
-        for i, count in enumerate(counts):
-            k_table = taken[i].reshape(m, s_count, count)
-            rollout_grads = k_table - k_table.sum(axis=2, keepdims=True) * probs[i]
-            total[i] += rollout_grads.sum(axis=0)
-            total_sq[i] += (rollout_grads**2).sum(axis=0)
+    with ExitStack() as stack:
+        for sums in ordered_map(stack, _mc_chunk, chunks, min_items=2, context=(tables,)):
+            for i, (grad_sum, square_sum) in enumerate(sums):
+                total[i] += grad_sum
+                total_sq[i] += square_sum
 
     means, errors = [], []
     for i in range(n):
@@ -475,7 +547,7 @@ def baseline_zero_check(
     if num_samples < 2:
         raise DomainError("num_samples must be at least 2")
     s_count = game.num_states
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     f = np.array([float(baseline_fn(s)) for s in range(s_count)])
     results = []
     for i in range(game.num_agents):

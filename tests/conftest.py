@@ -23,17 +23,18 @@ def no_live_child_processes():
 
 @pytest.fixture
 def snapshot_pools(monkeypatch):
-    """Two CPUs for the snapshot writer whatever the machine has, and a
-    record of the pool sizes it makes."""
-    from fairgame import learning
+    """Two CPUs for the shared pool helper (``parallel.ordered_map``, which
+    the snapshot writer and the Monte Carlo estimator use) whatever the
+    machine has, and a record of the pool sizes it makes."""
+    from fairgame import parallel
 
     made = []
 
-    class RecordingPool(learning.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+    class RecordingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             made.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(learning.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(learning, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
     return made

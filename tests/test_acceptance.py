@@ -18,6 +18,7 @@ from fairgame.learning import (
     Algorithm,
     ObjectiveMode,
     TrainConfig,
+    _train_runs,
     train,
     write_log_csv,
 )
@@ -234,8 +235,8 @@ def test_criterion_10_gini_invariants():
         assert check.passed, check.name
 
 
-def _cleanup_gini(objective: ObjectiveMode, seed: int) -> float:
-    config = TrainConfig(
+def _cleanup_config(objective: ObjectiveMode, seed: int) -> TrainConfig:
+    return TrainConfig(
         algorithm=Algorithm.FAIR_MAPPO,
         alpha=1.0,
         learning_rate=2.0,
@@ -251,9 +252,6 @@ def _cleanup_gini(objective: ObjectiveMode, seed: int) -> float:
         normalize_advantages=True,
         policy_init_scale=1.0,
     )
-    env_config = MiniCleanupConfig()  # spec defaults: 8x8, 3 agents, 2 river rows
-    result = train(lambda s: MiniCleanupEnv(env_config, s), config)
-    return float(np.mean(result.table.gini))
 
 
 @pytest.mark.slow
@@ -271,11 +269,17 @@ def test_criterion_11_cleanup_pf_vs_uw_gini():
     moved the measured gap beyond ~0.03 in either direction.
     """
     start = time.perf_counter()
-    gaps = []
-    for seed in range(5):
-        pf = _cleanup_gini(ObjectiveMode.PROPORTIONAL_FAIR, seed)
-        uw = _cleanup_gini(ObjectiveMode.UTILITARIAN_WELFARE, seed)
-        gaps.append(uw - pf)
+    env_config = MiniCleanupConfig()  # spec defaults: 8x8, 3 agents, 2 river rows
+    objectives = (ObjectiveMode.PROPORTIONAL_FAIR, ObjectiveMode.UTILITARIAN_WELFARE)
+    configs = [_cleanup_config(objective, seed) for seed in range(5) for objective in objectives]
+    # the ten runs train as one batch, each giving what train gives it alone
+    results = _train_runs(lambda s: MiniCleanupEnv(env_config, s), configs)
+    ginis = []
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        ginis.append(float(np.mean(result.table.gini)))
+    gaps = [uw - pf for pf, uw in zip(ginis[::2], ginis[1::2])]
     elapsed = time.perf_counter() - start
     wins = sum(gap >= 0.15 for gap in gaps)
     passed = wins >= 4 and elapsed < 1200.0

@@ -2060,7 +2060,7 @@ class TestSnapshotFiles:
         self, tmp_path, snapshot_pools, monkeypatch, num_rows
     ):
         # a multiprocessing child (a --jobs sweep worker) makes no pool
-        monkeypatch.setattr(learning.multiprocessing, "parent_process", lambda: object())
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         self.assert_block_edges_written_exactly(tmp_path / "snap.json", num_rows)
         assert snapshot_pools == []
 

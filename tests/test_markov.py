@@ -1,11 +1,12 @@
 import bisect
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from fairgame import markov
+from fairgame import markov, parallel
 from fairgame.envs import matrix_markov_game, random_markov_game
 from fairgame.errors import DomainError
 from fairgame.games import DilemmaPayoffs
@@ -99,6 +100,15 @@ def _sample_rows(row_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(
         (cdf <= u[:, None]).sum(axis=1), row_probs.shape[1] - 1
     ).astype(np.int64)
+
+
+def _choice_rows(row_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``Generator.choice(K, p=row)`` for each row, given the uniform that
+    call draws: the row's cumulative sum divided by its last entry, and the
+    number of its entries <= u (``searchsorted(side="right")``)."""
+    cdf = np.cumsum(row_probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def reference_mc_fair_gradient(
@@ -415,23 +425,24 @@ class TestSolveValues:
             np.random.default_rng(6), max_agents=2, max_states=4, max_actions=2
         )
         bundle = solve_values(game, policies)
-        rng = np.random.default_rng(7)
         horizon = default_horizon(game.discount, game.max_reward, 1e-4)
         start = int(np.argmax(game.initial_dist))
         n = 4000
+        # one rollout's calls of rng.choice in order (each agent's action,
+        # then the transition, at every step), as one block of uniforms
+        uniforms = np.random.default_rng(7).random((n, horizon, game.num_agents + 1))
         totals = np.zeros((game.num_agents, n))
-        for k in range(n):
-            state = start
-            gamma_t = 1.0
-            for _ in range(horizon):
-                actions = tuple(
-                    int(rng.choice(len(p), p=p))
-                    for p in (policies.probs(i)[state] for i in range(game.num_agents))
-                )
-                joint = game.joint_action_index(actions)
-                totals[:, k] += gamma_t * game.rewards[:, state, joint]
-                state = int(rng.choice(game.num_states, p=game.transitions[state, joint]))
-                gamma_t *= game.discount
+        states = np.full(n, start)
+        gamma_t = 1.0
+        for t in range(horizon):
+            actions = tuple(
+                _choice_rows(policies.probs(i)[states], uniforms[:, t, i])
+                for i in range(game.num_agents)
+            )
+            joint = np.ravel_multi_index(actions, game.action_counts)
+            totals += gamma_t * game.rewards[:, states, joint]
+            states = _choice_rows(game.transitions[states, joint], uniforms[:, t, -1])
+            gamma_t *= game.discount
         mean = totals.mean(axis=1)
         se = totals.std(axis=1, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean - bundle.state_values[:, start]) <= 3 * se + 1e-3)
@@ -618,6 +629,13 @@ class TestMonteCarloGradient:
         policies = SoftmaxPolicyProfile.uniform(1, (1,))
         with pytest.raises(DomainError):
             mc_fair_gradient(game, policies, AltruismWeights(0.5), 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_bad_seed_rejected(self, seed):
+        game = single_state_game()
+        policies = SoftmaxPolicyProfile.uniform(1, (1,))
+        with pytest.raises(DomainError, match="seed"):
+            mc_fair_gradient(game, policies, AltruismWeights(0.5), 10, seed=seed)
 
     @pytest.mark.parametrize("horizon", [0, -5])
     def test_nonpositive_horizon_rejected(self, horizon):
@@ -829,6 +847,106 @@ class TestMonteCarloMatchesReference:
             assert np.array_equal(a.mc_se, b.mc_se)
 
 
+def _mixed_actions_game() -> tuple[TabularMarkovGame, SoftmaxPolicyProfile]:
+    game = random_markov_game(2, 3, (2, 4), 0.8, seed=44)
+    return game, SoftmaxPolicyProfile.random(3, (2, 4), np.random.default_rng(45))
+
+
+def _estimate_on(monkeypatch, mode, *args, **kwargs):
+    """``mc_fair_gradient(*args, **kwargs)`` with its chunks in-process (one
+    CPU), on one pool worker, or on two (two CPUs), and the pool sizes it
+    made."""
+    made = []
+
+    class Pool(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **pool_kwargs):
+            workers = 1 if mode == "one-worker" else max_workers
+            made.append(workers)
+            super().__init__(workers, **pool_kwargs)
+
+    cpus = {0} if mode == "in-process" else {0, 1}
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel.os, "sched_getaffinity", lambda pid: cpus)
+        patch.setattr(parallel, "ProcessPoolExecutor", Pool)
+        return mc_fair_gradient(*args, **kwargs), made
+
+
+def _estimate_bytes(estimate: FairGradient) -> list[bytes]:
+    return [a.tobytes() for a in estimate.per_agent + estimate.std_errors]
+
+
+class TestParallelChunks:
+    """Chunks run anywhere give the serial pass's estimate, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_game, num_rollouts",
+        [
+            (lambda: _criterion_six_game(5), 5_000),
+            (lambda: _criterion_six_game(3), 12_345),
+            (_three_agent_game, 20_001),
+            (_mixed_actions_game, 15_000),
+            (_gamma_zero_game, 25_000),
+            (lambda: _criterion_six_game(4), 1),
+        ],
+        ids=["one-chunk", "partial-chunk", "three-agents", "mixed-action-counts",
+             "gamma-zero", "one-rollout"],
+    )
+    def test_bit_identical_in_process_and_on_pools(self, monkeypatch, make_game, num_rollouts):
+        game, policies = make_game()
+        args = (game, policies, AltruismWeights(0.5), num_rollouts)
+        chunks = -(-num_rollouts // _MC_CHUNK)
+        results = {}
+        for mode, workers in (("in-process", []), ("one-worker", [1]), ("two-workers", [2])):
+            estimate, made = _estimate_on(monkeypatch, mode, *args, seed=9, truncation_tol=1e-5)
+            assert made == (workers if mode != "in-process" and chunks >= 2 else [])
+            results[mode] = _estimate_bytes(estimate)
+            assert multiprocessing.active_children() == []
+        assert results["one-worker"] == results["in-process"]
+        assert results["two-workers"] == results["in-process"]
+        old = reference_mc_fair_gradient(*args, seed=9, truncation_tol=1e-5)
+        assert _max_normalised_gap(estimate.per_agent, old.per_agent) <= 1e-12
+        assert _max_normalised_gap(estimate.std_errors, old.std_errors) <= 1e-12
+
+    def test_jumped_chunks_draw_the_serial_stream(self, monkeypatch):
+        """Each chunk's generator, advanced to its offset, yields the
+        uniforms that the serial stream holds there: one initial-state
+        uniform per rollout, then N + 1 per step."""
+        game, policies = _three_agent_game()
+        seen, original = [], markov._mc_chunk
+
+        def recording_chunk(chunk, tables):
+            seen.append((chunk, tables.seed, tables.uniforms_per_rollout))
+            return original(chunk, tables)
+
+        monkeypatch.setattr(markov, "_mc_chunk", recording_chunk)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+        horizon, num_rollouts = 3, 2 * _MC_CHUNK + 7
+        mc_fair_gradient(game, policies, AltruismWeights(0.5), num_rollouts, horizon, seed=21)
+        per_rollout = 1 + horizon * (game.num_agents + 1)
+        assert [chunk for chunk, *_ in seen] == [
+            (_MC_CHUNK, 0),
+            (_MC_CHUNK, _MC_CHUNK * per_rollout),
+            (7, 2 * _MC_CHUNK * per_rollout),
+        ]
+        serial = np.random.default_rng(21).random(num_rollouts * per_rollout)
+        for (m, offset), seed, uniforms_per_rollout in seen:
+            assert (seed, uniforms_per_rollout) == (21, per_rollout)
+            jumped = np.random.Generator(np.random.PCG64(seed))
+            jumped.bit_generator.advance(offset)
+            drawn = jumped.random(m * per_rollout)
+            assert drawn.tobytes() == serial[offset:offset + m * per_rollout].tobytes()
+
+    def test_multiprocessing_child_runs_chunks_in_process(self, monkeypatch):
+        game, policies = _criterion_six_game(3)
+        args = (game, policies, AltruismWeights(1.0), 12_345)
+        expected, _ = _estimate_on(monkeypatch, "in-process", *args, seed=9)
+        # a --jobs sweep worker or a pool worker: its siblings fill the CPUs
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        estimate, made = _estimate_on(monkeypatch, "two-workers", *args, seed=9)
+        assert made == []
+        assert _estimate_bytes(estimate) == _estimate_bytes(expected)
+
+
 class TestBaselineZero:
     def test_analytic_exactly_zero_and_mc_consistent(self):
         rng = np.random.default_rng(15)
@@ -845,6 +963,13 @@ class TestBaselineZero:
         for result in results:
             assert not result.mc_mean.any()
             assert not result.mc_se.any()
+
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_bad_seed_rejected(self, seed):
+        game, policies = random_game_and_policies(np.random.default_rng(16), max_states=3)
+        with pytest.raises(DomainError, match="seed"):
+            baseline_zero_check(game, policies, lambda s: 1.0, 100, seed=seed)
 
 
 class TestGradientOperatorContraction:
