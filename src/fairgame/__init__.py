@@ -57,7 +57,6 @@ from .learning import (
     TrainResult,
     a2c_update,
     combine_fair_advantages,
-    combine_utilitarian_advantages,
     compute_gae,
     ppo_update,
     save_policy_snapshot,

@@ -426,6 +426,27 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _numeric_profile() -> dict:
+    """What a run's float bits depend on besides the code and config:
+    numpy's version, its SIMD baseline and the SIMD targets it found on
+    this CPU, the BLAS it links, and a short sha256 of ``np.exp`` and
+    ``np.log`` over a fixed probe vector (their rounding follows the
+    dispatch target). Two hosts whose digests differ can be told apart by
+    it."""
+    config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    probe = np.linspace(1e-3, 30.0, 4096)
+    probe_hash = hashlib.sha256(np.exp(probe).tobytes() + np.log(probe).tobytes())
+    return {
+        "numpy": np.__version__,
+        "simd_baseline": list(simd.get("baseline", [])),
+        "simd_found": list(simd.get("found", [])),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "exp_log_sha256": probe_hash.hexdigest()[:16],
+    }
+
+
 def write_manifest(
     run_dir,
     config_snapshot: dict,
@@ -434,8 +455,9 @@ def write_manifest(
     finished_at: str,
     notes: dict | None = None,
 ) -> Path:
-    """Record the run's config, seed, timestamps, and a hash inventory of
-    every other file under the run directory."""
+    """Record the run's config, seed, timestamps, numeric profile
+    (``_numeric_profile``) and a hash inventory of every other file under
+    the run directory."""
     from . import __version__
 
     run_dir = Path(run_dir)
@@ -446,6 +468,7 @@ def write_manifest(
     manifest = {
         "config": config_snapshot,
         "library_version": __version__,
+        "numeric_profile": _numeric_profile(),
         "seed": seed,
         "started_at": started_at,
         "finished_at": finished_at,

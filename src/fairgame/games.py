@@ -149,10 +149,23 @@ def altruistic_extension(game: NormalFormGame, alpha: float) -> NormalFormGame:
         raise DomainError(f"alpha={alpha} outside [0, 1]")
     if not game.all_positive:
         raise DomainError("altruistic extension requires strictly positive payoffs")
-    logs = np.log(game.payoffs)
-    social = logs.sum(axis=-1, keepdims=True)
-    transformed = (1.0 - alpha) * logs + alpha * social
+    transformed = _altruistic(np.log(game.payoffs), alpha)
     return NormalFormGame(game.num_players, game.strategy_counts, transformed)
+
+
+def _altruistic(values: np.ndarray, alpha, axis: int = -1) -> np.ndarray:
+    """The altruistic transform along ``axis``: entry i becomes
+    (1 - alpha) x_i + alpha sum_j x_j, that is sum_j c_i(j) x_j with
+    c_i(i) = 1 and c_i(j) = alpha, computed in place in ``values`` (a fresh
+    float array the caller owns), which is returned. ``alpha`` is a scalar
+    or an array that broadcasts against the sum (one alpha per run of a
+    stack). Only elementwise float operations and one sum: no matrix
+    product, so the bits do not depend on the BLAS kernel."""
+    total = values.sum(axis=axis, keepdims=True)
+    total *= alpha
+    values *= 1 - alpha
+    values += total
+    return values
 
 
 def find_pure_nash(game: NormalFormGame) -> set[tuple[int, ...]]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .envs import _lockstep
 from .errors import DomainError, StaleBufferError, check_fields
+from .games import _altruistic
 from .markov import SoftmaxPolicyProfile, _compared_columns, _draw, _softmax
 from .metrics import LOG_COLUMNS, gini
 from .parallel import ordered_map, usable_cpus
@@ -291,63 +292,52 @@ def compute_gae(
 
 def combine_fair_advantages(
     advantages: np.ndarray, critic: np.ndarray, buffer: RolloutBuffer,
-    coefficients: np.ndarray, v_floor: float,
+    alphas: Sequence[float], v_floor: float, utilitarian: bool | Sequence[bool] = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fair advantages A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0),
     v_floor) of R runs side by side: the (E, T, R*N) advantages, the
     (R*N, S) critic and the buffer hold run r's agent i in lane (or row)
-    r*N + i, ``coefficients[r, i, j]`` is run r's c_i(j)
-    (``_fair_coefficients``), and V_j(s0) is the critic's entry for agent
-    j's initial observation of each episode.
+    r*N + i, run r's c_i(j) is 1 for j == i and ``alphas[r]`` otherwise,
+    and V_j(s0) is the critic's entry for agent j's initial observation of
+    each episode. A utilitarian run (``utilitarian``: one bool per run, or
+    one for all) ascends sum_j A_{j,t} instead: the alpha = 1 combination
+    of its advantages unscaled (denominator 1, no floor hits), whatever its
+    alpha.
 
     Returns the (R, E, T, N) combined advantages, block r being run r's, and
     the (R,) counts of floored (episode, agent) denominators. One division
-    serves all runs, and one matmul applies each run's matrix to its block
-    as the (T, N) @ (N, N) product per episode that a lone run makes."""
+    serves all runs, and the transform (``games._altruistic``) takes each
+    run's alpha elementwise, so every run's block is that of a lone run."""
     num_envs, length, width = advantages.shape
-    runs, num_agents = coefficients.shape[:2]
+    runs = len(alphas)
+    num_agents = width // runs
+    utilitarian = np.reshape(utilitarian, (-1, 1))
     v0 = critic[np.arange(width), buffer.observations[:, 0]]
-    floor_hits = (v0 < v_floor).reshape(num_envs, runs, num_agents).sum(axis=(0, 2))
-    v0 = np.maximum(v0, v_floor).reshape(num_envs, runs, 1, num_agents).transpose(1, 0, 2, 3)
-    by_run = advantages.reshape(num_envs, length, runs, num_agents).transpose(2, 0, 1, 3)
-    scaled = np.divide(by_run, v0, out=np.empty((runs, num_envs, length, num_agents)))
-    return scaled @ coefficients.transpose(0, 2, 1)[:, None], floor_hits
-
-
-def _fair_coefficients(alphas: Sequence[float], num_agents: int) -> np.ndarray:
-    """The (R, N, N) coefficient matrices of R runs, c_i(j) = 1 for j == i
-    and the run's alpha otherwise (``markov.AltruismWeights``)."""
-    alphas = np.asarray(alphas, dtype=float)[:, None, None]
-    return np.where(np.eye(num_agents, dtype=bool), 1.0, alphas)
-
-
-def combine_utilitarian_advantages(advantages: np.ndarray) -> np.ndarray:
-    """Unnormalized utilitarian combination: every agent ascends sum_j A_{j,t}."""
-    total = advantages.sum(axis=-1, keepdims=True)
-    return np.repeat(total, advantages.shape[-1], axis=-1)
+    v0 = v0.reshape(num_envs, runs, num_agents)
+    floor_hits = ((v0 < v_floor) & ~utilitarian).sum(axis=(0, 2))
+    v0 = np.where(utilitarian, 1.0, np.maximum(v0, v_floor))
+    alphas = np.where(utilitarian, 1.0, np.reshape(alphas, (-1, 1)))
+    scaled = advantages.reshape(num_envs, length, runs, num_agents) / v0[:, None]
+    combined = _altruistic(scaled, alphas).transpose(2, 0, 1, 3)
+    return np.ascontiguousarray(combined), floor_hits
 
 
 def _combined_advantages(
     advantages: np.ndarray, critic: np.ndarray, buffer: RolloutBuffer,
-    configs: Sequence[TrainConfig], coefficients: np.ndarray,
+    configs: Sequence[TrainConfig],
 ) -> tuple[np.ndarray, list[int]]:
     """The configured combination of R runs' (E, T, R*N) advantages as
     (R, E*T, N), block r being run r's in the order of ``buffer.flat()``,
-    and each run's floor hits. The fair combination runs once for all runs
-    (``coefficients`` holds their matrices), then each utilitarian run's
-    block is replaced by its sum. Normalization reduces axis 1 of the
+    and each run's floor hits: one ``combine_fair_advantages`` call for all
+    runs, utilitarian or not. Normalization reduces axis 1 of the
     (R, E*T, N) block, which adds each run's columns in the order a lone
     run's (E*T, N) block adds them."""
-    num_envs, length, width = advantages.shape
+    num_envs, length, _ = advantages.shape
     runs = len(configs)
     combined, floor_hits = combine_fair_advantages(
-        advantages, critic, buffer, coefficients, configs[0].v_floor
+        advantages, critic, buffer, [c.alpha for c in configs], configs[0].v_floor,
+        [c.objective is ObjectiveMode.UTILITARIAN_WELFARE for c in configs],
     )
-    by_run = advantages.reshape(num_envs, length, runs, width // runs)
-    for r, config in enumerate(configs):
-        if config.objective is ObjectiveMode.UTILITARIAN_WELFARE:
-            combined[r] = combine_utilitarian_advantages(by_run[:, :, r])
-            floor_hits[r] = 0
     combined = combined.reshape(runs, num_envs * length, -1)
     if configs[0].normalize_advantages:
         centered = combined - combined.mean(axis=1, keepdims=True)
@@ -488,20 +478,19 @@ class _AgentStack:
 
 def _policy_gradient_update(
     policies: SoftmaxPolicyProfile, groups: list, critics: np.ndarray, buffer: RolloutBuffer,
-    configs: Sequence[TrainConfig], coefficients: np.ndarray, progress: float, epochs: int,
-    clip: float | None, plans: list | None = None,
+    configs: Sequence[TrainConfig], progress: float, epochs: int, clip: float | None,
+    plans: list | None = None,
 ) -> list[dict]:
     """The fair policy-gradient core shared by A2C and PPO, for R runs side
     by side: run r's agent i is agent r*N + i of the (n, S, A) action-group
     arrays ``groups`` (``_grouped``), which the update reads and writes, of
     the (R*N, S) critic and of the buffer's lanes. ``configs`` holds each
-    run's config and ``coefficients`` its fair coefficient matrix
-    (``_fair_coefficients``); the runs may differ only in alpha and
-    objective. Each epoch steps ``policies.version``. ``plans`` holds one
-    ``_RowPlan`` slot per group, which the update brings up to date
-    (``_row_plans``), so a caller that passes the same list to every update
-    builds a group's plan only when its observations change; by default the
-    update builds fresh ones.
+    run's config; the runs may differ only in alpha and objective. Each
+    epoch steps ``policies.version``. ``plans`` holds one ``_RowPlan`` slot
+    per group, which the update brings up to date (``_row_plans``), so a
+    caller that passes the same list to every update builds a group's plan
+    only when its observations change; by default the update builds fresh
+    ones.
 
     Each of ``epochs`` passes ascends, per actor, the score-function step on
     the fixed fair advantages A^F (plus entropy regularization), then takes
@@ -539,7 +528,7 @@ def _policy_gradient_update(
     critic_lr = config.critic_lr_at(progress)
     obs, actions = buffer.flat()
     advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
-    combined, floor_hits = _combined_advantages(advantages, critics, buffer, configs, coefficients)
+    combined, floor_hits = _combined_advantages(advantages, critics, buffer, configs)
     width = obs.shape[1]
     num_agents = width // len(configs)
     fair = combined.transpose(0, 2, 1).reshape(width, -1)
@@ -651,10 +640,9 @@ def _update_profile(
     """The core on one run's profile, stacked into its action groups and
     copied back after the update, also when it raises."""
     groups = _grouped(policies.logits)
-    coefficients = _fair_coefficients([config.alpha], policies.num_agents)
     try:
         (diagnostics,) = _policy_gradient_update(
-            policies, groups, critics, buffer, [config], coefficients, progress, epochs, clip
+            policies, groups, critics, buffer, [config], progress, epochs, clip
         )
     finally:
         for agents, tables in groups:
@@ -816,8 +804,7 @@ def _train_batch(
     agents of all runs are updated as one batch
     (``_policy_gradient_update``), whose error is raised as ``update U,
     ...``. The (R*N, S) critic holds run r's critic in rows r*N to
-    r*N + N - 1, the runs' fair coefficient matrices are built once, and
-    one stacked ``gini`` call serves every run's episodes.
+    r*N + N - 1, and one stacked ``gini`` call serves every run's episodes.
     """
     first = configs[0]
     runs = [_Run(env_factory, config) for config in configs]
@@ -843,7 +830,6 @@ def _train_batch(
             table *= first.policy_init_scale
     profile = SoftmaxPolicyProfile(logits)
     critic = np.full((len(runs) * num_agents, env.num_states), float(first.critic_init))
-    coefficients = _fair_coefficients([config.alpha for config in configs], num_agents)
     if first.algorithm is Algorithm.FAIR_MAA2C:
         epochs, clip = 1, None
     else:
@@ -861,7 +847,7 @@ def _train_batch(
         steps_done += buffer.num_steps
         try:
             diagnostics = _policy_gradient_update(
-                profile, groups, critic, buffer, configs, coefficients,
+                profile, groups, critic, buffer, configs,
                 steps_done / first.total_steps, epochs, clip, plans,
             )
         except DomainError as exc:

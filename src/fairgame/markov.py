@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .games import _altruistic
 from .parallel import ordered_map
 
 _MC_CHUNK = 10_000
@@ -147,18 +148,14 @@ class ValueBundle:
 
 @dataclass(frozen=True)
 class AltruismWeights:
-    """Altruism level alpha with coefficients 1 toward self, alpha toward others."""
+    """Altruism level alpha: coefficient c_i(j) = 1 toward self (j = i) and
+    alpha toward others, applied as ``games._altruistic``."""
 
     alpha: float
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha={self.alpha} outside [0, 1]")
-
-    def coefficients(self, agent: int, num_agents: int) -> np.ndarray:
-        c = np.full(num_agents, self.alpha)
-        c[agent] = 1.0
-        return c
 
 
 @dataclass
@@ -245,19 +242,15 @@ def fair_objective(
     policies: SoftmaxPolicyProfile,
     weights: AltruismWeights,
 ) -> np.ndarray:
-    """Per-agent objective J_i = E_{s0~rho0}[ sum_j c_i(j) log V_j(s0) ],
+    """Per-agent objective J_i = E_{s0~rho0}[ sum_j c_i(j) log V_j(s0) ]
+    = (1 - alpha) L_i + alpha sum_j L_j with L_j = E_{s0}[log V_j(s0)],
     shape (N,), or (..., N) for a profile whose tables carry stack axes:
     one evaluation for the whole stack, each entry bit for bit that of the
     profile's own single call."""
-    n = game.num_agents
     _, values = _evaluate(game, policies.joint_probs())
     if np.any(values <= 0.0):
         raise AssertionError("positive rewards must yield positive values")
-    log_v0 = np.log(values) @ game.initial_dist  # (..., N)
-    coeffs = np.stack([weights.coefficients(i, n) for i in range(n)])  # (N, N)
-    # one (1, N) @ (N, 1) product per agent and profile: the 1-D dot
-    # c_i @ log_v0, where a stacked matrix product would round differently
-    return (coeffs[:, None, :] @ log_v0[..., None, :, None])[..., 0, 0]
+    return _altruistic(np.log(values) @ game.initial_dist, weights.alpha)
 
 
 def exact_fair_gradient(
@@ -278,7 +271,8 @@ def exact_fair_gradient(
     (I - gamma P_pi)^T d_j = rho0 / V_j (the occupancy form of the policy
     gradient theorem). One policy evaluation and one adjoint solve with N
     right-hand sides serve every agent, in O(S*A) memory:
-    grad_i J = sum_j c_i(j) d_j(s) G_{i,j}(s, a_i).
+    grad_i J = sum_j c_i(j) d_j(s) G_{i,j}(s, a_i), the altruistic transform
+    (``games._altruistic``) of the terms d_j G_{i,j} over j.
 
     With objective_agent=k the gradient of J_k with respect to every agent's
     parameters is returned instead of each agent's own objective.
@@ -293,11 +287,11 @@ def exact_fair_gradient(
     grads: list[np.ndarray] = []
     for i in range(n):
         index = i if objective_agent is None else objective_agent
-        coeffs = weights.coefficients(index, n)
         axes = tuple(k + 2 for k in range(n) if k != i)
         marginals = weighted.sum(axis=axes)  # (N, S, A_i)
         score = marginals - policies.probs(i) * state_values[:, :, None]
-        grads.append(np.einsum("j,js,jsa->sa", coeffs, occupancy, score))
+        terms = occupancy[:, :, None] * score  # d_j G_{i,j}, (N, S, A_i)
+        grads.append(_altruistic(terms, weights.alpha, axis=0)[index])
     return FairGradient(grads)
 
 
@@ -351,7 +345,7 @@ class _RolloutTables:
     discount: float
     action_counts: tuple[int, ...]
     probs: list[np.ndarray]  # pi_i, (S, A_i) each
-    coeffs: np.ndarray  # (N, N)
+    alpha: float
     policy_columns: list[list[np.ndarray]]  # (S,) each
     transition_columns: list[np.ndarray]  # (S*A,) each
     initial_columns: list[np.ndarray]  # (1,) each
@@ -396,9 +390,10 @@ def _mc_chunk(
         state_action = states  # becomes s * prod(A) + joint action, row-major
         for i, count in enumerate(counts):
             state_action = state_action * count + actions[i]
-        kappa = gamma_t * (
-            tables.coeffs @ (tables.q_values.take(state_action, axis=1) * inv_v0)
-        )
+        kappa = tables.q_values.take(state_action, axis=1)  # (N, m)
+        kappa *= inv_v0
+        _altruistic(kappa, tables.alpha, axis=0)
+        kappa *= gamma_t
         for i, count in enumerate(counts):
             # one entry per rollout, so each is added once
             np.add.at(taken[i], rows * count + actions[i], kappa[i])
@@ -458,7 +453,7 @@ def mc_fair_gradient(
         discount=game.discount,
         action_counts=counts,
         probs=probs,
-        coeffs=np.stack([weights.coefficients(i, n) for i in range(n)]),
+        alpha=weights.alpha,
         policy_columns=[_compared_columns(np.cumsum(p, axis=1)) for p in probs],
         transition_columns=_compared_columns(
             np.cumsum(game.transitions, axis=2).reshape(-1, s_count)

@@ -12,6 +12,7 @@ from fairgame.envs import MiniCleanupConfig, random_markov_game
 from fairgame.errors import DomainError, SchemaError
 from fairgame.formats import (
     HASH_BLOCK_BYTES,
+    _numeric_profile,
     build_env_factory,
     file_sha256,
     load_experiment_config,
@@ -530,6 +531,20 @@ class TestManifest:
         problems = verify_manifest(run_dir)
         assert problems and "log.csv" in problems[0]
 
+    def test_numeric_profile_is_recorded_and_stable(self, tmp_path):
+        profiles = []
+        for name in ("a", "b"):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            write_manifest(run_dir, {}, seed=0, started_at="t0", finished_at="t1")
+            profiles.append(json.loads((run_dir / "manifest.json").read_text())["numeric_profile"])
+        assert profiles[0] == profiles[1] == _numeric_profile() == _numeric_profile()
+        assert set(profiles[0]) == {
+            "numpy", "simd_baseline", "simd_found", "blas", "exp_log_sha256"
+        }
+        assert profiles[0]["numpy"] == np.__version__
+        assert len(profiles[0]["exp_log_sha256"]) == 16
+
     @pytest.mark.parametrize("size", [0, 3, 3 * HASH_BLOCK_BYTES + 12345])
     def test_hash_matches_contents(self, tmp_path, size):
         data = np.random.default_rng(size).bytes(size)
@@ -892,10 +907,10 @@ class TestCliTrainEvalPlot:
         _, clean_runs, clean = outputs("clean")
         combine = learning.combine_fair_advantages
 
-        def poisoning(advantages, critic, buffer, coefficients, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+        def poisoning(advantages, critic, buffer, alphas, *rest):
+            combined, floor_hits = combine(advantages, critic, buffer, alphas, *rest)
             if buffer.policy_version >= 2:
-                combined[coefficients[:, 0, 1] == 0.5] *= np.nan
+                combined[np.asarray(alphas) == 0.5] *= np.nan
             return combined, floor_hits
 
         monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)

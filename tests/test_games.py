@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairgame import games
 from fairgame.errors import ConsistencyError, DomainError
 from fairgame.games import (
     DilemmaKind,
@@ -82,6 +83,82 @@ class TestAltruisticExtension:
         game = NormalFormGame(1, (2,), np.array([[0.0], [1.0]]))
         with pytest.raises(DomainError):
             altruistic_extension(game, 0.5)
+
+
+def check_altruistic_transform():
+    """Assert the contract of ``games._altruistic``, looked up at call time
+    (so a patched one is checked), and of ``altruistic_extension`` on it:
+    - on random stacks, any axis, one alpha or one per slice, entry i is
+      sum_j c_i(j) x_j, c_i(j) = 1 if i == j else alpha, written out here,
+      within a few ulp of sum_j c_i(j) |x_j|;
+    - with no zero entry, it is x exactly at alpha = 0 and the sum of x
+      exactly at alpha = 1;
+    - ``altruistic_extension`` gives the bits of
+      (1 - alpha) * logs + alpha * logs.sum(-1, keepdims=True)."""
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        shape = tuple(int(k) for k in rng.integers(1, 6, size=rng.integers(1, 4)))
+        axis = int(rng.integers(len(shape)))
+        n = shape[axis]
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        summed = np.moveaxis(x, axis, -1)[..., None, :]  # (..., 1, j)
+        per_slice = rng.random() < 0.5
+        alpha = rng.random(shape[:axis] + (1,) + shape[axis + 1:]) if per_slice else rng.random()
+        weights = np.moveaxis(np.broadcast_to(alpha, x.shape), axis, -1)[..., :1, None]
+        coeffs = np.where(np.eye(n, dtype=bool), 1.0, weights)  # (..., i, j)
+        expected = np.moveaxis((coeffs * summed).sum(axis=-1), -1, axis)
+        bound = np.moveaxis((coeffs * np.abs(summed)).sum(axis=-1), -1, axis)
+        got = games._altruistic(x.copy(), alpha, axis=axis)
+        assert np.all(np.abs(got - expected) <= 4 * (n + 2) * eps * bound)
+        assert np.array_equal(games._altruistic(x.copy(), 0.0, axis=axis), x)
+        total = np.broadcast_to(x.sum(axis=axis, keepdims=True), x.shape)
+        assert np.array_equal(games._altruistic(x.copy(), 1.0, axis=axis), total)
+    for _ in range(50):
+        players = int(rng.integers(1, 4))
+        counts = tuple(int(k) for k in rng.integers(1, 4, size=players))
+        game = NormalFormGame(players, counts, rng.uniform(0.1, 10.0, counts + (players,)))
+        alpha = float(rng.random())
+        logs = np.log(game.payoffs)
+        expected = (1.0 - alpha) * logs + alpha * logs.sum(-1, keepdims=True)
+        assert altruistic_extension(game, alpha).payoffs.tobytes() == expected.tobytes()
+
+
+def _swapped_weights(values, alpha, axis=-1):
+    total = values.sum(axis=axis, keepdims=True)
+    total *= 1 - alpha
+    values *= alpha
+    values += total
+    return values
+
+
+def _self_term_dropped(values, alpha, axis=-1):
+    total = values.sum(axis=axis, keepdims=True)
+    total *= alpha
+    values[...] = total
+    return values
+
+
+def _summed_after_scaling(values, alpha, axis=-1):
+    values *= 1 - alpha
+    total = values.sum(axis=axis, keepdims=True)
+    total *= alpha
+    values += total
+    return values
+
+
+class TestAltruisticTransform:
+    def test_helper_contract(self):
+        check_altruistic_transform()
+
+    @pytest.mark.parametrize(
+        "mutant", [_swapped_weights, _self_term_dropped, _summed_after_scaling]
+    )
+    def test_each_mutant_fails_the_contract(self, mutant, monkeypatch):
+        monkeypatch.setattr(games, "_altruistic", mutant)
+        with pytest.raises(AssertionError):
+            check_altruistic_transform()
+
 
 class TestPureNash:
     def test_pd_defection_only(self):

@@ -32,14 +32,12 @@ from fairgame.learning import (
     TrainConfig,
     _combined_advantages,
     _critic_regression_step,
-    _fair_coefficients,
     _non_finite,
     _policy_gradient_update,
     _train_runs,
     a2c_update,
     collect_rollouts,
     combine_fair_advantages,
-    combine_utilitarian_advantages,
     compute_gae,
     ppo_update,
     save_policy_snapshot,
@@ -82,10 +80,7 @@ def with_version(buffer: RolloutBuffer, version: int) -> RolloutBuffer:
 
 def one_run_combination(advantages, critics, buffer, config):
     """One run's configured (E*T, N) combination and its floor hits."""
-    coefficients = _fair_coefficients([config.alpha], len(critics))
-    (combined,), (floor_hits,) = _combined_advantages(
-        advantages, critics, buffer, [config], coefficients
-    )
+    (combined,), (floor_hits,) = _combined_advantages(advantages, critics, buffer, [config])
     return combined, floor_hits
 
 
@@ -231,7 +226,7 @@ class TestCombineAdvantages:
         critic = np.array([[10.0, 0.0], [8.0, 0.0]])
         advantages = np.array([[[2.0, -4.0]]])
         (combined,), floor_hits = combine_fair_advantages(
-            advantages, critic, buffer, _fair_coefficients([0.5], 2), v_floor=1e-3
+            advantages, critic, buffer, [0.5], v_floor=1e-3
         )
         assert combined[0, 0, 0] == pytest.approx(2.0 / 10.0 + 0.5 * (-4.0 / 8.0))
         assert combined[0, 0, 1] == pytest.approx(-4.0 / 8.0 + 0.5 * (2.0 / 10.0))
@@ -242,14 +237,14 @@ class TestCombineAdvantages:
         critic = np.array([[4.0, 0.0], [5.0, 0.0]])
         advantages = np.array([[[2.0, -4.0]]])
         (combined,), _ = combine_fair_advantages(
-            advantages, critic, buffer, _fair_coefficients([0.0], 2), 1e-3
+            advantages, critic, buffer, [0.0], 1e-3
         )
         assert combined[0, 0] == pytest.approx([2.0 / 4.0, -4.0 / 5.0])
 
     def test_zero_advantages(self):
         buffer, critic = single_transition_buffer(1.0, 3.0, 3.0, num_agents=2)
         combined, _ = combine_fair_advantages(
-            np.zeros((1, 1, 2)), critic, buffer, _fair_coefficients([0.7], 2), 1e-3
+            np.zeros((1, 1, 2)), critic, buffer, [0.7], 1e-3
         )
         assert not combined.any()
 
@@ -257,7 +252,7 @@ class TestCombineAdvantages:
         buffer, _ = single_transition_buffer(1.0, 0.0, 0.0, num_agents=2)
         critic = np.array([[0.0, 0.0], [5.0, 0.0]])
         _, floor_hits = combine_fair_advantages(
-            np.ones((1, 1, 2)), critic, buffer, _fair_coefficients([1.0], 2), v_floor=1e-3
+            np.ones((1, 1, 2)), critic, buffer, [1.0], v_floor=1e-3
         )
         assert floor_hits.tolist() == [1]
 
@@ -266,15 +261,18 @@ class TestCombineAdvantages:
         critic = np.array([[2.0, 0.0]] * 3)
         advantages = np.array([[[1.0, -2.0, 0.5]]])
         combined, _ = combine_fair_advantages(
-            advantages, critic, buffer, _fair_coefficients([1.0], 3), 1e-3
+            advantages, critic, buffer, [1.0], 1e-3
         )
         assert np.allclose(combined[..., 0], combined[..., 1])
         assert np.allclose(combined[..., 0], combined[..., 2])
 
     def test_stacked_runs_equal_each_run_alone(self):
-        # R runs combined at once: each run's block is the one-run formula
-        # (advantages / v0) @ C.T on its lanes, bit for bit, with its floor hits
+        # R runs combined at once: each run's block is, bit for bit, what its
+        # own lanes give alone, with its floor hits, and it agrees within a
+        # few ulp with sum_j c_i(j) A_j / max(V_j(s0), floor) written out,
+        # c_i(j) = 1 if i == j else alpha
         rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
         for _ in range(60):
             E, T, N, R, S = (int(rng.integers(1, k)) for k in (4, 30, 5, 5, 4))
             obs = rng.integers(0, S, size=(E, T, R * N))
@@ -283,22 +281,59 @@ class TestCombineAdvantages:
             advantages = rng.normal(scale=10.0, size=(E, T, R * N))
             alphas = rng.uniform(0.0, 1.0, R)
             combined, floor_hits = combine_fair_advantages(
-                advantages, critic, buffer, _fair_coefficients(alphas, N), 0.5
+                advantages, critic, buffer, alphas, 0.5
             )
             assert combined.shape == (R, E, T, N)
             for r in range(R):
                 lane = slice(r * N, (r + 1) * N)
-                coeffs = np.full((N, N), alphas[r])
-                np.fill_diagonal(coeffs, 1.0)
+                own = np.ascontiguousarray(obs[..., lane])
+                (alone,), (hits,) = combine_fair_advantages(
+                    np.ascontiguousarray(advantages[..., lane]), critic[lane],
+                    RolloutBuffer(own, own, np.ones(own.shape), own, 0), [alphas[r]], 0.5,
+                )
+                assert combined[r].tobytes() == alone.tobytes()
                 v0 = critic[lane][np.arange(N), obs[:, 0, lane]]
-                expected = (advantages[..., lane] / np.maximum(v0, 0.5)[:, None, :]) @ coeffs.T
-                assert combined[r].tobytes() == expected.tobytes()
-                assert floor_hits[r] == (v0 < 0.5).sum()
+                assert floor_hits[r] == hits == (v0 < 0.5).sum()
+                coeffs = np.array(
+                    [[1.0 if i == j else alphas[r] for j in range(N)] for i in range(N)]
+                )
+                terms = coeffs * (advantages[..., lane] / np.maximum(v0, 0.5)[:, None, :])[
+                    ..., None, :
+                ]  # (E, T, i, j)
+                gap = np.abs(combined[r] - terms.sum(axis=-1))
+                assert np.all(gap <= 4 * (N + 2) * eps * np.abs(terms).sum(axis=-1))
 
-    def test_utilitarian_sum(self):
-        advantages = np.array([[1.0, -2.0], [0.5, 0.5]])
-        combined = combine_utilitarian_advantages(advantages)
-        assert combined == pytest.approx(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    @pytest.mark.parametrize("num_agents", [1, 2, 3, 9])
+    def test_a_utilitarian_block_is_the_repeated_sum(self, num_agents):
+        # in a batch of UW and PF runs, each UW run's block is its raw
+        # advantages summed over agents and repeated, bit for bit, signed
+        # zeros included, with no floor hits (its critic lies below the floor)
+        rng = np.random.default_rng(num_agents)
+        shape = (3, 20, 4 * num_agents)
+        obs = rng.integers(0, 2, size=shape)
+        critic = rng.uniform(-1.0, 2.0, size=(shape[2], 2))
+        advantages = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+        advantages[rng.random(shape) < 0.2] = 0.0
+        advantages[rng.random(shape) < 0.2] = -0.0
+        advantages[0, :5] = -0.0  # rows whose sum is -0.0
+        objectives = [
+            ObjectiveMode.UTILITARIAN_WELFARE, ObjectiveMode.PROPORTIONAL_FAIR,
+            ObjectiveMode.UTILITARIAN_WELFARE, ObjectiveMode.PROPORTIONAL_FAIR,
+        ]
+        configs = [
+            make_config(alpha=alpha, objective=objective, v_floor=0.5)
+            for alpha, objective in zip((0.3, 0.3, 0.0, 1.0), objectives)
+        ]
+        buffer = RolloutBuffer(obs, obs, np.ones(shape), obs, 0)
+        combined, floor_hits = _combined_advantages(advantages, critic, buffer, configs)
+        for r, objective in enumerate(objectives):
+            if objective is ObjectiveMode.UTILITARIAN_WELFARE:
+                own = np.ascontiguousarray(advantages[..., r * num_agents:(r + 1) * num_agents])
+                total = own.sum(axis=-1, keepdims=True)
+                expected = np.repeat(total, num_agents, axis=-1).reshape(-1, num_agents)
+                assert combined[r].tobytes() == expected.tobytes()
+                assert floor_hits[r] == 0
+        assert floor_hits[1] > 0
 
 
 def reference_collect(envs, policies, rng):
@@ -734,11 +769,8 @@ class TestUpdateSchedules:
                 (0.9, ObjectiveMode.PROPORTIONAL_FAIR),
             )
         ]
-        coefficients = _fair_coefficients([c.alpha for c in configs], num_agents)
         buffer = RolloutBuffer(obs, obs, np.ones(shape), obs, 0)
-        combined, floor_hits = _combined_advantages(
-            advantages, critic, buffer, configs, coefficients
-        )
+        combined, floor_hits = _combined_advantages(advantages, critic, buffer, configs)
         for r, config in enumerate(configs):
             lane = slice(r * num_agents, (r + 1) * num_agents)
             own = np.ascontiguousarray(obs[..., lane])
@@ -1272,8 +1304,8 @@ class TestTrain:
         # rows of agents 0 and 1 are checked as one stack, and agent 1 is named
         combine = learning.combine_fair_advantages
 
-        def poisoning(advantages, critic, buffer, coefficients, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+        def poisoning(*args):
+            combined, floor_hits = combine(*args)
             combined[..., 1] = np.nan
             return combined, floor_hits
 
@@ -1618,10 +1650,10 @@ class TestTrainRuns:
         epochs = poisoned.ppo_epochs if poisoned.algorithm is Algorithm.FAIR_MAPPO else 1
         combine = learning.combine_fair_advantages
 
-        def poisoning(advantages, critic, buffer, coefficients, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
+        def poisoning(advantages, critic, buffer, alphas, *rest):
+            combined, floor_hits = combine(advantages, critic, buffer, alphas, *rest)
             if buffer.policy_version >= 2 * epochs:
-                combined[coefficients[:, 0, 1] == poisoned.alpha] *= np.nan
+                combined[np.asarray(alphas) == poisoned.alpha] *= np.nan
             return combined, floor_hits
 
         monkeypatch.setattr(learning, "combine_fair_advantages", poisoning)
@@ -1680,7 +1712,7 @@ class TestTrainRuns:
         )
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             _policy_gradient_update(
-                wide, groups, critics, wide_buffer, configs, _fair_coefficients([0.5, 1.0], 2),
+                wide, groups, critics, wide_buffer, configs,
                 0.5, configs[0].ppo_epochs, configs[0].ppo_clip,
             )
         assert [t.tobytes() for t in wide.logits] == [t.tobytes() for t in wide_logits]
@@ -1704,9 +1736,9 @@ class TestTrainRuns:
             calls.append(len(batch_configs))
             return train_batch(env_factory, batch_configs)
 
-        def poisoning(advantages, critic, buffer, coefficients, v_floor):
-            combined, floor_hits = combine(advantages, critic, buffer, coefficients, v_floor)
-            combined[coefficients[:, 0, 1] == poisoned] *= np.nan
+        def poisoning(advantages, critic, buffer, alphas, *rest):
+            combined, floor_hits = combine(advantages, critic, buffer, alphas, *rest)
+            combined[np.asarray(alphas) == poisoned] *= np.nan
             return combined, floor_hits
 
         monkeypatch.setattr(learning, "_train_batch", counting_batch)
@@ -1910,7 +1942,7 @@ class TestRowPlans:
         for buffer in (first, first, second, second):
             _policy_gradient_update(
                 profile, groups, critics, with_version(buffer, profile.version), [config],
-                _fair_coefficients([config.alpha], 2), 0.0, 1, None, plans,
+                0.0, 1, None, plans,
             )
             seen.append(len(calls))
         assert seen == [1, 1, 2, 2]

@@ -77,7 +77,7 @@ def fixed_point_fair_gradient(
         grad = np.zeros((s_count, a_i))
         for j in range(n):
             index = i if objective_agent is None else objective_agent
-            coeff = float(weights.coefficients(index, n)[j])
+            coeff = 1.0 if j == index else weights.alpha
             if coeff == 0.0:
                 continue
             marginal = _score_marginals(game, policies, bundle.action_values[j], i)
@@ -128,9 +128,10 @@ def reference_mc_fair_gradient(
         horizon = default_horizon(game.discount, game.max_reward, truncation_tol)
     bundle = solve_values(game, policies)
     probs = [policies.probs(i) for i in range(game.num_agents)]
-    coeffs = np.stack(
-        [weights.coefficients(i, game.num_agents) for i in range(game.num_agents)]
-    )  # (N, N)
+    coeffs = np.array([
+        [1.0 if i == j else weights.alpha for j in range(game.num_agents)]
+        for i in range(game.num_agents)
+    ])  # c_i(j), (N, N)
     rng = np.random.default_rng(seed)
     shapes = [(game.num_states, c) for c in game.action_counts]
     total = [np.zeros(shape) for shape in shapes]
@@ -152,7 +153,7 @@ def reference_mc_fair_gradient(
             ]
             joint = np.ravel_multi_index(tuple(actions), game.action_counts)
             q_ratio = bundle.action_values[:, states, joint] * inv_v0  # (N, m)
-            kappa = gamma_t * (coeffs @ q_ratio)  # (N, m)
+            kappa = gamma_t * (coeffs[:, :, None] * q_ratio).sum(axis=1)  # (N, m)
             for i in range(game.num_agents):
                 rollout_grads[i][rows, states, actions[i]] += kappa[i]
                 rollout_grads[i][rows, states, :] -= kappa[i][:, None] * probs[i][states]
@@ -735,8 +736,8 @@ class TestMonteCarloMatchesReference:
             ),
             (
                 "three-agents-partial-chunk",
-                "80e81c5a5df65aff536acd5c6e25c8d454e94c58b30b86fd5800914e00c36137",
-                "bd7a72749f5f3a7dcdacf31ef2d6f9399748cc7baa6f79a1c37eceade9323109",
+                "7a0e28ad1cefdf22dbfb8ce267223f93d3554edc4a3a8dbe98467cad493eec2a",
+                "0fa751dee2528c859dec48aed1d248044e8bdff386cc2de7b448e4ce78e60ce4",
             ),
         ],
         ids=["verify-montecarlo-alpha-1", "three-agents-partial-chunk"],

@@ -6,10 +6,14 @@ writer or the panel aggregation must leave them unchanged, and a change that
 moves them must say so and record the new values.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fairgame
 from fairgame.formats import build_env_factory, file_sha256, load_experiment_config
 from fairgame.learning import save_policy_snapshot, train, write_log_csv
 from fairgame.metrics import emit_plot_data
@@ -24,8 +28,8 @@ PINNED = {
             "82f683d18c5c017a3c6d95939016339070161f8705c69e87e8d4e9919cc43415",
         ),
         (
-            "afebf3a85b0ad7ec7d84a2a43f9829c4188770b32eb2c2e2447bf3235a1236fa",
-            "932ec777f3d972eb7aaac77ea351483c2542091300926795c636646ce9e45d56",
+            "5ab9e585162e6c437b8e38a6c8a20e996adc57415df9c3e54f1fceaecd534a37",
+            "b1c4cd8876fceaf860b2863f6e27fe2c0d1cd148130394e0e32466eeb32b6707",
         ),
         (
             "6f31a0f6838ee23be90712e9e897994588a7c82c6af22e155f3d36e244db8621",
@@ -35,12 +39,12 @@ PINNED = {
     # 3000 of the shipped 200000 steps per alpha, to keep the suite short
     ("mini_cleanup_pf_vs_uw.json", 3000): [
         (
-            "b1a0c90469b98b268fd3319b46254296e71d90013d4bbc3e50ace77964088fe1",
-            "aa78479cb2bcd9197ddb1138d9173d1583c49fb140a3323c74a4e1277b3fe3aa",
+            "8d8026ea7aca827eca4d22c772a84c2952df5af197f576d41b1b54363a683079",
+            "f91f25d55266a6b789a2ebd18910fc1493c3aa056673b45e508f346f37ff2c33",
         ),
         (
-            "4ffbf8401989b253003a03a40a3d64c43dbe563ab31c84db28aee02ba9841e8d",
-            "e6fa925759b46428e8394d1623b7c906a6a6b9d13a9f0de8fbd812bbf33d8ea6",
+            "762772a8e1cbb838cf4f24324cae253ec3047e3c7008bfdf6d3d372f72d0cc5e",
+            "bf59659497c262962222745bc7e4c670dff05047ebd72e81a53cf6e1eaa3edbf",
         ),
         (
             "d2e6d5594904418cb4007eabdc9ca3902562a75854c8fdab63336d7f95d58647",
@@ -145,3 +149,37 @@ def test_panel_digests_are_pinned(trained):
         written = emit_plot_data(log, log.parent / f"panels_{index}")
         digests.append({path.name: file_sha256(path) for path in written})
     assert digests == PANELS[key]
+
+
+def write_item_log(config_path, index, log) -> None:
+    """Train item ``index`` of a sweep config as `fairgame train` seeds it,
+    and write its log.csv to ``log``."""
+    config = load_experiment_config(config_path)
+    index = int(index)
+    run = config.train_config(config.alphas[index], config.seed + index)
+    write_log_csv(log, train(build_env_factory(config.env), run).table)
+
+
+def test_training_log_does_not_depend_on_the_blas_kernel(tmp_path):
+    """Training makes no BLAS call, so the pd_sweep alpha=0.8 item, whose fair
+    combination mixes the agents' advantages, writes the same log.csv bytes
+    in a process whose OpenBLAS runs its Sandy Bridge kernels (no FMA) as in
+    this one, whatever kernels this host picks."""
+    config = CONFIGS / "pd_sweep.json"
+    assert load_experiment_config(config).alphas[1] == 0.8
+    write_item_log(config, 1, tmp_path / "here.csv")
+    src = str(Path(fairgame.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Sandybridge",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    script = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+        "from test_shipped_configs import write_item_log; write_item_log(*sys.argv[1:])"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script, str(config), "1", str(tmp_path / "kernel.csv")],
+        env=env, check=True,
+    )
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
