@@ -10,7 +10,7 @@ import datetime
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from .learning import (  # train stays bound here: perfbench traces fairgame.cli
     write_log_csv,
 )
 from .metrics import emit_plot_data, gini, write_panels
+from .parallel import ordered_map
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -214,7 +215,7 @@ def _run_sweep_batch(config: ExperimentConfig, batch: list[int], out_root: str) 
     return [item.record for item in items]
 
 
-def _run_sweep_share(config: ExperimentConfig, batches: list[list[int]], out_root: str) -> list:
+def _run_sweep_share(batches: list[list[int]], config: ExperimentConfig, out_root: str) -> list:
     """One worker's share of the sweep, batch by batch; each batch's runs
     are released before the next one trains."""
     return [record for batch in batches for record in _run_sweep_batch(config, batch, out_root)]
@@ -236,29 +237,27 @@ def _sweep_shares(config: ExperimentConfig, jobs: int) -> list[list[list[int]]]:
 
 def cmd_train(args) -> int:
     """Train the config's sweep, one run directory per item, and write
-    ``sweep.json``. The items are cut into ``--jobs`` contiguous shares, one
-    per worker process (one share runs in-process), and each share into
-    batches under a cap on their logit tables; a batch's items train as one
-    stacked run. Every item's files equal those of ``train`` run alone, for
-    any ``--jobs``. A batch that fails trains each of its items again alone,
-    so an item's error is the one ``train`` raises for it. Exits 2, before
-    any item trains, when ``out`` or an item's run directory is not a
-    directory, and 1 only when every item failed."""
+    ``sweep.json``. The items are cut into ``--jobs`` contiguous shares,
+    which ``parallel.ordered_map`` runs in order on at most
+    ``min(CPUs, shares)`` worker processes (in-process for one share or one
+    CPU), and each share into batches under a cap on their logit tables; a
+    batch's items train as one stacked run. Every item's files equal those
+    of ``train`` run alone, for any ``--jobs``. A batch that fails trains
+    each of its items again alone, so an item's error is the one ``train``
+    raises for it. Exits 2, before any item trains, when ``out`` or an
+    item's run directory is not a directory, and 1 only when every item
+    failed."""
     config = load_experiment_config(args.config, seed_override=_seed_override())
     out_root = Path(config.out)
     _make_out_dir(out_root)
     for index in range(len(config.alphas)):
         _make_out_dir(_run_dir(config, index, out_root))
     shares = _sweep_shares(config, args.jobs)
-    if len(shares) > 1:
-        # a forking pool starts every worker at once: one per share
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            futures = [
-                pool.submit(_run_sweep_share, config, share, str(out_root)) for share in shares
-            ]
-            records = [record for future in futures for record in future.result()]
-    else:
-        records = _run_sweep_share(config, shares[0], str(out_root))
+    with ExitStack() as stack:
+        done = ordered_map(
+            stack, _run_sweep_share, shares, min_items=2, context=(config, str(out_root))
+        )
+        records = [record for share in done for record in share]
 
     summary = {"runs": records}
     with open_fresh(out_root / "sweep.json") as handle:

@@ -168,63 +168,49 @@ def _grouped(logits: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]
     return [(agents, np.stack([logits[i] for i in agents])) for agents in _action_groups(counts)]
 
 
-def _by_env(lanes: np.ndarray, runs: int) -> np.ndarray:
-    """(E, ..., R*N) lanes of R runs, run r's agent i in lane r*N + i, as
-    (R*E, ..., N) rows, run r's env e in row r*E + e."""
-    num_envs, *middle, width = lanes.shape
-    split = lanes.reshape(num_envs, -1, runs, width // runs).transpose(2, 0, 1, 3)
-    return split.reshape(runs * num_envs, *middle, width // runs)
-
-
-def _by_lane(rows: np.ndarray, runs: int) -> np.ndarray:
-    """The inverse of ``_by_env``: (R*E, ..., N) rows as (E, ..., R*N) lanes."""
-    total, *middle, num_agents = rows.shape
-    split = rows.reshape(runs, total // runs, -1, num_agents).transpose(1, 2, 0, 3)
-    return split.reshape(total // runs, *middle, runs * num_agents)
-
-
 def _collector(envs: Sequence) -> Callable[[list, np.ndarray], tuple]:
     """The collector of R runs' envs side by side, built once per batch (it
     stacks single-state envs' reward tables once): ``envs`` holds each
-    run's E envs in run order. Called with ``groups``,
-    the action groups of the R*N agents, run r's agent i being agent
-    r*N + i (``_grouped``), and the (E, T, R*N) ``uniforms``, which hold
-    run r's action uniforms in lanes r*N to r*N + N - 1, it collects one
-    episode of every env and returns the (E, T, R*N) observations,
-    actions, rewards and next observations, and the (E, R*N) apples
-    harvested or None. A run's lanes equal what it would collect alone."""
+    run's E envs in run order, run r's env e being row r*E + e of every
+    (R*E, T, N) array. Called with ``groups``, the action groups of the
+    R*N agents, run r's agent i being agent r*N + i (``_grouped``), which
+    reads column i of run r's rows, and the (R*E, T, N) ``uniforms``, it
+    collects one episode of every env and returns the (R*E, T, N)
+    observations, actions, rewards and next observations, and the (R*E, N)
+    apples harvested or None. A run's rows equal what it would collect
+    alone."""
     if all(env.num_states == 1 for env in envs):
         return partial(_collect_single_state, np.stack([env.joint_rewards for env in envs]))
     return partial(_collect_lockstep, envs)
 
 
 def _collect_lockstep(envs: Sequence, groups: list, uniforms: np.ndarray) -> tuple:
-    """``_collector`` for multi-state envs, all R*E stepped together. At each
-    step the agents of one action group sample their (E,) actions as one
-    stack: one index into the group's (n, S, A) array gathers the logit
-    rows of their E observations, and one ``markov._draw`` counts the
-    compared columns of the cumulative softmax rows (row for row,
+    """``_collector`` for multi-state envs, all R*E stepped together as the
+    rows of one batch. At each step the agents of one action group sample
+    their (E,) actions as one stack: their ``(run, agent)`` index gathers
+    the (n, E) observations of their runs' rows, one index into the
+    group's (n, S, A) array the logit rows, and one ``markov._draw`` counts
+    the compared columns of the cumulative softmax rows (row for row,
     ``bisect_right`` clipped to the last action)."""
-    num_envs, length, _ = uniforms.shape
-    runs = len(envs) // num_envs
-    stacks = [(agents, tables, np.arange(len(agents))[:, None]) for agents, tables in groups]
-    path = np.empty((num_envs, length + 1, uniforms.shape[2]), dtype=np.int64)
+    rows, length, num_agents = uniforms.shape
+    shape = (sum(len(agents) for agents, _ in groups) // num_agents, -1, num_agents)  # (R, E, N)
+    stacks = [
+        (tables, np.arange(len(agents))[:, None], np.divmod(agents, num_agents))
+        for agents, tables in groups
+    ]
+    path = np.empty((rows, length + 1, num_agents), dtype=np.int64)
     actions = np.empty(uniforms.shape, dtype=np.int64)
     rewards = np.empty(uniforms.shape)
     apples = None
     with _lockstep(envs) as batch:
-        path[:, 0] = _by_lane(batch.observations(), runs)
+        path[:, 0] = batch.observations()
         for t in range(length):
-            for agents, tables, slots in stacks:
-                rows = tables[slots, path[:, t, agents].T]
-                cum = np.cumsum(_softmax(rows), axis=-1)
-                columns = list(cum.transpose(2, 0, 1)[:-1])
-                actions[:, t, agents] = _draw(columns, uniforms[:, t, agents].T).T
-            observations, step_rewards, harvests = batch.step(_by_env(actions[:, t], runs))
-            path[:, t + 1] = _by_lane(observations, runs)
-            rewards[:, t] = _by_lane(step_rewards, runs)
+            observed, drawn, u = (a[:, t].reshape(shape) for a in (path, actions, uniforms))
+            for tables, slots, (run, agent) in stacks:
+                cum = np.cumsum(_softmax(tables[slots, observed[run, :, agent]]), axis=-1)
+                drawn[run, :, agent] = _draw(list(cum.transpose(2, 0, 1)[:-1]), u[run, :, agent])
+            path[:, t + 1], rewards[:, t], harvests = batch.step(actions[:, t])
             if harvests is not None:
-                harvests = _by_lane(harvests, runs)
                 apples = harvests if apples is None else apples + harvests
     observations = np.ascontiguousarray(path[:, :-1])
     next_observations = np.ascontiguousarray(path[:, 1:])
@@ -235,58 +221,67 @@ def _collect_lockstep(envs: Sequence, groups: list, uniforms: np.ndarray) -> tup
 def _collect_single_state(tables: np.ndarray, groups: list, uniforms: np.ndarray) -> tuple:
     """``_collector`` for envs whose only observation is 0, ``tables``
     holding the R*E envs' (A_1, ..., A_N, N) joint reward tables stacked:
-    the agents of one action group sample their (E, T) actions with one
+    the agents of one action group sample their (n, E*T) actions with one
     ``markov._draw`` on the cumulative softmax of their group's row-0 view
     (``bisect_right`` clipped to the last action), and the rewards are one
-    gather by env and flat (row-major) joint action. Such envs report no
+    gather by row and flat (row-major) joint action. Such envs report no
     apples."""
-    num_envs, length, width = uniforms.shape
-    *counts, num_agents = tables.shape[1:]
-    runs = width // num_agents
+    rows, _, num_agents = uniforms.shape
+    *counts, _ = tables.shape[1:]
+    shape = (sum(len(agents) for agents, _ in groups) // num_agents, -1, num_agents)  # (R, E*T, N)
     actions = np.empty(uniforms.shape, dtype=np.int64)
+    drawn, u = actions.reshape(shape), uniforms.reshape(shape)
     for agents, logits in groups:
-        columns = _compared_columns(np.cumsum(_softmax(logits[:, 0]), axis=-1))
-        actions[..., agents] = _draw(columns, uniforms[..., agents])
+        run, agent = np.divmod(agents, num_agents)
+        columns = _compared_columns(np.cumsum(_softmax(logits[:, :1]), axis=-1))
+        drawn[run, :, agent] = _draw(columns, u[run, :, agent])
     strides = np.cumprod([1, *counts[:0:-1]])[::-1]
-    joint = actions.reshape(num_envs, length, runs, num_agents) @ strides
-    env = np.arange(len(tables)).reshape(runs, num_envs).T[:, None]  # run r's env e is r*E + e
-    rewards = tables.reshape(len(tables), -1, num_agents)[env, joint].reshape(uniforms.shape)
+    rewards = tables.reshape(rows, -1, num_agents)[np.arange(rows)[:, None], actions @ strides]
     zeros = np.zeros(uniforms.shape, dtype=np.int64)
     return zeros, actions, rewards, zeros.copy(), None
+
+
+def _critic_rows(critic: np.ndarray, rows: int, num_agents: int) -> np.ndarray:
+    """The (rows, 1, N) critic row that each entry of R runs' (R*E, T, N)
+    rows reads from the (R*N, S) ``critic``: row r*E + e, agent i reads
+    critic row r*N + i."""
+    runs = len(critic) // num_agents
+    run = np.arange(rows) // (rows // runs)
+    return (run * num_agents)[:, None, None] + np.arange(num_agents)
 
 
 def compute_gae(
     buffer: RolloutBuffer, critic: np.ndarray, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """GAE(lambda) advantages and TD(lambda) returns, each (E, T, N), from
-    the (N, S) critic, whose entry [j, s] is agent j's value of state s.
+    the (N, S) critic, whose entry [j, s] is agent j's value of state s. A
+    buffer of R runs' (R*E, T, N) rows takes their (R*N, S) critic, run r's
+    env e and agent i reading critic row r*N + i.
 
     delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), accumulated backward over
-    T as acc = delta_t + (gamma * lam) * acc from acc = 0.0, for all (env,
-    agent) lanes at once: the deltas are laid out time-major as contiguous
-    (T, E*N) rows, and each step is one ``np.add`` and one ``np.multiply``
-    into preallocated rows, the float64 operations of the scalar recursion
-    in its order, so the result is exact (a -0.0 delta at the last step
-    gives +0.0, as 0.0 added to it does). Episodes only truncate, so the
-    final step bootstraps with V of its next observation. Returns are
-    advantages + V(s_t).
+    T as acc = delta_t + (gamma * lam) * acc from acc = 0.0, for all (row,
+    agent) entries at once: the deltas are laid out time-major as
+    contiguous (T, E*N) rows, and each step is one ``np.add`` and one
+    ``np.multiply`` into preallocated rows, the float64 operations of the
+    scalar recursion in its order, so the result is exact (a -0.0 delta at
+    the last step gives +0.0, as 0.0 added to it does). Episodes only
+    truncate, so the final step bootstraps with V of its next observation.
+    Returns are advantages + V(s_t).
     """
-    num_envs, length, num_agents = buffer.observations.shape
-    if num_envs == 0 or length == 0:
+    rows, length, num_agents = buffer.observations.shape
+    if rows == 0 or length == 0:
         raise DomainError("buffer is empty")
-    agents = np.arange(num_agents)
-    v = critic[agents, buffer.observations]
-    delta = buffer.rewards + gamma * critic[agents, buffer.next_observations] - v
-    rows = np.ascontiguousarray(delta.transpose(1, 0, 2)).reshape(length, -1)
-    backward = np.empty_like(rows)
-    decay = np.full(rows.shape[1], gamma * lam)  # a row, so no call converts a scalar
-    carried = np.zeros(rows.shape[1])  # decay * acc of the step after
-    for row, acc in zip(rows[::-1], backward[::-1]):
-        np.add(row, carried, acc)
+    critic_rows = _critic_rows(critic, rows, num_agents)
+    v = critic[critic_rows, buffer.observations]
+    delta = buffer.rewards + gamma * critic[critic_rows, buffer.next_observations] - v
+    steps = np.ascontiguousarray(delta.transpose(1, 0, 2)).reshape(length, -1)
+    backward = np.empty_like(steps)
+    decay = np.full(steps.shape[1], gamma * lam)  # a row, so no call converts a scalar
+    carried = np.zeros(steps.shape[1])  # decay * acc of the step after
+    for step, acc in zip(steps[::-1], backward[::-1]):
+        np.add(step, carried, acc)
         np.multiply(acc, decay, carried)
-    advantages = np.ascontiguousarray(
-        backward.reshape(length, num_envs, num_agents).transpose(1, 0, 2)
-    )
+    advantages = np.ascontiguousarray(backward.reshape(length, rows, -1).transpose(1, 0, 2))
     return advantages, advantages + v
 
 
@@ -295,50 +290,46 @@ def combine_fair_advantages(
     alphas: Sequence[float], v_floor: float, utilitarian: bool | Sequence[bool] = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fair advantages A^F_{i,t} = sum_j c_i(j) A_{j,t} / max(V_j(s0),
-    v_floor) of R runs side by side: the (E, T, R*N) advantages, the
-    (R*N, S) critic and the buffer hold run r's agent i in lane (or row)
-    r*N + i, run r's c_i(j) is 1 for j == i and ``alphas[r]`` otherwise,
-    and V_j(s0) is the critic's entry for agent j's initial observation of
-    each episode. A utilitarian run (``utilitarian``: one bool per run, or
-    one for all) ascends sum_j A_{j,t} instead: the alpha = 1 combination
-    of its advantages unscaled (denominator 1, no floor hits), whatever its
-    alpha.
+    v_floor) of R runs side by side: the (R*E, T, N) advantages and the
+    buffer hold run r's env e in row r*E + e, and the (R*N, S) critic run
+    r's agent i in row r*N + i. Run r's c_i(j) is 1 for j == i and
+    ``alphas[r]`` otherwise, and V_j(s0) is the critic's entry for agent
+    j's initial observation of each episode. A utilitarian run
+    (``utilitarian``: one bool per run, or one for all) ascends
+    sum_j A_{j,t} instead: the alpha = 1 combination of its advantages
+    unscaled (denominator 1, no floor hits), whatever its alpha.
 
     Returns the (R, E, T, N) combined advantages, block r being run r's, and
     the (R,) counts of floored (episode, agent) denominators. One division
     serves all runs, and the transform (``games._altruistic``) takes each
     run's alpha elementwise, so every run's block is that of a lone run."""
-    num_envs, length, width = advantages.shape
+    rows, length, num_agents = advantages.shape
     runs = len(alphas)
-    num_agents = width // runs
-    utilitarian = np.reshape(utilitarian, (-1, 1))
-    v0 = critic[np.arange(width), buffer.observations[:, 0]]
-    v0 = v0.reshape(num_envs, runs, num_agents)
-    floor_hits = ((v0 < v_floor) & ~utilitarian).sum(axis=(0, 2))
+    utilitarian = np.reshape(utilitarian, (-1, 1, 1, 1))
+    critic_rows = _critic_rows(critic, rows, num_agents)[:, 0]
+    v0 = critic[critic_rows, buffer.observations[:, 0]].reshape(runs, -1, 1, num_agents)
+    floor_hits = ((v0 < v_floor) & ~utilitarian).sum(axis=(1, 2, 3))
     v0 = np.where(utilitarian, 1.0, np.maximum(v0, v_floor))
-    alphas = np.where(utilitarian, 1.0, np.reshape(alphas, (-1, 1)))
-    scaled = advantages.reshape(num_envs, length, runs, num_agents) / v0[:, None]
-    combined = _altruistic(scaled, alphas).transpose(2, 0, 1, 3)
-    return np.ascontiguousarray(combined), floor_hits
+    alphas = np.where(utilitarian, 1.0, np.reshape(alphas, (-1, 1, 1, 1)))
+    scaled = advantages.reshape(runs, -1, length, num_agents) / v0
+    return _altruistic(scaled, alphas), floor_hits
 
 
 def _combined_advantages(
     advantages: np.ndarray, critic: np.ndarray, buffer: RolloutBuffer,
     configs: Sequence[TrainConfig],
 ) -> tuple[np.ndarray, list[int]]:
-    """The configured combination of R runs' (E, T, R*N) advantages as
-    (R, E*T, N), block r being run r's in the order of ``buffer.flat()``,
-    and each run's floor hits: one ``combine_fair_advantages`` call for all
-    runs, utilitarian or not. Normalization reduces axis 1 of the
-    (R, E*T, N) block, which adds each run's columns in the order a lone
-    run's (E*T, N) block adds them."""
-    num_envs, length, _ = advantages.shape
-    runs = len(configs)
+    """The configured combination of R runs' (R*E, T, N) advantages as
+    (R, E*T, N), block r being run r's rows in the order of
+    ``buffer.flat()``, and each run's floor hits: one
+    ``combine_fair_advantages`` call for all runs, utilitarian or not.
+    Normalization reduces axis 1 of the (R, E*T, N) block, which adds each
+    run's columns in the order a lone run's (E*T, N) block adds them."""
     combined, floor_hits = combine_fair_advantages(
         advantages, critic, buffer, [c.alpha for c in configs], configs[0].v_floor,
         [c.objective is ObjectiveMode.UTILITARIAN_WELFARE for c in configs],
     )
-    combined = combined.reshape(runs, num_envs * length, -1)
+    combined = combined.reshape(len(configs), -1, advantages.shape[2])
     if configs[0].normalize_advantages:
         centered = combined - combined.mean(axis=1, keepdims=True)
         combined = centered / (centered.std(axis=1, keepdims=True) + 1e-8)
@@ -374,7 +365,8 @@ class _RowPlan:
     """The rows one action group's update visits, and the indexes built from
     them. The group's (n, S, A) array is seen as (n*S, A), row k*S + s being
     agent ``agents[k]``'s row s, and its agents' B samples each lie
-    agent-major along one (n*B,) axis. One ``np.unique`` of the keys
+    agent-major along one (n*B,) axis, agent r*N + i taking its samples
+    from column i of run r's rows. One ``np.unique`` of the keys
     ``k * S + obs`` of the (n, B) observations ``obs`` gives the visited
     ``rows``, the index that reads and writes them; ``inverse`` places each
     sample among them and ``counts`` counts their samples, ``row_agents``
@@ -398,11 +390,13 @@ class _RowPlan:
 
 def _row_plans(plans: list, groups: list, obs: np.ndarray) -> None:
     """Bring ``plans``, one slot per action group (None before the first
-    update), up to date with an update's (W, B) agent-major observations: a
-    group's plan is rebuilt only when its observations differ from those it
-    was built from."""
+    update), up to date with an update's (R, B, N) observations, run r's
+    agent i in ``obs[r, :, i]``: a group's (n, B) observations are one
+    ``(run, agent)`` index, and its plan is rebuilt only when they differ
+    from those it was built from."""
     for k, (agents, tables) in enumerate(groups):
-        group_obs = obs[agents]
+        run, agent = np.divmod(agents, obs.shape[2])
+        group_obs = obs[run, :, agent]
         if plans[k] is None or not np.array_equal(plans[k].obs, group_obs):
             plans[k] = _RowPlan(agents, *tables.shape[1:], group_obs)
 
@@ -410,8 +404,8 @@ def _row_plans(plans: list, groups: list, obs: np.ndarray) -> None:
 class _AgentStack:
     """The agents of one action group, stacked for one update: their (n, S,
     A) array seen as (n*S, A) ``tables``, the group's ``_RowPlan``, and their
-    fair advantages, returns and taken actions from (W, B) agent-major
-    arrays."""
+    (n, B) fair advantages, returns and taken actions, gathered by one
+    ``(run, agent)`` index from (R, B, N) arrays."""
 
     def __init__(
         self, agents: list[int], tables: np.ndarray, plan: _RowPlan, actions: np.ndarray,
@@ -421,12 +415,13 @@ class _AgentStack:
         self.tables = tables.reshape(count * num_states, width)
         self.agents = agents
         self.plan = plan
-        self.weights = fair[agents].ravel()
-        self.targets = returns[agents]
+        run, agent = np.divmod(agents, fair.shape[2])
+        self.weights = fair[run, :, agent].ravel()
+        self.targets = returns[run, :, agent]
         self.entropy_coef = entropy_coef
         # flat entries of the stacked (rows, actions) tables: each sample's
         # taken action, then its whole row once per per-row gradient term
-        self.taken = plan.starts + actions[agents].ravel()
+        self.taken = plan.starts + actions[run, :, agent].ravel()
         terms = [self.taken, plan.per_row] + ([plan.per_row] if entropy_coef > 0.0 else [])
         self.entries = np.concatenate(terms)
 
@@ -483,8 +478,9 @@ def _policy_gradient_update(
 ) -> list[dict]:
     """The fair policy-gradient core shared by A2C and PPO, for R runs side
     by side: run r's agent i is agent r*N + i of the (n, S, A) action-group
-    arrays ``groups`` (``_grouped``), which the update reads and writes, of
-    the (R*N, S) critic and of the buffer's lanes. ``configs`` holds each
+    arrays ``groups`` (``_grouped``), which the update reads and writes, and
+    of the (R*N, S) critic, and it reads column i of run r's rows r*E to
+    r*E + E - 1 of the (R*E, T, N) buffer. ``configs`` holds each
     run's config; the runs may differ only in alpha and objective. Each
     epoch steps ``policies.version``. ``plans`` holds one ``_RowPlan`` slot
     per group, which the update brings up to date (``_row_plans``), so a
@@ -500,9 +496,11 @@ def _policy_gradient_update(
     policy, and it is zeroed where the clipped surrogate min(rho A^F,
     clip(rho, 1-clip, 1+clip) A^F) is flat.
 
-    GAE runs once over all lanes, and the combination once over all runs
-    (``_combined_advantages``). Each action group takes each pass as one
-    stacked batch (``_AgentStack``): one index reads and writes
+    GAE runs once over all rows, and the combination once over all runs
+    (``_combined_advantages``). The samples, advantages and returns are seen
+    as (R, E*T, N), and each action group takes its (n, E*T) blocks by one
+    ``(run, agent)`` index and each pass as one stacked batch
+    (``_AgentStack``): one index reads and writes
     its logit rows, another its critic entries; the softmax, its logs and
     the entropy are taken once per row; its actor gradient is one
     ``np.bincount`` over the taken-action terms, then the -coeff * pi terms,
@@ -526,17 +524,14 @@ def _policy_gradient_update(
     config = configs[0]  # for the fields every run shares
     lr = config.learning_rate_at(progress)
     critic_lr = config.critic_lr_at(progress)
-    obs, actions = buffer.flat()
     advantages, returns = compute_gae(buffer, critics, config.gamma, config.gae_lambda)
     combined, floor_hits = _combined_advantages(advantages, critics, buffer, configs)
-    width = obs.shape[1]
-    num_agents = width // len(configs)
-    fair = combined.transpose(0, 2, 1).reshape(width, -1)
-    returns = returns.reshape(-1, width)
+    runs, _, num_agents = combined.shape
+    obs, actions, returns = (x.reshape(combined.shape) for x in (*buffer.flat(), returns))
     plans = [None] * len(groups) if plans is None else plans
-    _row_plans(plans, groups, obs.T)
+    _row_plans(plans, groups, obs)
     stacks = [
-        _AgentStack(agents, tables, plan, actions.T, fair, returns.T, config.entropy_coef)
+        _AgentStack(agents, tables, plan, actions, combined, returns, config.entropy_coef)
         for (agents, tables), plan in zip(groups, plans)
     ]
     old_log = [None] * len(stacks)
@@ -551,7 +546,7 @@ def _policy_gradient_update(
         }, num_agents)
         old_log = [np.log(block).ravel() for block in taken]
 
-    losses = np.empty((3, width))  # actor loss, critic loss, entropy
+    losses = np.empty((3, runs * num_agents))  # actor loss, critic loss, entropy
     for _ in range(epochs):
         touched = []
         for stack, old in zip(stacks, old_log):
@@ -560,7 +555,7 @@ def _policy_gradient_update(
         policies.version += 1
     faults = _non_finite(touched, losses)
     _raise_lowest({i: f"non-finite {name}" for i, name in faults.items()}, num_agents)
-    per_run = losses.reshape(3, len(configs), num_agents).transpose(1, 0, 2).tolist()
+    per_run = losses.reshape(3, runs, num_agents).transpose(1, 0, 2).tolist()
     names = ("actor_loss", "critic_loss", "entropy")
     return [{"floor_hits": hits, **dict(zip(names, run))} for hits, run in zip(floor_hits, per_run)]
 
@@ -799,9 +794,10 @@ def _train_batch(
     Each run keeps its own envs, shared rng and update count. All runs'
     logit tables are one (n, S, A) array per action group, of which each
     run's result holds views. Per update, each run draws its (E, T, N)
-    uniforms from its own rng, and the R blocks are laid side by side as
-    lanes: all R*E envs are collected as one batch (``_collector``), and the
-    agents of all runs are updated as one batch
+    uniforms from its own rng, and the R blocks are stacked as (R*E, T, N)
+    rows, run r's env e in row r*E + e, the one layout of every array of
+    the batch: all R*E envs are collected as one batch (``_collector``),
+    and the agents of all runs are updated as one batch
     (``_policy_gradient_update``), whose error is raised as ``update U,
     ...``. The (R*N, S) critic holds run r's critic in rows r*N to
     r*N + N - 1, and one stacked ``gini`` call serves every run's episodes.
@@ -834,17 +830,17 @@ def _train_batch(
         epochs, clip = 1, None
     else:
         epochs, clip = first.ppo_epochs, first.ppo_clip
-    lanes = [slice(r * num_agents, (r + 1) * num_agents) for r in range(len(runs))]
+    agents = [slice(r * num_agents, (r + 1) * num_agents) for r in range(len(runs))]
     episodes = [slice(r * first.num_envs, (r + 1) * first.num_envs) for r in range(len(runs))]
     collect, plans = _collector(envs), [None] * len(groups)
     steps_done = update = 0
     while steps_done < first.total_steps:
         uniforms = np.concatenate(
-            [run.rng.random((first.num_envs, length, num_agents)) for run in runs], axis=-1
+            [run.rng.random((first.num_envs, length, num_agents)) for run in runs]
         )
         *arrays, apples = collect(groups, uniforms)
         buffer = RolloutBuffer(*arrays, profile.version)
-        steps_done += buffer.num_steps
+        steps_done += first.num_envs * length  # per run: the buffer holds R runs' steps
         try:
             diagnostics = _policy_gradient_update(
                 profile, groups, critic, buffer, configs,
@@ -852,11 +848,7 @@ def _train_batch(
             )
         except DomainError as exc:
             raise DomainError(f"update {update}, {exc}") from exc
-        # (R*E, N) rows, run r's env e in row r*E + e, summed over each run's
-        # contiguous (E, T, N) block, so a one-agent run adds as it does alone
-        returns = np.ascontiguousarray(_by_env(buffer.rewards, len(runs))).sum(axis=1)
-        if apples is not None:
-            apples = _by_env(apples, len(runs))
+        returns = buffer.rewards.sum(axis=1)
         ginis = gini(returns if apples is None else apples)
         for run, rows, diag in zip(runs, episodes, diagnostics):
             run_apples = 0.0 if apples is None else apples[rows]
@@ -864,13 +856,13 @@ def _train_batch(
         update += 1
     return [
         TrainResult(
-            policies=SoftmaxPolicyProfile(profile.logits[lane], profile.version),
-            critics=critic[lane],
+            policies=SoftmaxPolicyProfile(profile.logits[own], profile.version),
+            critics=critic[own],
             table=run.table,
             steps=steps_done,
             episodes=len(run.table.gini),
         )
-        for run, lane in zip(runs, lanes)
+        for run, own in zip(runs, agents)
     ]
 
 

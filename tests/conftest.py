@@ -22,10 +22,11 @@ def no_live_child_processes():
 
 
 @pytest.fixture
-def snapshot_pools(monkeypatch):
+def recorded_pools(monkeypatch):
     """Two CPUs for the shared pool helper (``parallel.ordered_map``, which
-    the snapshot writer and the Monte Carlo estimator use) whatever the
-    machine has, and a record of the pool sizes it makes."""
+    the ``--jobs`` sweep, the snapshot writer and the Monte Carlo estimator
+    use) whatever the machine has, and a record of the sizes of every pool
+    it makes, in order."""
     from fairgame import parallel
 
     made = []

@@ -14,13 +14,14 @@ from fairgame.envs import (
     MiniCleanupConfig,
     MiniCleanupEnv,
     RepeatedMatrixGameEnv,
+    _lockstep,
     matrix_markov_game,
     random_markov_game,
     scripted_trajectory,
 )
 from fairgame.errors import DomainError
 from fairgame.games import DilemmaPayoffs
-from fairgame.markov import SoftmaxPolicyProfile, solve_values
+from fairgame.markov import SoftmaxPolicyProfile, TabularMarkovGame, solve_values
 
 DATA = Path(__file__).parent / "data"
 PD = DilemmaPayoffs(5, 3, 1, 2)
@@ -262,6 +263,39 @@ class TestMarkovGameEnv:
     def test_many_states_have_no_joint_rewards(self):
         env = MarkovGameEnv(random_markov_game(2, 3, (2, 2), 0.9, seed=14), 5)
         assert env.joint_rewards is None
+
+    @pytest.mark.parametrize("num_envs", [1, 7])
+    def test_next_states_equal_per_env_choice_calls(self, num_envs):
+        # rows with leading, inner and trailing zero probabilities, and a
+        # one-hot row: E envs stepped as one batch draw, state for state and
+        # bit for bit, what one Generator.choice per env per step draws, and
+        # leave every env's generator where those calls leave it
+        base = random_markov_game(2, 5, (2, 2), 0.9, seed=15)
+        transitions = base.transitions.copy()
+        zeros = [[0], [2], [4], [0, 1, 4], [0, 1, 2, 4]]
+        for k, (state, joint) in enumerate(np.ndindex(5, 4)):
+            transitions[state, joint, zeros[k % len(zeros)]] = 0.0
+        transitions /= transitions.sum(axis=-1, keepdims=True)
+        game = TabularMarkovGame(2, 5, (2, 2), transitions, base.rewards, base.initial_dist, 0.9)
+        seeds = [31 + e for e in range(num_envs)]
+        envs = [MarkovGameEnv(game, 100, seed) for seed in seeds]
+        actions = np.random.default_rng(0).integers(0, 2, size=(100, num_envs, 2))
+        with _lockstep(envs) as batch:
+            states = [batch.states.copy()]
+            for step_actions in actions:
+                batch.step(step_actions)
+                states.append(batch.states.copy())
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        expected = [[rng.choice(5, p=game.initial_dist) for rng in rngs]]
+        for step_actions in actions:
+            joint = [game.joint_action_index(tuple(a)) for a in step_actions.tolist()]
+            expected.append([
+                rng.choice(5, p=transitions[state, j])
+                for rng, state, j in zip(rngs, expected[-1], joint)
+            ])
+        assert np.array(states).tolist() == np.array(expected).tolist()
+        for env, rng in zip(envs, rngs):
+            assert env._batch.rngs[0].bit_generator.state == rng.bit_generator.state
 
 
 class TestRandomMarkovGame:

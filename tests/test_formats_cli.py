@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -1317,15 +1316,16 @@ class TestParallelSweep:
     def test_jobs_flag_produces_same_runs(self, tmp_path, capsys):
         self.assert_jobs_agree(tmp_path, capsys, self.config_doc(tmp_path / "runs"))
 
-    def test_jobs_flag_produces_same_mini_cleanup_runs(self, tmp_path, capsys, snapshot_pools):
+    def test_jobs_flag_produces_same_mini_cleanup_runs(self, tmp_path, capsys, recorded_pools):
         # 3 agents x 32768 states: 24 snapshot blocks per item, which the
-        # --jobs 1 run formats in a pool and the --jobs 2 workers in-process
+        # --jobs 2 sweep pool's workers format in-process and the --jobs 1
+        # run in a pool per item
         doc = {
             **SWEEP_CONFIGS["mini_cleanup"], "alpha": [0.5, 1.0], "total_steps": 72,
             "seed": 3, "out": str(tmp_path / "runs"),
         }
         self.assert_jobs_agree(tmp_path, capsys, doc)
-        assert snapshot_pools == [2, 2]
+        assert recorded_pools == [2, 2, 2]
 
     def test_jobs_flag_produces_same_runs_on_an_uneven_split(self, tmp_path, capsys):
         # --jobs 2 on 3 items: one worker trains items 0 and 1 as one batch,
@@ -1381,32 +1381,12 @@ class TestParallelSweep:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_pool_has_no_more_workers_than_items(self, tmp_path, capsys, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Runs each submitted item at once and records the pool size."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr("fairgame.cli.ProcessPoolExecutor", RecordingPool)
+    def test_pool_has_no_more_workers_than_items(self, tmp_path, capsys, recorded_pools):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(self.config_doc(tmp_path / "runs")))
         assert main(["train", str(config), "--jobs", "64"]) == 0
         capsys.readouterr()
-        assert sizes == [2]
+        assert recorded_pools == [2]
 
     @staticmethod
     def config_doc(out):

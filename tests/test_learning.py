@@ -157,6 +157,30 @@ class TestComputeGae:
         delta = buffer.rewards + gamma * v_next - v
         assert delta.tobytes() == deltas.tobytes()
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("num_agents", [1, 2])
+    def test_stacked_runs_equal_each_run_alone(self, runs, num_agents):
+        # R runs' (R*E, T, N) rows with their (R*N, S) critic: run r's rows
+        # r*E to r*E + E - 1 read critic rows r*N to r*N + N - 1, so each
+        # run's block is what its own call gives, byte for byte
+        rng = np.random.default_rng(10 * runs + num_agents)
+        num_envs, length, num_states = 4, 9, 3
+        path = rng.integers(0, num_states, size=(runs * num_envs, length + 1, num_agents))
+        rewards = rng.uniform(0.1, 5.0, size=(runs * num_envs, length, num_agents))
+        critic = rng.normal(scale=10.0, size=(runs * num_agents, num_states))
+
+        def buffer(rows):
+            obs, next_obs = path[rows, :-1], path[rows, 1:]
+            return RolloutBuffer(obs, np.zeros_like(obs), rewards[rows], next_obs, 0)
+
+        advantages, returns = compute_gae(buffer(slice(None)), critic, 0.95, 0.9)
+        for r in range(runs):
+            rows = slice(r * num_envs, (r + 1) * num_envs)
+            own = slice(r * num_agents, (r + 1) * num_agents)
+            alone_advantages, alone_returns = compute_gae(buffer(rows), critic[own], 0.95, 0.9)
+            assert advantages[rows].tobytes() == alone_advantages.tobytes()
+            assert returns[rows].tobytes() == alone_returns.tobytes()
+
 
 def numpy_step_loop_gae(buffer, critic, gamma, lam):
     """GAE as one numpy call per time step on (E, N) vectors: a reference
@@ -268,36 +292,36 @@ class TestCombineAdvantages:
 
     def test_stacked_runs_equal_each_run_alone(self):
         # R runs combined at once: each run's block is, bit for bit, what its
-        # own lanes give alone, with its floor hits, and it agrees within a
+        # own rows give alone, with its floor hits, and it agrees within a
         # few ulp with sum_j c_i(j) A_j / max(V_j(s0), floor) written out,
         # c_i(j) = 1 if i == j else alpha
         rng = np.random.default_rng(5)
         eps = np.finfo(float).eps
         for _ in range(60):
             E, T, N, R, S = (int(rng.integers(1, k)) for k in (4, 30, 5, 5, 4))
-            obs = rng.integers(0, S, size=(E, T, R * N))
+            obs = rng.integers(0, S, size=(R * E, T, N))
             buffer = RolloutBuffer(obs, obs, np.ones(obs.shape), obs, 0)
             critic = rng.uniform(-1.0, 40.0, size=(R * N, S))
-            advantages = rng.normal(scale=10.0, size=(E, T, R * N))
+            advantages = rng.normal(scale=10.0, size=(R * E, T, N))
             alphas = rng.uniform(0.0, 1.0, R)
             combined, floor_hits = combine_fair_advantages(
                 advantages, critic, buffer, alphas, 0.5
             )
             assert combined.shape == (R, E, T, N)
             for r in range(R):
-                lane = slice(r * N, (r + 1) * N)
-                own = np.ascontiguousarray(obs[..., lane])
+                agents, rows = slice(r * N, (r + 1) * N), slice(r * E, (r + 1) * E)
+                own = obs[rows]
                 (alone,), (hits,) = combine_fair_advantages(
-                    np.ascontiguousarray(advantages[..., lane]), critic[lane],
+                    advantages[rows], critic[agents],
                     RolloutBuffer(own, own, np.ones(own.shape), own, 0), [alphas[r]], 0.5,
                 )
                 assert combined[r].tobytes() == alone.tobytes()
-                v0 = critic[lane][np.arange(N), obs[:, 0, lane]]
+                v0 = critic[agents][np.arange(N), own[:, 0]]
                 assert floor_hits[r] == hits == (v0 < 0.5).sum()
                 coeffs = np.array(
                     [[1.0 if i == j else alphas[r] for j in range(N)] for i in range(N)]
                 )
-                terms = coeffs * (advantages[..., lane] / np.maximum(v0, 0.5)[:, None, :])[
+                terms = coeffs * (advantages[rows] / np.maximum(v0, 0.5)[:, None, :])[
                     ..., None, :
                 ]  # (E, T, i, j)
                 gap = np.abs(combined[r] - terms.sum(axis=-1))
@@ -309,13 +333,14 @@ class TestCombineAdvantages:
         # advantages summed over agents and repeated, bit for bit, signed
         # zeros included, with no floor hits (its critic lies below the floor)
         rng = np.random.default_rng(num_agents)
-        shape = (3, 20, 4 * num_agents)
+        shape = (4 * 3, 20, num_agents)  # 4 runs of 3 envs
         obs = rng.integers(0, 2, size=shape)
-        critic = rng.uniform(-1.0, 2.0, size=(shape[2], 2))
+        critic = rng.uniform(-1.0, 2.0, size=(4 * num_agents, 2))
+        critic[num_agents] = 0.25  # run 1 (PF) agent 0 sits below the floor in both states
         advantages = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
         advantages[rng.random(shape) < 0.2] = 0.0
         advantages[rng.random(shape) < 0.2] = -0.0
-        advantages[0, :5] = -0.0  # rows whose sum is -0.0
+        advantages[::3, :5] = -0.0  # each run's first env: steps whose sum is -0.0
         objectives = [
             ObjectiveMode.UTILITARIAN_WELFARE, ObjectiveMode.PROPORTIONAL_FAIR,
             ObjectiveMode.UTILITARIAN_WELFARE, ObjectiveMode.PROPORTIONAL_FAIR,
@@ -328,7 +353,7 @@ class TestCombineAdvantages:
         combined, floor_hits = _combined_advantages(advantages, critic, buffer, configs)
         for r, objective in enumerate(objectives):
             if objective is ObjectiveMode.UTILITARIAN_WELFARE:
-                own = np.ascontiguousarray(advantages[..., r * num_agents:(r + 1) * num_agents])
+                own = advantages[r * 3:(r + 1) * 3]
                 total = own.sum(axis=-1, keepdims=True)
                 expected = np.repeat(total, num_agents, axis=-1).reshape(-1, num_agents)
                 assert combined[r].tobytes() == expected.tobytes()
@@ -755,11 +780,11 @@ class TestUpdateSchedules:
     def test_runs_are_combined_and_normalized_as_alone(self, num_agents):
         # three runs (PF, UW, PF) combined and normalized at once, on
         # advantages of wide dynamic range: each run's block is what its own
-        # lanes give alone, bit for bit, a one-agent run's sums included
+        # rows give alone, bit for bit, a one-agent run's sums included
         rng = np.random.default_rng(8)
-        shape = (2, 40, 3 * num_agents)
+        shape = (3 * 2, 40, num_agents)  # 3 runs of 2 envs
         obs = rng.integers(0, 3, size=shape)
-        critic = rng.uniform(0.5, 40.0, size=(shape[2], 3))
+        critic = rng.uniform(0.5, 40.0, size=(3 * num_agents, 3))
         advantages = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
         configs = [
             make_config(alpha=alpha, objective=objective, normalize_advantages=True)
@@ -772,10 +797,10 @@ class TestUpdateSchedules:
         buffer = RolloutBuffer(obs, obs, np.ones(shape), obs, 0)
         combined, floor_hits = _combined_advantages(advantages, critic, buffer, configs)
         for r, config in enumerate(configs):
-            lane = slice(r * num_agents, (r + 1) * num_agents)
-            own = np.ascontiguousarray(obs[..., lane])
+            agents, rows = slice(r * num_agents, (r + 1) * num_agents), slice(r * 2, (r + 1) * 2)
+            own = obs[rows]
             alone, hits = one_run_combination(
-                np.ascontiguousarray(advantages[..., lane]), critic[lane],
+                advantages[rows], critic[agents],
                 RolloutBuffer(own, own, np.ones(own.shape), own, 0), config,
             )
             assert combined[r].tobytes() == alone.tobytes()
@@ -1698,7 +1723,7 @@ class TestTrainRuns:
         groups = learning._grouped(wide_logits)  # one group: every agent has 2 actions
         wide = SoftmaxPolicyProfile(list(groups[0][1]))
         wide_buffer = RolloutBuffer(
-            *(np.concatenate([a, a], axis=-1) for a in (
+            *(np.concatenate([a, a]) for a in (
                 buffer.observations, buffer.actions, buffer.rewards, buffer.next_observations
             )),
             0,
@@ -1917,7 +1942,8 @@ class TestRowPlans:
         rebuilt = 0
         for observations in updates:
             for k, agents in enumerate(groups):
-                group = observations[..., agents]
+                run, agent = np.divmod(agents, 2)
+                group = observations.reshape(len(configs), -1, 2)[run, :, agent]
                 rebuilt += previous[k] is None or not np.array_equal(previous[k], group)
                 previous[k] = group
         assert len(updates) >= 2 and rebuilt > len(groups)
@@ -2089,21 +2115,21 @@ class TestSnapshotFiles:
 
     @pytest.mark.parametrize("num_rows", BLOCK_EDGES)
     def test_streamed_bytes_equal_one_dump_and_load_exactly(
-        self, tmp_path, snapshot_pools, monkeypatch, num_rows
+        self, tmp_path, recorded_pools, monkeypatch, num_rows
     ):
         # a multiprocessing child (a --jobs sweep worker) makes no pool
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         self.assert_block_edges_written_exactly(tmp_path / "snap.json", num_rows)
-        assert snapshot_pools == []
+        assert recorded_pools == []
 
     @pytest.mark.parametrize("num_rows", BLOCK_EDGES)
     def test_pooled_bytes_equal_one_dump_and_load_exactly(
-        self, tmp_path, snapshot_pools, num_rows
+        self, tmp_path, recorded_pools, num_rows
     ):
         self.assert_block_edges_written_exactly(tmp_path / "snap.json", num_rows)
-        assert snapshot_pools == [2]
+        assert recorded_pools == [2]
 
-    def test_pooled_empty_table_between_nonempty_ones(self, tmp_path, snapshot_pools):
+    def test_pooled_empty_table_between_nonempty_ones(self, tmp_path, recorded_pools):
         rng = np.random.default_rng(0)
         logits = [
             rng.normal(size=(5, 2)),
@@ -2112,22 +2138,22 @@ class TestSnapshotFiles:
         ]
         path = tmp_path / "snap.json"
         self.assert_written_as_one_dump(path, logits)
-        assert snapshot_pools == [2]
+        assert recorded_pools == [2]
         assert [np.asarray(t).tobytes() for t in json.loads(path.read_text())] == [
             t.tobytes() for t in logits
         ]
 
-    def test_few_blocks_are_formatted_in_process(self, tmp_path, snapshot_pools):
+    def test_few_blocks_are_formatted_in_process(self, tmp_path, recorded_pools):
         # one block per agent, as in the PD sweep: no more blocks than CPUs
         self.assert_written_as_one_dump(tmp_path / "snap.json", [np.ones((1, 2)), np.ones((3, 2))])
-        assert snapshot_pools == []
+        assert recorded_pools == []
 
-    def test_worker_error_propagates(self, tmp_path, snapshot_pools, monkeypatch):
+    def test_worker_error_propagates(self, tmp_path, recorded_pools, monkeypatch):
         monkeypatch.setattr(learning, "_json_rows", _rows_failing_in_workers)
         logits = [np.ones((SNAPSHOT_BLOCK_ROWS + 1, 2)) for _ in range(2)]
         with pytest.raises(ValueError, match="formatting failed in a worker"):
             save_policy_snapshot(tmp_path / "snap.json", SoftmaxPolicyProfile(logits))
-        assert snapshot_pools == [2]
+        assert recorded_pools == [2]
         assert multiprocessing.active_children() == []
 
 

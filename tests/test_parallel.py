@@ -20,11 +20,11 @@ def _scaled(item, factor, offset):
         (1, 5, 2, []),  # one CPU
     ],
 )
-def test_ordered_map_pool_policy(monkeypatch, snapshot_pools, cpus, num_items, min_items, pool):
+def test_ordered_map_pool_policy(monkeypatch, recorded_pools, cpus, num_items, min_items, pool):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     items = list(range(num_items))
     with ExitStack() as stack:
         results = list(parallel.ordered_map(stack, _scaled, items, min_items, context=(3, 1)))
-    assert snapshot_pools == pool
+    assert recorded_pools == pool
     assert results == [(3 * k + 1, bool(pool)) for k in items]
     assert multiprocessing.active_children() == []
