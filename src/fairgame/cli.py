@@ -223,9 +223,9 @@ def _run_sweep_share(batches: list[list[int]], config: ExperimentConfig, out_roo
 
 def _sweep_shares(config: ExperimentConfig, jobs: int) -> list[list[list[int]]]:
     """The sweep items' indices cut into ``min(jobs, items)`` contiguous
-    shares, one per worker process, sizes differing by at most one, and each
-    share cut into consecutive batches of at most ``_runs_per_batch`` items
-    (the cap on one batch's logit tables)."""
+    shares (run on at most ``min(CPUs, shares)`` workers by ``ordered_map``),
+    sizes differing by at most one, each cut into consecutive batches of at
+    most ``_runs_per_batch`` items (the cap on one batch's logit tables)."""
     items = len(config.alphas)
     per_batch = _runs_per_batch(build_env_factory(config.env)(0))
     shares = [share.tolist() for share in np.array_split(np.arange(items), min(jobs, items))]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, check_fields
 from .games import DilemmaPayoffs
-from .markov import TabularMarkovGame, _compared_columns, _draw
+from .markov import TabularMarkovGame
 
 UP, DOWN, LEFT, RIGHT, CLEAN, NOOP = range(6)
 # row and column offsets of each action; CLEAN and NOOP hold position
@@ -138,18 +138,18 @@ def _lockstep(envs: Sequence):
 
 class _MarkovBatch(_Batch):
     """``MarkovGameEnv`` states: the global state index of each env, which
-    every agent observes. ``columns`` are the compared columns of the
-    game's cumulative transition rows, one row per (state, joint action),
-    each row divided by its last entry. Each env draws its next state with
-    one ``random()`` from its own generator, through ``markov._draw``: the
-    bits of ``Generator.choice(S, p=row)``, which normalizes the cumulative
-    row the same way, draws one double and takes ``searchsorted(side=
-    "right")``."""
+    every agent observes. Each env draws its next state with one
+    ``random()`` from its own generator, as the count of the compared
+    columns of its (state, joint action) row of the game's normalized
+    cumulative transition rows (``TabularMarkovGame._next_state_cdf``) that
+    are <= it: the count ``markov._draw`` takes, and the bits of
+    ``Generator.choice(S, p=row)``, which normalizes the cumulative row the
+    same way, draws one double and takes ``searchsorted(side="right")``."""
 
     _arrays = ("states",)
 
-    def __init__(self, game: TabularMarkovGame, columns: list, rngs: list, states: np.ndarray):
-        self.game, self.columns, self.rngs, self.states = game, columns, rngs, states
+    def __init__(self, game: TabularMarkovGame, rngs: list, states: np.ndarray):
+        self.game, self.rngs, self.states = game, rngs, states
 
     def observations(self) -> np.ndarray:
         return np.repeat(self.states[:, None], self.game.num_agents, axis=1)
@@ -158,9 +158,9 @@ class _MarkovBatch(_Batch):
         game = self.game
         joint = np.ravel_multi_index(tuple(actions.T), game.action_counts)
         rewards = game.rewards[:, self.states, joint].T
-        rows = self.states * game.transitions.shape[1] + joint
+        columns = game._next_state_cdf[self.states * game.transitions.shape[1] + joint]
         uniforms = np.array([rng.random() for rng in self.rngs])
-        self.states = _draw([column[rows] for column in self.columns], uniforms)
+        self.states = (columns <= uniforms[:, None]).sum(axis=1)
         return self.observations(), rewards, None
 
 
@@ -180,18 +180,13 @@ class MarkovGameEnv:
         if game.num_states == 1:
             self.joint_rewards = game.rewards[:, 0, :].T.reshape(*game.action_counts, -1)
             self.joint_rewards.flags.writeable = False
-        cdf = np.cumsum(game.transitions, axis=2)
-        cdf /= cdf[..., -1:]
-        self._columns = _compared_columns(cdf.reshape(-1, game.num_states))
         rng = np.random.default_rng(seed)
-        self._batch = _MarkovBatch(game, self._columns, [rng], np.zeros(1, dtype=np.int64))
+        self._batch = _MarkovBatch(game, [rng], np.zeros(1, dtype=np.int64))
 
     def reset(self, seed: int | None = None) -> tuple[int, ...]:
         rng = self._batch.rngs[0] if seed is None else np.random.default_rng(seed)
         state = rng.choice(self.num_states, p=self.game.initial_dist)
-        self._batch = _MarkovBatch(
-            self.game, self._columns, [rng], np.array([state], dtype=np.int64)
-        )
+        self._batch = _MarkovBatch(self.game, [rng], np.array([state], dtype=np.int64))
         return (int(state),) * self.num_agents
 
     def step(self, actions: Sequence[int]) -> EnvStep:

@@ -8,7 +8,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,7 +147,7 @@ def _rollouts(envs: Sequence, groups: list, version: int, rng: np.random.Generat
     """``collect_rollouts`` from a profile's stacked ``groups``, at ``version``."""
     num_envs, length, num_agents = len(envs), envs[0].episode_length, envs[0].num_agents
     uniforms = rng.random((num_envs, length, num_agents))
-    *arrays, apples = _collector(envs)(groups, uniforms)
+    *arrays, apples = _collector(envs)(groups, uniforms[None])  # one run
     buffer = RolloutBuffer(*arrays, version)
     return buffer, buffer.rewards.sum(axis=1), apples
 
@@ -161,11 +161,14 @@ def _action_groups(action_counts: Sequence[int]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _grouped(logits: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
-    """Each action group's agents and a copy of their tables as one
-    (n, S, A) array, table k being agent ``agents[k]``'s."""
-    counts = [table.shape[-1] for table in logits]
-    return [(agents, np.stack([logits[i] for i in agents])) for agents in _action_groups(counts)]
+def _grouped(logits: Sequence[np.ndarray]) -> list[tuple]:
+    """Each action group of one run's tables: its agents, a copy of their
+    tables as one (n, S, A) array, table k being agent ``agents[k]``'s, and
+    its ``(run, agent) = np.divmod(agents, N)`` index, built once with the
+    group (``_train_batch`` builds R runs' groups the same way):
+    ``x[run, :, agent]`` takes the group's (n, B) block of (R, B, N) rows."""
+    counts, n = [table.shape[-1] for table in logits], len(logits)
+    return [(a, np.stack([logits[i] for i in a]), np.divmod(a, n)) for a in _action_groups(counts)]
 
 
 def _collector(envs: Sequence) -> Callable[[list, np.ndarray], tuple]:
@@ -174,11 +177,11 @@ def _collector(envs: Sequence) -> Callable[[list, np.ndarray], tuple]:
     run's E envs in run order, run r's env e being row r*E + e of every
     (R*E, T, N) array. Called with ``groups``, the action groups of the
     R*N agents, run r's agent i being agent r*N + i (``_grouped``), which
-    reads column i of run r's rows, and the (R*E, T, N) ``uniforms``, it
-    collects one episode of every env and returns the (R*E, T, N)
-    observations, actions, rewards and next observations, and the (R*E, N)
-    apples harvested or None. A run's rows equal what it would collect
-    alone."""
+    reads column i of run r's rows, and the (R, E, T, N) ``uniforms``, run
+    r's in ``uniforms[r]``, it collects one episode of every env and
+    returns the (R*E, T, N) observations, actions, rewards and next
+    observations, and the (R*E, N) apples harvested or None. A run's rows
+    equal what it would collect alone."""
     if all(env.num_states == 1 for env in envs):
         return partial(_collect_single_state, np.stack([env.joint_rewards for env in envs]))
     return partial(_collect_lockstep, envs)
@@ -192,20 +195,18 @@ def _collect_lockstep(envs: Sequence, groups: list, uniforms: np.ndarray) -> tup
     group's (n, S, A) array the logit rows, and one ``markov._draw`` counts
     the compared columns of the cumulative softmax rows (row for row,
     ``bisect_right`` clipped to the last action)."""
-    rows, length, num_agents = uniforms.shape
-    shape = (sum(len(agents) for agents, _ in groups) // num_agents, -1, num_agents)  # (R, E, N)
-    stacks = [
-        (tables, np.arange(len(agents))[:, None], np.divmod(agents, num_agents))
-        for agents, tables in groups
-    ]
-    path = np.empty((rows, length + 1, num_agents), dtype=np.int64)
-    actions = np.empty(uniforms.shape, dtype=np.int64)
-    rewards = np.empty(uniforms.shape)
+    runs, num_envs, length, num_agents = uniforms.shape
+    shape = (runs * num_envs, length, num_agents)
+    stacks = [(tables, np.arange(len(agents))[:, None], index) for agents, tables, index in groups]
+    path = np.empty((shape[0], length + 1, num_agents), dtype=np.int64)
+    actions = np.empty(shape, dtype=np.int64)
+    rewards = np.empty(shape)
     apples = None
     with _lockstep(envs) as batch:
         path[:, 0] = batch.observations()
         for t in range(length):
-            observed, drawn, u = (a[:, t].reshape(shape) for a in (path, actions, uniforms))
+            observed, drawn = (a[:, t].reshape(runs, num_envs, num_agents) for a in (path, actions))
+            u = uniforms[:, :, t]
             for tables, slots, (run, agent) in stacks:
                 cum = np.cumsum(_softmax(tables[slots, observed[run, :, agent]]), axis=-1)
                 drawn[run, :, agent] = _draw(list(cum.transpose(2, 0, 1)[:-1]), u[run, :, agent])
@@ -226,28 +227,32 @@ def _collect_single_state(tables: np.ndarray, groups: list, uniforms: np.ndarray
     (``bisect_right`` clipped to the last action), and the rewards are one
     gather by row and flat (row-major) joint action. Such envs report no
     apples."""
-    rows, _, num_agents = uniforms.shape
-    *counts, _ = tables.shape[1:]
-    shape = (sum(len(agents) for agents, _ in groups) // num_agents, -1, num_agents)  # (R, E*T, N)
-    actions = np.empty(uniforms.shape, dtype=np.int64)
-    drawn, u = actions.reshape(shape), uniforms.reshape(shape)
-    for agents, logits in groups:
-        run, agent = np.divmod(agents, num_agents)
+    runs, num_envs, length, num_agents = uniforms.shape
+    rows, (*counts, _) = runs * num_envs, tables.shape[1:]
+    actions = np.empty((rows, length, num_agents), dtype=np.int64)
+    drawn, u = (a.reshape(runs, -1, num_agents) for a in (actions, uniforms))  # (R, E*T, N)
+    for _, logits, (run, agent) in groups:
         columns = _compared_columns(np.cumsum(_softmax(logits[:, :1]), axis=-1))
         drawn[run, :, agent] = _draw(columns, u[run, :, agent])
     strides = np.cumprod([1, *counts[:0:-1]])[::-1]
     rewards = tables.reshape(rows, -1, num_agents)[np.arange(rows)[:, None], actions @ strides]
-    zeros = np.zeros(uniforms.shape, dtype=np.int64)
+    zeros = np.zeros(actions.shape, dtype=np.int64)
     return zeros, actions, rewards, zeros.copy(), None
 
 
-def _critic_rows(critic: np.ndarray, rows: int, num_agents: int) -> np.ndarray:
-    """The (rows, 1, N) critic row that each entry of R runs' (R*E, T, N)
-    rows reads from the (R*N, S) ``critic``: row r*E + e, agent i reads
-    critic row r*N + i."""
-    runs = len(critic) // num_agents
+@lru_cache(maxsize=16)
+def _critic_rows(runs: int, rows: int, num_agents: int) -> np.ndarray:
+    """The (rows, 1, N) critic row that each entry of ``runs`` runs' (R*E,
+    T, N) rows reads from their (R*N, S) critic: row r*E + e, agent i reads
+    critic row r*N + i. Read-only, and built once per shape (each update of
+    a batch reads it twice). Raises DomainError unless the rows split
+    evenly into the runs."""
+    if runs < 1 or rows % runs:
+        raise DomainError(f"{rows} buffer rows do not split evenly into {runs} runs")
     run = np.arange(rows) // (rows // runs)
-    return (run * num_agents)[:, None, None] + np.arange(num_agents)
+    index = (run * num_agents)[:, None, None] + np.arange(num_agents)
+    index.flags.writeable = False
+    return index
 
 
 def compute_gae(
@@ -256,7 +261,9 @@ def compute_gae(
     """GAE(lambda) advantages and TD(lambda) returns, each (E, T, N), from
     the (N, S) critic, whose entry [j, s] is agent j's value of state s. A
     buffer of R runs' (R*E, T, N) rows takes their (R*N, S) critic, run r's
-    env e and agent i reading critic row r*N + i.
+    env e and agent i reading critic row r*N + i; R is the critic's rows
+    over N, and a critic that is not N rows per run, or an R that does not
+    divide the buffer's rows, raises DomainError.
 
     delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), accumulated backward over
     T as acc = delta_t + (gamma * lam) * acc from acc = 0.0, for all (row,
@@ -271,7 +278,10 @@ def compute_gae(
     rows, length, num_agents = buffer.observations.shape
     if rows == 0 or length == 0:
         raise DomainError("buffer is empty")
-    critic_rows = _critic_rows(critic, rows, num_agents)
+    runs, extra = divmod(len(critic), num_agents)
+    if extra or not runs:
+        raise DomainError(f"a critic of {len(critic)} rows is not {num_agents} rows per run")
+    critic_rows = _critic_rows(runs, rows, num_agents)
     v = critic[critic_rows, buffer.observations]
     delta = buffer.rewards + gamma * critic[critic_rows, buffer.next_observations] - v
     steps = np.ascontiguousarray(delta.transpose(1, 0, 2)).reshape(length, -1)
@@ -306,7 +316,7 @@ def combine_fair_advantages(
     rows, length, num_agents = advantages.shape
     runs = len(alphas)
     utilitarian = np.reshape(utilitarian, (-1, 1, 1, 1))
-    critic_rows = _critic_rows(critic, rows, num_agents)[:, 0]
+    critic_rows = _critic_rows(runs, rows, num_agents)[:, 0]
     v0 = critic[critic_rows, buffer.observations[:, 0]].reshape(runs, -1, 1, num_agents)
     floor_hits = ((v0 < v_floor) & ~utilitarian).sum(axis=(1, 2, 3))
     v0 = np.where(utilitarian, 1.0, np.maximum(v0, v_floor))
@@ -394,8 +404,7 @@ def _row_plans(plans: list, groups: list, obs: np.ndarray) -> None:
     agent i in ``obs[r, :, i]``: a group's (n, B) observations are one
     ``(run, agent)`` index, and its plan is rebuilt only when they differ
     from those it was built from."""
-    for k, (agents, tables) in enumerate(groups):
-        run, agent = np.divmod(agents, obs.shape[2])
+    for k, (agents, tables, (run, agent)) in enumerate(groups):
         group_obs = obs[run, :, agent]
         if plans[k] is None or not np.array_equal(plans[k].obs, group_obs):
             plans[k] = _RowPlan(agents, *tables.shape[1:], group_obs)
@@ -408,14 +417,14 @@ class _AgentStack:
     ``(run, agent)`` index from (R, B, N) arrays."""
 
     def __init__(
-        self, agents: list[int], tables: np.ndarray, plan: _RowPlan, actions: np.ndarray,
-        fair: np.ndarray, returns: np.ndarray, entropy_coef: float,
+        self, group: tuple, plan: _RowPlan, actions: np.ndarray, fair: np.ndarray,
+        returns: np.ndarray, entropy_coef: float,
     ):
+        agents, tables, (run, agent) = group
         count, num_states, width = tables.shape
         self.tables = tables.reshape(count * num_states, width)
         self.agents = agents
         self.plan = plan
-        run, agent = np.divmod(agents, fair.shape[2])
         self.weights = fair[run, :, agent].ravel()
         self.targets = returns[run, :, agent]
         self.entropy_coef = entropy_coef
@@ -531,8 +540,8 @@ def _policy_gradient_update(
     plans = [None] * len(groups) if plans is None else plans
     _row_plans(plans, groups, obs)
     stacks = [
-        _AgentStack(agents, tables, plan, actions, combined, returns, config.entropy_coef)
-        for (agents, tables), plan in zip(groups, plans)
+        _AgentStack(group, plan, actions, combined, returns, config.entropy_coef)
+        for group, plan in zip(groups, plans)
     ]
     old_log = [None] * len(stacks)
     if clip is not None:
@@ -640,7 +649,7 @@ def _update_profile(
             policies, groups, critics, buffer, [config], progress, epochs, clip
         )
     finally:
-        for agents, tables in groups:
+        for agents, tables, _ in groups:
             for i, table in zip(agents, tables):
                 policies.logits[i][...] = table
     return diagnostics
@@ -794,9 +803,9 @@ def _train_batch(
     Each run keeps its own envs, shared rng and update count. All runs'
     logit tables are one (n, S, A) array per action group, of which each
     run's result holds views. Per update, each run draws its (E, T, N)
-    uniforms from its own rng, and the R blocks are stacked as (R*E, T, N)
-    rows, run r's env e in row r*E + e, the one layout of every array of
-    the batch: all R*E envs are collected as one batch (``_collector``),
+    uniforms from its own rng, and the R blocks are stacked as (R, E, T, N),
+    which the collector lays out as (R*E, T, N) rows, run r's env e in row
+    r*E + e, the one layout of every array of the batch: all R*E envs are collected as one batch (``_collector``),
     and the agents of all runs are updated as one batch
     (``_policy_gradient_update``), whose error is raised as ``update U,
     ...``. The (R*N, S) critic holds run r's critic in rows r*N to
@@ -813,11 +822,11 @@ def _train_batch(
     # zeros), with no table copied
     counts = list(env.action_counts) * len(runs)
     groups = [
-        (agents, np.zeros((len(agents), env.num_states, counts[agents[0]])))
-        for agents in _action_groups(counts)
+        (a, np.zeros((len(a), env.num_states, counts[a[0]])), np.divmod(a, num_agents))
+        for a in _action_groups(counts)
     ]
     logits = [None] * len(counts)
-    for agents, tables in groups:
+    for agents, tables, _ in groups:
         for i, table in zip(agents, tables):
             logits[i] = table
     if first.policy_init_scale > 0.0:
@@ -835,9 +844,7 @@ def _train_batch(
     collect, plans = _collector(envs), [None] * len(groups)
     steps_done = update = 0
     while steps_done < first.total_steps:
-        uniforms = np.concatenate(
-            [run.rng.random((first.num_envs, length, num_agents)) for run in runs]
-        )
+        uniforms = np.stack([run.rng.random((first.num_envs, length, num_agents)) for run in runs])
         *arrays, apples = collect(groups, uniforms)
         buffer = RolloutBuffer(*arrays, profile.version)
         steps_done += first.num_envs * length  # per run: the buffer holds R runs' steps

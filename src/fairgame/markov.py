@@ -6,6 +6,7 @@ gradients, the exact one from the discounted occupancy measure.
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +67,17 @@ class TabularMarkovGame:
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "initial_dist", initial)
+
+    @cached_property
+    def _next_state_cdf(self) -> np.ndarray:
+        """The compared columns (see ``_compared_columns``) of the cumulative
+        transition rows as one read-only (S*J, S-1) array, row s*J + j for
+        state s and joint action j, each row divided by its last entry as
+        ``Generator.choice`` divides it. Built once per game, on first use."""
+        cdf = np.cumsum(self.transitions, axis=2).reshape(-1, self.num_states)
+        cdf = np.ascontiguousarray((cdf / cdf[:, -1:])[:, :-1])
+        cdf.setflags(write=False)
+        return cdf
 
     @property
     def num_joint_actions(self) -> int:

@@ -297,6 +297,39 @@ class TestMarkovGameEnv:
         for env, rng in zip(envs, rngs):
             assert env._batch.rngs[0].bit_generator.state == rng.bit_generator.state
 
+    def test_a_uniform_on_a_cumulative_entry_draws_as_choice(self):
+        # Generator.choice(S, p=row) divides the cumulative row by its last
+        # entry and takes searchsorted(side="right") of its one double; a
+        # uniform equal to an entry, before or after that division, draws
+        # what it draws (a row whose cumulative sum ends below 1, and one
+        # with zero probabilities, so entries repeat)
+        rows = np.array([[0.1] * 10, [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.25, 0.0]])
+        assert np.cumsum(rows[0])[-1] < 1.0
+        game = TabularMarkovGame(
+            1, 10, (2,), np.repeat(rows[None], 10, axis=0), np.ones((1, 10, 2)),
+            np.eye(10)[0], 0.9,
+        )
+        env = MarkovGameEnv(game, episode_length=5)
+        env.reset()
+        for action, row in enumerate(rows):
+            cdf = np.cumsum(row)
+            normalized = cdf / cdf[-1]
+            entries = [u for u in (*cdf, *normalized) if u < 1.0]  # random() is below 1
+            for u in [0.0, np.nextafter(1.0, 0.0), *entries]:
+                env._batch.rngs = [StubUniform(u)]
+                expected = int(normalized.searchsorted(u, side="right"))
+                assert env.step([action]).observations == (expected,)
+
+
+class StubUniform:
+    """Hands out one fixed double per ``random()`` call."""
+
+    def __init__(self, u):
+        self.u = float(u)
+
+    def random(self):
+        return self.u
+
 
 class TestRandomMarkovGame:
     def test_invariants_hold(self):

@@ -1342,8 +1342,9 @@ class TestParallelSweep:
         ("mini_cleanup_pf_vs_uw.json", 2, [[[0], [1]], [[2]]]),
     ])
     def test_shares_and_batches_of_the_shipped_configs(self, name, jobs, shares):
-        # contiguous shares, one per worker; a mini-CleanUp run's tables
-        # exceed the batch cap, so its runs train one per batch
+        # contiguous shares, run on at most min(CPUs, shares) workers; a
+        # mini-CleanUp run's tables exceed the batch cap, so its runs train
+        # one per batch
         config = load_experiment_config(Path(__file__).resolve().parent.parent / "configs" / name)
         assert _sweep_shares(config, jobs) == shares
 
@@ -1381,7 +1382,14 @@ class TestParallelSweep:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_pool_has_no_more_workers_than_items(self, tmp_path, capsys, recorded_pools):
+    def test_pool_has_no_more_workers_than_items(
+        self, tmp_path, capsys, recorded_pools, monkeypatch
+    ):
+        # 64 CPUs and --jobs 64, so only the cap on the two items keeps the
+        # pool at two workers
+        from fairgame import parallel
+
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(64)))
         config = tmp_path / "config.json"
         config.write_text(json.dumps(self.config_doc(tmp_path / "runs")))
         assert main(["train", str(config), "--jobs", "64"]) == 0

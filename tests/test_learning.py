@@ -181,6 +181,19 @@ class TestComputeGae:
             assert advantages[rows].tobytes() == alone_advantages.tobytes()
             assert returns[rows].tobytes() == alone_returns.tobytes()
 
+    @pytest.mark.parametrize("critic_rows, message", [
+        (1, "a critic of 1 rows is not 2 rows per run"),
+        (3, "a critic of 3 rows is not 2 rows per run"),
+        (6, "4 buffer rows do not split evenly into 3 runs"),
+    ])
+    def test_a_critic_of_no_whole_runs_of_the_buffer_raises(self, critic_rows, message):
+        # two agents, four rows: a critic is N rows per run, and its runs
+        # split the rows evenly, or nothing is read
+        obs = np.zeros((4, 5, 2), dtype=np.int64)
+        buffer = RolloutBuffer(obs, obs, np.ones(obs.shape), obs, 0)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            compute_gae(buffer, np.zeros((critic_rows, 1)), 0.9, 0.9)
+
 
 def numpy_step_loop_gae(buffer, critic, gamma, lam):
     """GAE as one numpy call per time step on (E, N) vectors: a reference
@@ -1720,7 +1733,8 @@ class TestTrainRuns:
         assert (buffer.actions[..., 1] == 1).any()
         wide_logits = [np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)),
                        np.array([[0.0, -800.0]])]
-        groups = learning._grouped(wide_logits)  # one group: every agent has 2 actions
+        ((agents, tables, _),) = learning._grouped(wide_logits)  # every agent has 2 actions
+        groups = [(agents, tables, np.divmod(agents, 2))]  # read as two runs of two agents
         wide = SoftmaxPolicyProfile(list(groups[0][1]))
         wide_buffer = RolloutBuffer(
             *(np.concatenate([a, a]) for a in (
