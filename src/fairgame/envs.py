@@ -11,7 +11,9 @@ keeps no step counter and reports no done flag. Rewards are strictly
 positive. An env with ``num_states == 1`` also exposes ``joint_rewards``, a
 read-only float64 array of shape (A_1, ..., A_N, N) holding every agent's
 reward for each joint action, so that its episodes can be collected without
-stepping it.
+stepping it. An env whose observations are a dense renumbering of a longer
+index also exposes ``observation_mask``, a read-only bool array over that
+index marking the values that can occur (mini-CleanUp).
 
 The multi-state envs, mini-CleanUp and ``MarkovGameEnv``, keep their state
 as a batch of one env (leading axis of length 1), and ``step`` is that
@@ -26,6 +28,7 @@ import copy
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -236,16 +239,41 @@ class MiniCleanupConfig:
         ))
 
 
-def _grid_tables(config: MiniCleanupConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_tables(config: MiniCleanupConfig) -> tuple[np.ndarray, ...]:
     """The row (column) each action moves an agent to from each row
-    (column), held inside the grid, and the flat offsets in a padded apple
-    grid of a 3x3 window's cells from its top-left cell, in row-major
-    order."""
+    (column), held inside the grid, the flat offsets in a padded apple grid
+    of a 3x3 window's cells from its top-left cell, in row-major order, and
+    the dense observation of each full one (``_observation_map``)."""
     next_row = np.clip(np.arange(config.height)[:, None] + _ROW_MOVES, 0, config.height - 1)
     next_col = np.clip(np.arange(config.width)[:, None] + _COL_MOVES, 0, config.width - 1)
     stride = config.width + 2
     window = np.array([dy * stride + dx for dy in range(3) for dx in range(3)])
-    return next_row, next_col, window
+    _, ranks = _observation_map(config.width, config.height, config.river_rows)
+    return next_row, next_col, window, ranks
+
+
+@lru_cache(maxsize=16)
+def _observation_map(width: int, height: int, river_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The observations a grid can show, over the full index ``(cell *
+    buckets + bucket) * 2**9 + window``: ``reachable`` is True at each full
+    index whose window has apples only on cells that can hold one, on the
+    grid and in the orchard, and ``ranks`` maps a reachable index to its rank
+    among them, in increasing order (-1 elsewhere). Built once per grid and
+    shared, read-only, by every env on it."""
+    rows, cols = np.divmod(np.arange(width * height), width)
+    # the window bits of each cell that can hold an apple: top-left highest
+    can_hold = np.zeros(width * height, dtype=np.int64)
+    for k, weight in enumerate(_WINDOW_WEIGHTS.tolist()):
+        row, col = rows + k // 3 - 1, cols + k % 3 - 1
+        can_hold += weight * ((row >= river_rows) & (row < height) & (col >= 0) & (col < width))
+    windows = np.arange(1 << _WINDOW_BITS)
+    per_cell = (windows & ~can_hold[:, None]) == 0
+    reachable = np.repeat(per_cell, _POLLUTION_BUCKETS, axis=0).ravel()
+    ranks = np.cumsum(reachable)
+    ranks -= 1
+    ranks[~reachable] = -1
+    reachable.flags.writeable = ranks.flags.writeable = False
+    return reachable, ranks
 
 
 class _CleanupBatch(_Batch):
@@ -268,7 +296,7 @@ class _CleanupBatch(_Batch):
         self.pollution = np.full(num_envs, 0.5)
         self.spawned = np.zeros(num_envs, dtype=np.int64)
         self.harvested = np.zeros(num_envs, dtype=np.int64)
-        self._next_row, self._next_col, self._window = tables
+        self._next_row, self._next_col, self._window, self._ranks = tables
 
     def _corners(self) -> np.ndarray:
         """Flat index, in ``apples``, of the top-left cell of each agent's
@@ -278,12 +306,13 @@ class _CleanupBatch(_Batch):
         return envs * ((height + 2) * (width + 2)) + self.rows * (width + 2) + self.cols
 
     def observations(self, corners: np.ndarray | None = None) -> np.ndarray:
-        """(agent cell, pollution bucket, 3x3 apple bitmap) as one index per
-        agent. The four buckets are aligned to the regrowth threshold, so
-        the alive/dead boundary is visible: comfortably below, nearing,
-        just above, deeply above. The window's top-left cell is the highest
-        bit; cells off the grid read as empty. ``corners`` is
-        ``_corners()``, if the caller has it."""
+        """(agent cell, pollution bucket, 3x3 apple bitmap) as one full
+        index per agent, reported as its dense rank (``_observation_map``).
+        The four buckets are aligned to the regrowth threshold, so the
+        alive/dead boundary is visible: comfortably below, nearing, just
+        above, deeply above. The window's top-left cell is the highest bit;
+        cells off the grid read as empty. ``corners`` is ``_corners()``, if
+        the caller has it."""
         cfg = self.config
         theta, level = cfg.pollution_threshold, self.pollution
         bucket = 3 - (level < 0.5 * theta) - (level < theta)
@@ -292,9 +321,10 @@ class _CleanupBatch(_Batch):
             corners = self._corners()
         window = self.apples.reshape(-1)[corners[..., None] + self._window]
         cell = self.rows * cfg.width + self.cols
-        return (cell * _POLLUTION_BUCKETS + bucket[:, None]) * (1 << _WINDOW_BITS) + (
+        full = (cell * _POLLUTION_BUCKETS + bucket[:, None]) * (1 << _WINDOW_BITS) + (
             window @ _WINDOW_WEIGHTS
         )
+        return self._ranks[full]
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cfg = self.config
@@ -351,14 +381,24 @@ class MiniCleanupEnv:
     base_reward per step plus apple_reward per harvest.
 
     Observations encode (agent cell, pollution bucket of 4, 3x3 apple bitmap)
-    as a single index.
+    as a single full index, ``(cell * 4 + bucket) * 2**9 + bitmap``. A window
+    cell on the river or off the grid never holds an apple, so only some
+    full indices occur (54784 of 131072 on the 8x8 grid with 2 river rows):
+    ``observation_mask`` marks them, and an observation is the rank of its
+    full index among them, so ``num_states`` counts only those.
     """
 
     def __init__(self, config: MiniCleanupConfig, seed: int = 0):
         self.config = config
         self.episode_length = config.episode_length
         self.num_agents = config.num_agents
-        self.num_states = config.width * config.height * _POLLUTION_BUCKETS * (1 << _WINDOW_BITS)
+        # read-only bool array over the full index: observation k is its k-th
+        # True entry; training draws a seeded random initial table over the
+        # full index and keeps these rows (``learning._initial_normals``)
+        self.observation_mask, _ = _observation_map(
+            config.width, config.height, config.river_rows
+        )
+        self.num_states = int(np.count_nonzero(self.observation_mask))
         self.action_counts = (6,) * config.num_agents
         self._tables = _grid_tables(config)
         origin = np.zeros((1, config.num_agents), dtype=np.int64)

@@ -698,7 +698,8 @@ def train(env_factory: Callable[[int], object], config: TrainConfig) -> TrainRes
 
 # A batch holds consecutive runs only while their logit tables total at most
 # this many entries (8 MB of float64): one shipped mini-CleanUp run's tables
-# hold 2.4M entries, so such runs train one per batch, in one run's memory.
+# hold 986112 entries (3 agents x 54784 rows x 6 actions), so two exceed it
+# and such runs train one per batch, in one run's memory.
 _BATCH_TABLE_ENTRIES = 1 << 20
 
 # the TrainConfig fields in which the runs of one batch may differ
@@ -791,6 +792,33 @@ def _train_runs(
     return [_train_runs(env_factory, [config])[0] for config in configs]
 
 
+_INITIAL_BLOCK_ROWS = 4096
+
+
+def _initial_normals(
+    rng: np.random.Generator, table: np.ndarray, mask: np.ndarray | None
+) -> None:
+    """Fill the (S, A) ``table`` with standard normals from ``rng``. An env
+    whose observations are the ranks of the True entries of a longer bool
+    ``observation_mask`` gets the rows at those entries of the table that
+    ``standard_normal(out=...)`` fills at the mask's length, the same draws
+    in the same order, a block of ``_INITIAL_BLOCK_ROWS`` rows at a time, so
+    no full-length table is held; with no mask, the table is filled
+    whole."""
+    if mask is None:
+        rng.standard_normal(out=table)
+        return
+    block = np.empty((_INITIAL_BLOCK_ROWS, table.shape[1]))
+    filled = 0
+    for start in range(0, len(mask), _INITIAL_BLOCK_ROWS):
+        kept = mask[start : start + _INITIAL_BLOCK_ROWS]
+        drawn = block[: len(kept)]
+        rng.standard_normal(out=drawn)
+        count = int(np.count_nonzero(kept))
+        np.compress(kept, drawn, axis=0, out=table[filled : filled + count])
+        filled += count
+
+
 def _train_batch(
     env_factory: Callable[[int], object], configs: Sequence[TrainConfig]
 ) -> list[TrainResult]:
@@ -817,9 +845,9 @@ def _train_batch(
     num_agents, length = env.num_agents, env.episode_length
     envs = [e for run in runs for e in run.envs]
     # one (n, S, A) array per action group holds every table; each run fills
-    # its own in agent order from its rng, by standard_normal(out=...) and an
-    # in-place scale: the bits of SoftmaxPolicyProfile.random (or .uniform's
-    # zeros), with no table copied
+    # its own in agent order from its rng (``_initial_normals``) and scales it
+    # in place: the bits of SoftmaxPolicyProfile.random over the full index
+    # at the kept rows (or .uniform's zeros), with no table copied
     counts = list(env.action_counts) * len(runs)
     groups = [
         (a, np.zeros((len(a), env.num_states, counts[a[0]])), np.divmod(a, num_agents))
@@ -830,8 +858,9 @@ def _train_batch(
         for i, table in zip(agents, tables):
             logits[i] = table
     if first.policy_init_scale > 0.0:
+        mask = getattr(env, "observation_mask", None)
         for i, table in enumerate(logits):
-            runs[i // num_agents].rng.standard_normal(out=table)
+            _initial_normals(runs[i // num_agents].rng, table, mask)
             table *= first.policy_init_scale
     profile = SoftmaxPolicyProfile(logits)
     critic = np.full((len(runs) * num_agents, env.num_states), float(first.critic_init))

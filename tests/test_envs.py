@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from fairgame.envs import (
     MiniCleanupConfig,
     MiniCleanupEnv,
     RepeatedMatrixGameEnv,
+    _CleanupBatch,
     _lockstep,
     matrix_markov_game,
     random_markov_game,
@@ -21,6 +23,7 @@ from fairgame.envs import (
 )
 from fairgame.errors import DomainError
 from fairgame.games import DilemmaPayoffs
+from fairgame.learning import Algorithm, EpisodeTable, TrainConfig, collect_rollouts, train
 from fairgame.markov import SoftmaxPolicyProfile, TabularMarkovGame, solve_values
 
 DATA = Path(__file__).parent / "data"
@@ -206,9 +209,10 @@ class TestMiniCleanup:
         place_agent(env, 1, 0, 0)
         place_apple(env, 1, 1)  # NW neighbor of agent 0 -> highest bitmap bit
         obs = env._batch.observations()[0]
+        full = np.flatnonzero(env.observation_mask)[obs]  # the dense index's inverse
         cell = 2 * 4 + 2
         bucket = 1  # pollution 0.5 with threshold 0.6: in [theta/2, theta)
-        assert obs[0] == (cell * 4 + bucket) * 512 + (1 << 8)
+        assert full[0] == (cell * 4 + bucket) * 512 + (1 << 8)
 
     def test_golden_trajectory(self):
         # locked reference run: config, seed, and script are frozen
@@ -230,6 +234,122 @@ class TestMiniCleanup:
             for line in (DATA / "cleanup_golden.jsonl").read_text().splitlines()
         ]
         assert records == golden
+
+
+def enumerate_observations(width, height, river_rows):
+    """Every full index (cell * 4 + bucket) * 512 + window, the window's
+    top-left cell the highest bit, whose window shows apples only on cells
+    of the grid below the river, in increasing order."""
+    found = []
+    for cell in range(width * height):
+        row, col = divmod(cell, width)
+        allowed = [
+            window for window in range(512)
+            if all(
+                not (window >> (8 - k)) & 1
+                or (river_rows <= row + k // 3 - 1 < height and 0 <= col + k % 3 - 1 < width)
+                for k in range(9)
+            )
+        ]
+        for bucket in range(4):
+            found.extend((cell * 4 + bucket) * 512 + window for window in allowed)
+    return found
+
+
+class FullIndexBatch(_CleanupBatch):
+    """Reports each agent's full index, decoded from the dense one through
+    ``full``, the test's enumeration."""
+
+    def observations(self, corners=None):
+        return self.full[super().observations(corners)]
+
+
+class FullIndexEnv(MiniCleanupEnv):
+    """Mini-CleanUp observed through the full (cell, bucket, window) index,
+    with a table row for every full index and no ``observation_mask``."""
+
+    def __init__(self, config, seed=0):
+        super().__init__(config, seed)
+        grid = (config.width, config.height, config.river_rows)
+        self.full = np.array(enumerate_observations(*grid))
+        self.num_states = len(self.observation_mask)
+        self.observation_mask = None
+
+    def reset(self, seed=None):
+        super().reset(seed)
+        self._batch.__class__ = FullIndexBatch
+        self._batch.full = self.full
+        return tuple(self._batch.observations()[0].tolist())
+
+
+class TestObservationIndex:
+    @pytest.mark.parametrize("width, height, river_rows, count", [
+        (8, 8, 2, 54784),  # the shipped grid
+        (3, 3, 2, 140),
+        (3, 3, 0, None),
+        (4, 3, 3, 4 * 3 * 4),  # all river: only the empty window
+        (1, 1, 0, None),
+        (1, 1, 1, 4),
+        (5, 1, 0, None),
+        (1, 5, 2, None),
+    ])
+    def test_map_equals_the_enumeration(self, width, height, river_rows, count):
+        config = MiniCleanupConfig(width=width, height=height, num_agents=1, river_rows=river_rows)
+        env = MiniCleanupEnv(config)
+        expected = enumerate_observations(width, height, river_rows)
+        mask = env.observation_mask
+        assert len(mask) == width * height * 4 * 512 and not mask.flags.writeable
+        assert np.flatnonzero(mask).tolist() == expected
+        assert env.num_states == len(expected) == (count or len(expected))
+        # every reachable full index maps to its rank, increasing with it
+        ranks = env._batch._ranks
+        assert ranks[expected].tolist() == list(range(len(expected)))
+        assert (ranks[~mask] == -1).all() and not ranks.flags.writeable
+
+    def test_envs_of_one_grid_share_one_map(self):
+        first = MiniCleanupEnv(MiniCleanupConfig(), seed=0)
+        second = MiniCleanupEnv(MiniCleanupConfig(regen_rate=0.5), seed=1)
+        assert first.observation_mask is second.observation_mask
+        assert first._batch._ranks is second._batch._ranks
+
+    def test_random_play_on_the_shipped_grid_stays_in_range(self):
+        envs = [MiniCleanupEnv(MiniCleanupConfig(), seed=e) for e in range(4)]
+        env = envs[0]
+        full = np.flatnonzero(env.observation_mask)
+        policies = SoftmaxPolicyProfile.uniform(env.num_states, env.action_counts)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            buffer, _, apples = collect_rollouts(envs, policies, rng)
+            for observations in (buffer.observations, buffer.next_observations):
+                assert observations.dtype == np.int64
+                assert 0 <= observations.min() and observations.max() < env.num_states
+            # the last observations decode to the cells the envs end in
+            cells = full[buffer.next_observations[:, -1]] // (4 * 512)
+            assert cells.tolist() == [e.agent_cells for e in envs]
+        assert apples.sum() > 0
+
+    def test_training_on_the_full_index_gives_the_same_run(self):
+        config = MiniCleanupConfig(
+            width=3, height=3, num_agents=2, river_rows=2, regen_rate=0.3, episode_length=20
+        )
+        train_config = TrainConfig(
+            algorithm=Algorithm.FAIR_MAPPO, alpha=0.5, learning_rate=1.0, critic_lr=0.2,
+            critic_init=1.0, policy_init_scale=1.0, num_envs=3, total_steps=180,
+            normalize_advantages=True, seed=7,
+        )
+        dense = train(lambda seed: MiniCleanupEnv(config, seed), train_config)
+        full = train(lambda seed: FullIndexEnv(config, seed), train_config)
+        assert dense.table.apples.sum() > 0
+        for name in (f.name for f in fields(EpisodeTable)):
+            ours, theirs = getattr(dense.table, name), getattr(full.table, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        rows = enumerate_observations(3, 3, 2)
+        assert [t.shape for t in dense.policies.logits] == [(140, 6)] * 2
+        assert [t.shape for t in full.policies.logits] == [(18432, 6)] * 2
+        assert [t.tobytes() for t in dense.policies.logits] == [
+            t[rows].tobytes() for t in full.policies.logits
+        ]
+        assert dense.critics.tobytes() == full.critics[:, rows].tobytes()
 
 
 class TestMarkovGameEnv:

@@ -964,6 +964,20 @@ class TestCliTrainEvalPlot:
         )
         assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
 
+    def test_eval_refuses_a_snapshot_over_the_full_cleanup_index(self, tmp_path, capsys):
+        # snapshots written before the dense observation index hold a row per
+        # full (cell, bucket, window) index: 2048 on a 1x1 grid, of which 8
+        # can occur
+        snapshot = tmp_path / "snap.json"
+        save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(2048, (6,)))
+        env_spec = tmp_path / "env.json"
+        env_spec.write_text(json.dumps(
+            {"type": "mini_cleanup", "width": 1, "height": 1, "num_agents": 1, "river_rows": 0}
+        ))
+        assert main(["eval", str(snapshot), "--env", str(env_spec)]) == 2
+        err = capsys.readouterr().err
+        assert "(2048, 6)" in err and "(8, 6)" in err
+
     def test_eval_zero_episodes_exits_2(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.json"
         save_policy_snapshot(snapshot, SoftmaxPolicyProfile.uniform(1, (2, 2)))
@@ -1130,10 +1144,13 @@ def test_mini_cleanup_eval_report_is_pinned(tmp_path, capsys):
     spec = {"type": "mini_cleanup", "width": 3, "height": 3, "num_agents": 2,
             "river_rows": 1, "regen_rate": 0.3, "pollution_increment": 0.05,
             "clean_amount": 0.2, "pollution_threshold": 0.7, "episode_length": 30}
-    num_states = 3 * 3 * 4 * 512
     rng = np.random.default_rng(9)
-    # one decimal per logit keeps the 18432-row snapshot near 1 MB
-    logits = [np.round(rng.normal(size=(num_states, 6)), 1) for _ in range(2)]
+    # the rows the dense observation index keeps of a table drawn over the
+    # full 18432-row index, which the report was pinned with; one decimal
+    # per logit keeps the snapshot small
+    env = build_env_factory(spec)(0)
+    full = [np.round(rng.normal(size=(len(env.observation_mask), 6)), 1) for _ in range(2)]
+    logits = [table[env.observation_mask] for table in full]
     snapshot = tmp_path / "snap.json"
     snapshot.write_text(json.dumps([table.tolist() for table in logits]))
     env_spec = tmp_path / "env.json"

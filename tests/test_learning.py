@@ -617,15 +617,24 @@ class TestLockstepCollection:
         """The dyadic case visits all four pollution buckets (so pollution sat
         on the threshold); the contested case has agents share an apple cell
         and walk into the grid's walls."""
+        # observations decode to the full (cell, bucket, window) index
+        # through the inverse of the dense index
+        full = lambda name: np.flatnonzero(  # noqa: E731
+            lockstep_cleanup_envs(name, 1, 3)[0].observation_mask
+        )
         buffers = check_cleanup_lockstep("dyadic_pollution", 10, 3, seed=13)
-        buckets = {int(b) for buffer in buffers for b in np.unique(buffer.observations // 512 % 4)}
+        decode = full("dyadic_pollution")
+        buckets = {
+            int(b) for buffer in buffers for b in np.unique(decode[buffer.observations] // 512 % 4)
+        }
         assert buckets == {0, 1, 2, 3}
+        decode = full("contested_2x2")
         for buffer in check_cleanup_lockstep("contested_2x2", 10, 3, seed=13):
-            cells = buffer.next_observations // (4 * 512)  # (E, T, N)
+            cells = decode[buffer.next_observations] // (4 * 512)  # (E, T, N)
             shared = (cells[..., :, None] == cells[..., None, :]).sum(axis=-1) > 1
             harvest = buffer.rewards > 0.5
             assert (shared & harvest).any()
-            rows, actions = buffer.observations // (4 * 512) // 2, buffer.actions
+            rows, actions = decode[buffer.observations] // (4 * 512) // 2, buffer.actions
             assert ((rows == 0) & (actions == UP)).any()
             assert ((rows == 1) & (actions == DOWN)).any()
 
@@ -1665,7 +1674,7 @@ class TestTrainRuns:
         assert learning._runs_per_batch(factory(0)) >= len(configs)
 
     def test_batch_size_under_the_table_cap(self):
-        shipped = MiniCleanupEnv(MiniCleanupConfig())  # 3 x 131072 x 6 logits
+        shipped = MiniCleanupEnv(MiniCleanupConfig())  # 3 x 54784 x 6 logits
         assert learning._runs_per_batch(shipped) == 1
         pd = RepeatedMatrixGameEnv(PD, 20)  # 2 x 1 x 2 logits
         assert learning._runs_per_batch(pd) == learning._BATCH_TABLE_ENTRIES // 4
@@ -1881,10 +1890,11 @@ class TestBatchTables:
         assert all(views[i].base is three for i in (1, 4, 7))
 
     def test_one_update_allocates_no_table_copy(self):
-        # one PPO update of the shipped mini-CleanUp tables (3 x 131072 x 6
-        # float64, 18.9 MB) peaks below 1.3x the tables, the (3, 131072)
-        # critic's 3.1 MB included: neither the batch start nor the update
-        # copies a table, which would add at least 6.3 MB
+        # one PPO update of the shipped mini-CleanUp tables (3 x 54784 x 6
+        # float64, 7.9 MB) peaks below 1.3x the tables, the (3, 54784)
+        # critic's 1.3 MB included: neither the batch start nor the update
+        # copies a table, which would add at least 2.6 MB, and the initial
+        # draw over the full 131072-row index holds no full-length table
         import tracemalloc
 
         env_config = MiniCleanupConfig()
@@ -1892,7 +1902,7 @@ class TestBatchTables:
             algorithm=Algorithm.FAIR_MAPPO, policy_init_scale=1.0, num_envs=2,
             total_steps=2 * env_config.episode_length, critic_init=1.0,
         )
-        table_bytes = 3 * 131072 * 6 * 8
+        table_bytes = 3 * MiniCleanupEnv(env_config).num_states * 6 * 8
         tracemalloc.start()
         try:
             train(lambda seed: MiniCleanupEnv(env_config, seed), config)

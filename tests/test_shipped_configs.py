@@ -36,19 +36,21 @@ PINNED = {
             "a086b2551f5af2a27bfcad0ef49b94b311a03c99cf4b3a1e9cff5451c19b4541",
         ),
     ],
-    # 3000 of the shipped 200000 steps per alpha, to keep the suite short
+    # 3000 of the shipped 200000 steps per alpha, to keep the suite short;
+    # each snapshot is the JSON of the tables over the dense observation
+    # index, the rows of the full-index tables at the reachable observations
     ("mini_cleanup_pf_vs_uw.json", 3000): [
         (
             "8d8026ea7aca827eca4d22c772a84c2952df5af197f576d41b1b54363a683079",
-            "f91f25d55266a6b789a2ebd18910fc1493c3aa056673b45e508f346f37ff2c33",
+            "b7c4a45b56d13459dfcf34a1f3d876b6c2ed54fee2dfd133aef8a0fb6cd6c5ea",
         ),
         (
             "762772a8e1cbb838cf4f24324cae253ec3047e3c7008bfdf6d3d372f72d0cc5e",
-            "bf59659497c262962222745bc7e4c670dff05047ebd72e81a53cf6e1eaa3edbf",
+            "3a9164816cceb89f488de4f95c95e46368f254553f2b295ec3f3e69f562049a5",
         ),
         (
             "d2e6d5594904418cb4007eabdc9ca3902562a75854c8fdab63336d7f95d58647",
-            "eb51795888acaddc38dcdecd4755b4b4968ade0c3728677a7b26246d0e990ddc",
+            "81d207c324c3c74cef868d6fa4cf6fa14746ac0db90c08348b67f93025941aed",
         ),
     ],
 }
@@ -115,7 +117,7 @@ PANELS = {
 @pytest.fixture(scope="module", params=list(PINNED), ids=[n for n, _ in PINNED])
 def trained(request, tmp_path_factory):
     """The pinned config key and each alpha's log path and snapshot digest;
-    each snapshot (49 MB for mini-CleanUp) is deleted once hashed."""
+    each snapshot (21 MB for mini-CleanUp) is deleted once hashed."""
     name, total_steps = request.param
     config = load_experiment_config(CONFIGS / name)
     if total_steps is not None:
